@@ -15,11 +15,8 @@ from .bootstrap import (
     BootstrapResult,
     EstimatorSpec,
     GridCell,
-    Measure,
     ResultGrid,
     bootstrap_estimate,
-    cell_stream,
-    resample,
     run_grid,
 )
 from .ingest import (
@@ -37,6 +34,7 @@ from .measures import (
     MIN_RISK_AVERSION,
     ExponentialWeighting,
     LossSample,
+    Measure,
     Position,
     QuantileMethod,
     WeightingReport,

@@ -7,11 +7,13 @@ variation (point estimate over standard error) and a standardized
 percentile confidence interval (interval bounds divided by the point
 estimate).
 
-Reproducibility is strict. Every grid cell, meaning one sample with one
-measure at one parameter, draws from its own counter-based stream keyed on
-the master seed and the cell coordinates, so results are bit-identical for
-a given seed no matter how many workers share the grid or in what order
-cells run.
+Reproducibility is strict. Each sample draws its resamples from its own
+counter-based stream keyed on the master seed and the sample index only.
+Every chunk of resamples is drawn, sorted and gathered once, and every
+requested measure at every parameter reads its estimates from that one
+sorted block. So all cells of a sample share their resamples, and results
+are bit-identical for a given seed no matter how many workers share the
+grid, in what order samples run, or which other cells were requested.
 """
 
 from __future__ import annotations
@@ -19,32 +21,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .measures import (
     LossSample,
+    Measure,
     Position,
     QuantileMethod,
-    _order_stat_rank,
-    _quantile_sorted,
-    _tail_count,
+    _check_alpha,
+    _evaluate,
+    _evaluate_sorted,
     spectral_weights,
 )
 
 # Rows of resample indices drawn per generator call. Fixed, so the draw
-# sequence of a cell never depends on scheduling or worker count.
+# sequence of a sample never depends on scheduling or worker count.
 _CHUNK_ROWS = 512
-
-
-class Measure(Enum):
-    VAR = "var"
-    ES = "es"
-    SRM = "srm"
-
-
-_MEASURE_ID = {Measure.VAR: 1, Measure.ES: 2, Measure.SRM: 3}
 
 
 @dataclass(frozen=True)
@@ -94,101 +87,31 @@ class BootstrapResult:
 
 
 # ----------------------------------------------------------------------
-# streams and resampling
+# streams and the shared resample block
 # ----------------------------------------------------------------------
 
-def cell_stream(master_seed: int, sample_index: int, measure: Measure,
-                param_index: int) -> np.random.Generator:
-    """Independent generator for one grid cell.
-
-    The Philox key packs (master_seed, sample_index, measure, param_index),
-    so streams are a pure function of the coordinates: splitting the grid
-    across workers, or running cells in any order, cannot change a draw.
-    """
+def _sample_stream(master_seed: int, sample_index: int) -> np.random.Generator:
+    """Independent generator for one sample, a pure function of
+    (master_seed, sample_index)."""
     if not 0 <= int(master_seed) < 2 ** 64:
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {master_seed!r}")
-    if not 0 <= sample_index < 2 ** 32:
+    if not 0 <= sample_index < 2 ** 64:
         raise ValueError(f"sample index out of range: {sample_index!r}")
-    if not 0 <= param_index < 2 ** 24:
-        raise ValueError(f"parameter index out of range: {param_index!r}")
-    tag = (sample_index << 32) | (_MEASURE_ID[measure] << 24) | param_index
-    key = np.array([master_seed, tag], dtype=np.uint64)
+    key = np.array([master_seed, sample_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def resample(sample: LossSample, stream: np.random.Generator) -> LossSample:
-    """One bootstrap resample: n draws with replacement, re-sorted."""
-    idx = stream.integers(0, sample.n, size=sample.n)
-    return LossSample(values=sample.values[idx], position=sample.position,
-                      label=sample.label)
+def _estimator_arg(spec: EstimatorSpec, n: int):
+    """Validated argument of _evaluate_sorted for spec on n losses."""
+    if spec.measure is Measure.SRM:
+        return spectral_weights(n, spec.parameter)
+    _check_alpha(spec.parameter)
+    return spec.parameter
 
 
-def _estimate_rows(block: np.ndarray, spec: EstimatorSpec,
-                   method: QuantileMethod, srm_w: np.ndarray | None) -> np.ndarray:
-    """Evaluate the estimator on each row of a (rows, n) sorted block."""
-    n = block.shape[1]
-    if spec.measure is Measure.VAR:
-        if method is QuantileMethod.ORDER_STATISTIC:
-            return block[:, _order_stat_rank(spec.parameter, n) - 1]
-        h = 1.0 + spec.parameter * (n - 1)
-        i = int(math.floor(h))
-        if i >= n:
-            return block[:, n - 1]
-        frac = h - i
-        lo = block[:, i - 1]
-        return lo + frac * (block[:, i] - lo)
-    if spec.measure is Measure.ES:
-        return block[:, n - _tail_count(spec.parameter, n):].mean(axis=1)
-    return block @ srm_w
-
-
-def _plug_in(sample: LossSample, spec: EstimatorSpec,
-             method: QuantileMethod, srm_w: np.ndarray | None) -> float:
-    if spec.measure is Measure.VAR:
-        return _quantile_sorted(sample.values, spec.parameter, method)
-    if spec.measure is Measure.ES:
-        m = _tail_count(spec.parameter, sample.n)
-        return float(sample.values[sample.n - m:].mean())
-    return float(srm_w @ sample.values)
-
-
-def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
-                       config: BootstrapConfig,
-                       stream: np.random.Generator | None = None) -> BootstrapResult:
-    """Bootstrap one measure on one sample.
-
-    Draws config.resamples samples with replacement, evaluates the
-    estimator on each and summarizes the resulting distribution. When no
-    stream is given, the cell stream for coordinates (0, measure, 0) under
-    the config's master seed is used, so a bare call is still reproducible.
-    """
-    if estimator.measure in (Measure.VAR, Measure.ES):
-        if not 0.0 < estimator.parameter < 1.0:
-            raise ValueError(
-                f"confidence level must lie strictly between 0 and 1, got {estimator.parameter!r}")
-    if stream is None:
-        stream = cell_stream(config.master_seed, 0, estimator.measure, 0)
-
-    srm_w = spectral_weights(sample.n, estimator.parameter) \
-        if estimator.measure is Measure.SRM else None
-
-    b = config.resamples
-    n = sample.n
-    values = sample.values
-    estimates = np.empty(b, dtype=float)
-    done = 0
-    while done < b:
-        rows = min(_CHUNK_ROWS, b - done)
-        idx = stream.integers(0, n, size=(rows, n))
-        block = values[idx]
-        block.sort(axis=1)
-        estimates[done:done + rows] = _estimate_rows(
-            block, estimator, config.quantile_method, srm_w)
-        done += rows
-
+def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -> BootstrapResult:
     point = float(estimates.mean())
     std_error = float(estimates.std(ddof=1))
-    plug_in = _plug_in(sample, estimator, config.quantile_method, srm_w)
 
     if std_error > 0.0 and point != 0.0:
         coeff_variation = point / std_error
@@ -199,9 +122,9 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
         ci = (1.0, 1.0)
     else:
         tail = (1.0 - config.ci_coverage) / 2.0
-        ordered = np.sort(estimates)
-        lo = _quantile_sorted(ordered, tail, config.quantile_method)
-        hi = _quantile_sorted(ordered, 1.0 - tail, config.quantile_method)
+        ordered = np.sort(estimates)[None, :]
+        lo, hi = (float(_evaluate_sorted(ordered, Measure.VAR, a, config.quantile_method)[0])
+                  for a in (tail, 1.0 - tail))
         if point == 0.0:
             ci = (math.nan, math.nan)  # standardization undefined
         else:
@@ -214,7 +137,60 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
         std_error=std_error,
         coeff_variation=coeff_variation,
         ci_standardized=ci,
-        resamples=b)
+        resamples=estimates.size)
+
+
+def _bootstrap_sample(sample: LossSample, specs, config: BootstrapConfig,
+                      sample_index: int) -> list:
+    """Bootstrap every spec on one sample from the sample's one stream.
+
+    Each chunk of resamples is drawn, sorted and gathered once, then every
+    spec reduces that sorted block into its own estimates, so no spec's
+    result depends on which other specs ran. Returns one entry per spec:
+    its BootstrapResult, or the ValueError its parameter raised.
+    """
+    b, n, method = config.resamples, sample.n, config.quantile_method
+    out, live = [], []  # live: (slot in out, measure, estimator arg, estimates)
+    for spec in specs:
+        try:
+            live.append((len(out), spec.measure, _estimator_arg(spec, n), np.empty(b)))
+            out.append(None)
+        except ValueError as exc:
+            out.append(exc)
+
+    stream = _sample_stream(config.master_seed, sample_index)
+    done = 0
+    while live and done < b:
+        rows = min(_CHUNK_ROWS, b - done)
+        # int32 indices draw the same stream as the int64 default at half the
+        # memory. The values are sorted, so gathering them at sorted indices
+        # sorts each row, and 4-byte indices sort faster than 8-byte values.
+        idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
+        idx.sort(axis=1)
+        block = sample.values[idx]
+        for _, measure, arg, estimates in live:
+            estimates[done:done + rows] = _evaluate_sorted(block, measure, arg, method)
+        done += rows
+        del idx, block  # so the next chunk's draw and gather never overlap this one's
+
+    for slot, measure, arg, estimates in live:
+        out[slot] = _summarize(estimates, _evaluate(sample, measure, arg, method), config)
+    return out
+
+
+def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
+                       config: BootstrapConfig) -> BootstrapResult:
+    """Bootstrap one measure on one sample.
+
+    Draws config.resamples samples with replacement, evaluates the
+    estimator on each and summarizes the resulting distribution. The
+    sample is treated as sample 0 of a grid, so the result equals that
+    cell of run_grid([sample], ...) under the same config, bit for bit.
+    """
+    (result,) = _bootstrap_sample(sample, [estimator], config, 0)
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -259,45 +235,46 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - samples: sequence of LossSample.
     - grid: mapping of Measure to its parameter list, e.g.
       {Measure.VAR: [0.95, 0.99], Measure.SRM: [5, 20]}.
-    - workers: worker threads sharing the cells. Results are bit-identical
-      for any worker count because each cell owns its stream and writes to
-      its own slot.
+    - workers: worker threads sharing the samples. Results are
+      bit-identical for any worker count because each sample owns its
+      stream, keyed on the master seed and its index in samples, and all
+      cells of a sample read the same resamples.
 
-    A cell whose estimator raises is recorded with the error message and
-    the rest of the grid still runs.
+    Cells come out sample by sample, measures in Measure order, parameters
+    in grid order. A cell whose parameter the estimator rejects is recorded
+    with the error message and the rest of the grid still runs.
     """
     samples = list(samples)
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
-    jobs = []
-    for sample_index, sample in enumerate(samples):
-        for measure in Measure:
-            if measure not in grid:
-                continue
-            for param_index, parameter in enumerate(grid[measure]):
-                jobs.append((sample_index, sample, measure, float(parameter), param_index))
+    layout = [(measure, param_index, float(parameter))
+              for measure in Measure if measure in grid
+              for param_index, parameter in enumerate(grid[measure])]
+    specs = [EstimatorSpec(measure, parameter) for measure, _, parameter in layout]
 
-    def run_cell(job):
-        sample_index, sample, measure, parameter, param_index = job
-        stream = cell_stream(config.master_seed, sample_index, measure, param_index)
-        spec = EstimatorSpec(measure=measure, parameter=parameter)
+    def run_sample(sample_index):
+        sample = samples[sample_index]
         try:
-            result, error = bootstrap_estimate(sample, spec, config, stream), None
-        except Exception as exc:
-            result, error = None, f"{type(exc).__name__}: {exc}"
-        return GridCell(
-            sample_index=sample_index,
-            sample_label=sample.label,
-            position=sample.position,
-            measure=measure,
-            parameter=parameter,
-            param_index=param_index,
-            result=result,
-            error=error)
+            results = _bootstrap_sample(sample, specs, config, sample_index)
+        except Exception as exc:  # e.g. out of memory: fail this sample's cells, not the grid
+            results = [exc] * len(specs)
+        cells = []
+        for (measure, param_index, parameter), result in zip(layout, results):
+            failed = isinstance(result, Exception)
+            cells.append(GridCell(
+                sample_index=sample_index,
+                sample_label=sample.label,
+                position=sample.position,
+                measure=measure,
+                parameter=parameter,
+                param_index=param_index,
+                result=None if failed else result,
+                error=f"{type(result).__name__}: {result}" if failed else None))
+        return cells
 
     if workers == 1:
-        cells = [run_cell(job) for job in jobs]
+        per_sample = [run_sample(i) for i in range(len(samples))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    return ResultGrid(cells=tuple(cells))
+            per_sample = list(pool.map(run_sample, range(len(samples))))
+    return ResultGrid(cells=tuple(cell for cells in per_sample for cell in cells))

@@ -34,13 +34,14 @@ from .ingest import (
     summary_stats,
 )
 from .measures import (
-    MIN_RISK_AVERSION,
+    ExponentialWeighting,
     LossSample,
     Position,
     QuantileMethod,
     expected_shortfall,
     spectral_risk_measure,
     spectral_weights,
+    _check_alpha,
     to_losses,
     validate_weighting,
     value_at_risk,
@@ -118,6 +119,14 @@ def _parse_float_list(text, flag, problems):
     return values
 
 
+def _check_with(flag, check, value, problems):
+    """Run a library validator on one flag value and collect its message."""
+    try:
+        check(value)
+    except ValueError as exc:
+        problems.append(f"{flag}: {exc}")
+
+
 def _check_seed(seed, problems):
     if not 0 <= seed < 2 ** 64:
         problems.append(f"seed must fit in an unsigned 64-bit integer, got {seed}")
@@ -168,21 +177,16 @@ def _estimate_config(args):
     if not measures:
         problems.append(f"--measure: no usable measures in {args.measure!r}")
 
+    # the library owns every range check; the CLI only names the flag
     alphas = _parse_float_list(args.alpha, "--alpha", problems)
     for a in alphas:
-        if not 0.0 < a < 1.0:
-            problems.append(f"--alpha: confidence level {a:g} must lie strictly between 0 and 1")
+        _check_with("--alpha", _check_alpha, a, problems)
     aras = _parse_float_list(args.ara, "--ara", problems)
     for k in aras:
-        if k < MIN_RISK_AVERSION:
-            problems.append(
-                f"--ara: risk aversion {k:g} is below {MIN_RISK_AVERSION:g}; "
-                "such weights are numerically flat, use the plain mean instead")
-
-    if args.resamples < 2:
-        problems.append(f"--resamples must be at least 2, got {args.resamples}")
-    if not 0.0 < args.ci_coverage < 1.0:
-        problems.append(f"--ci-coverage must lie strictly between 0 and 1, got {args.ci_coverage:g}")
+        _check_with("--ara", ExponentialWeighting, k, problems)
+    _check_with("--resamples", lambda b: BootstrapConfig(resamples=b), args.resamples, problems)
+    _check_with("--ci-coverage", lambda c: BootstrapConfig(ci_coverage=c), args.ci_coverage,
+                problems)
     if args.workers < 1:
         problems.append(f"--workers must be at least 1, got {args.workers}")
 

@@ -41,6 +41,12 @@ class QuantileMethod(Enum):
     LINEAR_INTERPOLATION = "interp"
 
 
+class Measure(Enum):
+    VAR = "var"
+    ES = "es"
+    SRM = "srm"
+
+
 # ----------------------------------------------------------------------
 # loss samples
 # ----------------------------------------------------------------------
@@ -109,19 +115,32 @@ def _tail_count(alpha: float, n: int) -> int:
     return min(max(m, 1), n)
 
 
-def _quantile_sorted(values: np.ndarray, alpha: float, method: QuantileMethod) -> float:
-    n = values.size
+def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
+                     method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> np.ndarray:
+    """The one estimator: evaluate a measure on each row of a (rows, n)
+    array of ascending losses. arg is the confidence level for VAR and ES
+    and the length-n weight vector for SRM; method applies to VAR only.
+    The public measures and the bootstrap plug-in are its one-row case."""
+    n = rows.shape[1]
+    if measure is Measure.ES:
+        return rows[:, n - _tail_count(arg, n):].mean(axis=1)
+    if measure is Measure.SRM:
+        return rows @ arg
     if method is QuantileMethod.ORDER_STATISTIC:
-        return float(values[_order_stat_rank(alpha, n) - 1])
+        return rows[:, _order_stat_rank(arg, n) - 1]
     if method is QuantileMethod.LINEAR_INTERPOLATION:
-        h = 1.0 + alpha * (n - 1)  # fractional rank, 1-indexed
+        h = 1.0 + arg * (n - 1)  # fractional rank, 1-indexed
         i = int(math.floor(h))
         if i >= n:
-            return float(values[-1])
-        frac = h - i
-        lo = values[i - 1]
-        return float(lo + frac * (values[i] - lo))
+            return rows[:, n - 1]
+        lo = rows[:, i - 1]
+        return lo + (h - i) * (rows[:, i] - lo)
     raise ValueError(f"unknown quantile method {method!r}")
+
+
+def _evaluate(sample: LossSample, measure: Measure, arg,
+              method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
+    return float(_evaluate_sorted(sample.values[None, :], measure, arg, method)[0])
 
 
 def empirical_quantile(sample: LossSample, alpha: float,
@@ -136,7 +155,7 @@ def empirical_quantile(sample: LossSample, alpha: float,
       around the fractional rank 1 + alpha * (n - 1).
     """
     _check_alpha(alpha)
-    return _quantile_sorted(sample.values, alpha, method)
+    return _evaluate(sample, Measure.VAR, alpha, method)
 
 
 def value_at_risk(sample: LossSample, alpha: float,
@@ -153,8 +172,7 @@ def expected_shortfall(sample: LossSample, alpha: float) -> float:
     than value_at_risk at the same level.
     """
     _check_alpha(alpha)
-    m = _tail_count(alpha, sample.n)
-    return float(sample.values[sample.n - m:].mean())
+    return _evaluate(sample, Measure.ES, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +266,7 @@ def spectral_risk_measure(sample: LossSample, aversion) -> float:
         w = aversion.cell_weights(sample.n)
     else:
         w = ExponentialWeighting(aversion).cell_weights(sample.n)
-    return float(w @ sample.values)
+    return _evaluate(sample, Measure.SRM, w)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ from riskboot import (
     Position,
     QuantileMethod,
     bootstrap_estimate,
-    cell_stream,
     expected_shortfall,
-    resample,
     run_grid,
     spectral_risk_measure,
     value_at_risk,
 )
+from riskboot.bootstrap import _sample_stream
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -27,51 +26,57 @@ def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
     return LossSample(values, position=position, label=label)
 
 
-class TestCellStream:
+def first_resample(sample, seed, sample_index=0):
+    """Row 0 of the first resample block the bootstrap draws for a sample."""
+    idx = _sample_stream(seed, sample_index).integers(
+        0, sample.n, size=(1, sample.n), dtype=np.int32)
+    return np.sort(sample.values[idx[0]])
+
+
+class TestSampleStream:
     def test_same_coordinates_same_draws(self):
-        a = cell_stream(7, 3, Measure.ES, 2).integers(0, 1000, size=20)
-        b = cell_stream(7, 3, Measure.ES, 2).integers(0, 1000, size=20)
+        a = _sample_stream(7, 3).integers(0, 1000, size=20)
+        b = _sample_stream(7, 3).integers(0, 1000, size=20)
         assert np.array_equal(a, b)
 
     def test_any_coordinate_changes_the_stream(self):
-        base = cell_stream(7, 3, Measure.ES, 2).integers(0, 2 ** 62, size=8)
-        for seed, sample, measure, param in (
-                (8, 3, Measure.ES, 2),
-                (7, 4, Measure.ES, 2),
-                (7, 3, Measure.VAR, 2),
-                (7, 3, Measure.ES, 1)):
-            other = cell_stream(seed, sample, measure, param).integers(0, 2 ** 62, size=8)
+        base = _sample_stream(7, 3).integers(0, 2 ** 62, size=8)
+        for seed, sample in ((8, 3), (7, 4), (3, 7)):
+            other = _sample_stream(seed, sample).integers(0, 2 ** 62, size=8)
             assert not np.array_equal(base, other)
 
     def test_coordinate_bounds(self):
-        with pytest.raises(ValueError, match="master seed"):
-            cell_stream(-1, 0, Measure.VAR, 0)
-        with pytest.raises(ValueError, match="sample index"):
-            cell_stream(0, 2 ** 32, Measure.VAR, 0)
-        with pytest.raises(ValueError, match="parameter index"):
-            cell_stream(0, 0, Measure.VAR, 2 ** 24)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="master seed"):
+                _sample_stream(seed, 0)
+        for sample in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="sample index"):
+                _sample_stream(0, sample)
+        _sample_stream(2 ** 64 - 1, 2 ** 64 - 1)  # both ends of the range are usable
+
+    def test_int32_draws_match_the_int64_default(self):
+        for n in (400, 401, 3392):
+            narrow = _sample_stream(5, 1).integers(0, n, size=(3, n), dtype=np.int32)
+            wide = _sample_stream(5, 1).integers(0, n, size=(3, n))
+            assert np.array_equal(narrow, wide)
 
 
 class TestResample:
     def test_resample_draws_from_the_sample_with_replacement(self):
         sample = normal_sample(n=100)
-        out = resample(sample, cell_stream(1, 0, Measure.VAR, 0))
-        assert out.n == sample.n
-        assert out.position is sample.position
-        assert out.label == sample.label
-        assert np.all(np.diff(out.values) >= 0.0)
-        assert set(out.values.tolist()) <= set(sample.values.tolist())
+        out = first_resample(sample, seed=1)
+        assert out.size == sample.n
+        assert set(out.tolist()) <= set(sample.values.tolist())
         # with replacement: 100 draws from 100 values repeat some value
         # almost surely, and this seed does
-        assert len(set(out.values.tolist())) < sample.n
+        assert len(set(out.tolist())) < sample.n
 
     def test_resample_is_stream_driven(self):
         sample = normal_sample()
-        a = resample(sample, cell_stream(5, 0, Measure.VAR, 0))
-        b = resample(sample, cell_stream(5, 0, Measure.VAR, 0))
-        c = resample(sample, cell_stream(6, 0, Measure.VAR, 0))
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a = first_resample(sample, seed=5)
+        assert np.array_equal(a, first_resample(sample, seed=5))
+        assert not np.array_equal(a, first_resample(sample, seed=6))
+        assert not np.array_equal(a, first_resample(sample, seed=5, sample_index=1))
 
 
 class TestBootstrapEstimate:
@@ -126,12 +131,12 @@ class TestBootstrapEstimate:
         spec = EstimatorSpec(Measure.VAR, 0.9)
         result = bootstrap_estimate(sample, spec, config)
 
-        stream = cell_stream(11, 0, Measure.VAR, 0)
+        stream = _sample_stream(11, 0)
         estimates = np.empty(b)
         done = 0
         while done < b:
             rows = min(512, b - done)
-            idx = stream.integers(0, sample.n, size=(rows, sample.n))
+            idx = stream.integers(0, sample.n, size=(rows, sample.n), dtype=np.int32)
             block = np.sort(sample.values[idx], axis=1)
             rank = math.ceil(0.9 * sample.n - 1e-9)
             estimates[done:done + rows] = block[:, rank - 1]
@@ -215,6 +220,36 @@ class TestRunGrid:
         assert failed[0].measure is Measure.SRM
         assert "plain mean" in failed[0].error
         assert grid.get(0, Measure.VAR, 0.9).result is not None
+
+    def test_bare_call_equals_its_grid_cell(self):
+        """bootstrap_estimate is sample 0 of a grid: it reproduces that cell
+        of a one-cell grid and of the full default grid bit for bit."""
+        sample = normal_sample(n=300, seed=24)
+        default = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
+                   Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        for method in QuantileMethod:
+            config = BootstrapConfig(resamples=120, master_seed=8, quantile_method=method)
+            full = run_grid([sample], default, config)
+            for cell in full.cells:
+                bare = bootstrap_estimate(
+                    sample, EstimatorSpec(cell.measure, cell.parameter), config)
+                single = run_grid([sample], {cell.measure: [cell.parameter]}, config)
+                assert bare == cell.result
+                assert bare == single.cells[0].result
+
+    def test_failing_cell_leaves_the_sample_s_other_cells_unchanged(self):
+        config = BootstrapConfig(resamples=100, master_seed=9)
+        clean = run_grid(self.samples(), self.GRID, config)
+        with_bad = {**self.GRID, Measure.SRM: self.GRID[Measure.SRM] + [1e-12]}
+        mixed = run_grid(self.samples(), with_bad, config)
+        assert len(mixed.failed) == len(self.samples())
+        assert tuple(c for c in mixed.cells if c.error is None) == clean.cells
+
+    def test_more_workers_than_samples(self):
+        config = BootstrapConfig(resamples=150, master_seed=5)
+        samples = self.samples()[:1]
+        assert run_grid(samples, self.GRID, config, workers=2) \
+            == run_grid(samples, self.GRID, config, workers=1)
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):

@@ -155,7 +155,7 @@ class TestEstimate:
         assert code == 2
         for fragment in ("file not found", "cannot parse 'nope'",
                          "must lie strictly between 0 and 1",
-                         "--resamples must be at least 2",
+                         "--resamples: need at least 2 resamples",
                          "--ci-coverage", "--workers",
                          "exactly one of --price-col and --return-col"):
             assert fragment in err
@@ -181,6 +181,23 @@ class TestEstimate:
                             "--ara", "1e-12"], capsys)
         assert code == 2
         assert "plain mean" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_parameters_rejected_upfront(self, tmp_path, capsys, bad):
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                              "--alpha", f"0.9,{bad}", "--ara", f"5,{bad}",
+                              "--ci-coverage", bad, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert not out_dir.exists()
+        assert f"--alpha: confidence level must lie strictly between 0 and 1, got {bad}" in err
+        assert f"--ara: risk aversion must be a positive finite number, got {bad}" in err
+        assert f"--ci-coverage: interval coverage must lie strictly between 0 and 1, got {bad}" \
+            in err
+        assert len(err.splitlines()) == 3
 
 
 class TestSeedPrecedence:
