@@ -39,7 +39,6 @@ from .measures import (
     QuantileMethod,
     WeightingReport,
     empirical_quantile,
-    exponential_weight,
     expected_shortfall,
     spectral_risk_measure,
     spectral_weights,

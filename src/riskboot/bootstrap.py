@@ -59,8 +59,7 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.resamples < 2:
             raise ValueError(f"need at least 2 resamples for a standard error, got {self.resamples}")
-        if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {self.master_seed!r}")
+        _check_seed(self.master_seed)
         if not 0.0 < self.ci_coverage < 1.0:
             raise ValueError(f"interval coverage must lie strictly between 0 and 1, got {self.ci_coverage!r}")
 
@@ -90,11 +89,16 @@ class BootstrapResult:
 # streams and the shared resample block
 # ----------------------------------------------------------------------
 
+def _check_seed(seed):
+    """The one range check for a master seed: seeds key 64-bit Philox streams."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
+
+
 def _sample_stream(master_seed: int, sample_index: int) -> np.random.Generator:
     """Independent generator for one sample, a pure function of
     (master_seed, sample_index)."""
-    if not 0 <= int(master_seed) < 2 ** 64:
-        raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {master_seed!r}")
+    _check_seed(master_seed)
     if not 0 <= sample_index < 2 ** 64:
         raise ValueError(f"sample index out of range: {sample_index!r}")
     key = np.array([master_seed, sample_index], dtype=np.uint64)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import BootstrapConfig, Measure, run_grid
+from .bootstrap import BootstrapConfig, Measure, _check_seed, run_grid
 from .ingest import (
     IngestError,
     drop_zero_returns,
@@ -66,6 +67,7 @@ from .synthetic import (
     normal_quantile,
     normal_var_oracle,
     srm_quadrature_oracle,
+    _check_panels,
 )
 
 SEED_ENV_VAR = "RISKBOOT_SEED"
@@ -89,17 +91,24 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 
 def _resolve_seed(flag_value, default, problems):
-    """Seed precedence: explicit flag, then environment, then default."""
+    """Seed precedence: explicit flag, then environment, then default.
+
+    Returns (seed, source); a seed out of range is collected under the name
+    of the place it came from.
+    """
     if flag_value is not None:
+        _check_with("--seed", _check_seed, flag_value, problems)
         return flag_value, "flag"
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw), "env"
-        except ValueError:
-            problems.append(f"cannot parse {SEED_ENV_VAR}={raw!r} as an integer seed")
-            return default, "env"
-    return default, "default"
+    if raw is None:
+        return default, "default"
+    try:
+        seed = int(raw)
+    except ValueError:
+        problems.append(f"cannot parse {SEED_ENV_VAR}={raw!r} as an integer seed")
+        return default, "env"
+    _check_with(SEED_ENV_VAR, _check_seed, seed, problems)
+    return seed, "env"
 
 
 def _parse_float_list(text, flag, problems):
@@ -125,11 +134,6 @@ def _check_with(flag, check, value, problems):
         check(value)
     except ValueError as exc:
         problems.append(f"{flag}: {exc}")
-
-
-def _check_seed(seed, problems):
-    if not 0 <= seed < 2 ** 64:
-        problems.append(f"seed must fit in an unsigned 64-bit integer, got {seed}")
 
 
 def _fmt_num(x) -> str:
@@ -191,7 +195,6 @@ def _estimate_config(args):
         problems.append(f"--workers must be at least 1, got {args.workers}")
 
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
-    _check_seed(seed, problems)
 
     if problems:
         raise ConfigError(problems)
@@ -205,7 +208,10 @@ def _estimate_config(args):
 
 
 def _load_series(args, labels):
-    series = []
+    """Load every input and summarize it. Returns the series and their
+    (label, SummaryStats) pairs; a file that parses but leaves no usable
+    series (too short, constant, all zero) is an input error for that file."""
+    series, stats_pairs = [], []
     for path, label in zip(args.input, labels):
         if args.price_col:
             prices = load_prices(path, date_col=args.date_col, price_col=args.price_col,
@@ -214,10 +220,14 @@ def _load_series(args, labels):
         else:
             one = load_returns(path, date_col=args.date_col, return_col=args.return_col,
                                date_format=args.date_format, label=label)
-        if args.drop_zero_returns:
-            one = drop_zero_returns(one)
+        try:
+            if args.drop_zero_returns:
+                one = drop_zero_returns(one)
+            stats_pairs.append((one.label, summary_stats(one)))
+        except ValueError as exc:
+            raise IngestError(path, [str(exc)]) from None
         series.append(one)
-    return series
+    return series, stats_pairs
 
 
 def _metadata_lines(args, seed, seed_source, labels, measures, alphas, aras,
@@ -244,9 +254,7 @@ def _metadata_lines(args, seed, seed_source, labels, measures, alphas, aras,
 
 def _cmd_estimate(args) -> int:
     labels, measures, alphas, aras, positions, seed, seed_source = _estimate_config(args)
-    series = _load_series(args, labels)
-
-    stats_pairs = [(s.label, summary_stats(s)) for s in series]
+    series, stats_pairs = _load_series(args, labels)
     samples = [to_losses(s, position) for s in series for position in positions]
 
     grid_params = {}
@@ -332,7 +340,6 @@ def _cmd_synth(args) -> int:
     if args.n < 1:
         problems.append(f"--n must be at least 1, got {args.n}")
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
-    _check_seed(seed, problems)
     family = _synth_family(args, problems)
     if problems:
         raise ConfigError(problems)
@@ -361,10 +368,11 @@ def _cmd_validate(args) -> int:
     problems = []
     if args.n < 100:
         problems.append(f"--n must be at least 100 for the oracle checks, got {args.n}")
-    if args.tolerance_scale < 0.0:
-        problems.append(f"--tolerance-scale must be nonnegative, got {args.tolerance_scale:g}")
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
+        problems.append(
+            f"--tolerance-scale must be finite and nonnegative, got {args.tolerance_scale:g}")
+    _check_with("--panels", _check_panels, args.panels, problems)
     seed, seed_source = _resolve_seed(args.seed, 7, problems)
-    _check_seed(seed, problems)
     selected = set()
     for token in args.measure.split(","):
         token = token.strip().lower()

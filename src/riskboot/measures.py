@@ -241,11 +241,6 @@ class ExponentialWeighting:
         return np.exp(-k * (1.0 - i / n)) * (np.expm1(-k / n) / np.expm1(-k))
 
 
-def exponential_weight(p: float, k: float) -> float:
-    """Pointwise exponential weight phi(p); see ExponentialWeighting."""
-    return ExponentialWeighting(k).density(p)
-
-
 def spectral_weights(n: int, k: float) -> np.ndarray:
     """Discrete spectral weights for a sample of n losses at risk aversion k."""
     return ExponentialWeighting(k).cell_weights(n)

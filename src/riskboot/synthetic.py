@@ -3,10 +3,10 @@
 The generators exist so the estimators can be checked against known
 distributions; everything is deterministic in the seed. The oracles give
 reference values by independent routes: exact normal formulas for the
-quantile and tail mean, and direct numeric integration of the weighted
-quantile function for the spectral measure. The integration shares no code
-with the discrete cell weights used by the estimator, so the two routes can
-validate each other.
+quantile and tail mean, from the standard library's statistics.NormalDist,
+and direct numeric integration of the weighted quantile function for the
+spectral measure. The integration shares no code with the discrete cell
+weights used by the estimator, so the two routes can validate each other.
 """
 
 from __future__ import annotations
@@ -14,13 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
+from .bootstrap import _check_seed
 from .ingest import ReturnSeries
 
 _START_DATE = date(1991, 1, 1)
+
+_STANDARD_NORMAL = NormalDist()
+_standard_normal_ppf = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +113,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 def generate(spec: SyntheticSpec) -> ReturnSeries:
@@ -131,7 +134,7 @@ def generate(spec: SyntheticSpec) -> ReturnSeries:
 
 def normal_quantile(p, mu: float = 0.0, sigma: float = 1.0):
     """Quantile function of Normal(mu, sigma); accepts scalars or arrays."""
-    return mu + sigma * stats.norm.ppf(p)
+    return mu + sigma * _standard_normal_ppf(p)
 
 
 def normal_var_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -140,7 +143,7 @@ def normal_var_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> floa
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return mu + sigma * float(stats.norm.ppf(alpha))
+    return mu + sigma * _STANDARD_NORMAL.inv_cdf(alpha)
 
 
 def normal_es_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -149,8 +152,8 @@ def normal_es_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> float
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    z = float(stats.norm.ppf(alpha))
-    return mu + sigma * float(stats.norm.pdf(z)) / (1.0 - alpha)
+    z = _STANDARD_NORMAL.inv_cdf(alpha)
+    return mu + sigma * _STANDARD_NORMAL.pdf(z) / (1.0 - alpha)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -191,6 +194,11 @@ def _composite_gl(quantile_fn, density, edges: np.ndarray) -> float:
     return float(((f @ _GL_WEIGHTS) * half).sum())
 
 
+def _check_panels(panels):
+    if panels < 100:
+        raise ValueError(f"need at least 100 panels, got {panels}")
+
+
 def srm_quadrature_oracle(quantile_fn, k: float, panels: int = 200,
                           rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                           max_doublings: int = 8) -> float:
@@ -212,8 +220,7 @@ def srm_quadrature_oracle(quantile_fn, k: float, panels: int = 200,
     """
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
-    if panels < 100:
-        raise ValueError(f"need at least 100 panels, got {panels}")
+    _check_panels(panels)
     norm = -math.expm1(-k)
 
     def density(p):

@@ -182,6 +182,25 @@ class TestEstimate:
         assert code == 2
         assert "plain mean" in err
 
+    @pytest.mark.parametrize("content, flags, message", [
+        ("date,return\n2020-01-01,0.01\n", ("--return-col", "return"),
+         "need at least 2 observations"),
+        ("date,return\n2020-01-01,0.01\n2020-01-02,0.01\n2020-01-03,0.01\n",
+         ("--return-col", "return"), "constant series"),
+        ("date,settle\n2020-01-01,100\n2020-01-02,100\n2020-01-03,100\n",
+         ("--price-col", "settle", "--drop-zero-returns"), "every return is zero"),
+    ], ids=["one_row", "constant", "all_zero"])
+    def test_unusable_series_exits_two(self, tmp_path, capsys, content, flags, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        out_dir = tmp_path / "out"
+        code, out, err = run(["estimate", "--input", str(path), *flags,
+                              "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and message in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_parameters_rejected_upfront(self, tmp_path, capsys, bad):
         path = synth_file(tmp_path, "c1.csv", seed=101)
@@ -223,6 +242,23 @@ class TestSeedPrecedence:
         meta = (out_dir / "run.kv").read_text()
         assert "seed = 3" in meta and "seed_source = flag" in meta
 
+    @pytest.mark.parametrize("flag, env, source", [
+        (("--seed", "-1"), None, "--seed"),
+        ((), str(2 ** 64), SEED_ENV_VAR),
+    ], ids=["flag", "env"])
+    def test_out_of_range_seed_exits_two(self, tmp_path, capsys, monkeypatch, flag, env, source):
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                              *flag, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert not out_dir.exists()
+        assert f"{source}: master seed must fit in an unsigned 64-bit integer" in err
+
     def test_unparseable_environment_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
         code, _, err = run(["synth", "--dist", "normal", "--n", "5",
@@ -252,12 +288,15 @@ class TestValidate:
         assert out.count("[PASS]") == 1
 
     def test_validation_of_flags(self, capsys):
-        code, _, err = run(["validate", "--n", "10", "--tolerance-scale", "-1",
-                            "--measure", "huh"], capsys)
-        assert code == 2
-        assert "--n must be at least 100" in err
-        assert "--tolerance-scale" in err
-        assert "unknown measure 'huh'" in err
+        for scale in ("-1", "nan", "inf"):
+            code, out, err = run(["validate", "--n", "10", "--tolerance-scale", scale,
+                                  "--panels", "50", "--measure", "huh"], capsys)
+            assert code == 2
+            assert out == ""
+            assert "--n must be at least 100" in err
+            assert f"--tolerance-scale must be finite and nonnegative, got {scale}" in err
+            assert "--panels: need at least 100 panels, got 50" in err
+            assert "unknown measure 'huh'" in err
 
 
 class TestTopLevel:

@@ -18,7 +18,6 @@ from riskboot import (
     ReturnSeries,
     empirical_quantile,
     expected_shortfall,
-    exponential_weight,
     spectral_risk_measure,
     spectral_weights,
     to_losses,
@@ -146,7 +145,7 @@ class TestExpectedShortfall:
 
 class TestExponentialWeighting:
     def test_density_example(self):
-        assert exponential_weight(1.0, 5.0) == pytest.approx(5.033918274531521, abs=1e-12)
+        assert ExponentialWeighting(5.0).density(1.0) == pytest.approx(5.033918274531521, abs=1e-12)
 
     def test_tail_tilt_is_e_to_the_k(self):
         w = ExponentialWeighting(3.0)

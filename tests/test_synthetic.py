@@ -8,6 +8,10 @@ quantile case from its closed-form antiderivative.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,18 @@ class TestNormalOracles:
         p = np.array([0.5, 0.99])
         out = normal_quantile(p, mu=1.0, sigma=3.0)
         assert out == pytest.approx([1.0, 1.0 + 3.0 * 2.3263478740408408])
+        scalar = normal_quantile(0.99)
+        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+        assert scalar == pytest.approx(2.3263478740408408, abs=1e-12)
+
+    def test_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import riskboot, sys; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_bad_arguments(self):
         for bad in (0.0, 1.0):
