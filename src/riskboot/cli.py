@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import BootstrapConfig, Measure, _check_seed, run_grid
+from .bootstrap import BootstrapConfig, Measure, _check_seed, _check_workers, run_grid
 from .ingest import (
     IngestError,
     drop_zero_returns,
@@ -191,8 +191,7 @@ def _estimate_config(args):
     _check_with("--resamples", lambda b: BootstrapConfig(resamples=b), args.resamples, problems)
     _check_with("--ci-coverage", lambda c: BootstrapConfig(ci_coverage=c), args.ci_coverage,
                 problems)
-    if args.workers < 1:
-        problems.append(f"--workers must be at least 1, got {args.workers}")
+    _check_with("--workers", _check_workers, args.workers, problems)
 
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
 

@@ -115,27 +115,44 @@ def _tail_count(alpha: float, n: int) -> int:
     return min(max(m, 1), n)
 
 
+def _first_column(measure: Measure, arg, n: int,
+                  method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> int:
+    """Lowest 0-based column of an ascending n-long row that _evaluate_sorted
+    reads for measure at arg: the columns below it never matter."""
+    if measure is Measure.ES:
+        return n - _tail_count(arg, n)
+    if measure is Measure.SRM:
+        return 0
+    if method is QuantileMethod.ORDER_STATISTIC:
+        return _order_stat_rank(arg, n) - 1
+    if method is QuantileMethod.LINEAR_INTERPOLATION:
+        return math.floor(1.0 + arg * (n - 1)) - 1  # alpha < 1, so floor(h) <= n
+    raise ValueError(f"unknown quantile method {method!r}")
+
+
 def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
-                     method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> np.ndarray:
-    """The one estimator: evaluate a measure on each row of a (rows, n)
+                     method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
+                     n: int | None = None) -> np.ndarray:
+    """The one estimator: evaluate a measure on each row of a (rows, width)
     array of ascending losses. arg is the confidence level for VAR and ES
     and the length-n weight vector for SRM; method applies to VAR only.
-    The public measures and the bootstrap plug-in are its one-row case."""
-    n = rows.shape[1]
+
+    n is the length of the full sorted rows and defaults to width. A
+    narrower array holds only their last width columns, which must cover
+    _first_column of the measure. The public measures and the bootstrap
+    plug-in are its one-row case."""
+    n = rows.shape[1] if n is None else n
+    first = _first_column(measure, arg, n, method)
+    c = first - n + rows.shape[1]  # column of rows that holds column first of the full rows
     if measure is Measure.ES:
-        return rows[:, n - _tail_count(arg, n):].mean(axis=1)
+        return rows[:, c:].mean(axis=1)
     if measure is Measure.SRM:
         return rows @ arg
-    if method is QuantileMethod.ORDER_STATISTIC:
-        return rows[:, _order_stat_rank(arg, n) - 1]
-    if method is QuantileMethod.LINEAR_INTERPOLATION:
-        h = 1.0 + arg * (n - 1)  # fractional rank, 1-indexed
-        i = int(math.floor(h))
-        if i >= n:
-            return rows[:, n - 1]
-        lo = rows[:, i - 1]
-        return lo + (h - i) * (rows[:, i] - lo)
-    raise ValueError(f"unknown quantile method {method!r}")
+    if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:
+        return rows[:, c]
+    h = 1.0 + arg * (n - 1)  # fractional rank, 1-indexed; its floor is first + 1
+    lo = rows[:, c]
+    return lo + (h - (first + 1)) * (rows[:, c + 1] - lo)
 
 
 def _evaluate(sample: LossSample, measure: Measure, arg,

@@ -1,6 +1,8 @@
 """Bootstrap precision: streams, resampling, cell estimates and the grid."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +20,18 @@ from riskboot import (
     spectral_risk_measure,
     value_at_risk,
 )
+from riskboot import bootstrap
 from riskboot.bootstrap import _sample_stream
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
     values = np.random.default_rng(seed).normal(0.0, 1.0, n)
     return LossSample(values, position=position, label=label)
+
+
+def by_coordinates(grid):
+    """The grid's cells keyed on (sample_index, measure, parameter)."""
+    return {(c.sample_index, c.measure, c.parameter): c for c in grid.cells}
 
 
 def first_resample(sample, seed, sample_index=0):
@@ -175,6 +183,11 @@ class TestBootstrapEstimate:
 
 class TestRunGrid:
     GRID = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95], Measure.SRM: [5.0, 20.0]}
+    # Levels that reach every branch of _first_column: rank 1 at n <= 300,
+    # a low rank (below a quarter of the row, so sorted whole) and a middle
+    # one (partitioned), a tail of one loss, and, at n = 257, an
+    # interpolation rank that rounds up to n.
+    ALPHAS = [0.001, 0.01, 0.5, 0.999, float(np.nextafter(1.0, 0.0))]
 
     def samples(self):
         return [
@@ -187,7 +200,7 @@ class TestRunGrid:
         grid = run_grid(self.samples(), self.GRID, BootstrapConfig(resamples=100, master_seed=3))
         assert len(grid.cells) == 3 * 5
         assert not grid.failed
-        cell = grid.get(2, Measure.SRM, 20.0)
+        cell = by_coordinates(grid)[2, Measure.SRM, 20.0]
         assert cell.sample_label == "B"
         assert cell.position is Position.LONG
         assert cell.param_index == 1
@@ -201,13 +214,27 @@ class TestRunGrid:
             assert other == baseline  # nested dataclass equality, bit-exact
 
     def test_cell_results_do_not_depend_on_which_measures_ran(self):
-        """Streams are keyed on cell coordinates, not on grid layout, so
-        running a subset grid reproduces the shared cells exactly."""
-        config = BootstrapConfig(resamples=100, master_seed=6)
-        full = run_grid(self.samples(), self.GRID, config)
-        var_only = run_grid(self.samples(), {Measure.VAR: [0.9, 0.99]}, config)
-        for cell in var_only.cells:
-            assert cell == full.get(cell.sample_index, cell.measure, cell.parameter)
+        """Streams are keyed on the sample, not on the cell or the grid
+        layout, and a grid that sorts only the tail of each resample reads
+        the same values there as one that sorts it all. So a subset grid
+        reproduces the shared cells of the full grid exactly."""
+        samples = self.samples() + [normal_sample(n=257, seed=25, label="C")]
+        subsets = [{Measure.VAR: self.ALPHAS}, {Measure.ES: self.ALPHAS}]
+        subsets += [{measure: [alpha]} for measure in (Measure.VAR, Measure.ES)
+                    for alpha in self.ALPHAS]
+        for method in QuantileMethod:
+            config = BootstrapConfig(resamples=100, master_seed=6, quantile_method=method)
+            full = by_coordinates(run_grid(
+                samples, {Measure.VAR: self.ALPHAS, Measure.ES: self.ALPHAS,
+                          Measure.SRM: [5.0]}, config))
+            for subset in subsets:
+                for cell in run_grid(samples, subset, config).cells:
+                    match = full[cell.sample_index, cell.measure, cell.parameter]
+                    if len(subset[cell.measure]) == 1:
+                        # a one-level grid numbers its level 0
+                        assert cell.param_index == 0
+                        cell = dataclasses.replace(cell, param_index=match.param_index)
+                    assert cell == match
 
     def test_failed_cell_is_isolated(self):
         """A parameter that one estimator rejects must not take down the
@@ -219,7 +246,7 @@ class TestRunGrid:
         assert len(failed) == 1
         assert failed[0].measure is Measure.SRM
         assert "plain mean" in failed[0].error
-        assert grid.get(0, Measure.VAR, 0.9).result is not None
+        assert by_coordinates(grid)[0, Measure.VAR, 0.9].result is not None
 
     def test_bare_call_equals_its_grid_cell(self):
         """bootstrap_estimate is sample 0 of a grid: it reproduces that cell
@@ -250,6 +277,39 @@ class TestRunGrid:
         samples = self.samples()[:1]
         assert run_grid(samples, self.GRID, config, workers=2) \
             == run_grid(samples, self.GRID, config, workers=1)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_results_do_not_depend_on_the_chunk_budget(self, monkeypatch, rows):
+        """The draws do not depend on how the rows are chunked, so VaR and
+        ES match bit for bit. SRM is a matrix product whose BLAS summation
+        order depends on a row's place in the chunk, so it matches to
+        rounding."""
+        samples = [normal_sample(n=301, seed=26, label="A")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        tails = {Measure.VAR: [0.5, 0.9, 0.99], Measure.ES: [0.95]}
+        srm = {Measure.SRM: [5.0, 20.0]}
+        baseline = run_grid(samples, tails, config), run_grid(samples, srm, config)
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 301 * rows)
+        assert run_grid(samples, tails, config) == baseline[0]
+        for cell, base in zip(run_grid(samples, srm, config).cells, baseline[1].cells):
+            assert cell.result.point_estimate == pytest.approx(
+                base.result.point_estimate, rel=1e-14)
+            assert cell.result.std_error == pytest.approx(base.result.std_error, rel=1e-12)
+
+    def test_chunk_memory_stays_within_the_budget(self, monkeypatch):
+        """At n = 20 000 a 64-row chunk of indices alone takes 5 MB; the
+        budget caps it at 4 rows."""
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
+        samples = [normal_sample(n=20_000, seed=27)]
+        config = BootstrapConfig(resamples=64, master_seed=11)
+        tracemalloc.start()
+        try:
+            grid = run_grid(samples, {Measure.ES: [0.99]}, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not grid.failed
+        assert peak < 4 * 2 ** 20
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):

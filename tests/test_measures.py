@@ -13,6 +13,7 @@ import pytest
 from riskboot import (
     ExponentialWeighting,
     LossSample,
+    Measure,
     Position,
     QuantileMethod,
     ReturnSeries,
@@ -24,6 +25,7 @@ from riskboot import (
     validate_weighting,
     value_at_risk,
 )
+from riskboot.measures import _evaluate_sorted, _first_column
 
 ONE_TO_HUNDRED = LossSample(np.arange(1.0, 101.0))
 
@@ -141,6 +143,29 @@ class TestExpectedShortfall:
     def test_constant_sample(self):
         s = LossSample(np.full(37, 5.0))
         assert expected_shortfall(s, 0.95) == 5.0
+
+
+class TestTailBlock:
+    def test_the_tail_from_the_first_column_gives_the_full_row_value(self):
+        """The bootstrap sorts and gathers only the columns from _first_column
+        on; fed that tail and the full row length, the estimator must return
+        the full-row value bit for bit."""
+        rng = np.random.default_rng(8)
+        alphas = (0.001, 0.01, 0.5, 0.95, 0.999, float(np.nextafter(1.0, 0.0)))
+        cases = [(Measure.VAR, method) for method in QuantileMethod]
+        cases.append((Measure.ES, QuantileMethod.ORDER_STATISTIC))
+        for n in (1, 2, 5, 257, 300):
+            rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
+            assert _first_column(Measure.SRM, spectral_weights(n, 5.0), n) == 0
+            for alpha in alphas:
+                for measure, method in cases:
+                    full = _evaluate_sorted(rows, measure, alpha, method)
+                    first = _first_column(measure, alpha, n, method)
+                    assert 0 <= first < n
+                    for k in range(first + 1):
+                        tail = rows[:, k:].copy()
+                        assert np.array_equal(
+                            _evaluate_sorted(tail, measure, alpha, method, n=n), full)
 
 
 class TestExponentialWeighting:

@@ -138,10 +138,11 @@ class TestMeasureTable:
     def test_cells_mirror_the_grid(self, grid):
         table = build_measure_table(grid, Measure.SRM, [5.0, 20.0])
         est, stderr, cv, ci = table.sections
+        cells = {(c.sample_index, c.measure, c.parameter): c for c in grid.cells}
         for g, position in ((0, Position.LONG), (1, Position.SHORT)):
             for r, parameter in ((0, 5.0), (1, 20.0)):
                 for c, sample_index in ((0, 0 + g), (1, 2 + g)):
-                    result = grid.get(sample_index, Measure.SRM, parameter).result
+                    result = cells[sample_index, Measure.SRM, parameter].result
                     assert est.groups[g].rows[r].cells[c] == result.point_estimate
                     assert stderr.groups[g].rows[r].cells[c] == result.std_error
                     assert cv.groups[g].rows[r].cells[c] == result.coeff_variation
