@@ -249,7 +249,6 @@ class GridCell:
     position: Position
     measure: Measure
     parameter: float
-    param_index: int
     result: BootstrapResult | None
     error: str | None
 
@@ -281,10 +280,8 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     """
     samples = list(samples)
     _check_workers(workers)
-    layout = [(measure, param_index, float(parameter))
-              for measure in Measure if measure in grid
-              for param_index, parameter in enumerate(grid[measure])]
-    specs = [EstimatorSpec(measure, parameter) for measure, _, parameter in layout]
+    specs = [EstimatorSpec(measure, float(parameter))
+             for measure in Measure if measure in grid for parameter in grid[measure]]
 
     def run_sample(sample_index):
         sample = samples[sample_index]
@@ -293,15 +290,14 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
         except Exception as exc:  # e.g. out of memory: fail this sample's cells, not the grid
             results = [exc] * len(specs)
         cells = []
-        for (measure, param_index, parameter), result in zip(layout, results):
+        for spec, result in zip(specs, results):
             failed = isinstance(result, Exception)
             cells.append(GridCell(
                 sample_index=sample_index,
                 sample_label=sample.label,
                 position=sample.position,
-                measure=measure,
-                parameter=parameter,
-                param_index=param_index,
+                measure=spec.measure,
+                parameter=spec.parameter,
                 result=None if failed else result,
                 error=f"{type(result).__name__}: {result}" if failed else None))
         return cells

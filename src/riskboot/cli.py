@@ -36,7 +36,6 @@ from .ingest import (
 )
 from .measures import (
     ExponentialWeighting,
-    LossSample,
     Position,
     QuantileMethod,
     expected_shortfall,
@@ -48,7 +47,6 @@ from .measures import (
     value_at_risk,
 )
 from .report import (
-    MEAN_COLUMN,
     build_measure_table,
     build_summary_table,
     figure_csv,
@@ -56,6 +54,7 @@ from .report import (
     to_kv,
     to_text,
     weight_curves,
+    _check_labels,
 )
 from .synthetic import (
     Normal,
@@ -67,6 +66,7 @@ from .synthetic import (
     normal_quantile,
     normal_var_oracle,
     srm_quadrature_oracle,
+    _check_n,
     _check_panels,
 )
 
@@ -128,6 +128,24 @@ def _parse_float_list(text, flag, problems):
     return values
 
 
+def _parse_measures(text, problems):
+    """Parse a --measure list into Measures, in the order given."""
+    measures = []
+    for token in text.split(","):
+        token = token.strip().lower()
+        if not token:
+            continue
+        if token not in ("var", "es", "srm"):
+            problems.append(f"--measure: unknown measure {token!r}, expected var, es or srm")
+        elif Measure(token) in measures:
+            problems.append(f"--measure: duplicate measure {token!r}")
+        else:
+            measures.append(Measure(token))
+    if not measures:
+        problems.append(f"--measure: no usable measures in {text!r}")
+    return measures
+
+
 def _check_with(flag, check, value, problems):
     """Run a library validator on one flag value and collect its message."""
     try:
@@ -159,27 +177,12 @@ def _estimate_config(args):
             f"got {len(labels)} --label values for {len(args.input or ())} --input files")
     if not labels:
         labels = [Path(p).stem for p in (args.input or ())]
-    if len(set(labels)) != len(labels):
-        problems.append(f"contract labels must be unique, got {labels}")
-    if MEAN_COLUMN in labels:
-        problems.append(f"contract label {MEAN_COLUMN!r} is reserved for the row-mean column")
+    _check_with("--label" if args.label else "--input", _check_labels, labels, problems)
 
     if bool(args.price_col) == bool(args.return_col):
         problems.append("exactly one of --price-col and --return-col is required")
 
-    measures = []
-    for token in args.measure.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in ("var", "es", "srm"):
-            problems.append(f"--measure: unknown measure {token!r}, expected var, es or srm")
-        elif Measure(token) in measures:
-            problems.append(f"--measure: duplicate measure {token!r}")
-        else:
-            measures.append(Measure(token))
-    if not measures:
-        problems.append(f"--measure: no usable measures in {args.measure!r}")
+    measures = _parse_measures(args.measure, problems)
 
     # the library owns every range check; the CLI only names the flag
     alphas = _parse_float_list(args.alpha, "--alpha", problems)
@@ -336,8 +339,7 @@ def _synth_family(args, problems):
 
 def _cmd_synth(args) -> int:
     problems = []
-    if args.n < 1:
-        problems.append(f"--n must be at least 1, got {args.n}")
+    _check_with("--n", _check_n, args.n, problems)
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
     family = _synth_family(args, problems)
     if problems:
@@ -372,35 +374,28 @@ def _cmd_validate(args) -> int:
             f"--tolerance-scale must be finite and nonnegative, got {args.tolerance_scale:g}")
     _check_with("--panels", _check_panels, args.panels, problems)
     seed, seed_source = _resolve_seed(args.seed, 7, problems)
-    selected = set()
-    for token in args.measure.split(","):
-        token = token.strip().lower()
-        if token and token not in ("var", "es", "srm"):
-            problems.append(f"--measure: unknown measure {token!r}")
-        elif token:
-            selected.add(token)
-    if not selected:
-        problems.append(f"--measure: no usable measures in {args.measure!r}")
+    measures = _parse_measures(args.measure, problems)
     if problems:
         raise ConfigError(problems)
 
     method = _QUANTILE_METHODS[args.quantile_method]
     print(f"[config] n={args.n} seed={seed} seed_source={seed_source} "
-          f"tolerance_scale={_fmt_num(args.tolerance_scale)} measures={','.join(sorted(selected))}")
+          f"tolerance_scale={_fmt_num(args.tolerance_scale)} "
+          f"measures={','.join(sorted(m.value for m in measures))}")
     series = generate(SyntheticSpec(family=Normal(0.0, 1.0), n=args.n, seed=seed))
     losses = to_losses(series, Position.LONG)
 
     checks = []  # (name, observed, reference, tolerance)
     scale = args.tolerance_scale
-    if "var" in selected:
+    if Measure.VAR in measures:
         checks.append(("var_0.99_vs_normal_oracle",
                        value_at_risk(losses, 0.99, method),
                        normal_var_oracle(0.99), 0.01 * scale))
-    if "es" in selected:
+    if Measure.ES in measures:
         checks.append(("es_0.99_vs_normal_oracle",
                        expected_shortfall(losses, 0.99),
                        normal_es_oracle(0.99), 0.015 * scale))
-    if "srm" in selected:
+    if Measure.SRM in measures:
         for k in (5.0, 20.0, 80.0):
             checks.append((f"srm_k{k:g}_vs_quadrature_oracle",
                            spectral_risk_measure(losses, k),

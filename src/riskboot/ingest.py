@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 
@@ -101,20 +102,24 @@ def _read_rows(path, date_col, value_col, date_format):
     problems = []
     rows = []
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
             raise IngestError(path, ["file is empty, expected a header row"])
-        header = [name.strip() for name in reader.fieldnames]
-        missing = [c for c in (date_col, value_col) if c not in header]
-        if missing:
-            raise IngestError(
-                path,
-                [f"missing column {c!r}; header has {header}" for c in missing])
+        header = [name.strip() for name in first]
+        bad = [f"missing column {c!r}; header has {header}" if c not in header
+               else f"column {c!r} appears {header.count(c)} times; header has {header}"
+               for c in (date_col, value_col) if header.count(c) != 1]
+        if bad:
+            raise IngestError(path, bad)
+        i_date, i_value = header.index(date_col), header.index(value_col)
         for record in reader:
+            if not record:  # blank line
+                continue
             line = reader.line_num
-            record = {(k.strip() if k else k): v for k, v in record.items()}
-            raw_date = (record.get(date_col) or "").strip()
-            raw_value = (record.get(value_col) or "").strip()
+            # a row that stops short of a column leaves that cell empty
+            raw_date = record[i_date].strip() if i_date < len(record) else ""
+            raw_value = record[i_value].strip() if i_value < len(record) else ""
             parsed_date = parsed_value = None
             if not raw_date:
                 problems.append(f"line {line}: empty {date_col!r} cell")
@@ -172,7 +177,7 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
     if problems:
         raise IngestError(path, problems)
     return PriceSeries(
-        label=label or _stem(path),
+        label=label or Path(path).stem,
         dates=tuple(r[0] for r in rows),
         prices=np.array([r[1] for r in rows], dtype=float))
 
@@ -187,15 +192,9 @@ def load_returns(path, date_col="date", return_col="return", date_format="%Y-%m-
     if problems:
         raise IngestError(path, problems)
     return ReturnSeries(
-        label=label or _stem(path),
+        label=label or Path(path).stem,
         dates=tuple(r[0] for r in rows),
         returns=np.array([r[1] for r in rows], dtype=float))
-
-
-def _stem(path):
-    import os
-    base = os.path.basename(str(path))
-    return os.path.splitext(base)[0]
 
 
 # ----------------------------------------------------------------------

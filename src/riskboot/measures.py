@@ -206,9 +206,10 @@ class ExponentialWeighting:
     the resulting measure coherent. The steepness k sets the tilt toward
     the far tail: phi(1) / phi(0) = e^k.
 
-    Alternative profiles only need density() and interval_mass(); the
-    discrete weights are the mass each rank's probability cell receives, so
-    nothing downstream assumes this particular family.
+    The estimators read only cell_weights(n), the mass each rank's
+    probability cell receives, so another profile needs just that method
+    to plug into spectral_risk_measure; nothing downstream assumes this
+    particular family.
     """
 
     def __init__(self, k: float):

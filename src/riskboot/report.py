@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import Measure, ResultGrid
-from .ingest import SummaryStats
 from .measures import ExponentialWeighting, Position
 
 # reserved column name for row means; contract labels must not collide
@@ -63,6 +62,14 @@ class ReportTable:
     notes: tuple[str, ...] = ()
 
 
+def _check_labels(labels):
+    """Contract labels name table columns: unique, and never MEAN_COLUMN."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate contract labels: {labels}")
+    if MEAN_COLUMN in labels:
+        raise ValueError(f"contract label {MEAN_COLUMN!r} is reserved for row means")
+
+
 def _mean_or_none(values):
     present = [v for v in values if v is not None]
     if not present:
@@ -85,10 +92,7 @@ def build_summary_table(stats_by_contract) -> ReportTable:
     if not pairs:
         raise ValueError("no summary statistics to tabulate")
     contracts = tuple(label for label, _ in pairs)
-    if len(set(contracts)) != len(contracts):
-        raise ValueError(f"duplicate contract labels: {contracts}")
-    if MEAN_COLUMN in contracts:
-        raise ValueError(f"contract label {MEAN_COLUMN!r} is reserved for row means")
+    _check_labels(contracts)
     stats = [s for _, s in pairs]
     rows = [
         Row("Mean", tuple(s.mean for s in stats), None),
@@ -136,14 +140,13 @@ def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
     cells = [c for c in grid.cells if c.measure is measure]
     if not cells:
         raise ValueError(f"grid holds no cells for measure {measure.value!r}")
-    contracts = []
-    for cell in sorted(cells, key=lambda c: c.sample_index):
-        if cell.sample_label not in contracts:
-            contracts.append(cell.sample_label)
-    if MEAN_COLUMN in contracts:
-        raise ValueError(f"contract label {MEAN_COLUMN!r} is reserved for row means")
+    by_sample = {c.sample_index: c for c in cells}  # one cell stands for its sample
+    samples = [by_sample[i] for i in sorted(by_sample)]
     positions = [p for p in (Position.LONG, Position.SHORT)
                  if any(c.position is p for c in cells)]
+    for position in positions:  # a contract has one sample per position
+        _check_labels([c.sample_label for c in samples if c.position is position])
+    contracts = list(dict.fromkeys(c.sample_label for c in samples))
     lookup = {(c.sample_label, c.position, c.parameter): c for c in cells}
     notes = []
 

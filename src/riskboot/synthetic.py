@@ -111,9 +111,13 @@ class SyntheticSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        _check_n(self.n)
         _check_seed(self.seed)
+
+
+def _check_n(n):
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
 
 
 def generate(spec: SyntheticSpec) -> ReturnSeries:

@@ -53,7 +53,7 @@ class TestSynth:
         code, _, err = run(["synth", "--dist", "normal", "--sigma", "-1",
                             "--n", "0", "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
-        assert "--n must be at least 1" in err
+        assert "--n: need n >= 1, got 0" in err
         assert "sigma" in err
 
 
@@ -166,6 +166,27 @@ class TestEstimate:
                             "--return-col", "return"], capsys)
         assert code == 2
         assert "reserved" in err
+
+    def test_duplicate_labels_rejected(self, tmp_path, capsys):
+        first = synth_file(tmp_path, "c1.csv", seed=101)
+        (tmp_path / "again").mkdir()
+        second = synth_file(tmp_path / "again", "c1.csv", seed=102)
+        inputs = ["--input", str(first), "--input", str(second)]
+        for extra, fragment in (((), "--input: duplicate contract labels: ['c1', 'c1']"),
+                                (("--label", "A", "--label", "A"),
+                                 "--label: duplicate contract labels: ['A', 'A']")):
+            code, _, err = run(["estimate", *inputs, *extra, "--return-col", "return"], capsys)
+            assert code == 2
+            assert fragment in err
+
+    def test_column_named_twice_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("date,return,return\n2020-01-01,0.01,0.02\n2020-01-02,0.03,0.01\n")
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "column 'return' appears 2 times" in err
 
     def test_unreadable_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -286,6 +307,12 @@ class TestValidate:
         code, out, _ = run(["validate", "--n", "20000", "--measure", "var"], capsys)
         assert code == 0
         assert out.count("[PASS]") == 1
+
+    def test_duplicate_measure_rejected(self, capsys):
+        code, out, err = run(["validate", "--n", "20000", "--measure", "var,var"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--measure: duplicate measure 'var'" in err
 
     def test_validation_of_flags(self, capsys):
         for scale in ("-1", "nan", "inf"):

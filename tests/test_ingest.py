@@ -75,6 +75,41 @@ class TestLoadPrices:
         with pytest.raises(IngestError, match="missing column 'price'"):
             load_prices(path)
 
+    @pytest.mark.parametrize("text, prices, problems", [
+        pytest.param("date,price\n2001-01-02,1.0\n\n2001-01-03,2.0\n2001-01-04,zzz\n",
+                     None, ["line 5: cannot parse number 'zzz'"],
+                     id="blank-line-skipped-lines-stay-physical"),
+        pytest.param("date,price\n2001-01-02\n2001-01-03,2.0\n2001-01-04,3.0\n",
+                     None, ["line 2: empty 'price' cell"], id="short-row-is-an-empty-cell"),
+        pytest.param("date,price\n2001-01-02,1.0,x\n2001-01-03,2.0,y,z\n",
+                     [1.0, 2.0], [], id="extra-fields-ignored"),
+        pytest.param(" date , price \n 2001-01-02 , 1.0 \n2001-01-03,\t2.0\n",
+                     [1.0, 2.0], [], id="header-and-cells-stripped"),
+        pytest.param("date,price\n2001-01-02,1.0\n2001-01-03, \t\n",
+                     None, ["line 3: empty 'price' cell"], id="blank-cell-is-empty"),
+        pytest.param("\ndate,price\n2001-01-02,1.0\n2001-01-03,2.0\n",
+                     None, ["missing column 'date'; header has []",
+                            "missing column 'price'; header has []"],
+                     id="blank-first-line-is-the-header"),
+    ])
+    def test_row_edge_cases(self, tmp_path, text, prices, problems):
+        path = write(tmp_path / "x.csv", text)
+        try:
+            outcome = load_prices(path).prices.tolist(), []
+        except IngestError as exc:
+            outcome = None, exc.problems
+        assert outcome == (prices, problems)
+
+    @pytest.mark.parametrize("header, column", [
+        ("date,price,price", "price"), (" date ,price,date", "date")])
+    def test_column_named_twice_rejected(self, tmp_path, header, column):
+        path = write(tmp_path / "x.csv", f"{header}\n2001-01-02,1.0,2.0\n2001-01-03,2.0,3.0\n")
+        with pytest.raises(IngestError) as excinfo:
+            load_prices(path)
+        names = [name.strip() for name in header.split(",")]
+        assert excinfo.value.problems == [
+            f"column {column!r} appears 2 times; header has {names}"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot open file"):
             load_prices(str(tmp_path / "nope.csv"))

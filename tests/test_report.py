@@ -118,6 +118,17 @@ class TestMeasureTable:
         assert build_measure_table(grid, Measure.SRM, [5.0, 20.0]).sections[0].label \
             == "(a) Spectral measure estimates"
 
+    def test_label_validation(self):
+        """Two samples of one contract and position would share a cell, and
+        a contract named Mean would shadow the row-mean column."""
+        values = np.random.default_rng(5).standard_t(4, 100)
+        config = BootstrapConfig(resamples=20, master_seed=1)
+        for labels, match in ((("A", "A"), "duplicate"), ((MEAN_COLUMN,), "reserved")):
+            samples = [LossSample(values, label=label) for label in labels]
+            grid = run_grid(samples, {Measure.ES: [0.95]}, config)
+            with pytest.raises(ValueError, match=match):
+                build_measure_table(grid, Measure.ES, [0.95])
+
     def test_ci_coverage_names_the_interval_section(self, grid):
         table = build_measure_table(grid, Measure.VAR, [0.9, 0.99], ci_coverage=0.95)
         assert table.sections[3].label == "(d) 95% confidence intervals"
