@@ -7,25 +7,32 @@ variation (point estimate over standard error) and a standardized
 percentile confidence interval (interval bounds divided by the point
 estimate).
 
-Reproducibility is strict. Each sample draws its resamples from its own
-counter-based stream keyed on the master seed and the sample index only.
-Every chunk of resamples is drawn, sorted and gathered once, and every
-requested measure at every parameter reads its estimates from that one
-sorted block. Each row is sorted only from the lowest rank any requested
-estimator reads, when that rank lies past the first quarter of the row: a
-VaR or ES grid at such levels partitions the row at that rank and sorts
-the tail alone, and a grid with a spectral measure or a lower level sorts
-all of it.
-So all cells of a sample share their resamples, and results are
-bit-identical for a given seed no matter how many workers share the grid,
-in what order samples run, or which other cells were requested.
+Reproducibility is strict. The resamples belong to a contract, not to a
+sample: run_grid pairs a sample with the next one when that one holds the
+opposite position and is its exact mirror (short losses are the long
+losses negated in reverse order), and each group, a pair or a lone
+sample, draws from its own counter-based stream keyed on the master seed
+and the group's ordinal only. The stream resamples the long-oriented
+losses, and a short cell reads the mirror of each resample. Every chunk of
+resamples is drawn, sorted and gathered once, and every requested measure
+at every parameter of both positions reads its estimates from that one
+sorted block. So the long and short cells of a contract read paired
+resamples, as the measures of one sample do; each cell's own bootstrap
+distribution is that of a plain resample of its sample.
+
+Long cells read the high end of each sorted row and short cells its low
+end. A VaR or ES grid that leaves at least a quarter of the row between
+the ends partitions the row at each end it reads and sorts those ends
+alone; a grid with a spectral measure, or whose ends cover more, sorts
+all of it. So results are bit-identical for a given seed no matter how
+many workers share the grid, in what order contracts run, which other
+cells were requested, or whether the other position was requested.
 
 A chunk's rows come from a byte budget, so its memory stays near
 _CHUNK_BYTES per worker thread, or one row of 12 * n bytes once a row
-alone exceeds the budget (n above about 2.8 million). Counter-based draws do
-not depend on how the rows are chunked, so neither do the VaR and ES
-estimates. The spectral matrix product rounds by a row's place in its
-chunk, and up to n = 5461 every chunk keeps _CHUNK_ROWS rows.
+alone exceeds the budget (n above about 2.8 million). Counter-based draws
+do not depend on how the rows are chunked, and every estimator reduces
+each row in a fixed order, so neither do the estimates.
 """
 
 from __future__ import annotations
@@ -116,13 +123,14 @@ def _check_seed(seed):
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
-def _sample_stream(master_seed: int, sample_index: int) -> np.random.Generator:
-    """Independent generator for one sample, a pure function of
-    (master_seed, sample_index)."""
+def _contract_stream(master_seed: int, contract: int) -> np.random.Generator:
+    """Independent generator for one contract's resamples, a pure function
+    of (master_seed, contract), where contract is the ordinal of the
+    sample group in run_grid."""
     _check_seed(master_seed)
-    if not 0 <= sample_index < 2 ** 64:
-        raise ValueError(f"sample index out of range: {sample_index!r}")
-    key = np.array([master_seed, sample_index], dtype=np.uint64)
+    if not 0 <= contract < 2 ** 64:
+        raise ValueError(f"contract index out of range: {contract!r}")
+    key = np.array([master_seed, contract], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -132,6 +140,12 @@ def _estimator_arg(spec: EstimatorSpec, n: int):
         return spectral_weights(n, spec.parameter)
     _check_alpha(spec.parameter)
     return spec.parameter
+
+
+def _mirrors(sample: LossSample, other: LossSample) -> bool:
+    """Whether other holds the opposite position of sample's very losses."""
+    return (other.position is not sample.position
+            and np.array_equal(other.values, -sample.values[::-1]))
 
 
 def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -> BootstrapResult:
@@ -165,35 +179,52 @@ def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -
         resamples=estimates.size)
 
 
-def _bootstrap_sample(sample: LossSample, specs, config: BootstrapConfig,
-                      sample_index: int) -> list:
-    """Bootstrap every spec on one sample from the sample's one stream.
+def _bootstrap_contract(group, specs, config: BootstrapConfig, contract: int) -> list:
+    """Bootstrap every spec on one contract's samples from its one stream.
 
-    Each chunk of resamples is drawn, sorted and gathered once, then every
-    spec reduces that sorted block into its own estimates, so no spec's
-    result depends on which other specs ran. The block is sorted and
-    gathered only from the lowest rank any spec reads, if that rank lies
-    past the first quarter of the row, and the chunk's rows fit a byte
-    budget. Returns one entry per spec: its BootstrapResult, or the
-    ValueError its parameter raised.
+    group is a lone sample or a pair of mirrored samples of opposite
+    positions. Each chunk of resamples of the long-oriented losses is drawn,
+    sorted and gathered once, then every spec of every sample reduces that
+    sorted block into its own estimates, a short sample through the
+    mirror, so no spec's result depends on which other specs or positions
+    ran. Only the ends of the rows that specs read are sorted and gathered
+    when they leave at least a quarter of the row between them, and the
+    chunk's rows fit a byte budget. Returns, per sample, one entry per
+    spec: its BootstrapResult, or the ValueError its parameter raised.
     """
-    b, n, method = config.resamples, sample.n, config.quantile_method
-    out, live = [], []  # live: (slot in out, measure, estimator arg, estimates)
-    for spec in specs:
-        try:
-            live.append((len(out), spec.measure, _estimator_arg(spec, n), np.empty(b)))
+    lead = group[0]  # the long-oriented losses are lead's, or its mirror's
+    b, n, method = config.resamples, lead.n, config.quantile_method
+    values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
+    out = []
+    live = []  # (slot in out, measure, estimator arg, mirrored, plug-in, estimates)
+    for sample in group:
+        mirrored = sample.position is Position.SHORT
+        for spec in specs:
+            try:
+                arg = _estimator_arg(spec, n)
+            except ValueError as exc:
+                out.append(exc)
+                continue
+            plug_in = _evaluate(sample, spec.measure, arg, method)
+            if mirrored and spec.measure is Measure.SRM:
+                # the weights in the block's column order; einsum runs about
+                # twice as fast on a contiguous copy as on the reversed view
+                arg = np.ascontiguousarray(arg[::-1])
+            live.append((len(out), spec.measure, arg, mirrored, plug_in, np.empty(b)))
             out.append(None)
-        except ValueError as exc:
-            out.append(exc)
 
-    stream = _sample_stream(config.master_seed, sample_index)
-    first = min((_first_column(measure, arg, n, method) for _, measure, arg, _ in live),
-                default=0)
-    if first < n / 4:
-        # The partition costs about what it saves in the sort and gather
-        # when first is a fifth of the row (measured at n = 400 to 97 003),
-        # and more below that, so such a row is sorted whole.
-        first = 0
+    # A long cell reads the block's columns from its first column up, a short
+    # cell the columns below n minus its first column.
+    low = max((n - _first_column(measure, arg, n, method)
+               for _, measure, arg, mirrored, _, _ in live if mirrored), default=0)
+    high = min((_first_column(measure, arg, n, method)
+                for _, measure, arg, mirrored, _, _ in live if not mirrored), default=n)
+    # The partition costs about what it saves in the sort and gather when one
+    # end covers four fifths of the row (measured at n = 400 to 97 003), and
+    # more beyond that, so a row whose ends cover over three quarters of it
+    # is sorted whole.
+    whole = 4 * (low + n - high) > 3 * n
+    stream = _contract_stream(config.master_seed, contract)
     chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
     done = 0
     while live and done < b:
@@ -201,23 +232,30 @@ def _bootstrap_sample(sample: LossSample, specs, config: BootstrapConfig,
         # int32 indices draw the same stream as the int64 default at half the
         # memory. The values are sorted, so gathering them at sorted indices
         # sorts each row, and 4-byte indices sort faster than 8-byte values.
-        # No spec reads a rank below first: partitioning there leaves exactly
-        # the indices of the ranks from first up in the tail, which is all
-        # that needs sorting and gathering.
+        # Partitioning at an end leaves exactly the indices of that end's
+        # ranks beyond it, which is all that needs sorting and gathering.
         idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
-        if first > 0:
-            idx.partition(first, axis=1)
-        tail = idx[:, first:]
-        tail.sort(axis=1)
-        block = sample.values[tail]
-        for _, measure, arg, estimates in live:
-            estimates[done:done + rows] = _evaluate_sorted(block, measure, arg, method, n)
+        if whole:
+            idx.sort(axis=1)
+            bottom = top = values[idx]
+        else:
+            if high < n:
+                idx.partition(high, axis=1)
+                idx[:, high:].sort(axis=1)
+            if low > 0:
+                idx[:, :high].partition(low - 1, axis=1)
+                idx[:, :low].sort(axis=1)
+            bottom, top = values[idx[:, :low]], values[idx[:, high:]]
+        for _, measure, arg, mirrored, _, estimates in live:
+            estimates[done:done + rows] = _evaluate_sorted(
+                bottom if mirrored else top, measure, arg, method, n, mirrored)
         done += rows
-        del idx, tail, block  # so the next chunk's draw and gather never overlap this one's
+        del idx, bottom, top  # so the next chunk's draw and gather never overlap this one's
 
-    for slot, measure, arg, estimates in live:
-        out[slot] = _summarize(estimates, _evaluate(sample, measure, arg, method), config)
-    return out
+    for slot, _, _, _, plug_in, estimates in live:
+        out[slot] = _summarize(estimates, plug_in, config)
+    k = len(specs)
+    return [out[i * k:(i + 1) * k] for i in range(len(group))]
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -226,10 +264,11 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
 
     Draws config.resamples samples with replacement, evaluates the
     estimator on each and summarizes the resulting distribution. The
-    sample is treated as sample 0 of a grid, so the result equals that
-    cell of run_grid([sample], ...) under the same config, bit for bit.
+    sample is treated as the lone sample of contract 0 of a grid, so the
+    result equals that cell of run_grid([sample], ...) under the same
+    config, bit for bit.
     """
-    (result,) = _bootstrap_sample(sample, [estimator], config, 0)
+    ((result,),) = _bootstrap_contract([sample], [estimator], config, 0)
     if isinstance(result, ValueError):
         raise result
     return result
@@ -269,10 +308,13 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - samples: sequence of LossSample.
     - grid: mapping of Measure to its parameter list, e.g.
       {Measure.VAR: [0.95, 0.99], Measure.SRM: [5, 20]}.
-    - workers: worker threads sharing the samples. Results are
-      bit-identical for any worker count because each sample owns its
-      stream, keyed on the master seed and its index in samples, and all
-      cells of a sample read the same resamples.
+    - workers: worker threads sharing the contracts. Results are
+      bit-identical for any worker count because each contract owns its
+      stream, keyed on the master seed and the contract's ordinal, and all
+      cells of a contract read the same resamples. A contract is a sample
+      together with the next one when that one is its mirror in the
+      opposite position, as to_losses makes them from one series; else
+      the sample alone.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A cell whose parameter the estimator rejects is recorded
@@ -282,29 +324,37 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     _check_workers(workers)
     specs = [EstimatorSpec(measure, float(parameter))
              for measure in Measure if measure in grid for parameter in grid[measure]]
+    groups = []  # the sample indices of each contract
+    for i, sample in enumerate(samples):
+        if groups and groups[-1] == [i - 1] and _mirrors(samples[i - 1], sample):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
 
-    def run_sample(sample_index):
-        sample = samples[sample_index]
+    def run_contract(contract):
+        group = groups[contract]
         try:
-            results = _bootstrap_sample(sample, specs, config, sample_index)
-        except Exception as exc:  # e.g. out of memory: fail this sample's cells, not the grid
-            results = [exc] * len(specs)
+            results = _bootstrap_contract([samples[i] for i in group], specs, config, contract)
+        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
+            results = [[exc] * len(specs)] * len(group)
         cells = []
-        for spec, result in zip(specs, results):
-            failed = isinstance(result, Exception)
-            cells.append(GridCell(
-                sample_index=sample_index,
-                sample_label=sample.label,
-                position=sample.position,
-                measure=spec.measure,
-                parameter=spec.parameter,
-                result=None if failed else result,
-                error=f"{type(result).__name__}: {result}" if failed else None))
+        for sample_index, sample_results in zip(group, results):
+            sample = samples[sample_index]
+            for spec, result in zip(specs, sample_results):
+                failed = isinstance(result, Exception)
+                cells.append(GridCell(
+                    sample_index=sample_index,
+                    sample_label=sample.label,
+                    position=sample.position,
+                    measure=spec.measure,
+                    parameter=spec.parameter,
+                    result=None if failed else result,
+                    error=f"{type(result).__name__}: {result}" if failed else None))
         return cells
 
     if workers == 1:
-        per_sample = [run_sample(i) for i in range(len(samples))]
+        per_contract = [run_contract(c) for c in range(len(groups))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(pool.map(run_sample, range(len(samples))))
-    return ResultGrid(cells=tuple(cell for cells in per_sample for cell in cells))
+            per_contract = list(pool.map(run_contract, range(len(groups))))
+    return ResultGrid(cells=tuple(cell for cells in per_contract for cell in cells))

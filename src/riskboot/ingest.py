@@ -95,7 +95,7 @@ class ReturnSeries:
 def _read_rows(path, date_col, value_col, date_format):
     """Parse (date, value) rows. Returns (rows, problems); rows carry line numbers."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(path, [f"cannot open file: {exc}"]) from None
 

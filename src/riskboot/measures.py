@@ -132,27 +132,41 @@ def _first_column(measure: Measure, arg, n: int,
 
 def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
                      method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
-                     n: int | None = None) -> np.ndarray:
+                     n: int | None = None, mirrored: bool = False) -> np.ndarray:
     """The one estimator: evaluate a measure on each row of a (rows, width)
     array of ascending losses. arg is the confidence level for VAR and ES
-    and the length-n weight vector for SRM; method applies to VAR only.
+    and, for SRM, the length-n weight vector in the order of the full rows'
+    columns; method applies to VAR only.
 
     n is the length of the full sorted rows and defaults to width. A
     narrower array holds only their last width columns, which must cover
     _first_column of the measure. The public measures and the bootstrap
-    plug-in are its one-row case."""
+    plug-in are its one-row case.
+
+    mirrored evaluates the measure on the mirror image of the rows, the
+    losses of the opposite position: column j of the mirrored full rows is
+    -rows[:, n - 1 - j]. A narrower array then holds the first width
+    columns of the full rows, and an SRM arg is the mirrored sample's
+    weights reversed, so that it still follows the columns of rows."""
     n = rows.shape[1] if n is None else n
     first = _first_column(measure, arg, n, method)
-    c = first - n + rows.shape[1]  # column of rows that holds column first of the full rows
+    if mirrored:
+        sign, c, step = -1.0, n - 1 - first, -1
+        tail = rows[:, :c + 1]
+    else:  # c is the column of rows that holds column first of the full rows
+        sign, c, step = 1.0, first - n + rows.shape[1], 1
+        tail = rows[:, c:]
     if measure is Measure.ES:
-        return rows[:, c:].mean(axis=1)
+        return sign * tail.mean(axis=1)
     if measure is Measure.SRM:
-        return rows @ arg
+        # einsum sums each row in one fixed order, whatever the row count;
+        # a BLAS matrix product does not
+        return sign * np.einsum("ij,j->i", rows, arg)
+    lo = sign * rows[:, c]
     if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:
-        return rows[:, c]
+        return lo
     h = 1.0 + arg * (n - 1)  # fractional rank, 1-indexed; its floor is first + 1
-    lo = rows[:, c]
-    return lo + (h - (first + 1)) * (rows[:, c + 1] - lo)
+    return lo + (h - (first + 1)) * (sign * rows[:, c + step] - lo)
 
 
 def _evaluate(sample: LossSample, measure: Measure, arg,
@@ -234,16 +248,6 @@ class ExponentialWeighting:
         k = self.k
         out = k * np.exp(-k * (1.0 - arr)) / -np.expm1(-k)
         return float(out) if np.isscalar(p) else out
-
-    def interval_mass(self, lo, hi):
-        """Closed-form integral of phi over [lo, hi]."""
-        lo_arr = np.asarray(lo, dtype=float)
-        hi_arr = np.asarray(hi, dtype=float)
-        if np.any(lo_arr > hi_arr) or np.any(lo_arr < 0.0) or np.any(hi_arr > 1.0):
-            raise ValueError("need 0 <= lo <= hi <= 1")
-        k = self.k
-        out = np.exp(-k * (1.0 - hi_arr)) * -np.expm1(-k * (hi_arr - lo_arr)) / -np.expm1(-k)
-        return float(out) if np.isscalar(lo) and np.isscalar(hi) else out
 
     def cell_weights(self, n: int) -> np.ndarray:
         """Mass of each of the n equal probability cells, in ascending rank.

@@ -20,7 +20,7 @@ from riskboot import (
     value_at_risk,
 )
 from riskboot import bootstrap
-from riskboot.bootstrap import _sample_stream
+from riskboot.bootstrap import _contract_stream
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -28,43 +28,57 @@ def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
     return LossSample(values, position=position, label=label)
 
 
+def mirrored_pair(n, seed, label):
+    """The long and short samples of one contract, as to_losses makes them
+    from one return series: each is the other mirrored."""
+    returns = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    return [LossSample(-returns, Position.LONG, label), LossSample(returns, Position.SHORT, label)]
+
+
+def content(cells):
+    """What a cell reports, without its place in the sample list."""
+    return [(c.sample_label, c.position, c.measure, c.parameter, c.result, c.error)
+            for c in cells]
+
+
 def by_coordinates(grid):
     """The grid's cells keyed on (sample_index, measure, parameter)."""
     return {(c.sample_index, c.measure, c.parameter): c for c in grid.cells}
 
 
-def first_resample(sample, seed, sample_index=0):
-    """Row 0 of the first resample block the bootstrap draws for a sample."""
-    idx = _sample_stream(seed, sample_index).integers(
+def first_resample(sample, seed, contract=0):
+    """Row 0 of the first resample block the bootstrap draws for a lone
+    long sample."""
+    idx = _contract_stream(seed, contract).integers(
         0, sample.n, size=(1, sample.n), dtype=np.int32)
     return np.sort(sample.values[idx[0]])
 
 
 class TestSampleStream:
     def test_same_coordinates_same_draws(self):
-        a = _sample_stream(7, 3).integers(0, 1000, size=20)
-        b = _sample_stream(7, 3).integers(0, 1000, size=20)
+        a = _contract_stream(7, 3).integers(0, 1000, size=20)
+        b = _contract_stream(7, 3).integers(0, 1000, size=20)
         assert np.array_equal(a, b)
 
     def test_any_coordinate_changes_the_stream(self):
-        base = _sample_stream(7, 3).integers(0, 2 ** 62, size=8)
+        base = _contract_stream(7, 3).integers(0, 2 ** 62, size=8)
         for seed, sample in ((8, 3), (7, 4), (3, 7)):
-            other = _sample_stream(seed, sample).integers(0, 2 ** 62, size=8)
+            other = _contract_stream(seed, sample).integers(0, 2 ** 62, size=8)
             assert not np.array_equal(base, other)
 
     def test_coordinate_bounds(self):
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match="master seed"):
-                _sample_stream(seed, 0)
+                _contract_stream(seed, 0)
         for sample in (-1, 2 ** 64):
-            with pytest.raises(ValueError, match="sample index"):
-                _sample_stream(0, sample)
-        _sample_stream(2 ** 64 - 1, 2 ** 64 - 1)  # both ends of the range are usable
+            with pytest.raises(ValueError, match="contract index"):
+                _contract_stream(0, sample)
+        _contract_stream(2 ** 64 - 1, 2 ** 64 - 1)  # both ends of the range are usable
 
     def test_int32_draws_match_the_int64_default(self):
         for n in (400, 401, 3392):
-            narrow = _sample_stream(5, 1).integers(0, n, size=(3, n), dtype=np.int32)
-            wide = _sample_stream(5, 1).integers(0, n, size=(3, n))
+            narrow = _contract_stream(5, 1).integers(0, n, size=(3, n), dtype=np.int32)
+            wide = _contract_stream(5, 1).integers(0, n, size=(3, n))
             assert np.array_equal(narrow, wide)
 
 
@@ -83,7 +97,7 @@ class TestResample:
         a = first_resample(sample, seed=5)
         assert np.array_equal(a, first_resample(sample, seed=5))
         assert not np.array_equal(a, first_resample(sample, seed=6))
-        assert not np.array_equal(a, first_resample(sample, seed=5, sample_index=1))
+        assert not np.array_equal(a, first_resample(sample, seed=5, contract=1))
 
 
 class TestBootstrapEstimate:
@@ -138,7 +152,7 @@ class TestBootstrapEstimate:
         spec = EstimatorSpec(Measure.VAR, 0.9)
         result = bootstrap_estimate(sample, spec, config)
 
-        stream = _sample_stream(11, 0)
+        stream = _contract_stream(11, 0)
         estimates = np.empty(b)
         done = 0
         while done < b:
@@ -186,7 +200,7 @@ class TestRunGrid:
     # a low rank (below a quarter of the row, so sorted whole) and a middle
     # one (partitioned), a tail of one loss, and, at n = 257, an
     # interpolation rank that rounds up to n.
-    ALPHAS = [0.001, 0.01, 0.5, 0.999, float(np.nextafter(1.0, 0.0))]
+    ALPHAS = [0.001, 0.01, 0.5, 0.8, 0.99, 0.999, float(np.nextafter(1.0, 0.0))]
 
     def samples(self):
         return [
@@ -212,12 +226,20 @@ class TestRunGrid:
             assert other == baseline  # nested dataclass equality, bit-exact
 
     def test_cell_results_do_not_depend_on_which_measures_ran(self):
-        """Streams are keyed on the sample, not on the cell or the grid
-        layout, and a grid that sorts only the tail of each resample reads
+        """Streams are keyed on the contract, not on the cell or the grid
+        layout, and a grid that sorts only the ends of each resample reads
         the same values there as one that sorts it all. So a subset grid
-        reproduces the shared cells of the full grid exactly."""
-        samples = self.samples() + [normal_sample(n=257, seed=25, label="C")]
-        subsets = [{Measure.VAR: self.ALPHAS}, {Measure.ES: self.ALPHAS}]
+        reproduces the shared cells of the full grid exactly. The mirrored
+        pair D reads both ends of one row: at 0.8 and above the two ends
+        are partitioned, at 0.5 they overlap and at 0.01 the long end alone
+        covers most of the row, so the row is sorted whole. D is long
+        enough that a partition does not leave its 400-long ends at 0.8
+        sorted by chance."""
+        samples = self.samples() + [normal_sample(n=257, seed=25, label="C"),
+                                    *mirrored_pair(2000, 28, "D")]
+        subsets = [{Measure.VAR: self.ALPHAS}, {Measure.ES: self.ALPHAS},
+                   {Measure.VAR: self.ALPHAS, Measure.ES: self.ALPHAS},
+                   {Measure.VAR: [0.99, 0.999], Measure.ES: [0.99]}]
         subsets += [{measure: [alpha]} for measure in (Measure.VAR, Measure.ES)
                     for alpha in self.ALPHAS]
         for method in QuantileMethod:
@@ -228,6 +250,33 @@ class TestRunGrid:
             for subset in subsets:
                 for cell in run_grid(samples, subset, config).cells:
                     assert cell == full[cell.sample_index, cell.measure, cell.parameter]
+
+    def test_contract_cells_do_not_depend_on_the_positions_requested(self):
+        """A contract's stream is keyed on its ordinal and a lone short
+        sample reads the mirror of the same resamples as its pair, so one
+        position alone gives the cells that both positions give."""
+        a, b = mirrored_pair(300, 28, "A"), mirrored_pair(257, 29, "B")
+        for grid in (self.GRID, {Measure.VAR: [0.5, 0.99], Measure.ES: [0.99]}):
+            for method in QuantileMethod:
+                config = BootstrapConfig(resamples=100, master_seed=12, quantile_method=method)
+                for workers in (1, 2):
+                    both = run_grid(a + b, grid, config, workers).cells
+                    for position in Position:
+                        alone = run_grid([s for s in a + b if s.position is position],
+                                         grid, config, workers).cells
+                        assert content(c for c in both if c.position is position) \
+                            == content(alone)
+
+    def test_only_a_mirror_is_paired(self):
+        """A short sample that is not the mirror of the long one before it
+        is a contract of its own, with its own stream."""
+        first, second = normal_sample(seed=30), normal_sample(seed=31)
+        short = normal_sample(seed=32, position=Position.SHORT)
+        config = BootstrapConfig(resamples=100, master_seed=13)
+        after_first = run_grid([first, short], self.GRID, config).cells
+        after_second = run_grid([second, short], self.GRID, config).cells
+        half = len(after_first) // 2
+        assert after_first[half:] == after_second[half:]
 
     def test_failed_cell_is_isolated(self):
         """A parameter that one estimator rejects must not take down the
@@ -273,21 +322,17 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_results_do_not_depend_on_the_chunk_budget(self, monkeypatch, rows):
-        """The draws do not depend on how the rows are chunked, so VaR and
-        ES match bit for bit. SRM is a matrix product whose BLAS summation
-        order depends on a row's place in the chunk, so it matches to
-        rounding."""
-        samples = [normal_sample(n=301, seed=26, label="A")]
+        """The draws do not depend on how the rows are chunked, and every
+        estimator reduces a row in one fixed order, so every cell of both
+        positions matches bit for bit."""
+        samples = mirrored_pair(301, 26, "A")
         config = BootstrapConfig(resamples=100, master_seed=10)
         tails = {Measure.VAR: [0.5, 0.9, 0.99], Measure.ES: [0.95]}
         srm = {Measure.SRM: [5.0, 20.0]}
         baseline = run_grid(samples, tails, config), run_grid(samples, srm, config)
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 301 * rows)
         assert run_grid(samples, tails, config) == baseline[0]
-        for cell, base in zip(run_grid(samples, srm, config).cells, baseline[1].cells):
-            assert cell.result.point_estimate == pytest.approx(
-                base.result.point_estimate, rel=1e-14)
-            assert cell.result.std_error == pytest.approx(base.result.std_error, rel=1e-12)
+        assert run_grid(samples, srm, config) == baseline[1]
 
     def test_chunk_memory_stays_within_the_budget(self, monkeypatch):
         """At n = 20 000 a 64-row chunk of indices alone takes 5 MB; the

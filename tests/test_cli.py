@@ -102,6 +102,25 @@ class TestEstimate:
             if name != "run.kv":  # run.kv records the worker count
                 assert (dirs[2] / name).read_bytes() == reference  # more workers
 
+    def test_cells_do_not_depend_on_the_positions_requested(self, tmp_path, capsys):
+        """A contract's long and short cells read one stream, keyed on the
+        contract, so --position long and short write the very rows that
+        --position both writes for those positions."""
+        inputs = [synth_file(tmp_path, "c1.csv", seed=101),
+                  synth_file(tmp_path, "c2.csv", seed=102, dist="t", extra=("--dof", "4"))]
+        rows = {}
+        for position in ("long", "short", "both"):
+            out_dir = tmp_path / position
+            code, _, _ = run(self.estimate_args(
+                inputs, out_dir, ("--position", position, "--alpha", "0.5,0.99")), capsys)
+            assert code == 0
+            rows[position] = {name: (out_dir / name).read_text().splitlines()
+                              for name in ("var.csv", "es.csv", "srm.csv")}
+        for name, both in rows["both"].items():
+            for position, label in (("long", "Long position"), ("short", "Short position")):
+                own = [line for line in rows[position][name] if line.split(",")[2] == label]
+                assert own and set(own) <= set(both)
+
     def test_price_input_takes_log_returns(self, tmp_path, capsys):
         prices = [100.0, 101.0, 99.5, 99.5, 102.25]
         path = tmp_path / "p.csv"

@@ -39,6 +39,12 @@ class TestLoadPrices:
         assert series.label == "DAX"
         assert series.prices.tolist() == [5.0, 6.0]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+        path = write(tmp_path / "x.csv", "\ufeffdate,price\n2001-01-02,0.5\n2001-01-03,2.0\n")
+        assert load_prices(path).prices.tolist() == [0.5, 2.0]
+        assert load_returns(path, return_col="price").returns.tolist() == [0.5, 2.0]
+
     def test_unordered_rows_are_sorted_by_date(self, tmp_path):
         path = write(tmp_path / "x.csv",
                      "date,price\n2001-01-04,3.0\n2001-01-02,1.0\n2001-01-03,2.0\n")

@@ -30,6 +30,13 @@ from riskboot.measures import _evaluate_sorted, _first_column
 ONE_TO_HUNDRED = LossSample(np.arange(1.0, 101.0))
 
 
+def interval_mass(weighting, lo, hi):
+    """Oracle: closed-form integral of the exponential profile phi over
+    [lo, hi], a second route to the masses cell_weights gives."""
+    k = weighting.k
+    return np.exp(-k * (1.0 - hi)) * -np.expm1(-k * (hi - lo)) / -np.expm1(-k)
+
+
 def random_sample(rng, n=None):
     """One loss sample from a rotating family of shapes."""
     n = n or int(rng.integers(2, 2001))
@@ -167,6 +174,39 @@ class TestTailBlock:
                         assert np.array_equal(
                             _evaluate_sorted(tail, measure, alpha, method, n=n), full)
 
+    def test_the_mirrored_head_gives_the_opposite_position_s_value(self):
+        """A short cell reads the long rows through the mirror, from their
+        first columns up to n minus _first_column. Fed any such head, the
+        estimator returns the full mirrored value bit for bit. That equals
+        the value on the short rows themselves: VaR bit for bit, ES and SRM,
+        which sum in the opposite order, to rounding."""
+        rng = np.random.default_rng(9)
+        alphas = (0.001, 0.01, 0.5, 0.95, 0.999, float(np.nextafter(1.0, 0.0)))
+        cases = [(Measure.VAR, method) for method in QuantileMethod]
+        cases.append((Measure.ES, QuantileMethod.ORDER_STATISTIC))
+        for n in (1, 2, 5, 257, 300):
+            rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
+            short = -rows[:, ::-1]
+            for alpha in alphas:
+                for measure, method in cases:
+                    full = _evaluate_sorted(rows, measure, alpha, method, mirrored=True)
+                    own = _evaluate_sorted(short, measure, alpha, method)
+                    if measure is Measure.VAR:
+                        assert np.array_equal(full, own)
+                    else:
+                        assert full == pytest.approx(own, rel=1e-12, abs=1e-12)
+                    first = _first_column(measure, alpha, n, method)
+                    for k in range(n - first, n + 1):
+                        head = rows[:, :k].copy()
+                        assert np.array_equal(_evaluate_sorted(
+                            head, measure, alpha, method, n=n, mirrored=True), full)
+            for k in (5.0, 80.0):
+                w = spectral_weights(n, k)
+                full = _evaluate_sorted(rows, Measure.SRM, np.ascontiguousarray(w[::-1]),
+                                        mirrored=True)
+                assert full == pytest.approx(_evaluate_sorted(short, Measure.SRM, w),
+                                             rel=1e-12, abs=1e-12)
+
 
 class TestExponentialWeighting:
     def test_density_example(self):
@@ -193,15 +233,15 @@ class TestExponentialWeighting:
 
     def test_interval_mass_total_and_additivity(self):
         w = ExponentialWeighting(4.0)
-        assert w.interval_mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        left, right = w.interval_mass(0.1, 0.6), w.interval_mass(0.6, 0.9)
-        assert left + right == pytest.approx(w.interval_mass(0.1, 0.9), abs=1e-15)
+        assert interval_mass(w, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        left, right = interval_mass(w, 0.1, 0.6), interval_mass(w, 0.6, 0.9)
+        assert left + right == pytest.approx(interval_mass(w, 0.1, 0.9), abs=1e-15)
 
     def test_interval_mass_matches_riemann_sum(self):
         w = ExponentialWeighting(7.0)
         p = np.linspace(0.3, 0.8, 400_001)
         riemann = float(np.trapezoid(w.density(p), p))
-        assert w.interval_mass(0.3, 0.8) == pytest.approx(riemann, abs=1e-9)
+        assert interval_mass(w, 0.3, 0.8) == pytest.approx(riemann, abs=1e-9)
 
 
 class TestSpectralWeights:
@@ -216,7 +256,7 @@ class TestSpectralWeights:
         weighting = ExponentialWeighting(13.0)
         n = 257
         edges = np.arange(n + 1) / n
-        masses = weighting.interval_mass(edges[:-1], edges[1:])
+        masses = interval_mass(weighting, edges[:-1], edges[1:])
         assert np.max(np.abs(weighting.cell_weights(n) - masses)) <= 1e-15
 
     def test_coherence_across_sizes_and_aversions(self):
