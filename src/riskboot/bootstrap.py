@@ -21,12 +21,12 @@ resamples, as the measures of one sample do; each cell's own bootstrap
 distribution is that of a plain resample of its sample.
 
 Long cells read the high end of each sorted row and short cells its low
-end. A VaR or ES grid that leaves at least a quarter of the row between
-the ends partitions the row at each end it reads and sorts those ends
-alone; a grid with a spectral measure, or whose ends cover more, sorts
-all of it. So results are bit-identical for a given seed no matter how
-many workers share the grid, in what order contracts run, which other
-cells were requested, or whether the other position was requested.
+end. A VaR or ES grid whose ends are short enough for it to pay
+partitions the row at each end it reads and sorts those ends alone; a
+grid with a spectral measure, or whose ends cover more, sorts all of it.
+So results are bit-identical for a given seed no matter how many workers
+share the grid, in what order contracts run, which other cells were
+requested, or whether the other position was requested.
 
 A chunk's rows come from a byte budget, so its memory stays near
 _CHUNK_BYTES per worker thread, or one row of 12 * n bytes once a row
@@ -188,8 +188,8 @@ def _bootstrap_contract(group, specs, config: BootstrapConfig, contract: int) ->
     sorted block into its own estimates, a short sample through the
     mirror, so no spec's result depends on which other specs or positions
     ran. Only the ends of the rows that specs read are sorted and gathered
-    when they leave at least a quarter of the row between them, and the
-    chunk's rows fit a byte budget. Returns, per sample, one entry per
+    when they are short enough for the partitions to pay, and the chunk's
+    rows fit a byte budget. Returns, per sample, one entry per
     spec: its BootstrapResult, or the ValueError its parameter raised.
     """
     lead = group[0]  # the long-oriented losses are lead's, or its mirror's
@@ -219,11 +219,15 @@ def _bootstrap_contract(group, specs, config: BootstrapConfig, contract: int) ->
                for _, measure, arg, mirrored, _, _ in live if mirrored), default=0)
     high = min((_first_column(measure, arg, n, method)
                 for _, measure, arg, mirrored, _, _ in live if not mirrored), default=n)
-    # The partition costs about what it saves in the sort and gather when one
-    # end covers four fifths of the row (measured at n = 400 to 97 003), and
-    # more beyond that, so a row whose ends cover over three quarters of it
-    # is sorted whole.
-    whole = 4 * (low + n - high) > 3 * n
+    # Sorting and gathering the ends costs about their share of doing so for
+    # the whole row, and each partition about as much as a quarter of the
+    # row and 30 columns more. That fits where run_grid broke even with two
+    # ends, measured at n = 400 to 20 000: ends covering 0.35 of the row at
+    # n = 400, 0.43 at 800 and 0.48 from 3392 up. One end costs about the
+    # same either way from half to three quarters of the row. A row past the
+    # cut-off is sorted whole.
+    partitions = (low > 0) + (high < n)
+    whole = low + n - high + partitions * (n // 4 + 30) > n
     stream = _contract_stream(config.master_seed, contract)
     chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
     done = 0
@@ -314,7 +318,9 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       cells of a contract read the same resamples. A contract is a sample
       together with the next one when that one is its mirror in the
       opposite position, as to_losses makes them from one series; else
-      the sample alone.
+      the sample alone. A contract runs on one thread, so a grid uses at
+      most as many workers as it has contracts: the two positions of one
+      series use one.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A cell whose parameter the estimator rejects is recorded
