@@ -38,7 +38,6 @@ from .measures import (
     Position,
     QuantileMethod,
     WeightingReport,
-    empirical_quantile,
     expected_shortfall,
     spectral_risk_measure,
     spectral_weights,
@@ -57,8 +56,6 @@ from .report import (
     build_measure_table,
     build_summary_table,
     figure_csv,
-    parse_csv,
-    parse_kv,
     to_csv,
     to_kv,
     to_text,

@@ -1,43 +1,51 @@
 """Vanilla bootstrap precision for the tail risk measures.
 
 Each estimate is resampled B times with replacement, nothing fancier: no
-bias adjustment, no blocking. The resample estimates give the reported
-point estimate (their mean), its standard error, the coefficient of
-variation (point estimate over standard error) and a standardized
-percentile confidence interval (interval bounds divided by the point
-estimate).
+bias adjustment, no block bootstrap of serial dependence. The resample
+estimates give the reported point estimate (their mean), its standard
+error, the coefficient of variation (point estimate over standard error)
+and a standardized percentile confidence interval (interval bounds
+divided by the point estimate).
 
 Reproducibility is strict. The resamples belong to a contract, not to a
-sample: run_grid pairs a sample with the next one when that one holds the
-opposite position and is its exact mirror (short losses are the long
-losses negated in reverse order), and each group, a pair or a lone
-sample, draws from its own counter-based stream keyed on the master seed
-and the group's ordinal only. The stream resamples the long-oriented
-losses, and a short cell reads the mirror of each resample. Every chunk of
-resamples is drawn, sorted and gathered once, and every requested measure
-at every parameter of both positions reads its estimates from that one
-sorted block. So the long and short cells of a contract read paired
-resamples, as the measures of one sample do; each cell's own bootstrap
-distribution is that of a plain resample of its sample.
+sample: run_grid pairs a sample with the next one when that one holds
+the opposite position and is its exact mirror (short losses are the long
+losses negated in reverse order). A contract, a pair or a lone sample,
+resamples its long-oriented losses, and a short cell reads the mirror of
+each resample. Its B resamples of n losses are split into fixed blocks
+of _BLOCK_ELEMS // n rows (at least one), and each block draws from its
+own counter-based stream, keyed on the master seed and the contract's
+ordinal and started at an offset set by the block's ordinal only; block
+0 is the contract's stream from its start. Every chunk of a block's
+resamples is drawn, sorted and gathered once, and every requested
+measure at every parameter of both positions reads its estimates from
+that one sorted chunk. So the long and short cells of a contract read
+paired resamples, as the measures of one sample do; each cell's own
+bootstrap distribution is that of a plain resample of its sample.
 
 Long cells read the high end of each sorted row and short cells its low
 end. A VaR or ES grid whose ends are short enough for it to pay
 partitions the row at each end it reads and sorts those ends alone; a
 grid with a spectral measure, or whose ends cover more, sorts all of it.
 So results are bit-identical for a given seed no matter how many workers
-share the grid, in what order contracts run, which other cells were
+share the grid, in what order blocks run, which other cells were
 requested, or whether the other position was requested.
 
-A chunk's rows come from a byte budget, so its memory stays near
-_CHUNK_BYTES per worker thread, or one row of 12 * n bytes once a row
-alone exceeds the budget (n above about 2.8 million). Counter-based draws
-do not depend on how the rows are chunked, and every estimator reduces
-each row in a fixed order, so neither do the estimates.
+The blocks of all contracts are the unit of work: the worker threads
+take them in contract-major order, so a grid of one contract uses as
+many workers as it has blocks. A contract's estimates are allocated when
+its first block starts and dropped once its last block has been
+summarized. The threads share one chunk budget of _CHUNK_BYTES, so a
+chunk takes _CHUNK_BYTES divided by the number of threads, or one row of
+12 * n bytes once a row alone exceeds that share. Counter-based draws do
+not depend on how a block's rows are chunked, and every estimator
+reduces each row in a fixed order, so neither do the estimates.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,11 +63,17 @@ from .measures import (
     spectral_weights,
 )
 
-# A chunk holds 12 bytes per element (int32 index and float64 value), and
-# its rows are as many as fit in _CHUNK_BYTES, at least 1 and at most
-# _CHUNK_ROWS.
+# A chunk holds 12 bytes per element (int32 index and float64 value). The
+# threads of a grid share _CHUNK_BYTES, and a chunk's rows are as many as fit
+# in a thread's share, at least 1 and at most _CHUNK_ROWS.
 _CHUNK_BYTES = 32 * 2 ** 20
 _CHUNK_ROWS = 512
+
+# A block holds _BLOCK_ELEMS // n resamples of n losses, at least 1. It is
+# at least 2 * 10**6 elements, so that every golden-file cell (5000
+# resamples of 400 losses) is one block, and small enough that a long
+# series still splits into a few dozen blocks for the workers to share.
+_BLOCK_ELEMS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ class BootstrapResult:
 
 
 # ----------------------------------------------------------------------
-# streams and the shared resample block
+# streams and the contracts' resample blocks
 # ----------------------------------------------------------------------
 
 def _check_workers(workers):
@@ -123,15 +137,17 @@ def _check_seed(seed):
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
-def _contract_stream(master_seed: int, contract: int) -> np.random.Generator:
-    """Independent generator for one contract's resamples, a pure function
-    of (master_seed, contract), where contract is the ordinal of the
-    sample group in run_grid."""
+def _contract_stream(master_seed: int, contract: int, block: int = 0) -> np.random.Generator:
+    """Independent generator for one block of a contract's resamples, a pure
+    function of (master_seed, contract, block), where contract is the
+    ordinal of the sample group in run_grid. Block k is the contract's
+    Philox stream started at counter k << 128, the same as the stream
+    jumped k times, so block 0 is the stream from its start."""
     _check_seed(master_seed)
     if not 0 <= contract < 2 ** 64:
         raise ValueError(f"contract index out of range: {contract!r}")
     key = np.array([master_seed, contract], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
 
 
 def _estimator_arg(spec: EstimatorSpec, n: int):
@@ -179,87 +195,168 @@ def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -
         resamples=estimates.size)
 
 
-def _bootstrap_contract(group, specs, config: BootstrapConfig, contract: int) -> list:
-    """Bootstrap every spec on one contract's samples from its one stream.
+class _Contract:
+    """One contract's bootstrap, run as blocks that any thread may take.
 
     group is a lone sample or a pair of mirrored samples of opposite
-    positions. Each chunk of resamples of the long-oriented losses is drawn,
-    sorted and gathered once, then every spec of every sample reduces that
-    sorted block into its own estimates, a short sample through the
-    mirror, so no spec's result depends on which other specs or positions
-    ran. Only the ends of the rows that specs read are sorted and gathered
-    when they are short enough for the partitions to pay, and the chunk's
-    rows fit a byte budget. Returns, per sample, one entry per
-    spec: its BootstrapResult, or the ValueError its parameter raised.
+    positions, and ordinal its place among the grid's contracts. The
+    config.resamples rows of the long-oriented losses are split into
+    blocks of block_rows, the last one partial, and block k draws from
+    _contract_stream(seed, ordinal, k). The first block to run prepares the
+    contract and allocates its estimates; each block writes its rows of
+    them; the last block to finish summarizes them into results and drops
+    them. A block that raises fails every cell of its contract and no
+    other.
     """
-    lead = group[0]  # the long-oriented losses are lead's, or its mirror's
-    b, n, method = config.resamples, lead.n, config.quantile_method
-    values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-    out = []
-    live = []  # (slot in out, measure, estimator arg, mirrored, plug-in, estimates)
-    for sample in group:
-        mirrored = sample.position is Position.SHORT
-        for spec in specs:
+
+    def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
+        self.group, self.specs, self.config, self.ordinal = group, specs, config, ordinal
+        self.block_rows = max(_BLOCK_ELEMS // group[0].n, 1)
+        self.blocks = -(-config.resamples // self.block_rows)
+        # per sample, one entry per spec: its BootstrapResult, the
+        # ValueError its parameter raised, or the exception that failed
+        # the contract
+        self.results = None
+        self._lock = threading.Lock()  # guards preparing and the count of blocks left
+        self._blocks_left = self.blocks
+        self._error = None
+        self._live = None  # set once prepared, until finished
+
+    def run(self, block: int, chunk_bytes: int) -> None:
+        """Run one block in chunks of at most chunk_bytes; the last block
+        to finish also summarizes the contract."""
+        try:
+            with self._lock:
+                if self._live is None and self._error is None:
+                    self._prepare()
+            if self._error is None and self._live:
+                self._run_block(block, chunk_bytes)
+        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
+            self._error = exc
+        with self._lock:
+            self._blocks_left -= 1
+            if self._blocks_left:
+                return
+        self._finish()
+
+    def _prepare(self) -> None:
+        """Validate every spec's argument, take the plug-ins, plan which
+        ends of each row to sort and allocate the estimates."""
+        lead = self.group[0]  # the long-oriented losses are lead's, or its mirror's
+        n, method = lead.n, self.config.quantile_method
+        self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
+        self._out = []  # per sample and spec: its result, or the ValueError its parameter raised
+        live = []  # (slot in _out, measure, estimator arg, mirrored, plug-in, estimates)
+        for sample in self.group:
+            mirrored = sample.position is Position.SHORT
+            for spec in self.specs:
+                try:
+                    arg = _estimator_arg(spec, n)
+                except ValueError as exc:
+                    self._out.append(exc)
+                    continue
+                plug_in = _evaluate(sample, spec.measure, arg, method)
+                if mirrored and spec.measure is Measure.SRM:
+                    # the weights in the block's column order; einsum runs about
+                    # twice as fast on a contiguous copy as on the reversed view
+                    arg = np.ascontiguousarray(arg[::-1])
+                live.append((len(self._out), spec.measure, arg, mirrored, plug_in,
+                             np.empty(self.config.resamples)))
+                self._out.append(None)
+
+        # A long cell reads the block's columns from its first column up, a short
+        # cell the columns below n minus its first column.
+        self._low = max((n - _first_column(measure, arg, n, method)
+                         for _, measure, arg, mirrored, _, _ in live if mirrored), default=0)
+        self._high = min((_first_column(measure, arg, n, method)
+                          for _, measure, arg, mirrored, _, _ in live if not mirrored), default=n)
+        # Sorting and gathering the ends costs about their share of doing so for
+        # the whole row, and each partition about as much as a quarter of the
+        # row and 30 columns more. That fits where run_grid broke even with two
+        # ends, measured at n = 400 to 20 000: ends covering 0.35 of the row at
+        # n = 400, 0.43 at 800 and 0.48 from 3392 up. One end costs about the
+        # same either way from half to three quarters of the row. A row past the
+        # cut-off is sorted whole.
+        partitions = (self._low > 0) + (self._high < n)
+        self._whole = self._low + n - self._high + partitions * (n // 4 + 30) > n
+        self._live = live
+
+    def _run_block(self, block: int, chunk_bytes: int) -> None:
+        """Draw the block's rows in chunks, sort and gather each chunk once,
+        and write every live spec's estimates of its rows. Only the ends of
+        the rows that specs read are sorted and gathered when the plan says
+        the partitions pay."""
+        values, low, high, method = self._values, self._low, self._high, self.config.quantile_method
+        n = values.size
+        start = block * self.block_rows
+        stop = min(start + self.block_rows, self.config.resamples)
+        stream = _contract_stream(self.config.master_seed, self.ordinal, block)
+        chunk_rows = min(max(chunk_bytes // (12 * n), 1), _CHUNK_ROWS)
+        for done in range(start, stop, chunk_rows):
+            rows = min(chunk_rows, stop - done)
+            # int32 indices draw the same stream as the int64 default at half the
+            # memory. The values are sorted, so gathering them at sorted indices
+            # sorts each row, and 4-byte indices sort faster than 8-byte values.
+            # Partitioning at an end leaves exactly the indices of that end's
+            # ranks beyond it, which is all that needs sorting and gathering.
+            idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
+            if self._whole:
+                idx.sort(axis=1)
+                bottom = top = values[idx]
+            else:
+                if high < n:
+                    idx.partition(high, axis=1)
+                    idx[:, high:].sort(axis=1)
+                if low > 0:
+                    idx[:, :high].partition(low - 1, axis=1)
+                    idx[:, :low].sort(axis=1)
+                bottom, top = values[idx[:, :low]], values[idx[:, high:]]
+            for _, measure, arg, mirrored, _, estimates in self._live:
+                estimates[done:done + rows] = _evaluate_sorted(
+                    bottom if mirrored else top, measure, arg, method, n, mirrored)
+            del idx, bottom, top  # so the next chunk's draw and gather never overlap this one's
+
+    def _finish(self) -> None:
+        """Summarize every live spec's estimates into results, then drop
+        the estimates."""
+        if self._error is None:
             try:
-                arg = _estimator_arg(spec, n)
-            except ValueError as exc:
-                out.append(exc)
-                continue
-            plug_in = _evaluate(sample, spec.measure, arg, method)
-            if mirrored and spec.measure is Measure.SRM:
-                # the weights in the block's column order; einsum runs about
-                # twice as fast on a contiguous copy as on the reversed view
-                arg = np.ascontiguousarray(arg[::-1])
-            live.append((len(out), spec.measure, arg, mirrored, plug_in, np.empty(b)))
-            out.append(None)
-
-    # A long cell reads the block's columns from its first column up, a short
-    # cell the columns below n minus its first column.
-    low = max((n - _first_column(measure, arg, n, method)
-               for _, measure, arg, mirrored, _, _ in live if mirrored), default=0)
-    high = min((_first_column(measure, arg, n, method)
-                for _, measure, arg, mirrored, _, _ in live if not mirrored), default=n)
-    # Sorting and gathering the ends costs about their share of doing so for
-    # the whole row, and each partition about as much as a quarter of the
-    # row and 30 columns more. That fits where run_grid broke even with two
-    # ends, measured at n = 400 to 20 000: ends covering 0.35 of the row at
-    # n = 400, 0.43 at 800 and 0.48 from 3392 up. One end costs about the
-    # same either way from half to three quarters of the row. A row past the
-    # cut-off is sorted whole.
-    partitions = (low > 0) + (high < n)
-    whole = low + n - high + partitions * (n // 4 + 30) > n
-    stream = _contract_stream(config.master_seed, contract)
-    chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
-    done = 0
-    while live and done < b:
-        rows = min(chunk_rows, b - done)
-        # int32 indices draw the same stream as the int64 default at half the
-        # memory. The values are sorted, so gathering them at sorted indices
-        # sorts each row, and 4-byte indices sort faster than 8-byte values.
-        # Partitioning at an end leaves exactly the indices of that end's
-        # ranks beyond it, which is all that needs sorting and gathering.
-        idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
-        if whole:
-            idx.sort(axis=1)
-            bottom = top = values[idx]
+                for slot, _, _, _, plug_in, estimates in self._live:
+                    self._out[slot] = _summarize(estimates, plug_in, self.config)
+            except Exception as exc:
+                self._error = exc
+        k = len(self.specs)
+        if self._error is None:
+            self.results = [self._out[i * k:(i + 1) * k] for i in range(len(self.group))]
         else:
-            if high < n:
-                idx.partition(high, axis=1)
-                idx[:, high:].sort(axis=1)
-            if low > 0:
-                idx[:, :high].partition(low - 1, axis=1)
-                idx[:, :low].sort(axis=1)
-            bottom, top = values[idx[:, :low]], values[idx[:, high:]]
-        for _, measure, arg, mirrored, _, estimates in live:
-            estimates[done:done + rows] = _evaluate_sorted(
-                bottom if mirrored else top, measure, arg, method, n, mirrored)
-        done += rows
-        del idx, bottom, top  # so the next chunk's draw and gather never overlap this one's
+            self.results = [[self._error] * k] * len(self.group)
+        self._live = self._out = self._values = None
 
-    for slot, _, _, _, plug_in, estimates in live:
-        out[slot] = _summarize(estimates, plug_in, config)
-    k = len(specs)
-    return [out[i * k:(i + 1) * k] for i in range(len(group))]
+
+def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
+    """Bootstrap every spec on every contract's samples in groups, and
+    return each contract's results (see _Contract).
+
+    Every block of every contract, in contract-major order, goes to one pool
+    of at most workers threads, which share the chunk budget _CHUNK_BYTES.
+    """
+    contracts = [_Contract(group, specs, config, ordinal) for ordinal, group in enumerate(groups)]
+    blocks = [(contract, block) for contract in contracts for block in range(contract.blocks)]
+    threads = max(min(workers, len(blocks)), 1)
+    chunk_bytes = _CHUNK_BYTES // threads
+
+    def run(item):
+        contract, block = item
+        contract.run(block, chunk_bytes)
+
+    if threads == 1:
+        for item in blocks:
+            run(item)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for _ in pool.map(run, blocks):
+                pass  # reading each result re-raises what a block let through
+    return [contract.results for contract in contracts]
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -272,8 +369,8 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
     result equals that cell of run_grid([sample], ...) under the same
     config, bit for bit.
     """
-    ((result,),) = _bootstrap_contract([sample], [estimator], config, 0)
-    if isinstance(result, ValueError):
+    (((result,),),) = _bootstrap([[sample]], [estimator], config, 1)
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -312,19 +409,21 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - samples: sequence of LossSample.
     - grid: mapping of Measure to its parameter list, e.g.
       {Measure.VAR: [0.95, 0.99], Measure.SRM: [5, 20]}.
-    - workers: worker threads sharing the contracts. Results are
-      bit-identical for any worker count because each contract owns its
-      stream, keyed on the master seed and the contract's ordinal, and all
-      cells of a contract read the same resamples. A contract is a sample
+    - workers: worker threads sharing the grid. A contract is a sample
       together with the next one when that one is its mirror in the
       opposite position, as to_losses makes them from one series; else
-      the sample alone. A contract runs on one thread, so a grid uses at
-      most as many workers as it has contracts: the two positions of one
-      series use one.
+      the sample alone. All cells of a contract read the same resamples,
+      which are split into fixed blocks, each with its own stream keyed on
+      the master seed, the contract's ordinal and the block's ordinal. The
+      threads take blocks, not contracts, so even the two positions of one
+      series use every worker once they have that many blocks, and results
+      are bit-identical for any worker count. The threads share one chunk
+      memory budget.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A cell whose parameter the estimator rejects is recorded
-    with the error message and the rest of the grid still runs.
+    with the error message, as is every cell of a contract whose resampling
+    fails (out of memory, say), and the rest of the grid still runs.
     """
     samples = list(samples)
     _check_workers(workers)
@@ -337,14 +436,10 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
         else:
             groups.append([i])
 
-    def run_contract(contract):
-        group = groups[contract]
-        try:
-            results = _bootstrap_contract([samples[i] for i in group], specs, config, contract)
-        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
-            results = [[exc] * len(specs)] * len(group)
-        cells = []
-        for sample_index, sample_results in zip(group, results):
+    results = _bootstrap([[samples[i] for i in group] for group in groups], specs, config, workers)
+    cells = []
+    for group, contract_results in zip(groups, results):
+        for sample_index, sample_results in zip(group, contract_results):
             sample = samples[sample_index]
             for spec, result in zip(specs, sample_results):
                 failed = isinstance(result, Exception)
@@ -356,11 +451,4 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
                     parameter=spec.parameter,
                     result=None if failed else result,
                     error=f"{type(result).__name__}: {result}" if failed else None))
-        return cells
-
-    if workers == 1:
-        per_contract = [run_contract(c) for c in range(len(groups))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_contract = list(pool.map(run_contract, range(len(groups))))
-    return ResultGrid(cells=tuple(cell for cells in per_contract for cell in cells))
+    return ResultGrid(cells=tuple(cells))

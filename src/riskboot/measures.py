@@ -174,9 +174,10 @@ def _evaluate(sample: LossSample, measure: Measure, arg,
     return float(_evaluate_sorted(sample.values[None, :], measure, arg, method)[0])
 
 
-def empirical_quantile(sample: LossSample, alpha: float,
-                       method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
-    """Loss quantile at confidence level alpha.
+def value_at_risk(sample: LossSample, alpha: float,
+                  method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
+    """Value at risk: the loss quantile at confidence level alpha, the loss
+    exceeded with probability at most 1 - alpha.
 
     Parameters:
     - sample: the loss sample.
@@ -187,12 +188,6 @@ def empirical_quantile(sample: LossSample, alpha: float,
     """
     _check_alpha(alpha)
     return _evaluate(sample, Measure.VAR, alpha, method)
-
-
-def value_at_risk(sample: LossSample, alpha: float,
-                  method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
-    """Value at risk: the loss exceeded with probability at most 1 - alpha."""
-    return empirical_quantile(sample, alpha, method)
 
 
 def expected_shortfall(sample: LossSample, alpha: float) -> float:

@@ -313,20 +313,6 @@ def _machine_value(value) -> tuple[str, str]:
     return repr(float(value)), ""
 
 
-def _parse_machine_value(text: str, text2: str):
-    def one(s):
-        try:
-            return int(s)
-        except ValueError:
-            return float(s)
-
-    if text == "":
-        return None
-    if text2 != "":
-        return (float(text), float(text2))
-    return one(text)
-
-
 def _iter_cells(table: ReportTable):
     """Yield (section, position, row, column, value) for every cell,
     row means and overall means included, in rendering order."""
@@ -352,29 +338,6 @@ def to_csv(table: ReportTable) -> str:
     return out.getvalue()
 
 
-def parse_csv(text: str):
-    """Parse to_csv output back to cell records with exact values.
-
-    Returns a list of dicts with keys table, section, position, row,
-    column, value.
-    """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    expected = ["table", "section", "position", "row", "column", "value", "value2"]
-    if header != expected:
-        raise ValueError(f"unexpected header {header!r}")
-    records = []
-    for fields in reader:
-        if len(fields) != len(expected):
-            raise ValueError(f"malformed line {fields!r}")
-        table, section, position, row, column, v1, v2 = fields
-        records.append({
-            "table": table, "section": section, "position": position,
-            "row": row, "column": column,
-            "value": _parse_machine_value(v1, v2)})
-    return records
-
-
 def to_kv(table: ReportTable) -> str:
     """Flat key-value rendering: '<section>|<position>|<row>|<column> = <repr>'.
 
@@ -393,35 +356,3 @@ def to_kv(table: ReportTable) -> str:
         rendered = f"{v1} {v2}" if v2 else v1
         lines.append(f"{section}|{position}|{row}|{column} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def parse_kv(text: str):
-    """Parse to_kv output back to cell records with exact values."""
-    records = []
-    meta = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        head = line.split(" = ", 1)[0]
-        if head in ("table", "title", "contracts", "note"):
-            key, _, value = line.partition(" = ")
-            meta[key] = value
-            continue
-        # row labels may themselves contain ' = ' (e.g. 'ARA = 5'), but the
-        # numeric value never does, so cell lines split from the right
-        key, sep, value = line.rpartition(" = ")
-        if not sep:
-            raise ValueError(f"malformed line {line!r}")
-        parts = key.split("|")
-        if len(parts) != 4:
-            raise ValueError(f"malformed key {key!r}")
-        section, position, row, column = parts
-        tokens = value.split()
-        if len(tokens) == 2:
-            parsed = (float(tokens[0]), float(tokens[1]))
-        else:
-            parsed = _parse_machine_value(tokens[0], "")
-        records.append({
-            "table": meta.get("table", ""), "section": section, "position": position,
-            "row": row, "column": column, "value": parsed})
-    return records

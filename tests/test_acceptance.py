@@ -39,7 +39,8 @@ from riskboot import (
     value_at_risk,
 )
 from riskboot.cli import main
-from riskboot.report import parse_csv
+
+from report_records import parse_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -1,6 +1,8 @@
 """Bootstrap precision: streams, resampling, cell estimates and the grid."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,20 @@ def first_resample(sample, seed, contract=0):
     return np.sort(sample.values[idx[0]])
 
 
+def var_estimates(sample, alpha, b, seed, block_rows):
+    """The resample VaR estimates of a lone long sample, drawn as the
+    bootstrap lays them out: block k holds resamples k * block_rows up to
+    b, drawn from block k's stream."""
+    rank = math.ceil(alpha * sample.n - 1e-9)
+    estimates = []
+    for block, start in enumerate(range(0, b, block_rows)):
+        rows = min(block_rows, b - start)
+        idx = _contract_stream(seed, 0, block).integers(
+            0, sample.n, size=(rows, sample.n), dtype=np.int32)
+        estimates.append(np.sort(sample.values[idx], axis=1)[:, rank - 1])
+    return np.concatenate(estimates)
+
+
 class TestSampleStream:
     def test_same_coordinates_same_draws(self):
         a = _contract_stream(7, 3).integers(0, 1000, size=20)
@@ -74,6 +90,16 @@ class TestSampleStream:
             with pytest.raises(ValueError, match="contract index"):
                 _contract_stream(0, sample)
         _contract_stream(2 ** 64 - 1, 2 ** 64 - 1)  # both ends of the range are usable
+
+    def test_block_k_is_the_contract_stream_jumped_k_times(self):
+        key = np.array([7, 3], dtype=np.uint64)
+        draws = []
+        for block in (0, 1, 5):
+            jumped = np.random.Generator(np.random.Philox(key=key).jumped(block))
+            draws.append(_contract_stream(7, 3, block).integers(0, 2 ** 62, size=8))
+            assert np.array_equal(draws[-1], jumped.integers(0, 2 ** 62, size=8))
+        assert np.array_equal(draws[0], _contract_stream(7, 3).integers(0, 2 ** 62, size=8))
+        assert len({tuple(d) for d in draws}) == 3
 
     def test_int32_draws_match_the_int64_default(self):
         for n in (400, 401, 3392):
@@ -152,16 +178,7 @@ class TestBootstrapEstimate:
         spec = EstimatorSpec(Measure.VAR, 0.9)
         result = bootstrap_estimate(sample, spec, config)
 
-        stream = _contract_stream(11, 0)
-        estimates = np.empty(b)
-        done = 0
-        while done < b:
-            rows = min(512, b - done)
-            idx = stream.integers(0, sample.n, size=(rows, sample.n), dtype=np.int32)
-            block = np.sort(sample.values[idx], axis=1)
-            rank = math.ceil(0.9 * sample.n - 1e-9)
-            estimates[done:done + rows] = block[:, rank - 1]
-            done += rows
+        estimates = var_estimates(sample, 0.9, b, seed=11, block_rows=b)
 
         assert result.point_estimate == estimates.mean()
         assert result.std_error == estimates.std(ddof=1)
@@ -171,6 +188,17 @@ class TestBootstrapEstimate:
         lo = ordered[math.ceil(0.05 * b - 1e-9) - 1] / result.point_estimate
         hi = ordered[math.ceil(0.95 * b - 1e-9) - 1] / result.point_estimate
         assert result.ci_standardized == (lo, hi)
+
+    def test_blocks_draw_from_their_own_streams(self, monkeypatch):
+        """Blocks of 150 rows of 400 losses split 500 resamples into blocks
+        of 150, 150, 150 and 50 rows, block k drawn from stream k."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 150 * 400 + 399)
+        sample = normal_sample(seed=6)
+        config = BootstrapConfig(resamples=500, master_seed=11)
+        result = bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 0.9), config)
+        estimates = var_estimates(sample, 0.9, 500, seed=11, block_rows=150)
+        assert result.point_estimate == estimates.mean()
+        assert result.std_error == estimates.std(ddof=1)
 
     def test_interval_brackets_the_percentile_mass(self):
         sample = normal_sample(seed=7)
@@ -348,6 +376,117 @@ class TestRunGrid:
             tracemalloc.stop()
         assert not grid.failed
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("grid, whole", [
+        ({Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}, False),
+        ({Measure.SRM: [5.0, 20.0]}, True)], ids=["partition", "whole-sort"])
+    def test_multi_block_cells_do_not_depend_on_workers_or_chunks(self, monkeypatch, grid, whole):
+        """Blocks of 23 rows split 100 resamples of a mirrored pair into
+        five blocks, the last one of 8 rows. Each block draws from its own
+        stream and a chunk never straddles two blocks, so every cell matches
+        bit for bit at any worker count and chunk budget, on the path that
+        partitions the rows' ends and on the one that sorts them whole."""
+        n = 301
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * n)
+        paths = []
+        prepare = bootstrap._Contract._prepare
+
+        def spy(contract):
+            prepare(contract)
+            paths.append(contract._whole)
+
+        monkeypatch.setattr(bootstrap._Contract, "_prepare", spy)
+        samples = mirrored_pair(n, 26, "A")
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        baseline = run_grid(samples, grid, config)
+        assert not baseline.failed
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
+            for workers in (1, 2, 3):
+                assert run_grid(samples, grid, config, workers) == baseline
+        assert set(paths) == {whole}
+
+    def test_one_contract_s_blocks_share_the_workers(self, monkeypatch):
+        """The first two blocks of one contract wait for each other at a
+        barrier, so the grid fails unless two workers run them at once."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 25 * 301)
+        barrier = threading.Barrier(2, timeout=10)
+        run_block = bootstrap._Contract._run_block
+
+        def meet(contract, block, chunk_bytes):
+            if block < 2:
+                barrier.wait()
+            run_block(contract, block, chunk_bytes)
+
+        monkeypatch.setattr(bootstrap._Contract, "_run_block", meet)
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        grid = run_grid(mirrored_pair(301, 26, "A"), {Measure.ES: [0.95]}, config, workers=2)
+        assert not grid.failed
+
+    def test_many_small_blocks_on_more_workers_than_cores(self, monkeypatch):
+        """Threads switching every microsecond over many one-row blocks of
+        several contracts: a lost update to a contract's count of blocks
+        left would leave it unsummarized or summarize it twice."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 1)
+        samples = [*mirrored_pair(60, 31, "A"), normal_sample(n=50, seed=32, label="B"),
+                   *mirrored_pair(40, 33, "C")]
+        config = BootstrapConfig(resamples=30, master_seed=14)
+        baseline = run_grid(samples, self.GRID, config)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: out.append(run_grid(samples, self.GRID, config, 8)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert out == [baseline]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_share_one_chunk_budget(self, monkeypatch, workers):
+        """Sorted whole, a chunk holds 12 bytes per element, so 1 MiB takes
+        4 rows of 20 000 losses. Two workers share that budget: each taking
+        all of it would double the chunks' memory past the bound."""
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 16 * 20_000)  # 4 blocks
+        samples = [normal_sample(n=20_000, seed=27)]
+        config = BootstrapConfig(resamples=64, master_seed=11)
+        tracemalloc.start()
+        try:
+            grid = run_grid(samples, {Measure.SRM: [20.0]}, config, workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not grid.failed
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_block_fails_only_its_contract(self, monkeypatch, workers):
+        """A block that runs out of memory fails every cell of its
+        contract; the other contracts' cells come out as in a clean run."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * 301)
+        samples = [*mirrored_pair(301, 26, "A"), *mirrored_pair(257, 29, "B"),
+                   normal_sample(n=250, seed=23, label="C")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        clean = run_grid(samples, self.GRID, config, workers)
+        run_block = bootstrap._Contract._run_block
+
+        def fail_b(contract, block, chunk_bytes):
+            if contract.ordinal == 1 and block == 2:
+                raise MemoryError("no room for block 2")
+            run_block(contract, block, chunk_bytes)
+
+        monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_b)
+        grid = run_grid(samples, self.GRID, config, workers)
+        assert len(grid.cells) == len(clean.cells)
+        for cell, clean_cell in zip(grid.cells, clean.cells):
+            if cell.sample_label == "B":
+                assert cell.result is None
+                assert cell.error == "MemoryError: no room for block 2"
+            else:
+                assert cell == clean_cell
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):

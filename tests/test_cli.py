@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from riskboot.cli import SEED_ENV_VAR, main
-from riskboot.report import parse_csv
+
+from report_records import parse_csv
 
 
 def run(args, capsys):

@@ -18,14 +18,14 @@ from riskboot import (
     build_measure_table,
     build_summary_table,
     figure_csv,
-    parse_csv,
-    parse_kv,
     run_grid,
     to_csv,
     to_kv,
     to_text,
     weight_curves,
 )
+
+from report_records import parse_csv, parse_kv
 
 # phi(1) for k = 5, i.e. k / (1 - e^-k)
 _PHI_AT_ONE_K5 = 5.033918274531521
