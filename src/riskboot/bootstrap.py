@@ -33,19 +33,25 @@ requested, or whether the other position was requested.
 
 The blocks of all contracts are the unit of work: the worker threads
 take them in contract-major order, so a grid of one contract uses as
-many workers as it has blocks. A contract's estimates are allocated when
-its first block starts and dropped once its last block has been
-summarized. The threads share one chunk budget of _CHUNK_BYTES, so a
-chunk takes _CHUNK_BYTES divided by the number of threads, or one row of
-12 * n bytes once a row alone exceeds that share. Counter-based draws do
-not depend on how a block's rows are chunked, and every estimator
-reduces each row in a fixed order, so neither do the estimates.
+many workers as it has blocks. The threads change no shared state. The
+calling thread prepares every contract before any block runs, each block
+returns its own estimates, and the calling thread reads them back in
+block order and summarizes a contract once its last block is in. With
+one worker the blocks run on the calling thread itself.
+
+Memory: a block's estimates take 8 bytes per row and cell, and are held
+until their contract is summarized. The threads share one chunk budget
+of _CHUNK_BYTES, so a chunk takes _CHUNK_BYTES divided by the number of
+threads, or one row of 12 * n bytes once a row alone exceeds that share.
+Counter-based draws do not depend on how a block's rows are chunked, and
+every estimator reduces each row in a fixed order, so neither do the
+estimates.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,7 +99,7 @@ class BootstrapConfig:
     ci_coverage: float = 0.90
 
     def __post_init__(self):
-        if self.resamples < 2:
+        if _check_integer(self.resamples, "resamples") < 2:
             raise ValueError(f"need at least 2 resamples for a standard error, got {self.resamples}")
         _check_seed(self.master_seed)
         if not 0.0 < self.ci_coverage < 1.0:
@@ -125,15 +131,23 @@ class BootstrapResult:
 # streams and the contracts' resample blocks
 # ----------------------------------------------------------------------
 
+def _check_integer(value, name):
+    """value as a Python int; a ValueError names what is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_workers(workers):
     """The one check of a worker count, for run_grid and the CLI."""
-    if workers < 1:
+    if _check_integer(workers, "worker count") < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
 
 
 def _check_seed(seed):
-    """The one range check for a master seed: seeds key 64-bit Philox streams."""
-    if not 0 <= int(seed) < 2 ** 64:
+    """The one check of a master seed: seeds key 64-bit Philox streams."""
+    if not 0 <= _check_integer(seed, "master seed") < 2 ** 64:
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
@@ -200,56 +214,25 @@ class _Contract:
 
     group is a lone sample or a pair of mirrored samples of opposite
     positions, and ordinal its place among the grid's contracts. The
-    config.resamples rows of the long-oriented losses are split into
-    blocks of block_rows, the last one partial, and block k draws from
-    _contract_stream(seed, ordinal, k). The first block to run prepares the
-    contract and allocates its estimates; each block writes its rows of
-    them; the last block to finish summarizes them into results and drops
-    them. A block that raises fails every cell of its contract and no
-    other.
+    constructor validates every spec's argument, takes the plug-ins and
+    plans which ends of each row to sort; nothing changes after that, so
+    the threads only read a contract. The config.resamples rows of the
+    long-oriented losses are split into blocks of block_rows, the last one
+    partial, and block k draws from _contract_stream(seed, ordinal, k) and
+    returns its rows' estimates. A contract with no spec left to estimate
+    has no blocks.
     """
 
     def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
         self.group, self.specs, self.config, self.ordinal = group, specs, config, ordinal
-        self.block_rows = max(_BLOCK_ELEMS // group[0].n, 1)
-        self.blocks = -(-config.resamples // self.block_rows)
-        # per sample, one entry per spec: its BootstrapResult, the
-        # ValueError its parameter raised, or the exception that failed
-        # the contract
-        self.results = None
-        self._lock = threading.Lock()  # guards preparing and the count of blocks left
-        self._blocks_left = self.blocks
-        self._error = None
-        self._live = None  # set once prepared, until finished
-
-    def run(self, block: int, chunk_bytes: int) -> None:
-        """Run one block in chunks of at most chunk_bytes; the last block
-        to finish also summarizes the contract."""
-        try:
-            with self._lock:
-                if self._live is None and self._error is None:
-                    self._prepare()
-            if self._error is None and self._live:
-                self._run_block(block, chunk_bytes)
-        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
-            self._error = exc
-        with self._lock:
-            self._blocks_left -= 1
-            if self._blocks_left:
-                return
-        self._finish()
-
-    def _prepare(self) -> None:
-        """Validate every spec's argument, take the plug-ins, plan which
-        ends of each row to sort and allocate the estimates."""
-        lead = self.group[0]  # the long-oriented losses are lead's, or its mirror's
-        n, method = lead.n, self.config.quantile_method
+        lead = group[0]  # the long-oriented losses are lead's, or its mirror's
+        n, method = lead.n, config.quantile_method
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        self._out = []  # per sample and spec: its result, or the ValueError its parameter raised
-        live = []  # (slot in _out, measure, estimator arg, mirrored, plug-in, estimates)
-        for sample in self.group:
+        self._out = []  # per sample and spec: None, or the ValueError its parameter raised
+        self._live = []  # (slot in _out, measure, estimator arg, mirrored, plug-in)
+        for sample in group:
             mirrored = sample.position is Position.SHORT
-            for spec in self.specs:
+            for spec in specs:
                 try:
                     arg = _estimator_arg(spec, n)
                 except ValueError as exc:
@@ -260,16 +243,17 @@ class _Contract:
                     # the weights in the block's column order; einsum runs about
                     # twice as fast on a contiguous copy as on the reversed view
                     arg = np.ascontiguousarray(arg[::-1])
-                live.append((len(self._out), spec.measure, arg, mirrored, plug_in,
-                             np.empty(self.config.resamples)))
+                self._live.append((len(self._out), spec.measure, arg, mirrored, plug_in))
                 self._out.append(None)
+        self.block_rows = max(_BLOCK_ELEMS // n, 1)
+        self.blocks = -(-config.resamples // self.block_rows) if self._live else 0
 
         # A long cell reads the block's columns from its first column up, a short
         # cell the columns below n minus its first column.
         self._low = max((n - _first_column(measure, arg, n, method)
-                         for _, measure, arg, mirrored, _, _ in live if mirrored), default=0)
+                         for _, measure, arg, mirrored, _ in self._live if mirrored), default=0)
         self._high = min((_first_column(measure, arg, n, method)
-                          for _, measure, arg, mirrored, _, _ in live if not mirrored), default=n)
+                          for _, measure, arg, mirrored, _ in self._live if not mirrored), default=n)
         # Sorting and gathering the ends costs about their share of doing so for
         # the whole row, and each partition about as much as a quarter of the
         # row and 30 columns more. That fits where run_grid broke even with two
@@ -279,21 +263,24 @@ class _Contract:
         # cut-off is sorted whole.
         partitions = (self._low > 0) + (self._high < n)
         self._whole = self._low + n - self._high + partitions * (n // 4 + 30) > n
-        self._live = live
 
-    def _run_block(self, block: int, chunk_bytes: int) -> None:
-        """Draw the block's rows in chunks, sort and gather each chunk once,
-        and write every live spec's estimates of its rows. Only the ends of
-        the rows that specs read are sorted and gathered when the plan says
-        the partitions pay."""
+    def _run_block(self, block: int, chunk_bytes: int) -> list:
+        """Draw the block's rows in chunks of at most chunk_bytes, sort and
+        gather each chunk once, and return every live spec's estimates of
+        the rows, one array per spec. Only the ends of the rows that specs
+        read are sorted and gathered when the plan says the partitions
+        pay."""
         values, low, high, method = self._values, self._low, self._high, self.config.quantile_method
         n = values.size
-        start = block * self.block_rows
-        stop = min(start + self.block_rows, self.config.resamples)
+        block_rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
+        # One array per spec: at 40 kB each (a golden cell) the heap reuses them
+        # from block to block, while one array of them all took fresh pages on
+        # every block, and their faults cost 7 % of a golden grid's time.
+        estimates = [np.empty(block_rows) for _ in self._live]
         stream = _contract_stream(self.config.master_seed, self.ordinal, block)
         chunk_rows = min(max(chunk_bytes // (12 * n), 1), _CHUNK_ROWS)
-        for done in range(start, stop, chunk_rows):
-            rows = min(chunk_rows, stop - done)
+        for done in range(0, block_rows, chunk_rows):
+            rows = min(chunk_rows, block_rows - done)
             # int32 indices draw the same stream as the int64 default at half the
             # memory. The values are sorted, so gathering them at sorted indices
             # sorts each row, and 4-byte indices sort faster than 8-byte values.
@@ -311,34 +298,41 @@ class _Contract:
                     idx[:, :high].partition(low - 1, axis=1)
                     idx[:, :low].sort(axis=1)
                 bottom, top = values[idx[:, :low]], values[idx[:, high:]]
-            for _, measure, arg, mirrored, _, estimates in self._live:
-                estimates[done:done + rows] = _evaluate_sorted(
+            for out, (_, measure, arg, mirrored, _) in zip(estimates, self._live):
+                out[done:done + rows] = _evaluate_sorted(
                     bottom if mirrored else top, measure, arg, method, n, mirrored)
             del idx, bottom, top  # so the next chunk's draw and gather never overlap this one's
+        return estimates
 
-    def _finish(self) -> None:
-        """Summarize every live spec's estimates into results, then drop
-        the estimates."""
-        if self._error is None:
+    def finish(self, blocks) -> list:
+        """Summarize the estimates that the contract's blocks returned, in
+        block order. Returns, per sample, one entry per spec: its
+        BootstrapResult, the ValueError its parameter raised, or the
+        exception that failed the contract, as any block's did."""
+        out = list(self._out)
+        error = next((b for b in blocks if isinstance(b, Exception)), None)
+        if error is None:
             try:
-                for slot, _, _, _, plug_in, estimates in self._live:
-                    self._out[slot] = _summarize(estimates, plug_in, self.config)
-            except Exception as exc:
-                self._error = exc
+                for i, (slot, _, _, _, plug_in) in enumerate(self._live):
+                    estimates = np.concatenate([b[i] for b in blocks])
+                    out[slot] = _summarize(estimates, plug_in, self.config)
+            except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                error = exc
+        if error is not None:
+            out = [error] * len(out)
         k = len(self.specs)
-        if self._error is None:
-            self.results = [self._out[i * k:(i + 1) * k] for i in range(len(self.group))]
-        else:
-            self.results = [[self._error] * k] * len(self.group)
-        self._live = self._out = self._values = None
+        return [out[i * k:(i + 1) * k] for i in range(len(self.group))]
 
 
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
-    return each contract's results (see _Contract).
+    return what each contract's finish returns (see _Contract).
 
-    Every block of every contract, in contract-major order, goes to one pool
-    of at most workers threads, which share the chunk budget _CHUNK_BYTES.
+    Every block of every contract, in contract-major order, goes to at most
+    workers threads, which share the chunk budget _CHUNK_BYTES and nothing
+    else. The calling thread reads the blocks' estimates in that order and
+    finishes each contract once its last block is in. One thread is the
+    calling thread itself.
     """
     contracts = [_Contract(group, specs, config, ordinal) for ordinal, group in enumerate(groups)]
     blocks = [(contract, block) for contract in contracts for block in range(contract.blocks)]
@@ -347,16 +341,15 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
 
     def run(item):
         contract, block = item
-        contract.run(block, chunk_bytes)
+        try:
+            return contract._run_block(block, chunk_bytes)
+        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
+            return exc
 
-    if threads == 1:
-        for item in blocks:
-            run(item)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(run, blocks):
-                pass  # reading each result re-raises what a block let through
-    return [contract.results for contract in contracts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        done = (map if threads == 1 else pool.map)(run, blocks)
+        return [contract.finish([next(done) for _ in range(contract.blocks)])
+                for contract in contracts]
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -418,7 +411,9 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       threads take blocks, not contracts, so even the two positions of one
       series use every worker once they have that many blocks, and results
       are bit-identical for any worker count. The threads share one chunk
-      memory budget.
+      memory budget and nothing else: each block returns its estimates,
+      and the calling thread summarizes each contract from them. One
+      worker runs every block on the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A cell whose parameter the estimator rejects is recorded

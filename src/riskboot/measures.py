@@ -216,9 +216,7 @@ class ExponentialWeighting:
     the far tail: phi(1) / phi(0) = e^k.
 
     The estimators read only cell_weights(n), the mass each rank's
-    probability cell receives, so another profile needs just that method
-    to plug into spectral_risk_measure; nothing downstream assumes this
-    particular family.
+    probability cell receives.
     """
 
     def __init__(self, k: float):
@@ -263,22 +261,14 @@ def spectral_weights(n: int, k: float) -> np.ndarray:
     return ExponentialWeighting(k).cell_weights(n)
 
 
-def spectral_risk_measure(sample: LossSample, aversion) -> float:
-    """Weighted average of the ordered losses.
-
-    Parameters:
-    - sample: the loss sample.
-    - aversion: either a positive risk-aversion coefficient (exponential
-      profile) or any weighting object exposing cell_weights(n).
+def spectral_risk_measure(sample: LossSample, aversion: float) -> float:
+    """Weighted average of the ordered losses under the exponential
+    profile with risk aversion k = aversion.
 
     Rising weights keep the value between the sample mean and the sample
     maximum; it approaches the mean as k -> 0 and the maximum as k -> inf.
     """
-    if hasattr(aversion, "cell_weights"):
-        w = aversion.cell_weights(sample.n)
-    else:
-        w = ExponentialWeighting(aversion).cell_weights(sample.n)
-    return _evaluate(sample, Measure.SRM, w)
+    return _evaluate(sample, Measure.SRM, spectral_weights(sample.n, aversion))
 
 
 @dataclass(frozen=True)

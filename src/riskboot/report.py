@@ -63,11 +63,15 @@ class ReportTable:
 
 
 def _check_labels(labels):
-    """Contract labels name table columns: unique, and never MEAN_COLUMN."""
+    """Contract labels name table columns: unique, never MEAN_COLUMN, and
+    free of the characters that delimit to_kv's keys and contract list."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate contract labels: {labels}")
     if MEAN_COLUMN in labels:
         raise ValueError(f"contract label {MEAN_COLUMN!r} is reserved for row means")
+    for label in labels:
+        if any(c in label for c in "|,\r\n"):
+            raise ValueError(f"contract label {label!r} may not contain '|', ',', '\\r' or '\\n'")
 
 
 def _mean_or_none(values):

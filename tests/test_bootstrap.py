@@ -215,6 +215,11 @@ class TestBootstrapEstimate:
             BootstrapConfig(master_seed=-3)
         with pytest.raises(ValueError, match="coverage"):
             BootstrapConfig(ci_coverage=1.0)
+        with pytest.raises(ValueError, match="resamples must be an integer"):
+            BootstrapConfig(resamples=2.5)
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            BootstrapConfig(master_seed=1.7)
+        assert BootstrapConfig(resamples=np.int64(10), master_seed=np.uint64(3)).resamples == 10
 
     def test_bad_confidence_level_rejected(self):
         sample = normal_sample()
@@ -389,13 +394,13 @@ class TestRunGrid:
         n = 301
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * n)
         paths = []
-        prepare = bootstrap._Contract._prepare
+        prepare = bootstrap._Contract.__init__
 
-        def spy(contract):
-            prepare(contract)
+        def spy(contract, *args):
+            prepare(contract, *args)
             paths.append(contract._whole)
 
-        monkeypatch.setattr(bootstrap._Contract, "_prepare", spy)
+        monkeypatch.setattr(bootstrap._Contract, "__init__", spy)
         samples = mirrored_pair(n, 26, "A")
         config = BootstrapConfig(resamples=100, master_seed=10)
         baseline = run_grid(samples, grid, config)
@@ -416,7 +421,7 @@ class TestRunGrid:
         def meet(contract, block, chunk_bytes):
             if block < 2:
                 barrier.wait()
-            run_block(contract, block, chunk_bytes)
+            return run_block(contract, block, chunk_bytes)
 
         monkeypatch.setattr(bootstrap._Contract, "_run_block", meet)
         config = BootstrapConfig(resamples=100, master_seed=10)
@@ -425,8 +430,8 @@ class TestRunGrid:
 
     def test_many_small_blocks_on_more_workers_than_cores(self, monkeypatch):
         """Threads switching every microsecond over many one-row blocks of
-        several contracts: a lost update to a contract's count of blocks
-        left would leave it unsummarized or summarize it twice."""
+        several contracts, finishing out of order: each contract must still
+        be summarized from its own blocks' estimates, in block order."""
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 1)
         samples = [*mirrored_pair(60, 31, "A"), normal_sample(n=50, seed=32, label="B"),
                    *mirrored_pair(40, 33, "C")]
@@ -476,7 +481,7 @@ class TestRunGrid:
         def fail_b(contract, block, chunk_bytes):
             if contract.ordinal == 1 and block == 2:
                 raise MemoryError("no room for block 2")
-            run_block(contract, block, chunk_bytes)
+            return run_block(contract, block, chunk_bytes)
 
         monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_b)
         grid = run_grid(samples, self.GRID, config, workers)
@@ -488,6 +493,29 @@ class TestRunGrid:
             else:
                 assert cell == clean_cell
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_contract_with_no_estimable_cell_runs_no_block(self, monkeypatch, workers):
+        """A contract whose every parameter the estimator rejects has no
+        blocks to run, and each of its cells still carries the message."""
+        run_block = bootstrap._Contract._run_block
+        calls = []
+
+        def spy(contract, block, chunk_bytes):
+            calls.append(block)
+            return run_block(contract, block, chunk_bytes)
+
+        monkeypatch.setattr(bootstrap._Contract, "_run_block", spy)
+        grid = run_grid(mirrored_pair(300, 26, "A"), {Measure.SRM: [1e-12]},
+                        BootstrapConfig(resamples=50, master_seed=7), workers)
+        assert calls == []
+        assert len(grid.cells) == len(grid.failed) == 2
+        assert all(cell.result is None and "plain mean" in cell.error for cell in grid.cells)
+
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):
             run_grid(self.samples(), self.GRID, BootstrapConfig(resamples=10), workers=0)
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            run_grid(self.samples(), self.GRID, BootstrapConfig(resamples=10), workers=1.5)
+        config = BootstrapConfig(resamples=10)
+        assert run_grid(self.samples(), self.GRID, config, workers=np.int32(2)) \
+            == run_grid(self.samples(), self.GRID, config)

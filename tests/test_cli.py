@@ -194,7 +194,9 @@ class TestEstimate:
         inputs = ["--input", str(first), "--input", str(second)]
         for extra, fragment in (((), "--input: duplicate contract labels: ['c1', 'c1']"),
                                 (("--label", "A", "--label", "A"),
-                                 "--label: duplicate contract labels: ['A', 'A']")):
+                                 "--label: duplicate contract labels: ['A', 'A']"),
+                                (("--label", "a|b", "--label", "c,d", "--format", "kv"),
+                                 "--label: contract label 'a|b' may not contain")):
             code, _, err = run(["estimate", *inputs, *extra, "--return-col", "return"], capsys)
             assert code == 2
             assert fragment in err

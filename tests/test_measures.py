@@ -333,15 +333,6 @@ class TestSpectralRiskMeasure:
             values = [spectral_risk_measure(s, k) for k in ks]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_custom_weighting_object(self):
-        class UniformWeighting:
-            def cell_weights(self, n):
-                return np.full(n, 1.0 / n)
-
-        s = random_sample(np.random.default_rng(10), n=500)
-        assert spectral_risk_measure(s, UniformWeighting()) == pytest.approx(
-            float(s.values.mean()), rel=1e-12)
-
 
 class TestCoherenceProperties:
     """The measure-level coherence behavior on random samples."""

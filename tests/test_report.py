@@ -98,6 +98,9 @@ class TestSummaryTable:
             build_summary_table([("C1", stats), ("C1", stats)])
         with pytest.raises(ValueError, match="reserved"):
             build_summary_table([(MEAN_COLUMN, stats)])
+        for label in ("a|b", "c,d", "e\rf", "g\nh"):
+            with pytest.raises(ValueError, match="may not contain"):
+                build_summary_table([(label, stats)])
         with pytest.raises(ValueError, match="no summary statistics"):
             build_summary_table([])
 
@@ -120,10 +123,12 @@ class TestMeasureTable:
 
     def test_label_validation(self):
         """Two samples of one contract and position would share a cell, and
-        a contract named Mean would shadow the row-mean column."""
+        a contract named Mean would shadow the row-mean column; '|' and ','
+        delimit the kv format's keys and contract list."""
         values = np.random.default_rng(5).standard_t(4, 100)
         config = BootstrapConfig(resamples=20, master_seed=1)
-        for labels, match in ((("A", "A"), "duplicate"), ((MEAN_COLUMN,), "reserved")):
+        for labels, match in ((("A", "A"), "duplicate"), ((MEAN_COLUMN,), "reserved"),
+                              (("a|b", "c,d"), "may not contain")):
             samples = [LossSample(values, label=label) for label in labels]
             grid = run_grid(samples, {Measure.ES: [0.95]}, config)
             with pytest.raises(ValueError, match=match):
@@ -313,7 +318,7 @@ class TestCsvRoundTrip:
         assert by_row["Mean"] == make_stats(seed=6).mean
 
     def test_awkward_contract_labels(self):
-        label = 'Corn, No.2 "Yellow"'
+        label = 'Corn; No.2 "Yellow"'
         table = build_summary_table([(label, make_stats(seed=7))])
         records = parse_csv(to_csv(table))
         assert {r["column"] for r in records} == {label}
