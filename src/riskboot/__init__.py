@@ -5,7 +5,9 @@ spectral risk measures from daily return series, entirely from the
 empirical distribution, and attaches bootstrap standard errors,
 coefficients of variation and standardized confidence intervals to every
 estimate. A deterministic seeding scheme makes whole estimation grids
-bit-reproducible at any worker count.
+bit-reproducible at any worker count. The synthetic return generators
+and the closed-form and quadrature oracles that check the estimators are
+imported from riskboot.synthetic.
 """
 
 __version__ = "0.1.0"
@@ -31,18 +33,14 @@ from .ingest import (
     summary_stats,
 )
 from .measures import (
-    MIN_RISK_AVERSION,
-    ExponentialWeighting,
     LossSample,
     Measure,
     Position,
     QuantileMethod,
-    WeightingReport,
     expected_shortfall,
     spectral_risk_measure,
     spectral_weights,
     to_losses,
-    validate_weighting,
     value_at_risk,
 )
 from .report import (
@@ -52,25 +50,12 @@ from .report import (
     Row,
     RowGroup,
     Section,
-    WeightCurve,
     build_measure_table,
     build_summary_table,
     figure_csv,
     to_csv,
     to_kv,
     to_text,
-    weight_curves,
-)
-from .synthetic import (
-    Normal,
-    SkewedMix,
-    StudentT,
-    SyntheticSpec,
-    generate,
-    normal_es_oracle,
-    normal_quantile,
-    normal_var_oracle,
-    srm_quadrature_oracle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,7 @@ from .ingest import ReturnSeries
 _RANK_FUZZ = 1e-9
 
 # Below this the exponential weights are flat to machine precision.
-MIN_RISK_AVERSION = 1e-8
+_MIN_RISK_AVERSION = 1e-8
 
 
 class Position(Enum):
@@ -205,60 +205,51 @@ def expected_shortfall(sample: LossSample, alpha: float) -> float:
 # spectral weighting
 # ----------------------------------------------------------------------
 
-class ExponentialWeighting:
-    """Exponential risk-aversion profile phi(p) = k e^(-k(1-p)) / (1 - e^(-k)).
+def _check_aversion(k) -> float:
+    """The risk aversion k as a float; ValueError unless the weights are
+    defined and not numerically flat at k."""
+    try:
+        ok = math.isfinite(k) and k > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
+    if k < _MIN_RISK_AVERSION:
+        raise ValueError(
+            f"risk aversion {k!r} is below {_MIN_RISK_AVERSION:g}; the weights are "
+            "numerically flat there and the measure collapses to the plain mean of "
+            "losses, which should be used directly instead")
+    return float(k)
 
-    phi is a density over quantile levels p in [0, 1] describing how much a
+
+def _weight_density(p, k: float) -> np.ndarray:
+    """The exponential profile phi(p) = k e^(-k(1-p)) / (1 - e^(-k)) at
+    quantile levels p in [0, 1]."""
+    k = _check_aversion(k)
+    return k * np.exp(-k * (1.0 - np.asarray(p, dtype=float))) / -np.expm1(-k)
+
+
+def spectral_weights(n: int, k: float) -> np.ndarray:
+    """Discrete spectral weights for a sample of n losses at risk aversion k:
+    the mass of each of the n equal probability cells, in ascending rank.
+
+    The exponential profile phi(p) = k e^(-k(1-p)) / (1 - e^(-k)) is a
+    density over quantile levels p in [0, 1] describing how much a
     risk-averse holder cares about each loss quantile. It is nonnegative,
     integrates to one and never decreases in p, so worse outcomes always
     receive at least as much weight; those three properties are what make
     the resulting measure coherent. The steepness k sets the tilt toward
     the far tail: phi(1) / phi(0) = e^k.
 
-    The estimators read only cell_weights(n), the mass each rank's
-    probability cell receives.
+    Weight i is the exact integral of phi over ((i-1)/n, i/n], so the
+    weights inherit nonnegativity and monotonicity from phi and sum to one
+    by telescoping.
     """
-
-    def __init__(self, k: float):
-        try:
-            ok = math.isfinite(k) and k > 0.0
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
-        if k < MIN_RISK_AVERSION:
-            raise ValueError(
-                f"risk aversion {k!r} is below {MIN_RISK_AVERSION:g}; the weights are "
-                "numerically flat there and the measure collapses to the plain mean of "
-                "losses, which should be used directly instead")
-        self.k = float(k)
-
-    def density(self, p):
-        """phi(p) for p in [0, 1]; accepts scalars or arrays."""
-        arr = np.asarray(p, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("quantile level must lie in [0, 1]")
-        k = self.k
-        out = k * np.exp(-k * (1.0 - arr)) / -np.expm1(-k)
-        return float(out) if np.isscalar(p) else out
-
-    def cell_weights(self, n: int) -> np.ndarray:
-        """Mass of each of the n equal probability cells, in ascending rank.
-
-        Weight i is the exact integral of phi over ((i-1)/n, i/n], so the
-        weights inherit nonnegativity and monotonicity from phi and sum to
-        one by telescoping.
-        """
-        if n < 1:
-            raise ValueError(f"need at least one cell, got {n}")
-        k = self.k
-        i = np.arange(1, n + 1, dtype=float)
-        return np.exp(-k * (1.0 - i / n)) * (np.expm1(-k / n) / np.expm1(-k))
-
-
-def spectral_weights(n: int, k: float) -> np.ndarray:
-    """Discrete spectral weights for a sample of n losses at risk aversion k."""
-    return ExponentialWeighting(k).cell_weights(n)
+    k = _check_aversion(k)
+    if n < 1:
+        raise ValueError(f"need at least one cell, got {n}")
+    i = np.arange(1, n + 1, dtype=float)
+    return np.exp(-k * (1.0 - i / n)) * (np.expm1(-k / n) / np.expm1(-k))
 
 
 def spectral_risk_measure(sample: LossSample, aversion: float) -> float:
@@ -269,45 +260,3 @@ def spectral_risk_measure(sample: LossSample, aversion: float) -> float:
     maximum; it approaches the mean as k -> 0 and the maximum as k -> inf.
     """
     return _evaluate(sample, Measure.SRM, spectral_weights(sample.n, aversion))
-
-
-@dataclass(frozen=True)
-class WeightingReport:
-    """Coherence check of a discrete weight vector.
-
-    first_violation is the 1-based rank of the earliest cell breaking
-    either nonnegativity or monotonicity, or None if both hold.
-    """
-
-    nonnegative: bool
-    sums_to_one: bool
-    nondecreasing: bool
-    total_mass: float
-    first_violation: int | None
-
-    @property
-    def coherent(self) -> bool:
-        return self.nonnegative and self.sums_to_one and self.nondecreasing
-
-
-def validate_weighting(weights, tol: float = 1e-12) -> WeightingReport:
-    """Check the three coherence conditions on a discrete weight vector:
-    no negative weight, total mass 1 within tol, and no decrease in rank.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("weight vector is empty")
-    negative = np.flatnonzero(w < 0.0)
-    decreasing = np.flatnonzero(np.diff(w) < 0.0)
-    total = float(w.sum())
-    violations = []
-    if negative.size:
-        violations.append(int(negative[0]) + 1)
-    if decreasing.size:
-        violations.append(int(decreasing[0]) + 2)  # rank of the offending later cell
-    return WeightingReport(
-        nonnegative=negative.size == 0,
-        sums_to_one=abs(total - 1.0) <= tol,
-        nondecreasing=decreasing.size == 0,
-        total_mass=total,
-        first_violation=min(violations) if violations else None)

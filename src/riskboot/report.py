@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import Measure, ResultGrid
-from .measures import ExponentialWeighting, Position
+from .measures import Position, _weight_density
 
 # reserved column name for row means; contract labels must not collide
 MEAN_COLUMN = "Mean"
@@ -207,36 +207,20 @@ def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
 # weight curves (plot-ready data, no chart rendering here)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightCurve:
-    k: float
-    p: np.ndarray
-    density: np.ndarray
+# The top quintile of quantile levels, where the curves separate visibly.
+_FIGURE_LO, _FIGURE_HI, _FIGURE_POINTS = 0.8, 1.0, 201
 
 
-def weight_curves(ks, points: int = 201, lo: float = 0.8, hi: float = 1.0):
-    """Sample the exponential weight density over [lo, hi] for each k.
-
-    The default window is the top quintile of quantile levels, where the
-    curves separate visibly. Returns one WeightCurve per k, in input order.
-    """
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo!r} hi={hi!r}")
-    if points < 2:
-        raise ValueError(f"need at least 2 points, got {points}")
-    p = np.linspace(lo, hi, points)
-    return [WeightCurve(k=float(k), p=p, density=ExponentialWeighting(k).density(p))
-            for k in ks]
-
-
-def figure_csv(curves) -> str:
-    """Weight curves as plot-ready CSV with columns p, phi, k."""
+def figure_csv(ks) -> str:
+    """The exponential weight density over p in [0.8, 1], 201 points for
+    each k in input order, as plot-ready CSV with columns p, phi, k."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["p", "phi", "k"])
-    for curve in curves:
-        for p, phi in zip(curve.p, curve.density):
-            writer.writerow([repr(float(p)), repr(float(phi)), repr(float(curve.k))])
+    levels = np.linspace(_FIGURE_LO, _FIGURE_HI, _FIGURE_POINTS)
+    for k in ks:
+        for p, phi in zip(levels, _weight_density(levels, k)):
+            writer.writerow([repr(float(p)), repr(float(phi)), repr(float(k))])
     return out.getvalue()
 
 

@@ -20,27 +20,29 @@ from riskboot import (
     EstimatorSpec,
     LossSample,
     Measure,
-    Normal,
     Position,
-    StudentT,
-    SyntheticSpec,
     bootstrap_estimate,
     expected_shortfall,
+    run_grid,
+    spectral_risk_measure,
+    spectral_weights,
+    to_losses,
+    value_at_risk,
+)
+from riskboot.cli import main
+from riskboot.synthetic import (
+    Normal,
+    StudentT,
+    SyntheticSpec,
     generate,
     normal_es_oracle,
     normal_quantile,
     normal_var_oracle,
-    run_grid,
-    spectral_risk_measure,
-    spectral_weights,
     srm_quadrature_oracle,
-    to_losses,
-    validate_weighting,
-    value_at_risk,
 )
-from riskboot.cli import main
 
 from report_records import parse_csv
+from weight_checks import validate_weighting
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -191,12 +191,21 @@ class TestBootstrapEstimate:
 
     def test_blocks_draw_from_their_own_streams(self, monkeypatch):
         """Blocks of 150 rows of 400 losses split 500 resamples into blocks
-        of 150, 150, 150 and 50 rows, block k drawn from stream k."""
+        of 150, 150, 150 and 50 rows, block k drawn from stream k, and the
+        contract's estimates are its blocks' joined in block order."""
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 150 * 400 + 399)
+        summarize, summarized = bootstrap._summarize, []
+
+        def spy(estimates, *args):
+            summarized.append(estimates.copy())
+            return summarize(estimates, *args)
+
+        monkeypatch.setattr(bootstrap, "_summarize", spy)
         sample = normal_sample(seed=6)
         config = BootstrapConfig(resamples=500, master_seed=11)
         result = bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 0.9), config)
         estimates = var_estimates(sample, 0.9, 500, seed=11, block_rows=150)
+        assert len(summarized) == 1 and np.array_equal(summarized[0], estimates)
         assert result.point_estimate == estimates.mean()
         assert result.std_error == estimates.std(ddof=1)
 

@@ -57,6 +57,19 @@ class TestSynth:
         assert "--n: need n >= 1, got 0" in err
         assert "sigma" in err
 
+    @pytest.mark.parametrize("out, message", [
+        ("", "--out {tmp}: is a directory"),
+        ("taken/x.csv", "--out {tmp}/taken/x.csv: {tmp}/taken is not a directory"),
+    ], ids=["directory", "under_a_file"])
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys, out, message):
+        (tmp_path / "taken").write_text("")
+        code, stdout, err = run(["synth", "--dist", "normal", "--n", "0",
+                                 "--out", str(tmp_path / out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"config error: {message.format(tmp=tmp_path)}" in err.splitlines()
+        assert "--n: need n >= 1, got 0" in err  # collected with the other problems
+
 
 class TestEstimate:
     def estimate_args(self, inputs, out_dir, extra=()):
@@ -243,6 +256,19 @@ class TestEstimate:
         assert out == ""
         assert "input error" in err and message in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["file", "under_a_file"])
+    def test_out_blocked_by_a_file_exits_two_before_any_work(self, tmp_path, capsys, out):
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        (tmp_path / "taken").write_text("")
+        capsys.readouterr()
+        code, stdout, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                                 "--out", str(tmp_path / out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"config error: --out {tmp_path / out}: {tmp_path / 'taken'} " \
+                      "is not a directory\n"
+        assert (tmp_path / "taken").read_text() == ""
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_parameters_rejected_upfront(self, tmp_path, capsys, bad):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from riskboot import (
-    ExponentialWeighting,
     LossSample,
     Measure,
     Position,
@@ -21,18 +20,19 @@ from riskboot import (
     spectral_risk_measure,
     spectral_weights,
     to_losses,
-    validate_weighting,
     value_at_risk,
 )
-from riskboot.measures import _evaluate_sorted, _first_column
+from riskboot.measures import _evaluate_sorted, _first_column, _weight_density
+
+from weight_checks import validate_weighting
 
 ONE_TO_HUNDRED = LossSample(np.arange(1.0, 101.0))
 
 
-def interval_mass(weighting, lo, hi):
-    """Oracle: closed-form integral of the exponential profile phi over
-    [lo, hi], a second route to the masses cell_weights gives."""
-    k = weighting.k
+def interval_mass(k, lo, hi):
+    """Oracle: closed-form integral of the exponential profile phi at risk
+    aversion k over [lo, hi], a second route to the masses spectral_weights
+    gives."""
     return np.exp(-k * (1.0 - hi)) * -np.expm1(-k * (hi - lo)) / -np.expm1(-k)
 
 
@@ -209,38 +209,32 @@ class TestTailBlock:
 
 class TestExponentialWeighting:
     def test_density_example(self):
-        assert ExponentialWeighting(5.0).density(1.0) == pytest.approx(5.033918274531521, abs=1e-12)
+        assert _weight_density(1.0, 5.0) == pytest.approx(5.033918274531521, abs=1e-12)
 
     def test_tail_tilt_is_e_to_the_k(self):
-        w = ExponentialWeighting(3.0)
-        assert w.density(1.0) / w.density(0.0) == pytest.approx(math.e ** 3, rel=1e-12)
-
-    def test_density_rejects_levels_outside_unit_interval(self):
-        w = ExponentialWeighting(2.0)
-        for p in (-0.1, 1.1):
-            with pytest.raises(ValueError, match="quantile level"):
-                w.density(p)
+        assert _weight_density(1.0, 3.0) / _weight_density(0.0, 3.0) == pytest.approx(
+            math.e ** 3, rel=1e-12)
 
     def test_bad_aversion_rejected(self):
-        for k in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="positive finite"):
-                ExponentialWeighting(k)
+        for k in (0.0, -1.0, float("inf"), float("nan"), "x"):
+            for weighting in (lambda: spectral_weights(10, k), lambda: _weight_density(0.5, k)):
+                with pytest.raises(ValueError, match="positive finite"):
+                    weighting()
 
     def test_flat_aversion_directs_to_the_mean(self):
-        with pytest.raises(ValueError, match="plain mean"):
-            ExponentialWeighting(1e-9)
+        for weighting in (lambda: spectral_weights(10, 1e-9), lambda: _weight_density(0.5, 1e-9)):
+            with pytest.raises(ValueError, match="plain mean"):
+                weighting()
 
     def test_interval_mass_total_and_additivity(self):
-        w = ExponentialWeighting(4.0)
-        assert interval_mass(w, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        left, right = interval_mass(w, 0.1, 0.6), interval_mass(w, 0.6, 0.9)
-        assert left + right == pytest.approx(interval_mass(w, 0.1, 0.9), abs=1e-15)
+        assert interval_mass(4.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        left, right = interval_mass(4.0, 0.1, 0.6), interval_mass(4.0, 0.6, 0.9)
+        assert left + right == pytest.approx(interval_mass(4.0, 0.1, 0.9), abs=1e-15)
 
     def test_interval_mass_matches_riemann_sum(self):
-        w = ExponentialWeighting(7.0)
         p = np.linspace(0.3, 0.8, 400_001)
-        riemann = float(np.trapezoid(w.density(p), p))
-        assert interval_mass(w, 0.3, 0.8) == pytest.approx(riemann, abs=1e-9)
+        riemann = float(np.trapezoid(_weight_density(p, 7.0), p))
+        assert interval_mass(7.0, 0.3, 0.8) == pytest.approx(riemann, abs=1e-9)
 
 
 class TestSpectralWeights:
@@ -252,11 +246,10 @@ class TestSpectralWeights:
     def test_cells_are_interval_masses(self):
         """The discrete weights and the closed-form interval integrals are
         two routes to the same numbers."""
-        weighting = ExponentialWeighting(13.0)
         n = 257
         edges = np.arange(n + 1) / n
-        masses = interval_mass(weighting, edges[:-1], edges[1:])
-        assert np.max(np.abs(weighting.cell_weights(n) - masses)) <= 1e-15
+        masses = interval_mass(13.0, edges[:-1], edges[1:])
+        assert np.max(np.abs(spectral_weights(n, 13.0) - masses)) <= 1e-15
 
     def test_coherence_across_sizes_and_aversions(self):
         for n in (1, 2, 10, 3392, 100_000):

@@ -1,5 +1,7 @@
 """Report tables: builders, text rendering and machine round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,18 @@ from riskboot import (
     to_csv,
     to_kv,
     to_text,
-    weight_curves,
 )
+
+from riskboot.measures import _weight_density
 
 from report_records import parse_csv, parse_kv
 
 # phi(1) for k = 5, i.e. k / (1 - e^-k)
 _PHI_AT_ONE_K5 = 5.033918274531521
+
+# sha256 of figure_csv([5, 10, 20, 40, 80]), the curves of the default
+# --ara list; figure1.csv changes only with an announced output change
+_FIGURE_CSV_SHA256 = "6d36cde9a7148f8d26c5f24b0bf49de965bbeca883cd4e8a43adb670a48d12b3"
 
 
 def make_stats(n=250, seed=0):
@@ -205,40 +212,44 @@ class TestMeasureTable:
 
 
 class TestWeightCurves:
+    @staticmethod
+    def curves(ks):
+        """figure_csv's rows for ks parsed back: (p, phi) arrays per k, in
+        the order written."""
+        lines = figure_csv(ks).splitlines()
+        assert lines[0] == "p,phi,k"
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+        curves = {}
+        for p, phi, k in rows:
+            curves.setdefault(k, []).append((p, phi))
+        assert list(curves) == [float(k) for k in ks]
+        return [np.array(points).T for points in curves.values()]
+
     def test_window_and_shape(self):
-        curves = weight_curves([5.0, 20.0], points=101)
-        assert [c.k for c in curves] == [5.0, 20.0]
-        for curve in curves:
-            assert curve.p[0] == 0.8 and curve.p[-1] == 1.0
-            assert len(curve.p) == len(curve.density) == 101
-            assert np.all(np.diff(curve.density) > 0.0)
+        for p, density in self.curves([5.0, 20.0]):
+            assert p[0] == 0.8 and p[-1] == 1.0
+            assert len(p) == len(density) == 201
+            assert np.all(np.diff(p) > 0.0)
+            assert np.all(np.diff(density) > 0.0)
 
     def test_density_endpoint_value(self):
-        (curve,) = weight_curves([5.0])
-        assert curve.density[-1] == pytest.approx(_PHI_AT_ONE_K5, rel=1e-15)
+        ((_, density),) = self.curves([5.0])
+        assert density[-1] == pytest.approx(_PHI_AT_ONE_K5, rel=1e-15)
 
     def test_stronger_aversion_weights_the_tail_more(self):
-        curves = weight_curves([5.0, 20.0, 40.0, 80.0])
-        endpoints = [c.density[-1] for c in curves]
+        endpoints = [density[-1] for _, density in self.curves([5.0, 20.0, 40.0, 80.0])]
         assert endpoints == sorted(endpoints)
         assert endpoints[0] > 1.0
 
     def test_figure_csv_round_trip(self):
-        curves = weight_curves([5.0, 20.0], points=11)
-        text = figure_csv(curves)
-        lines = text.strip().splitlines()
-        assert lines[0] == "p,phi,k"
-        assert len(lines) == 1 + 2 * 11
-        p, phi, k = lines[1].split(",")
-        assert float(p) == curves[0].p[0]
-        assert float(phi) == curves[0].density[0]
-        assert float(k) == 5.0
+        """repr() writes every level and density bit-exactly."""
+        for k, (p, density) in zip((5.0, 20.0), self.curves([5.0, 20.0])):
+            assert np.array_equal(p, np.linspace(0.8, 1.0, 201))
+            assert np.array_equal(density, _weight_density(p, k))
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="lo"):
-            weight_curves([5.0], lo=0.9, hi=0.9)
-        with pytest.raises(ValueError, match="points"):
-            weight_curves([5.0], points=1)
+    def test_figure_csv_is_pinned(self):
+        text = figure_csv([5, 10, 20, 40, 80])
+        assert hashlib.sha256(text.encode()).hexdigest() == _FIGURE_CSV_SHA256
 
 
 class TestTextRendering:

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskboot import (
+from riskboot import summary_stats
+from riskboot.synthetic import (
     Normal,
     SkewedMix,
     StudentT,
@@ -26,7 +27,6 @@ from riskboot import (
     normal_quantile,
     normal_var_oracle,
     srm_quadrature_oracle,
-    summary_stats,
 )
 
 # adaptive-quadrature references for the standard normal loss quantile
@@ -119,14 +119,25 @@ class TestNormalOracles:
         assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
         assert scalar == pytest.approx(2.3263478740408408, abs=1e-12)
 
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def modules_after(statement, prefix):
+        """The modules under prefix that a fresh interpreter holds after
+        running statement."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import riskboot, sys; "
-                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        code = (f"{statement}; import sys; "
+                f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self.modules_after("import riskboot", "scipy") == "[]"
+
+    def test_estimate_path_loads_no_oracles(self):
+        """The generators and oracles serve only synth, validate and the
+        tests, so importing the command line leaves them unloaded."""
+        assert self.modules_after("import riskboot.cli", "riskboot.synthetic") == "[]"
 
     def test_bad_arguments(self):
         for bad in (0.0, 1.0):
