@@ -40,12 +40,13 @@ block order and summarizes a contract once its last block is in. With
 one worker the blocks run on the calling thread itself.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
-until their contract is summarized. The threads share one chunk budget
-of _CHUNK_BYTES, so a chunk takes _CHUNK_BYTES divided by the number of
-threads, or one row of 12 * n bytes once a row alone exceeds that share.
-Counter-based draws do not depend on how a block's rows are chunked, and
-every estimator reduces each row in a fixed order, so neither do the
-estimates.
+until their contract is summarized. Each thread draws its rows in chunks
+of at most _CHUNK_BYTES, or of one row of 12 * n bytes once a row alone
+exceeds that, so the chunks of a grid take about _CHUNK_BYTES per thread.
+The rows per chunk depend on n alone, never on the worker count. Even so,
+counter-based draws do not depend on how a block's rows are chunked, and
+every estimator reduces each row in a fixed order whatever the number of
+rows, so neither do the estimates.
 """
 
 from __future__ import annotations
@@ -69,10 +70,12 @@ from .measures import (
     spectral_weights,
 )
 
-# A chunk holds 12 bytes per element (int32 index and float64 value). The
-# threads of a grid share _CHUNK_BYTES, and a chunk's rows are as many as fit
-# in a thread's share, at least 1 and at most _CHUNK_ROWS.
-_CHUNK_BYTES = 32 * 2 ** 20
+# A chunk holds 12 bytes per element (int32 index and float64 value), and
+# each thread draws its own chunks: as many rows as fit in _CHUNK_BYTES, at
+# least 1 and at most _CHUNK_ROWS. Timed in run_grid at n = 400 to 97 084
+# and 1 to 4 workers, 4 MiB runs as fast as 8 to 32 MiB; at 2 MiB a row of
+# 97 084 losses fills a chunk alone and runs 10 to 14 % slower.
+_CHUNK_BYTES = 4 * 2 ** 20
 _CHUNK_ROWS = 512
 
 # A block holds _BLOCK_ELEMS // n resamples of n losses, at least 1. It is
@@ -264,9 +267,9 @@ class _Contract:
         partitions = (self._low > 0) + (self._high < n)
         self._whole = self._low + n - self._high + partitions * (n // 4 + 30) > n
 
-    def _run_block(self, block: int, chunk_bytes: int) -> list:
-        """Draw the block's rows in chunks of at most chunk_bytes, sort and
-        gather each chunk once, and return every live spec's estimates of
+    def _run_block(self, block: int) -> list:
+        """Draw the block's rows in chunks of at most _CHUNK_BYTES, sort
+        and gather each chunk once, and return every live spec's estimates of
         the rows, one array per spec. Only the ends of the rows that specs
         read are sorted and gathered when the plan says the partitions
         pay."""
@@ -278,7 +281,7 @@ class _Contract:
         # every block, and their faults cost 7 % of a golden grid's time.
         estimates = [np.empty(block_rows) for _ in self._live]
         stream = _contract_stream(self.config.master_seed, self.ordinal, block)
-        chunk_rows = min(max(chunk_bytes // (12 * n), 1), _CHUNK_ROWS)
+        chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
         for done in range(0, block_rows, chunk_rows):
             rows = min(chunk_rows, block_rows - done)
             # int32 indices draw the same stream as the int64 default at half the
@@ -329,20 +332,19 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     return what each contract's finish returns (see _Contract).
 
     Every block of every contract, in contract-major order, goes to at most
-    workers threads, which share the chunk budget _CHUNK_BYTES and nothing
-    else. The calling thread reads the blocks' estimates in that order and
-    finishes each contract once its last block is in. One thread is the
-    calling thread itself.
+    workers threads, which share nothing; each draws its own chunks of up
+    to _CHUNK_BYTES. The calling thread reads the blocks' estimates in that
+    order and finishes each contract once its last block is in. One thread
+    is the calling thread itself.
     """
     contracts = [_Contract(group, specs, config, ordinal) for ordinal, group in enumerate(groups)]
     blocks = [(contract, block) for contract in contracts for block in range(contract.blocks)]
     threads = max(min(workers, len(blocks)), 1)
-    chunk_bytes = _CHUNK_BYTES // threads
 
     def run(item):
         contract, block = item
         try:
-            return contract._run_block(block, chunk_bytes)
+            return contract._run_block(block)
         except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
             return exc
 
@@ -410,10 +412,10 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       the master seed, the contract's ordinal and the block's ordinal. The
       threads take blocks, not contracts, so even the two positions of one
       series use every worker once they have that many blocks, and results
-      are bit-identical for any worker count. The threads share one chunk
-      memory budget and nothing else: each block returns its estimates,
-      and the calling thread summarizes each contract from them. One
-      worker runs every block on the calling thread.
+      are bit-identical for any worker count. The threads share nothing,
+      and each holds chunks of about 4 MiB at a time: each block returns
+      its estimates, and the calling thread summarizes each contract from
+      them. One worker runs every block on the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A cell whose parameter the estimator rejects is recorded

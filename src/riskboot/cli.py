@@ -144,6 +144,18 @@ def _nearest_existing(path: Path) -> Path:
     return next(p for p in (path, *path.parents) if p.exists())
 
 
+def _out_paths(args, measures) -> list:
+    """The files estimate writes under --out, in the order it writes them:
+    the summary table, one table per measure, figure1.csv with --figure1,
+    and run.kv."""
+    out_dir = Path(args.out)
+    extension = {"text": "txt", "csv": "csv", "kv": "kv"}[args.format]
+    names = [f"{table}.{extension}" for table in ["summary", *(m.value for m in measures)]]
+    if args.figure1:
+        names.append("figure1.csv")
+    return [out_dir / name for name in [*names, "run.kv"]]
+
+
 def _fmt_num(x) -> str:
     return f"{x:g}"
 
@@ -190,6 +202,9 @@ def _estimate_config(args):
         found = _nearest_existing(Path(args.out))
         if not found.is_dir():
             problems.append(f"--out {args.out}: {found} is not a directory")
+        for path in _out_paths(args, measures):
+            if path.is_dir():
+                problems.append(f"--out {args.out}: {path} is a directory")
 
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
 
@@ -277,24 +292,18 @@ def _cmd_estimate(args) -> int:
                                           ci_coverage=args.ci_coverage))
 
     render = {"text": to_text, "csv": to_csv, "kv": to_kv}[args.format]
-    extension = {"text": "txt", "csv": "csv", "kv": "kv"}[args.format]
     metadata = _metadata_lines(args, seed, seed_source, labels, measures, alphas,
                                aras, positions, len(grid.failed))
 
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for table in tables:
-            path = out_dir / f"{table.name}.{extension}"
-            path.write_text(render(table), encoding="utf-8")
-            print(f"[write] {path}")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        texts = [render(table) for table in tables]
         if args.figure1:
-            path = out_dir / "figure1.csv"
-            path.write_text(figure_csv(aras), encoding="utf-8")
+            texts.append(figure_csv(aras))
+        texts.append("\n".join(metadata) + "\n")
+        for path, text in zip(_out_paths(args, measures), texts, strict=True):
+            path.write_text(text, encoding="utf-8")
             print(f"[write] {path}")
-        path = out_dir / "run.kv"
-        path.write_text("\n".join(metadata) + "\n", encoding="utf-8")
-        print(f"[write] {path}")
     else:
         for line in metadata:
             print(f"[meta] {line}")

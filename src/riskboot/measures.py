@@ -159,8 +159,12 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
     if measure is Measure.ES:
         return sign * tail.mean(axis=1)
     if measure is Measure.SRM:
-        # einsum sums each row in one fixed order, whatever the row count;
-        # a BLAS matrix product does not
+        # einsum sums each row of a multi-row array in one fixed order, whatever
+        # the row count; a BLAS matrix product does not. A lone row longer than
+        # numpy's 8192-element buffer einsum sums in another order, so it reads
+        # one as two stacked copies of itself and keeps the first sum.
+        if rows.shape[0] == 1:
+            return sign * np.einsum("ij,j->i", np.broadcast_to(rows, (2, rows.shape[1])), arg)[:1]
         return sign * np.einsum("ij,j->i", rows, arg)
     lo = sign * rows[:, c]
     if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:

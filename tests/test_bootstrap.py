@@ -366,15 +366,19 @@ class TestRunGrid:
     def test_results_do_not_depend_on_the_chunk_budget(self, monkeypatch, rows):
         """The draws do not depend on how the rows are chunked, and every
         estimator reduces a row in one fixed order, so every cell of both
-        positions matches bit for bit."""
-        samples = mirrored_pair(301, 26, "A")
+        positions matches bit for bit. At n = 8193 a row is longer than
+        numpy's 8192-element buffer, past which einsum sums a one-row chunk
+        in another order unless the estimator guards against it."""
         config = BootstrapConfig(resamples=100, master_seed=10)
         tails = {Measure.VAR: [0.5, 0.9, 0.99], Measure.ES: [0.95]}
         srm = {Measure.SRM: [5.0, 20.0]}
-        baseline = run_grid(samples, tails, config), run_grid(samples, srm, config)
-        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 301 * rows)
-        assert run_grid(samples, tails, config) == baseline[0]
-        assert run_grid(samples, srm, config) == baseline[1]
+        pairs = {n: mirrored_pair(n, 26, "A") for n in (301, 8193)}
+        baseline = {n: (run_grid(samples, tails, config), run_grid(samples, srm, config))
+                    for n, samples in pairs.items()}
+        for n, samples in pairs.items():
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
+            assert run_grid(samples, tails, config) == baseline[n][0]
+            assert run_grid(samples, srm, config) == baseline[n][1]
 
     def test_chunk_memory_stays_within_the_budget(self, monkeypatch):
         """At n = 20 000 a 64-row chunk of indices alone takes 5 MB; the
@@ -398,10 +402,9 @@ class TestRunGrid:
         """Blocks of 23 rows split 100 resamples of a mirrored pair into
         five blocks, the last one of 8 rows. Each block draws from its own
         stream and a chunk never straddles two blocks, so every cell matches
-        bit for bit at any worker count and chunk budget, on the path that
-        partitions the rows' ends and on the one that sorts them whole."""
-        n = 301
-        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * n)
+        bit for bit at any worker count and chunk size, on the path that
+        partitions the rows' ends and on the one that sorts them whole, and
+        with rows both shorter and longer than numpy's 8192-element buffer."""
         paths = []
         prepare = bootstrap._Contract.__init__
 
@@ -410,14 +413,18 @@ class TestRunGrid:
             paths.append(contract._whole)
 
         monkeypatch.setattr(bootstrap._Contract, "__init__", spy)
-        samples = mirrored_pair(n, 26, "A")
         config = BootstrapConfig(resamples=100, master_seed=10)
-        baseline = run_grid(samples, grid, config)
-        assert not baseline.failed
-        for rows in (1, 3, 7):
-            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
-            for workers in (1, 2, 3):
-                assert run_grid(samples, grid, config, workers) == baseline
+        chunk_bytes = bootstrap._CHUNK_BYTES
+        for n in (301, 8193):
+            monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * n)
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", chunk_bytes)
+            samples = mirrored_pair(n, 26, "A")
+            baseline = run_grid(samples, grid, config)
+            assert not baseline.failed
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
+                for workers in (1, 2, 3):
+                    assert run_grid(samples, grid, config, workers) == baseline
         assert set(paths) == {whole}
 
     def test_one_contract_s_blocks_share_the_workers(self, monkeypatch):
@@ -427,10 +434,10 @@ class TestRunGrid:
         barrier = threading.Barrier(2, timeout=10)
         run_block = bootstrap._Contract._run_block
 
-        def meet(contract, block, chunk_bytes):
+        def meet(contract, block):
             if block < 2:
                 barrier.wait()
-            return run_block(contract, block, chunk_bytes)
+            return run_block(contract, block)
 
         monkeypatch.setattr(bootstrap._Contract, "_run_block", meet)
         config = BootstrapConfig(resamples=100, master_seed=10)
@@ -459,10 +466,10 @@ class TestRunGrid:
         assert out == [baseline]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_workers_share_one_chunk_budget(self, monkeypatch, workers):
+    def test_each_worker_holds_its_own_chunk(self, monkeypatch, workers):
         """Sorted whole, a chunk holds 12 bytes per element, so 1 MiB takes
-        4 rows of 20 000 losses. Two workers share that budget: each taking
-        all of it would double the chunks' memory past the bound."""
+        4 rows of 20 000 losses. Each worker draws its own chunks of that
+        size, so the bound grows by 1 MiB per worker."""
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 16 * 20_000)  # 4 blocks
         samples = [normal_sample(n=20_000, seed=27)]
@@ -474,7 +481,24 @@ class TestRunGrid:
         finally:
             tracemalloc.stop()
         assert not grid.failed
-        assert peak < 1.5 * 2 ** 20
+        assert peak < (workers + 0.5) * 2 ** 20
+
+    def test_paper_size_grid_holds_a_default_chunk_per_worker(self):
+        """At the default chunk size, two workers on two n = 3392 contracts
+        each hold chunks of 103 rows, about 4 MiB. The bound rules out
+        chunks of 16 MiB per worker, which take about 33 MiB here."""
+        samples = [*mirrored_pair(3392, 34, "A"), *mirrored_pair(3392, 35, "B")]
+        grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
+                Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        config = BootstrapConfig(resamples=500, master_seed=12)
+        tracemalloc.start()
+        try:
+            result = run_grid(samples, grid, config, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.failed
+        assert peak < 12 * 2 ** 20
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_block_fails_only_its_contract(self, monkeypatch, workers):
@@ -487,10 +511,10 @@ class TestRunGrid:
         clean = run_grid(samples, self.GRID, config, workers)
         run_block = bootstrap._Contract._run_block
 
-        def fail_b(contract, block, chunk_bytes):
+        def fail_b(contract, block):
             if contract.ordinal == 1 and block == 2:
                 raise MemoryError("no room for block 2")
-            return run_block(contract, block, chunk_bytes)
+            return run_block(contract, block)
 
         monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_b)
         grid = run_grid(samples, self.GRID, config, workers)
@@ -509,9 +533,9 @@ class TestRunGrid:
         run_block = bootstrap._Contract._run_block
         calls = []
 
-        def spy(contract, block, chunk_bytes):
+        def spy(contract, block):
             calls.append(block)
-            return run_block(contract, block, chunk_bytes)
+            return run_block(contract, block)
 
         monkeypatch.setattr(bootstrap._Contract, "_run_block", spy)
         grid = run_grid(mirrored_pair(300, 26, "A"), {Measure.SRM: [1e-12]},

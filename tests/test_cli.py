@@ -270,6 +270,27 @@ class TestEstimate:
                       "is not a directory\n"
         assert (tmp_path / "taken").read_text() == ""
 
+    @pytest.mark.parametrize("blocked", [["run.kv"], ["summary.txt", "srm.txt"], ["figure1.csv"]],
+                             ids=["metadata", "tables", "figure1"])
+    def test_out_file_blocked_by_a_directory_exits_two_before_any_work(self, tmp_path, capsys,
+                                                                      blocked):
+        """Each file the run would write that exists as a directory is one
+        config error, found before ingest, and the output directory keeps
+        only what was there."""
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        out_dir = tmp_path / "out"
+        for name in blocked:
+            (out_dir / name).mkdir(parents=True)
+        capsys.readouterr()
+        code, stdout, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                                 "--figure1", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "".join(f"config error: --out {out_dir}: {out_dir / name} is a directory\n"
+                              for name in blocked)
+        assert sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")) \
+            == sorted(blocked)
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_parameters_rejected_upfront(self, tmp_path, capsys, bad):
         path = synth_file(tmp_path, "c1.csv", seed=101)
