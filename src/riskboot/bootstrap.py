@@ -11,25 +11,32 @@ Reproducibility is strict. The resamples belong to a contract, not to a
 sample: run_grid pairs a sample with the next one when that one holds
 the opposite position and is its exact mirror (short losses are the long
 losses negated in reverse order). A contract, a pair or a lone sample,
-resamples its long-oriented losses, and a short cell reads the mirror of
-each resample. Its B resamples of n losses are split into fixed blocks
-of _BLOCK_ELEMS // n rows (at least one), and each block draws from its
-own counter-based stream, keyed on the master seed and the contract's
-ordinal and started at an offset set by the block's ordinal only; block
-0 is the contract's stream from its start. Every chunk of a block's
-resamples is drawn, sorted and gathered once, and every requested
-measure at every parameter of both positions reads its estimates from
-that one sorted chunk. So the long and short cells of a contract read
-paired resamples, as the measures of one sample do; each cell's own
-bootstrap distribution is that of a plain resample of its sample.
+resamples its long-oriented losses, and a short cell reads the low end
+of each resample mirrored. Its B resamples of n losses are split into
+fixed blocks of _BLOCK_ELEMS // n rows (at least one), and each block
+draws from its own counter-based stream, keyed on the master seed and
+the contract's ordinal and started at an offset set by the block's
+ordinal only; block 0 is the contract's stream from its start.
 
-Long cells read the high end of each sorted row and short cells its low
-end. A VaR or ES grid whose ends are short enough for it to pay
-partitions the row at each end it reads and sorts those ends alone; a
-grid with a spectral measure, or whose ends cover more, sorts all of it.
+A contract takes one of two paths, chosen from n and its specs alone.
+With no spectral cell and every VaR and ES cell reading at most
+_TAIL_SHARE of a sorted row at its end, a block draws just the order
+statistics its cells read, from one stream per end: the high end for
+long cells, the low end for short cells, each as deep as the deepest
+cell. Otherwise every chunk of a block's rows is drawn, sorted and
+gathered once, and every cell of both positions reads that one sorted
+chunk, so a contract's long and short cells read paired resamples. On
+the tail path the two ends are independent instead. Either way each
+cell's own bootstrap distribution is that of a plain resample of its
+sample.
+
 So results are bit-identical for a given seed no matter how many workers
-share the grid, in what order blocks run, which other cells were
-requested, or whether the other position was requested.
+share the grid, in what order blocks run, how rows are chunked, or
+whether the other position was requested. Other cells change no cell on
+the same path: a row's top j order statistics do not depend on how deep
+its end is drawn. A cell's draws do depend on its contract's path, so
+adding a spectral cell, or a VaR or ES cell past the cut-off, moves the
+VaR and ES cells of a tail contract to whole rows.
 
 The blocks of all contracts are the unit of work: the worker threads
 take them in contract-major order, so a grid of one contract uses as
@@ -40,20 +47,22 @@ block order and summarizes a contract once its last block is in. With
 one worker the blocks run on the calling thread itself.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
-until their contract is summarized. Each thread draws its rows in chunks
-of at most _CHUNK_BYTES, or of one row of 12 * n bytes once a row alone
-exceeds that, so the chunks of a grid take about _CHUNK_BYTES per thread.
-The rows per chunk depend on n alone, never on the worker count. Even so,
-counter-based draws do not depend on how a block's rows are chunked, and
-every estimator reduces each row in a fixed order whatever the number of
-rows, so neither do the estimates.
+until their contract is summarized. On the whole-row path each thread
+draws its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
+bytes once a row alone exceeds that, so the chunks of a grid take about
+_CHUNK_BYTES per thread. The rows per chunk depend on n alone, never on
+the worker count. Even so, counter-based draws do not depend on how a
+block's rows are chunked, and every estimator reduces each row in a fixed
+order whatever the number of rows, so neither do the estimates. On the
+tail path a thread holds one end's int32 indices for a block, at most
+_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in slabs
+of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes each.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +92,26 @@ _CHUNK_ROWS = 512
 # resamples of 400 losses) is one block, and small enough that a long
 # series still splits into a few dozen blocks for the workers to share.
 _BLOCK_ELEMS = 2 ** 22
+
+# A VaR and ES contract whose ends are at most _TAIL_SHARE of the row deep
+# draws its ends' order statistics (_tail_indices) instead of sorting whole
+# rows. Time of the tail path over the whole sort, in run_grid on a mirrored
+# pair (two ends), ES at 1 - share, B = 5000 (1000 from n = 20 000), one
+# worker, minimum process time of 5 alternating calls each:
+#
+#     share      0.10  0.15  0.20  0.25  0.30  0.35  0.40
+#     n = 400    0.41  0.59  0.76  0.93  1.13  1.35
+#     n = 3392   0.36  0.49  0.66  0.87  1.05  1.31
+#     n = 20 000 0.30        0.67  0.83  1.08        1.39
+#     n = 97 084 0.34        0.78  0.97  1.20        1.93
+#
+# It breaks even near 0.27 of the row at every n. A lone end (a lone
+# sample) takes about half that time and breaks even near 0.4 of the row
+# at n = 97 084 and 0.5 at n = 400 and 3392, but the cut-off does not
+# depend on which ends are read, so that the path depends on n and the
+# specs alone. At 0.25 a block's tail indices take at most 4 MiB (4 bytes
+# for each of a quarter of _BLOCK_ELEMS).
+_TAIL_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -154,17 +183,21 @@ def _check_seed(seed):
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
-def _contract_stream(master_seed: int, contract: int, block: int = 0) -> np.random.Generator:
+def _contract_stream(master_seed: int, contract: int, block: int = 0,
+                     lane: int = 0) -> np.random.Generator:
     """Independent generator for one block of a contract's resamples, a pure
-    function of (master_seed, contract, block), where contract is the
+    function of (master_seed, contract, block, lane), where contract is the
     ordinal of the sample group in run_grid. Block k is the contract's
     Philox stream started at counter k << 128, the same as the stream
-    jumped k times, so block 0 is the stream from its start."""
+    jumped k times, so block 0 is the stream from its start. Lane 0 is the
+    block's whole rows, lanes 1 and 2 its high and low tail ends; lane j
+    starts j << 64 counter steps into the block's stream, far beyond what
+    any lane reads."""
     _check_seed(master_seed)
     if not 0 <= contract < 2 ** 64:
         raise ValueError(f"contract index out of range: {contract!r}")
     key = np.array([master_seed, contract], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
+    return np.random.Generator(np.random.Philox(key=key, counter=(block << 128) | (lane << 64)))
 
 
 def _estimator_arg(spec: EstimatorSpec, n: int):
@@ -212,18 +245,53 @@ def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -
         resamples=estimates.size)
 
 
+def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) -> np.ndarray:
+    """The depth largest of each of rows draws of n iid indices in 0..n-1,
+    as a (depth, rows) int32 array whose level l holds each row's (l+1)-th
+    largest, so each column descends.
+
+    Renyi's representation of uniform order statistics: with E_0, E_1, ...
+    iid standard exponential, exp(-(E_0/n + ... + E_l/(n-l))) has the law of
+    the (l+1)-th largest of n iid uniforms, jointly over l. The floor of n
+    times a uniform is a uniform index, and the floor is monotone, so the
+    indices are the top order statistics of a bootstrap row's indices,
+    exactly in law. The exponentials are drawn level-major, all of a
+    level's rows before the next level's, so a row's top j indices never
+    depend on depth. They are drawn and summed in slabs of levels of at
+    most _CHUNK_BYTES // 8 bytes, each carrying the running sums of the one
+    before, which neither changes a sum nor which draws a row reads."""
+    idx = np.empty((depth, rows), dtype=np.int32)
+    levels = max(_CHUNK_BYTES // (64 * rows), 1)
+    total = np.zeros(rows)
+    for top in range(0, depth, levels):
+        stop = min(top + levels, depth)
+        s = stream.standard_exponential((stop - top, rows))
+        s /= np.arange(n - top, n - stop, -1, dtype=float)[:, None]
+        s[0] += total
+        np.cumsum(s, axis=0, out=s)
+        total = s[-1].copy()
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s *= n
+        np.minimum(s, n - 1, out=s)  # n * exp(-S) rounds to n when S is below an ulp
+        idx[top:stop] = s  # truncates, which floors these non-negative values
+        del s
+    return idx
+
+
 class _Contract:
     """One contract's bootstrap, run as blocks that any thread may take.
 
     group is a lone sample or a pair of mirrored samples of opposite
     positions, and ordinal its place among the grid's contracts. The
     constructor validates every spec's argument, takes the plug-ins and
-    plans which ends of each row to sort; nothing changes after that, so
-    the threads only read a contract. The config.resamples rows of the
-    long-oriented losses are split into blocks of block_rows, the last one
-    partial, and block k draws from _contract_stream(seed, ordinal, k) and
-    returns its rows' estimates. A contract with no spec left to estimate
-    has no blocks.
+    picks the path: tail ends of _depth columns, or whole rows when _depth
+    is None; nothing changes after that, so the threads only read a
+    contract. The config.resamples rows of the long-oriented losses are
+    split into blocks of block_rows, the last one partial, and block k
+    draws from _contract_stream(seed, ordinal, k, lane), lane 0 for whole
+    rows and 1 and 2 for the high and low ends, and returns its rows'
+    estimates. A contract with no spec left to estimate has no blocks.
     """
 
     def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
@@ -251,35 +319,36 @@ class _Contract:
         self.block_rows = max(_BLOCK_ELEMS // n, 1)
         self.blocks = -(-config.resamples // self.block_rows) if self._live else 0
 
-        # A long cell reads the block's columns from its first column up, a short
-        # cell the columns below n minus its first column.
-        self._low = max((n - _first_column(measure, arg, n, method)
-                         for _, measure, arg, mirrored, _ in self._live if mirrored), default=0)
-        self._high = min((_first_column(measure, arg, n, method)
-                          for _, measure, arg, mirrored, _ in self._live if not mirrored), default=n)
-        # Sorting and gathering the ends costs about their share of doing so for
-        # the whole row, and each partition about as much as a quarter of the
-        # row and 30 columns more. That fits where run_grid broke even with two
-        # ends, measured at n = 400 to 20 000: ends covering 0.35 of the row at
-        # n = 400, 0.43 at 800 and 0.48 from 3392 up. One end costs about the
-        # same either way from half to three quarters of the row. A row past the
-        # cut-off is sorted whole.
-        partitions = (self._low > 0) + (self._high < n)
-        self._whole = self._low + n - self._high + partitions * (n // 4 + 30) > n
+        # The depth of an end is how many of a sorted row's top (long) or
+        # bottom (short) columns the cells read; both positions share the
+        # specs, so it is the same at both ends. A VaR and ES contract shallow
+        # enough draws just that many order statistics of each end; the rest
+        # sort whole rows.
+        depth = max((n - _first_column(measure, arg, n, method)
+                     for _, measure, arg, _, _ in self._live), default=n)
+        spectral = any(measure is Measure.SRM for _, measure, _, _, _ in self._live)
+        self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
 
     def _run_block(self, block: int) -> list:
-        """Draw the block's rows in chunks of at most _CHUNK_BYTES, sort
-        and gather each chunk once, and return every live spec's estimates of
-        the rows, one array per spec. Only the ends of the rows that specs
-        read are sorted and gathered when the plan says the partitions
-        pay."""
-        values, low, high, method = self._values, self._low, self._high, self.config.quantile_method
-        n = values.size
-        block_rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
+        """Return every live spec's estimates of the block's rows, one array
+        per spec, from whole sorted rows or from the tail ends."""
+        rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
         # One array per spec: at 40 kB each (a golden cell) the heap reuses them
         # from block to block, while one array of them all took fresh pages on
         # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [np.empty(block_rows) for _ in self._live]
+        estimates = [np.empty(rows) for _ in self._live]
+        if self._depth is None:
+            self._run_whole(block, estimates)
+        else:
+            for mirrored in sorted({mirrored for _, _, _, mirrored, _ in self._live}):
+                self._run_tail(block, mirrored, estimates)
+        return estimates
+
+    def _run_whole(self, block: int, estimates: list):
+        """Draw the block's rows in chunks of at most _CHUNK_BYTES, sort and
+        gather each chunk once, and let every live spec read it."""
+        values, method = self._values, self.config.quantile_method
+        n, block_rows = values.size, estimates[0].size
         stream = _contract_stream(self.config.master_seed, self.ordinal, block)
         chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
         for done in range(0, block_rows, chunk_rows):
@@ -287,25 +356,39 @@ class _Contract:
             # int32 indices draw the same stream as the int64 default at half the
             # memory. The values are sorted, so gathering them at sorted indices
             # sorts each row, and 4-byte indices sort faster than 8-byte values.
-            # Partitioning at an end leaves exactly the indices of that end's
-            # ranks beyond it, which is all that needs sorting and gathering.
             idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
-            if self._whole:
-                idx.sort(axis=1)
-                bottom = top = values[idx]
-            else:
-                if high < n:
-                    idx.partition(high, axis=1)
-                    idx[:, high:].sort(axis=1)
-                if low > 0:
-                    idx[:, :high].partition(low - 1, axis=1)
-                    idx[:, :low].sort(axis=1)
-                bottom, top = values[idx[:, :low]], values[idx[:, high:]]
+            idx.sort(axis=1)
+            sorted_rows = values[idx]
+            del idx
             for out, (_, measure, arg, mirrored, _) in zip(estimates, self._live):
                 out[done:done + rows] = _evaluate_sorted(
-                    bottom if mirrored else top, measure, arg, method, n, mirrored)
-            del idx, bottom, top  # so the next chunk's draw and gather never overlap this one's
-        return estimates
+                    sorted_rows, measure, arg, method, n, mirrored)
+            del sorted_rows  # so the next chunk's draw and gather never overlap this one's
+
+    def _run_tail(self, block: int, mirrored: bool, estimates: list):
+        """Draw the top self._depth order statistics of each of the block's
+        rows at one end (the low end when mirrored), gather them as ascending
+        rows in groups of at most _CHUNK_BYTES // 8 bytes, and let the specs
+        of that end read them."""
+        values, depth, method = self._values, self._depth, self.config.quantile_method
+        n, block_rows = values.size, estimates[0].size
+        stream = _contract_stream(self.config.master_seed, self.ordinal, block, 2 if mirrored else 1)
+        idx = _tail_indices(stream, n, depth, block_rows)
+        if mirrored:  # n - 1 minus the top indices are bottom ones, in law
+            np.subtract(n - 1, idx, out=idx)
+        else:
+            idx = idx[::-1]
+        group = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
+        for done in range(0, block_rows, group):
+            # Gathered at the transposed view, the rows come out column-major,
+            # and ES would sum across rows in an order that depends on the group
+            # size; at a row-major copy of the indices every row sums as a lone one.
+            tail = values[np.ascontiguousarray(idx[:, done:done + group].T)]
+            for out, (_, measure, arg, end, _) in zip(estimates, self._live):
+                if end is mirrored:
+                    out[done:done + tail.shape[0]] = _evaluate_sorted(
+                        tail, measure, arg, method, n, mirrored)
+            del tail
 
     def finish(self, blocks) -> list:
         """Summarize the estimates that the contract's blocks returned, in
@@ -348,10 +431,15 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
         except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
             return exc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = (map if threads == 1 else pool.map)(run, blocks)
+    def finish(done):
         return [contract.finish([next(done) for _ in range(contract.blocks)])
                 for contract in contracts]
+
+    if threads == 1:
+        return finish(map(run, blocks))
+    from concurrent.futures import ThreadPoolExecutor  # imported only when a pool runs
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return finish(pool.map(run, blocks))
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -362,7 +450,9 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
     estimator on each and summarizes the resulting distribution. The
     sample is treated as the lone sample of contract 0 of a grid, so the
     result equals that cell of run_grid([sample], ...) under the same
-    config, bit for bit.
+    config, bit for bit, for any grid on the same path: a VaR or ES spec
+    shallow enough for the tail path reproduces the cells of VaR and ES
+    grids on it, not those of a grid with a spectral cell.
     """
     (((result,),),) = _bootstrap([[sample]], [estimator], config, 1)
     if isinstance(result, Exception):
@@ -407,10 +497,12 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - workers: worker threads sharing the grid. A contract is a sample
       together with the next one when that one is its mirror in the
       opposite position, as to_losses makes them from one series; else
-      the sample alone. All cells of a contract read the same resamples,
+      the sample alone. The cells of a contract read the same resamples,
       which are split into fixed blocks, each with its own stream keyed on
-      the master seed, the contract's ordinal and the block's ordinal. The
-      threads take blocks, not contracts, so even the two positions of one
+      the master seed, the contract's ordinal and the block's ordinal; a
+      VaR and ES contract with shallow enough ends draws just the order
+      statistics it reads, from one stream per end (see the module
+      docstring). The threads take blocks, not contracts, so even the two positions of one
       series use every worker once they have that many blocks, and results
       are bit-identical for any worker count. The threads share nothing,
       and each holds chunks of about 4 MiB at a time: each block returns

@@ -246,8 +246,11 @@ class SummaryStats:
 def summary_stats(series) -> SummaryStats:
     """Compute SummaryStats for a ReturnSeries (or a bare array of returns).
 
-    Raises ValueError for fewer than 2 observations and for a constant
-    series, whose higher moments are undefined.
+    Raises ValueError for fewer than 2 observations, for a constant
+    series, whose higher moments are undefined, and for a series whose
+    moments leave the float range: deviations of about 1e77 overflow the
+    fourth moment, and deviations under about 1e-81 underflow the squared
+    variance that divides it.
     """
     x = np.asarray(getattr(series, "returns", series), dtype=float)
     n = int(x.size)
@@ -255,17 +258,27 @@ def summary_stats(series) -> SummaryStats:
         raise ValueError(f"need at least 2 observations for summary statistics, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    mean = float(x.mean())
-    c = x - mean
-    m2 = float((c ** 2).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        mean = float(x.mean())
+        c = x - mean
+        m2 = float((c ** 2).mean())
+        m3 = float((c ** 3).mean())
+        m4 = float((c ** 4).mean()) if n >= 4 else 0.0
     if m2 == 0.0:
         raise ValueError("moments are undefined for a constant series")
-    skew = float((c ** 3).mean()) / m2 ** 1.5
-    kurt = float((c ** 4).mean()) / m2 ** 2 if n >= 4 else None
+    std_dev = skew = kurt = math.nan
+    try:  # Python float powers raise where numpy's would overflow to inf
+        std_dev = math.sqrt(m2 * n / (n - 1))
+        skew = m3 / m2 ** 1.5
+        kurt = m4 / m2 ** 2 if n >= 4 else None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if not all(map(math.isfinite, (mean, m2, m3, m4, std_dev, skew, 0.0 if kurt is None else kurt))):
+        raise ValueError("the series' moments leave the float range; rescale the returns")
     return SummaryStats(
         n=n,
         mean=mean,
-        std_dev=math.sqrt(m2 * n / (n - 1)),
+        std_dev=std_dev,
         skewness=skew,
         kurtosis=kurt,
         minimum=float(x.min()),

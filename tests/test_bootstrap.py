@@ -1,9 +1,12 @@
 """Bootstrap precision: streams, resampling, cell estimates and the grid."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,17 +59,28 @@ def first_resample(sample, seed, contract=0):
     return np.sort(sample.values[idx[0]])
 
 
-def var_estimates(sample, alpha, b, seed, block_rows):
-    """The resample VaR estimates of a lone long sample, drawn as the
-    bootstrap lays them out: block k holds resamples k * block_rows up to
-    b, drawn from block k's stream."""
-    rank = math.ceil(alpha * sample.n - 1e-9)
+def tail_indices(seed, block, lane, n, depth, rows):
+    """The (depth, rows) top indices of a tail block's end, recomputed by
+    Renyi's representation: level l of each row is the (l+1)-th largest of
+    its n indices, from exponentials drawn level-major."""
+    e = _contract_stream(seed, 0, block, lane).standard_exponential((depth, rows))
+    u = np.exp(-np.cumsum(e / np.arange(n, n - depth, -1)[:, None], axis=0))
+    return np.minimum(np.floor(n * u), n - 1).astype(np.int64)
+
+
+def var_estimates(sample, alpha, b, seed, block_rows, lane=1):
+    """The resample VaR estimates of contract 0's sample on the tail path:
+    block k holds resamples k * block_rows up to b, and a row's VaR is the
+    order statistic as deep as the cell reads, drawn from lane 1 of block
+    k's stream for a long sample, lane 2 for a short one. A short sample's
+    worst losses are the mirror of the low end of its contract's
+    long-oriented losses, so either reads its own losses at the top
+    indices of its lane."""
+    depth = sample.n - math.ceil(alpha * sample.n - 1e-9) + 1
     estimates = []
     for block, start in enumerate(range(0, b, block_rows)):
         rows = min(block_rows, b - start)
-        idx = _contract_stream(seed, 0, block).integers(
-            0, sample.n, size=(rows, sample.n), dtype=np.int32)
-        estimates.append(np.sort(sample.values[idx], axis=1)[:, rank - 1])
+        estimates.append(sample.values[tail_indices(seed, block, lane, sample.n, depth, rows)[-1]])
     return np.concatenate(estimates)
 
 
@@ -101,6 +115,13 @@ class TestSampleStream:
         assert np.array_equal(draws[0], _contract_stream(7, 3).integers(0, 2 ** 62, size=8))
         assert len({tuple(d) for d in draws}) == 3
 
+    def test_lane_j_starts_j_times_2_to_the_64_steps_into_its_block(self):
+        key = np.array([7, 3], dtype=np.uint64)
+        for block, lane in ((0, 1), (0, 2), (5, 2)):
+            advanced = np.random.Philox(key=key, counter=block << 128).advance(lane << 64)
+            assert np.array_equal(_contract_stream(7, 3, block, lane).integers(0, 2 ** 62, size=8),
+                                  np.random.Generator(advanced).integers(0, 2 ** 62, size=8))
+
     def test_int32_draws_match_the_int64_default(self):
         for n in (400, 401, 3392):
             narrow = _contract_stream(5, 1).integers(0, n, size=(3, n), dtype=np.int32)
@@ -124,6 +145,32 @@ class TestResample:
         assert np.array_equal(a, first_resample(sample, seed=5))
         assert not np.array_equal(a, first_resample(sample, seed=6))
         assert not np.array_equal(a, first_resample(sample, seed=5, contract=1))
+
+
+class TestTailDraw:
+    def test_largest_index_follows_its_exact_law(self):
+        """The largest of n iid uniform indices is n - 1 with probability
+        1 - (1 - 1/n)**n, 0.6326 at n = 400. Over 200 000 tail draws at a
+        fixed seed the share lands within 4 binomial standard errors."""
+        n, rows = 400, 200_000
+        top = bootstrap._tail_indices(_contract_stream(3, 0, 0, 1), n, 1, rows)[0]
+        p = 1.0 - (1.0 - 1.0 / n) ** n
+        share = np.count_nonzero(top == n - 1) / rows
+        assert abs(share - p) < 4 * math.sqrt(p * (1.0 - p) / rows)
+
+    def test_top_indices_match_sorted_full_draws(self):
+        """At n = 50 the j-th largest tail index has the law of the j-th
+        largest of 50 resampled indices: over 20 000 rows of each at a fixed
+        seed, the largest gap between their distribution functions stays
+        under 0.03, a loose two-sample bound (a level off by one gives 0.19
+        or more)."""
+        n, rows, depth = 50, 20_000, 5
+        tail = bootstrap._tail_indices(_contract_stream(4, 0, 0, 1), n, depth, rows)
+        full = np.sort(_contract_stream(4, 0).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
+        assert np.all(np.diff(tail, axis=0) <= 0)  # every row descends
+        for j in range(depth):
+            gap = np.cumsum(np.bincount(tail[j], minlength=n) - np.bincount(full[:, j], minlength=n))
+            assert np.abs(gap).max() / rows < 0.03
 
 
 class TestBootstrapEstimate:
@@ -209,6 +256,22 @@ class TestBootstrapEstimate:
         assert result.point_estimate == estimates.mean()
         assert result.std_error == estimates.std(ddof=1)
 
+    def test_each_end_draws_from_its_own_lane(self, monkeypatch):
+        """On the tail path the long cell of a mirrored pair reads the high
+        end from lane 1 and the short cell the low end from lane 2, so the
+        two ends are independent draws."""
+        summarize, summarized = bootstrap._summarize, []
+
+        def spy(estimates, *args):
+            summarized.append(estimates.copy())
+            return summarize(estimates, *args)
+
+        monkeypatch.setattr(bootstrap, "_summarize", spy)
+        pair = mirrored_pair(400, 6, "A")
+        run_grid(pair, {Measure.VAR: [0.9]}, BootstrapConfig(resamples=500, master_seed=11))
+        assert np.array_equal(summarized[0], var_estimates(pair[0], 0.9, 500, 11, 500, lane=1))
+        assert np.array_equal(summarized[1], var_estimates(pair[1], 0.9, 500, 11, 500, lane=2))
+
     def test_interval_brackets_the_percentile_mass(self):
         sample = normal_sample(seed=7)
         config = BootstrapConfig(resamples=1000, master_seed=12, ci_coverage=0.90)
@@ -239,10 +302,12 @@ class TestBootstrapEstimate:
 class TestRunGrid:
     GRID = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95], Measure.SRM: [5.0, 20.0]}
     # Levels that reach every branch of _first_column: rank 1 at n <= 300,
-    # a low rank (below a quarter of the row, so sorted whole) and a middle
-    # one (partitioned), a tail of one loss, and, at n = 257, an
+    # a low and a middle rank (ends too deep for the tail path), a tail of
+    # a fifth of the row (on it), a tail of one loss, and, at n = 257, an
     # interpolation rank that rounds up to n.
-    ALPHAS = [0.001, 0.01, 0.5, 0.8, 0.99, 0.999, float(np.nextafter(1.0, 0.0))]
+    WHOLE_ALPHAS = [0.001, 0.01, 0.5]
+    TAIL_ALPHAS = [0.8, 0.99, 0.999, float(np.nextafter(1.0, 0.0))]
+    ALPHAS = WHOLE_ALPHAS + TAIL_ALPHAS
 
     def samples(self):
         return [
@@ -267,23 +332,39 @@ class TestRunGrid:
             other = run_grid(self.samples(), self.GRID, config, workers=workers)
             assert other == baseline  # nested dataclass equality, bit-exact
 
-    def test_cell_results_do_not_depend_on_which_measures_ran(self):
+    def paths(self, monkeypatch):
+        """Record, for each contract that run_grid prepares, whether it
+        takes the tail path."""
+        taken = []
+        prepare = bootstrap._Contract.__init__
+
+        def spy(contract, *args):
+            prepare(contract, *args)
+            taken.append(contract._depth is not None)
+
+        monkeypatch.setattr(bootstrap._Contract, "__init__", spy)
+        return taken
+
+    def subset_samples(self):
+        """Samples for the subset grids. The mirrored pair D reads both ends
+        of a row: at 0.8 and above the two ends are drawn as tails, at 0.5
+        they overlap and at 0.01 the long end alone covers most of the row."""
+        return self.samples() + [normal_sample(n=257, seed=25, label="C"),
+                                 *mirrored_pair(2000, 28, "D")]
+
+    def test_cell_results_do_not_depend_on_which_measures_ran(self, monkeypatch):
         """Streams are keyed on the contract, not on the cell or the grid
-        layout, and a grid that sorts only the ends of each resample reads
-        the same values there as one that sorts it all. So a subset grid
-        reproduces the shared cells of the full grid exactly. The mirrored
-        pair D reads both ends of one row: at 0.8 and above the two ends
-        are partitioned, at 0.5 they overlap and at 0.01 the long end alone
-        covers most of the row, so the row is sorted whole. D is long
-        enough that a partition does not leave its 400-long ends at 0.8
-        sorted by chance."""
-        samples = self.samples() + [normal_sample(n=257, seed=25, label="C"),
-                                    *mirrored_pair(2000, 28, "D")]
+        layout, so a subset grid that sorts whole rows reproduces the shared
+        cells of the full grid exactly, whichever cell sends it there: a
+        spectral one or a level whose ends reach past the cut-off."""
+        samples = self.subset_samples()
         subsets = [{Measure.VAR: self.ALPHAS}, {Measure.ES: self.ALPHAS},
                    {Measure.VAR: self.ALPHAS, Measure.ES: self.ALPHAS},
-                   {Measure.VAR: [0.99, 0.999], Measure.ES: [0.99]}]
+                   {Measure.VAR: [0.99, 0.999], Measure.ES: [0.99], Measure.SRM: [5.0]},
+                   {Measure.ES: [0.99], Measure.VAR: [0.5]}]
         subsets += [{measure: [alpha]} for measure in (Measure.VAR, Measure.ES)
-                    for alpha in self.ALPHAS]
+                    for alpha in self.WHOLE_ALPHAS]
+        taken = self.paths(monkeypatch)
         for method in QuantileMethod:
             config = BootstrapConfig(resamples=100, master_seed=6, quantile_method=method)
             full = by_coordinates(run_grid(
@@ -292,6 +373,27 @@ class TestRunGrid:
             for subset in subsets:
                 for cell in run_grid(samples, subset, config).cells:
                     assert cell == full[cell.sample_index, cell.measure, cell.parameter]
+        assert taken and not any(taken)
+
+    def test_tail_cells_do_not_depend_on_which_measures_ran(self, monkeypatch):
+        """A row's top j order statistics do not depend on how deep its end
+        is drawn, so a subset grid on the tail path reproduces the shared
+        cells of the full tail grid exactly."""
+        samples = self.subset_samples()
+        tails = self.TAIL_ALPHAS
+        subsets = [{Measure.VAR: tails}, {Measure.ES: tails},
+                   {Measure.VAR: [0.99, 0.999], Measure.ES: [0.99]}]
+        subsets += [{measure: [alpha]} for measure in (Measure.VAR, Measure.ES)
+                    for alpha in tails]
+        taken = self.paths(monkeypatch)
+        for method in QuantileMethod:
+            config = BootstrapConfig(resamples=100, master_seed=6, quantile_method=method)
+            full = by_coordinates(run_grid(
+                samples, {Measure.VAR: tails, Measure.ES: tails}, config))
+            for subset in subsets:
+                for cell in run_grid(samples, subset, config).cells:
+                    assert cell == full[cell.sample_index, cell.measure, cell.parameter]
+        assert taken and all(taken)
 
     def test_contract_cells_do_not_depend_on_the_positions_requested(self):
         """A contract's stream is keyed on its ordinal and a lone short
@@ -332,21 +434,37 @@ class TestRunGrid:
         assert "plain mean" in failed[0].error
         assert by_coordinates(grid)[0, Measure.VAR, 0.9].result is not None
 
-    def test_bare_call_equals_its_grid_cell(self):
-        """bootstrap_estimate is sample 0 of a grid: it reproduces that cell
-        of a one-cell grid and of the full default grid bit for bit."""
+    def check_bare_calls(self, monkeypatch, grid, tail):
+        """Each cell of grid on one sample equals bootstrap_estimate and a
+        one-cell grid of its spec, bit for bit, and every contract takes
+        the tail path or none does."""
         sample = normal_sample(n=300, seed=24)
-        default = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
-                   Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        taken = self.paths(monkeypatch)
         for method in QuantileMethod:
             config = BootstrapConfig(resamples=120, master_seed=8, quantile_method=method)
-            full = run_grid([sample], default, config)
+            full = run_grid([sample], grid, config)
             for cell in full.cells:
                 bare = bootstrap_estimate(
                     sample, EstimatorSpec(cell.measure, cell.parameter), config)
                 single = run_grid([sample], {cell.measure: [cell.parameter]}, config)
                 assert bare == cell.result
                 assert bare == single.cells[0].result
+        assert set(taken) == {tail}
+
+    def test_bare_call_equals_its_grid_cell(self, monkeypatch):
+        """bootstrap_estimate is sample 0 of a grid: it reproduces that cell
+        of a one-cell grid and of a larger grid on the same path bit for
+        bit. Here every cell sorts whole rows: a bare VaR or ES call at a
+        level shallow enough for the tail path would not reproduce a grid
+        with a spectral cell, so this grid holds no such level."""
+        self.check_bare_calls(monkeypatch, {Measure.VAR: [0.5, 0.6], Measure.ES: [0.7],
+                                            Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}, False)
+
+    def test_bare_tail_call_equals_its_tail_grid_cell(self, monkeypatch):
+        """The default VaR and ES levels take the tail path, bare or in a
+        grid of their own."""
+        self.check_bare_calls(monkeypatch, {Measure.VAR: [0.9, 0.95, 0.99],
+                                            Measure.ES: [0.9, 0.95, 0.99]}, True)
 
     def test_failing_cell_leaves_the_sample_s_other_cells_unchanged(self):
         config = BootstrapConfig(resamples=100, master_seed=9)
@@ -381,38 +499,55 @@ class TestRunGrid:
             assert run_grid(samples, srm, config) == baseline[n][1]
 
     def test_chunk_memory_stays_within_the_budget(self, monkeypatch):
-        """At n = 20 000 a 64-row chunk of indices alone takes 5 MB; the
-        budget caps it at 4 rows."""
+        """Sorted whole, at n = 20 000 a 64-row chunk of indices and values
+        takes 15 MB; the budget caps it at 4 rows."""
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
         samples = [normal_sample(n=20_000, seed=27)]
         config = BootstrapConfig(resamples=64, master_seed=11)
         tracemalloc.start()
         try:
-            grid = run_grid(samples, {Measure.ES: [0.99]}, config)
+            grid = run_grid(samples, {Measure.SRM: [20.0]}, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert not grid.failed
         assert peak < 4 * 2 ** 20
 
-    @pytest.mark.parametrize("grid, whole", [
-        ({Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}, False),
-        ({Measure.SRM: [5.0, 20.0]}, True)], ids=["partition", "whole-sort"])
-    def test_multi_block_cells_do_not_depend_on_workers_or_chunks(self, monkeypatch, grid, whole):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tail_memory_stays_within_the_budget(self, monkeypatch, workers):
+        """At the cut-off depth, a block of 209 rows of 20 000 losses holds
+        5000 tail indices a row, 4 MiB, where the rows' whole draws take
+        50 MB. Each worker holds one end's indices of one block at a time,
+        and an eighth of the chunk size at most for the draw or the gather:
+        4.6 MiB a worker here. Drawing or gathering a whole end at once
+        would take 8 MiB more."""
+        n = 20_000
+        alpha = 1.0 - bootstrap._TAIL_SHARE
+        taken = self.paths(monkeypatch)
+        config = BootstrapConfig(resamples=2 * 209, master_seed=11)
+        tracemalloc.start()
+        try:
+            grid = run_grid(mirrored_pair(n, 27, "A"), {Measure.ES: [alpha]}, config, workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not grid.failed
+        assert taken == [True]
+        assert peak < workers * 5 * 2 ** 20
+
+    @pytest.mark.parametrize("grid, tail", [
+        ({Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}, True),
+        ({Measure.SRM: [5.0, 20.0]}, False)], ids=["tail", "whole-sort"])
+    def test_multi_block_cells_do_not_depend_on_workers_or_chunks(self, monkeypatch, grid, tail):
         """Blocks of 23 rows split 100 resamples of a mirrored pair into
         five blocks, the last one of 8 rows. Each block draws from its own
         stream and a chunk never straddles two blocks, so every cell matches
         bit for bit at any worker count and chunk size, on the path that
-        partitions the rows' ends and on the one that sorts them whole, and
-        with rows both shorter and longer than numpy's 8192-element buffer."""
-        paths = []
-        prepare = bootstrap._Contract.__init__
-
-        def spy(contract, *args):
-            prepare(contract, *args)
-            paths.append(contract._whole)
-
-        monkeypatch.setattr(bootstrap._Contract, "__init__", spy)
+        draws the rows' tail ends and on the one that sorts them whole, and
+        with rows both shorter and longer than numpy's 8192-element buffer.
+        On the tail path the chunk size sets the levels drawn at a time and
+        the rows gathered at a time, down to one of each."""
+        taken = self.paths(monkeypatch)
         config = BootstrapConfig(resamples=100, master_seed=10)
         chunk_bytes = bootstrap._CHUNK_BYTES
         for n in (301, 8193):
@@ -425,7 +560,10 @@ class TestRunGrid:
                 monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
                 for workers in (1, 2, 3):
                     assert run_grid(samples, grid, config, workers) == baseline
-        assert set(paths) == {whole}
+            # the smallest slabs and groups there are: one level, one row
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 1)
+            assert run_grid(samples, grid, config, 2) == baseline
+        assert set(taken) == {tail}
 
     def test_one_contract_s_blocks_share_the_workers(self, monkeypatch):
         """The first two blocks of one contract wait for each other at a
@@ -552,3 +690,16 @@ class TestRunGrid:
         config = BootstrapConfig(resamples=10)
         assert run_grid(self.samples(), self.GRID, config, workers=np.int32(2)) \
             == run_grid(self.samples(), self.GRID, config)
+
+    def test_one_worker_imports_no_thread_pool(self):
+        """concurrent.futures takes several milliseconds to import, and only
+        a run on more than one worker uses it: neither the command line's
+        import nor a one-worker bootstrap loads it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; import numpy as np; import riskboot.cli; from riskboot import *; "
+                "bootstrap_estimate(LossSample(np.arange(10.0)), EstimatorSpec(Measure.ES, 0.9), "
+                "BootstrapConfig(resamples=10)); "
+                "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"

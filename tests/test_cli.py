@@ -1,5 +1,10 @@
 """End-to-end command line checks, run in process through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,6 +261,27 @@ class TestEstimate:
         assert out == ""
         assert "input error" in err and message in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("size", [1e77, 1e78, 1e308])
+    def test_returns_too_large_for_moments_exit_two(self, tmp_path, size):
+        """Returns whose moments overflow a float are an input error naming
+        the file, with no traceback or numpy warning. Run in a subprocess,
+        where a warning reaches stderr as a user would see it."""
+        path = tmp_path / "huge.csv"
+        rows = [f"1991-01-0{day},{factor * size!r}"
+                for day, factor in zip(range(1, 5), (1.0, -1.0, 0.5, -0.25))]
+        path.write_text("date,return\n" + "\n".join(rows) + "\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())",
+             "estimate", "--input", str(path), "--return-col", "return", "--resamples", "20",
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert f"input error: {path}" in done.stderr
+        assert "moments leave the float range" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["file", "under_a_file"])
     def test_out_blocked_by_a_file_exits_two_before_any_work(self, tmp_path, capsys, out):

@@ -252,6 +252,20 @@ class TestSummaryStats:
         with pytest.raises(ValueError, match="at least 2"):
             summary_stats(np.array([1.0]))
 
+    @pytest.mark.parametrize("size, n", [(1e-120, 4), (1e77, 4), (1e154, 3), (1e308, 4)])
+    def test_moments_out_of_float_range_rejected(self, size, n):
+        """Deviations of 1e77 overflow the fourth moment, of 1e154 the third
+        (three returns have no fourth), and of 1e-120 underflow the squared
+        variance: each is a ValueError, never a numpy warning (an error
+        under pytest here), an OverflowError or non-finite statistics."""
+        with pytest.raises(ValueError, match="leave the float range"):
+            summary_stats(size * np.array([1.0, -1.0, 0.5, -0.25])[:n])
+
+    def test_moderately_large_returns_keep_finite_moments(self):
+        s = summary_stats(1e70 * np.array([0.0, 0.0, 0.0, 12.0]))
+        assert s.skewness == pytest.approx(1.1547005383792515, rel=1e-12)
+        assert s.kurtosis == pytest.approx(2.3333333333333335, rel=1e-12)
+
     def test_location_shift_moves_only_the_mean(self):
         rng = np.random.default_rng(5)
         x = rng.standard_t(5, 4000) * 0.01
