@@ -7,6 +7,10 @@ error, the coefficient of variation (point estimate over standard error)
 and a standardized percentile confidence interval (interval bounds
 divided by the point estimate).
 
+An EstimatorSpec checks its parameter when it is built, so a grid rejects
+a bad parameter before any work, and a cell fails only when its
+contract's resampling fails at run time.
+
 Reproducibility is strict. The resamples belong to a contract, not to a
 sample: run_grid pairs a sample with the next one when that one holds
 the opposite position and is its exact mirror (short losses are the long
@@ -73,6 +77,7 @@ from .measures import (
     Position,
     QuantileMethod,
     _check_alpha,
+    _check_aversion,
     _evaluate,
     _evaluate_sorted,
     _first_column,
@@ -117,10 +122,16 @@ _TAIL_SHARE = 0.25
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One measure at one parameter: confidence level for VAR and ES,
-    risk aversion for SRM."""
+    risk aversion for SRM. Construction raises ValueError for a parameter
+    out of its measure's range, so every spec can be estimated, and stores
+    the parameter as a float."""
 
     measure: Measure
     parameter: float
+
+    def __post_init__(self):
+        check = _check_aversion if self.measure is Measure.SRM else _check_alpha
+        object.__setattr__(self, "parameter", check(self.parameter))
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,6 @@ class BootstrapResult:
     std_error: float
     coeff_variation: float | None
     ci_standardized: tuple[float, float]
-    resamples: int
 
 
 # ----------------------------------------------------------------------
@@ -200,14 +210,6 @@ def _contract_stream(master_seed: int, contract: int, block: int = 0,
     return np.random.Generator(np.random.Philox(key=key, counter=(block << 128) | (lane << 64)))
 
 
-def _estimator_arg(spec: EstimatorSpec, n: int):
-    """Validated argument of _evaluate_sorted for spec on n losses."""
-    if spec.measure is Measure.SRM:
-        return spectral_weights(n, spec.parameter)
-    _check_alpha(spec.parameter)
-    return spec.parameter
-
-
 def _mirrors(sample: LossSample, other: LossSample) -> bool:
     """Whether other holds the opposite position of sample's very losses."""
     return (other.position is not sample.position
@@ -241,8 +243,7 @@ def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -
         plug_in_estimate=plug_in,
         std_error=std_error,
         coeff_variation=coeff_variation,
-        ci_standardized=ci,
-        resamples=estimates.size)
+        ci_standardized=ci)
 
 
 def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) -> np.ndarray:
@@ -284,14 +285,14 @@ class _Contract:
 
     group is a lone sample or a pair of mirrored samples of opposite
     positions, and ordinal its place among the grid's contracts. The
-    constructor validates every spec's argument, takes the plug-ins and
+    constructor takes every cell's estimator argument and plug-in and
     picks the path: tail ends of _depth columns, or whole rows when _depth
     is None; nothing changes after that, so the threads only read a
     contract. The config.resamples rows of the long-oriented losses are
     split into blocks of block_rows, the last one partial, and block k
     draws from _contract_stream(seed, ordinal, k, lane), lane 0 for whole
     rows and 1 and 2 for the high and low ends, and returns its rows'
-    estimates. A contract with no spec left to estimate has no blocks.
+    estimates. A contract with no specs has no blocks.
     """
 
     def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
@@ -299,25 +300,20 @@ class _Contract:
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
         n, method = lead.n, config.quantile_method
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        self._out = []  # per sample and spec: None, or the ValueError its parameter raised
-        self._live = []  # (slot in _out, measure, estimator arg, mirrored, plug-in)
+        self._cells = []  # per sample and spec: (measure, estimator arg, mirrored, plug-in)
         for sample in group:
             mirrored = sample.position is Position.SHORT
             for spec in specs:
-                try:
-                    arg = _estimator_arg(spec, n)
-                except ValueError as exc:
-                    self._out.append(exc)
-                    continue
+                srm = spec.measure is Measure.SRM
+                arg = spectral_weights(n, spec.parameter) if srm else spec.parameter
                 plug_in = _evaluate(sample, spec.measure, arg, method)
-                if mirrored and spec.measure is Measure.SRM:
+                if mirrored and srm:
                     # the weights in the block's column order; einsum runs about
                     # twice as fast on a contiguous copy as on the reversed view
                     arg = np.ascontiguousarray(arg[::-1])
-                self._live.append((len(self._out), spec.measure, arg, mirrored, plug_in))
-                self._out.append(None)
+                self._cells.append((spec.measure, arg, mirrored, plug_in))
         self.block_rows = max(_BLOCK_ELEMS // n, 1)
-        self.blocks = -(-config.resamples // self.block_rows) if self._live else 0
+        self.blocks = -(-config.resamples // self.block_rows) if specs else 0
 
         # The depth of an end is how many of a sorted row's top (long) or
         # bottom (short) columns the cells read; both positions share the
@@ -325,28 +321,28 @@ class _Contract:
         # enough draws just that many order statistics of each end; the rest
         # sort whole rows.
         depth = max((n - _first_column(measure, arg, n, method)
-                     for _, measure, arg, _, _ in self._live), default=n)
-        spectral = any(measure is Measure.SRM for _, measure, _, _, _ in self._live)
+                     for measure, arg, _, _ in self._cells), default=n)
+        spectral = any(measure is Measure.SRM for measure, _, _, _ in self._cells)
         self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
 
     def _run_block(self, block: int) -> list:
-        """Return every live spec's estimates of the block's rows, one array
-        per spec, from whole sorted rows or from the tail ends."""
+        """Return every cell's estimates of the block's rows, one array per
+        cell, from whole sorted rows or from the tail ends."""
         rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
-        # One array per spec: at 40 kB each (a golden cell) the heap reuses them
+        # One array per cell: at 40 kB each (a golden cell) the heap reuses them
         # from block to block, while one array of them all took fresh pages on
         # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [np.empty(rows) for _ in self._live]
+        estimates = [np.empty(rows) for _ in self._cells]
         if self._depth is None:
             self._run_whole(block, estimates)
         else:
-            for mirrored in sorted({mirrored for _, _, _, mirrored, _ in self._live}):
+            for mirrored in sorted({mirrored for _, _, mirrored, _ in self._cells}):
                 self._run_tail(block, mirrored, estimates)
         return estimates
 
     def _run_whole(self, block: int, estimates: list):
         """Draw the block's rows in chunks of at most _CHUNK_BYTES, sort and
-        gather each chunk once, and let every live spec read it."""
+        gather each chunk once, and let every cell read it."""
         values, method = self._values, self.config.quantile_method
         n, block_rows = values.size, estimates[0].size
         stream = _contract_stream(self.config.master_seed, self.ordinal, block)
@@ -360,7 +356,7 @@ class _Contract:
             idx.sort(axis=1)
             sorted_rows = values[idx]
             del idx
-            for out, (_, measure, arg, mirrored, _) in zip(estimates, self._live):
+            for out, (measure, arg, mirrored, _) in zip(estimates, self._cells):
                 out[done:done + rows] = _evaluate_sorted(
                     sorted_rows, measure, arg, method, n, mirrored)
             del sorted_rows  # so the next chunk's draw and gather never overlap this one's
@@ -368,7 +364,7 @@ class _Contract:
     def _run_tail(self, block: int, mirrored: bool, estimates: list):
         """Draw the top self._depth order statistics of each of the block's
         rows at one end (the low end when mirrored), gather them as ascending
-        rows in groups of at most _CHUNK_BYTES // 8 bytes, and let the specs
+        rows in groups of at most _CHUNK_BYTES // 8 bytes, and let the cells
         of that end read them."""
         values, depth, method = self._values, self._depth, self.config.quantile_method
         n, block_rows = values.size, estimates[0].size
@@ -384,7 +380,7 @@ class _Contract:
             # and ES would sum across rows in an order that depends on the group
             # size; at a row-major copy of the indices every row sums as a lone one.
             tail = values[np.ascontiguousarray(idx[:, done:done + group].T)]
-            for out, (_, measure, arg, end, _) in zip(estimates, self._live):
+            for out, (measure, arg, end, _) in zip(estimates, self._cells):
                 if end is mirrored:
                     out[done:done + tail.shape[0]] = _evaluate_sorted(
                         tail, measure, arg, method, n, mirrored)
@@ -393,19 +389,17 @@ class _Contract:
     def finish(self, blocks) -> list:
         """Summarize the estimates that the contract's blocks returned, in
         block order. Returns, per sample, one entry per spec: its
-        BootstrapResult, the ValueError its parameter raised, or the
-        exception that failed the contract, as any block's did."""
-        out = list(self._out)
+        BootstrapResult, or the exception that failed the contract, as any
+        block's did."""
         error = next((b for b in blocks if isinstance(b, Exception)), None)
         if error is None:
             try:
-                for i, (slot, _, _, _, plug_in) in enumerate(self._live):
-                    estimates = np.concatenate([b[i] for b in blocks])
-                    out[slot] = _summarize(estimates, plug_in, self.config)
+                out = [_summarize(np.concatenate([b[i] for b in blocks]), plug_in, self.config)
+                       for i, (_, _, _, plug_in) in enumerate(self._cells)]
             except Exception as exc:  # e.g. out of memory: fail this contract's cells
                 error = exc
         if error is not None:
-            out = [error] * len(out)
+            out = [error] * len(self._cells)
         k = len(self.specs)
         return [out[i * k:(i + 1) * k] for i in range(len(self.group))]
 
@@ -467,7 +461,8 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
 @dataclass(frozen=True)
 class GridCell:
     """One (sample, measure, parameter) cell. Exactly one of result and
-    error is set; a failed cell never aborts the rest of the grid."""
+    error is set. A cell fails only when its contract's resampling fails at
+    run time, and that never aborts the rest of the grid."""
 
     sample_index: int
     sample_label: str
@@ -510,13 +505,15 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       them. One worker runs every block on the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
-    in grid order. A cell whose parameter the estimator rejects is recorded
-    with the error message, as is every cell of a contract whose resampling
-    fails (out of memory, say), and the rest of the grid still runs.
+    in grid order. A parameter out of its measure's range raises the
+    ValueError of its EstimatorSpec before any contract is prepared. Every
+    cell of a contract whose resampling fails at run time (out of memory,
+    say) is recorded with the error message, and the rest of the grid still
+    runs.
     """
     samples = list(samples)
     _check_workers(workers)
-    specs = [EstimatorSpec(measure, float(parameter))
+    specs = [EstimatorSpec(measure, parameter)
              for measure in Measure if measure in grid for parameter in grid[measure]]
     groups = []  # the sample indices of each contract
     for i, sample in enumerate(samples):

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bootstrap import BootstrapConfig, Measure, _check_seed, _check_workers, run_grid
+from .bootstrap import BootstrapConfig, EstimatorSpec, Measure, _check_seed, _check_workers, run_grid
 from .ingest import (
     IngestError,
     drop_zero_returns,
@@ -40,8 +40,6 @@ from .measures import (
     expected_shortfall,
     spectral_risk_measure,
     spectral_weights,
-    _check_alpha,
-    _check_aversion,
     to_losses,
     value_at_risk,
 )
@@ -189,10 +187,10 @@ def _estimate_config(args):
     # the library owns every range check; the CLI only names the flag
     alphas = _parse_float_list(args.alpha, "--alpha", problems)
     for a in alphas:
-        _check_with("--alpha", _check_alpha, a, problems)
+        _check_with("--alpha", lambda a: EstimatorSpec(Measure.VAR, a), a, problems)
     aras = _parse_float_list(args.ara, "--ara", problems)
     for k in aras:
-        _check_with("--ara", _check_aversion, k, problems)
+        _check_with("--ara", lambda k: EstimatorSpec(Measure.SRM, k), k, problems)
     _check_with("--resamples", lambda b: BootstrapConfig(resamples=b), args.resamples, problems)
     _check_with("--ci-coverage", lambda c: BootstrapConfig(ci_coverage=c), args.ci_coverage,
                 problems)
@@ -387,7 +385,6 @@ def _cmd_validate(args) -> int:
         normal_quantile,
         normal_var_oracle,
         srm_quadrature_oracle,
-        _check_panels,
     )
 
     problems = []
@@ -396,7 +393,6 @@ def _cmd_validate(args) -> int:
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
         problems.append(
             f"--tolerance-scale must be finite and nonnegative, got {args.tolerance_scale:g}")
-    _check_with("--panels", _check_panels, args.panels, problems)
     seed, seed_source = _resolve_seed(args.seed, 7, problems)
     measures = _parse_measures(args.measure, problems)
     if problems:
@@ -423,7 +419,7 @@ def _cmd_validate(args) -> int:
         for k in (5.0, 20.0, 80.0):
             checks.append((f"srm_k{k:g}_vs_quadrature_oracle",
                            spectral_risk_measure(losses, k),
-                           srm_quadrature_oracle(normal_quantile, k, panels=args.panels),
+                           srm_quadrature_oracle(normal_quantile, k),
                            0.01 * scale))
         checks.append(("weights_total_mass", float(spectral_weights(losses.n, 20.0).sum()),
                        1.0, 1e-12 * scale))
@@ -508,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--tolerance-scale", type=float, default=1.0,
                      help="multiplies every tolerance; 0 forces failure")
     val.add_argument("--quantile-method", choices=("order", "interp"), default="order")
-    val.add_argument("--panels", type=int, default=200)
     return parser
 
 

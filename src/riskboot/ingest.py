@@ -258,14 +258,17 @@ def summary_stats(series) -> SummaryStats:
         raise ValueError(f"need at least 2 observations for summary statistics, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
+    # exactly, not by m2 == 0: the mean of a constant is often off by an ulp,
+    # and an underflowed m2 of a varying series is a float-range error below
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        raise ValueError("moments are undefined for a constant series")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
         mean = float(x.mean())
         c = x - mean
         m2 = float((c ** 2).mean())
         m3 = float((c ** 3).mean())
         m4 = float((c ** 4).mean()) if n >= 4 else 0.0
-    if m2 == 0.0:
-        raise ValueError("moments are undefined for a constant series")
     std_dev = skew = kurt = math.nan
     try:  # Python float powers raise where numpy's would overflow to inf
         std_dev = math.sqrt(m2 * n / (n - 1))
@@ -281,5 +284,5 @@ def summary_stats(series) -> SummaryStats:
         std_dev=std_dev,
         skewness=skew,
         kurtosis=kurt,
-        minimum=float(x.min()),
-        maximum=float(x.max()))
+        minimum=lo,
+        maximum=hi)

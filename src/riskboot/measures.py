@@ -93,7 +93,9 @@ def to_losses(series: ReturnSeries, position: Position) -> LossSample:
 # quantile and tail estimators
 # ----------------------------------------------------------------------
 
-def _check_alpha(alpha):
+def _check_alpha(alpha) -> float:
+    """The confidence level alpha as a float; ValueError unless it lies
+    strictly between 0 and 1."""
     try:
         ok = math.isfinite(alpha) and 0.0 < alpha < 1.0
     except TypeError:
@@ -101,6 +103,7 @@ def _check_alpha(alpha):
     if not ok:
         raise ValueError(
             f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
+    return float(alpha)
 
 
 def _order_stat_rank(alpha: float, n: int) -> int:

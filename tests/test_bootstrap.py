@@ -298,6 +298,25 @@ class TestBootstrapEstimate:
         with pytest.raises(ValueError, match="between 0 and 1"):
             bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 1.5), BootstrapConfig(resamples=10))
 
+    def test_spec_rejects_a_parameter_out_of_range(self):
+        """A spec checks its parameter when it is built, with the same
+        message for VaR and ES, so no grid or bare call holds one that its
+        estimator cannot take."""
+        for measure in (Measure.VAR, Measure.ES):
+            for alpha in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf, "0.9", None):
+                with pytest.raises(ValueError, match="confidence level must lie strictly "
+                                                     "between 0 and 1"):
+                    EstimatorSpec(measure, alpha)
+            assert EstimatorSpec(measure, float(np.nextafter(1.0, 0.0))).measure is measure
+        for k in (0.0, -5.0, math.nan, math.inf, -math.inf, "20", None):
+            with pytest.raises(ValueError, match="risk aversion must be a positive finite number"):
+                EstimatorSpec(Measure.SRM, k)
+        with pytest.raises(ValueError, match="plain mean"):
+            EstimatorSpec(Measure.SRM, 1e-9)
+        assert [EstimatorSpec(Measure.SRM, k).parameter for k in (1e-8, 1e300)] == [1e-8, 1e300]
+        assert type(EstimatorSpec(Measure.SRM, 20).parameter) is float
+        assert type(EstimatorSpec(Measure.VAR, np.float32(0.5)).parameter) is float
+
 
 class TestRunGrid:
     GRID = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95], Measure.SRM: [5.0, 20.0]}
@@ -422,18 +441,6 @@ class TestRunGrid:
         half = len(after_first) // 2
         assert after_first[half:] == after_second[half:]
 
-    def test_failed_cell_is_isolated(self):
-        """A parameter that one estimator rejects must not take down the
-        rest of the grid."""
-        grid_params = {Measure.VAR: [0.9], Measure.SRM: [1e-12]}  # srm k too flat
-        grid = run_grid(self.samples()[:1], grid_params, BootstrapConfig(resamples=50, master_seed=7))
-        assert len(grid.cells) == 2
-        failed = grid.failed
-        assert len(failed) == 1
-        assert failed[0].measure is Measure.SRM
-        assert "plain mean" in failed[0].error
-        assert by_coordinates(grid)[0, Measure.VAR, 0.9].result is not None
-
     def check_bare_calls(self, monkeypatch, grid, tail):
         """Each cell of grid on one sample equals bootstrap_estimate and a
         one-cell grid of its spec, bit for bit, and every contract takes
@@ -465,14 +472,6 @@ class TestRunGrid:
         grid of their own."""
         self.check_bare_calls(monkeypatch, {Measure.VAR: [0.9, 0.95, 0.99],
                                             Measure.ES: [0.9, 0.95, 0.99]}, True)
-
-    def test_failing_cell_leaves_the_sample_s_other_cells_unchanged(self):
-        config = BootstrapConfig(resamples=100, master_seed=9)
-        clean = run_grid(self.samples(), self.GRID, config)
-        with_bad = {**self.GRID, Measure.SRM: self.GRID[Measure.SRM] + [1e-12]}
-        mixed = run_grid(self.samples(), with_bad, config)
-        assert len(mixed.failed) == len(self.samples())
-        assert tuple(c for c in mixed.cells if c.error is None) == clean.cells
 
     def test_more_workers_than_samples(self):
         config = BootstrapConfig(resamples=150, master_seed=5)
@@ -665,22 +664,20 @@ class TestRunGrid:
                 assert cell == clean_cell
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_contract_with_no_estimable_cell_runs_no_block(self, monkeypatch, workers):
-        """A contract whose every parameter the estimator rejects has no
-        blocks to run, and each of its cells still carries the message."""
-        run_block = bootstrap._Contract._run_block
+    def test_bad_parameter_raises_before_any_block(self, monkeypatch, workers):
+        """One parameter out of range fails the whole grid with its spec's
+        ValueError, before any contract is prepared or any block runs."""
         calls = []
-
-        def spy(contract, block):
-            calls.append(block)
-            return run_block(contract, block)
-
-        monkeypatch.setattr(bootstrap._Contract, "_run_block", spy)
-        grid = run_grid(mirrored_pair(300, 26, "A"), {Measure.SRM: [1e-12]},
-                        BootstrapConfig(resamples=50, master_seed=7), workers)
+        monkeypatch.setattr(bootstrap._Contract, "__init__", lambda *args: calls.append(args))
+        monkeypatch.setattr(bootstrap._Contract, "_run_block", lambda *args: calls.append(args))
+        config = BootstrapConfig(resamples=50, master_seed=7)
+        for measure, bad, message in ((Measure.SRM, 1e-12, "plain mean"),
+                                      (Measure.ES, 1.0, "between 0 and 1"),
+                                      (Measure.VAR, None, "between 0 and 1")):
+            grid = {**self.GRID, measure: [*self.GRID[measure], bad]}
+            with pytest.raises(ValueError, match=message):
+                run_grid(self.samples(), grid, config, workers)
         assert calls == []
-        assert len(grid.cells) == len(grid.failed) == 2
-        assert all(cell.result is None and "plain mean" in cell.error for cell in grid.cells)
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):

@@ -19,6 +19,22 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_process(args):
+    """Run the command line in a subprocess, where a warning or traceback
+    reaches stderr as a user would see it; pytest's warning filter does not
+    reach it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())", *args],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+
+
+def returns_file(path, returns):
+    path.write_text("date,return\n" + "".join(
+        f"1991-{1 + i // 28:02d}-{1 + i % 28:02d},{float(r)!r}\n" for i, r in enumerate(returns)))
+    return path
+
+
 def synth_file(tmp_path, name, seed, dist="normal", n=80, extra=()):
     path = tmp_path / name
     code = main(["synth", "--dist", dist, "--n", str(n), "--seed", str(seed),
@@ -262,26 +278,50 @@ class TestEstimate:
         assert "input error" in err and message in err
         assert not out_dir.exists()
 
+    NORMAL = np.random.default_rng(41).normal(0.0, 0.01, 40)
+    SPREAD = np.array([1.0, -1.0, 0.5, -0.25])
+
     @pytest.mark.parametrize("size", [1e77, 1e78, 1e308])
     def test_returns_too_large_for_moments_exit_two(self, tmp_path, size):
         """Returns whose moments overflow a float are an input error naming
-        the file, with no traceback or numpy warning. Run in a subprocess,
-        where a warning reaches stderr as a user would see it."""
-        path = tmp_path / "huge.csv"
-        rows = [f"1991-01-0{day},{factor * size!r}"
-                for day, factor in zip(range(1, 5), (1.0, -1.0, 0.5, -0.25))]
-        path.write_text("date,return\n" + "\n".join(rows) + "\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())",
-             "estimate", "--input", str(path), "--return-col", "return", "--resamples", "20",
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+        the file, with no traceback or numpy warning."""
+        path = returns_file(tmp_path / "huge.csv", size * self.SPREAD)
+        done = run_process(["estimate", "--input", str(path), "--return-col", "return",
+                            "--resamples", "20", "--out", str(tmp_path / "out")])
         assert done.returncode == 2
         assert f"input error: {path}" in done.stderr
         assert "moments leave the float range" in done.stderr
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("returns, flags, code, message", [
+        ([0.01, -0.02], (), 0, None),
+        ([0.01, -0.02, 0.01, 0.03, -0.02, 0.01, 0.0, 0.01], (), 0, None),
+        (NORMAL, ("--alpha", "0.9999999999"), 0, None),
+        (NORMAL, ("--ara", "1e-8"), 0, None),
+        (NORMAL, ("--ara", "1e300"), 0, None),
+        (NORMAL, ("--resamples", "2"), 0, None),
+        (NORMAL, ("--seed", str(2 ** 64 - 1)), 0, None),
+        ([0.1] * 6, (), 2, "moments are undefined for a constant series"),
+        (1e78 * SPREAD, (), 2, "moments leave the float range"),
+        (1e308 * SPREAD, (), 2, "moments leave the float range"),
+        (1e-300 * SPREAD, (), 2, "moments leave the float range"),
+        (NORMAL, ("--ara", "1e-9"), 2, "plain mean"),
+    ], ids=["n2", "ties", "alpha_1-1e-10", "ara_1e-8", "ara_1e300", "b2", "seed_2^64-1",
+            "constant_0.1", "1e78", "1e308", "1e-300_deviations", "ara_1e-9"])
+    def test_edge_cases_exit_as_documented(self, tmp_path, returns, flags, code, message,
+                                           workers):
+        """Edge inputs and parameters give their documented exit code (0,
+        or 2 with a message), and stderr holds no traceback or warning."""
+        path = returns_file(tmp_path / "edge.csv", returns)
+        done = run_process(["estimate", "--input", str(path), "--return-col", "return",
+                            "--resamples", "20", "--workers", str(workers), *flags,
+                            "--out", str(tmp_path / "out")])
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        if message is not None:
+            assert message in done.stderr
 
     @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["file", "under_a_file"])
     def test_out_blocked_by_a_file_exits_two_before_any_work(self, tmp_path, capsys, out):
@@ -412,12 +452,11 @@ class TestValidate:
     def test_validation_of_flags(self, capsys):
         for scale in ("-1", "nan", "inf"):
             code, out, err = run(["validate", "--n", "10", "--tolerance-scale", scale,
-                                  "--panels", "50", "--measure", "huh"], capsys)
+                                  "--measure", "huh"], capsys)
             assert code == 2
             assert out == ""
             assert "--n must be at least 100" in err
             assert f"--tolerance-scale must be finite and nonnegative, got {scale}" in err
-            assert "--panels: need at least 100 panels, got 50" in err
             assert "unknown measure 'huh'" in err
 
 

@@ -245,18 +245,24 @@ class TestSummaryStats:
         assert abs(s.skewness) < 0.05
 
     def test_constant_series_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            summary_stats(np.full(10, 3.25))
+        """Exactly, though the mean of most constants is an ulp off them, and
+        the deviations from it are then tiny but not zero."""
+        for value in (3.25, 0.1, 0.7, 1 / 3, 0.013):
+            for n in (3, 6, 7, 10, 100):
+                with pytest.raises(ValueError, match="constant series"):
+                    summary_stats(np.full(n, value))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             summary_stats(np.array([1.0]))
 
-    @pytest.mark.parametrize("size, n", [(1e-120, 4), (1e77, 4), (1e154, 3), (1e308, 4)])
+    @pytest.mark.parametrize("size, n", [(1e-120, 4), (1e-300, 4), (1e77, 4), (1e154, 3),
+                                         (1e308, 4)])
     def test_moments_out_of_float_range_rejected(self, size, n):
         """Deviations of 1e77 overflow the fourth moment, of 1e154 the third
-        (three returns have no fourth), and of 1e-120 underflow the squared
-        variance: each is a ValueError, never a numpy warning (an error
+        (three returns have no fourth), of 1e-120 underflow the squared
+        variance and of 1e-300 the variance itself, though the series is not
+        constant: each is a ValueError, never a numpy warning (an error
         under pytest here), an OverflowError or non-finite statistics."""
         with pytest.raises(ValueError, match="leave the float range"):
             summary_stats(size * np.array([1.0, -1.0, 0.5, -0.25])[:n])

@@ -26,6 +26,7 @@ from riskboot import (
     to_text,
 )
 
+from riskboot import bootstrap
 from riskboot.measures import _weight_density
 
 from report_records import parse_csv, parse_kv
@@ -57,6 +58,23 @@ def grid():
             samples.append(LossSample(sign * values, position=position, label=label))
     params = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95], Measure.SRM: [5.0, 20.0]}
     return run_grid(samples, params, BootstrapConfig(resamples=80, master_seed=13))
+
+
+def grid_with_a_failed_contract(monkeypatch, params, seed):
+    """A grid of two contracts: A, long and short, whose resampling runs out
+    of memory, so that its every cell fails, and B, long only and clean."""
+    a, b = np.random.default_rng(seed).normal(0.0, 1.0, (2, 150))
+    samples = [LossSample(-a, Position.LONG, "A"), LossSample(a, Position.SHORT, "A"),
+               LossSample(b, Position.LONG, "B")]
+    run_block = bootstrap._Contract._run_block
+
+    def fail_a(contract, block):
+        if contract.ordinal == 0:
+            raise MemoryError("no room for block 0")
+        return run_block(contract, block)
+
+    monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_a)
+    return run_grid(samples, params, BootstrapConfig(resamples=40, master_seed=seed))
 
 
 def walk_cells(table):
@@ -186,22 +204,25 @@ class TestMeasureTable:
         assert ci.overall_mean is None
         assert all(row.mean is None for g in ci.groups for row in g.rows)
 
-    def test_failed_cell_blanks_out_and_is_noted(self):
-        values = np.random.default_rng(5).normal(0.0, 1.0, 150)
-        samples = [LossSample(values, position=Position.LONG, label="A")]
-        grid = run_grid(samples, {Measure.SRM: [1e-12, 5.0]},
-                        BootstrapConfig(resamples=40, master_seed=2))
-        table = build_measure_table(grid, Measure.SRM, [1e-12, 5.0])
+    def test_failed_cell_blanks_out_and_is_noted(self, monkeypatch):
+        """A failed cell is blank, a row mean is taken over the row's present
+        cells and is blank without any, the overall mean is taken over the
+        present row means, and each failed cell adds one note."""
+        grid = grid_with_a_failed_contract(monkeypatch, {Measure.SRM: [5.0, 20.0]}, 2)
+        table = build_measure_table(grid, Measure.SRM, [5.0, 20.0])
         for section in table.sections:
-            bad, good = section.groups[0].rows
-            assert bad.label == "ARA = 1e-12"
-            assert bad.cells == (None,)
-            assert bad.mean is None
-            assert None not in good.cells
-        assert table.sections[0].overall_mean == table.sections[0].groups[0].rows[1].mean
-        assert len(table.notes) == 1
-        assert table.notes[0].startswith("A, Long position, ARA = 1e-12:")
-        assert "plain mean" in table.notes[0]
+            long, short = (group.rows for group in section.groups)
+            assert [row.label for row in long] == ["ARA = 5", "ARA = 20"]
+            for row in long:
+                failed, clean = row.cells
+                assert failed is None and clean is not None
+                assert row.mean == (None if section.kind == "ci" else clean)
+            assert all(row.cells == (None, None) and row.mean is None for row in short)
+            if section.kind != "ci":
+                assert section.overall_mean == sum(row.mean for row in long) / 2
+        assert table.notes == tuple(
+            f"A, {position} position, ARA = {k}: MemoryError: no room for block 0"
+            for position in ("Long", "Short") for k in (5, 20))
 
     def test_unknown_measure_rejected(self, grid):
         var_only = run_grid(
@@ -366,17 +387,13 @@ class TestKvRoundTrip:
         assert lines[1] == "title = VaR and precision of VaR estimates"
         assert lines[2] == "contracts = A,B"
 
-    def test_blank_cells_are_absent(self):
-        samples = [LossSample(np.random.default_rng(8).normal(0, 1, 100),
-                              position=Position.LONG, label="A")]
-        grid = run_grid(samples, {Measure.SRM: [1e-12, 5.0]},
-                        BootstrapConfig(resamples=30, master_seed=4))
-        table = build_measure_table(grid, Measure.SRM, [1e-12, 5.0])
-        text = to_kv(table)
-        assert "ARA = 1e-12|A" not in text
+    def test_blank_cells_are_absent(self, monkeypatch):
+        grid = grid_with_a_failed_contract(monkeypatch, {Measure.SRM: [5.0, 20.0]}, 4)
+        text = to_kv(build_measure_table(grid, Measure.SRM, [5.0, 20.0]))
+        assert "|A = " not in text
         assert "note = " in text
-        records = parse_kv(text)
-        assert all("1e-12" not in r["row"] for r in records)
+        columns = {r["column"] for r in parse_kv(text)}
+        assert "A" not in columns and "B" in columns
 
     def test_summary_ints_round_trip(self):
         table = build_summary_table([("C1", make_stats(seed=9))])
