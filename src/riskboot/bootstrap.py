@@ -145,8 +145,9 @@ class BootstrapConfig:
         if _check_integer(self.resamples, "resamples") < 2:
             raise ValueError(f"need at least 2 resamples for a standard error, got {self.resamples}")
         _check_seed(self.master_seed)
-        if not 0.0 < self.ci_coverage < 1.0:
-            raise ValueError(f"interval coverage must lie strictly between 0 and 1, got {self.ci_coverage!r}")
+        if not isinstance(self.quantile_method, QuantileMethod):
+            raise ValueError(f"unknown quantile method {self.quantile_method!r}")
+        object.__setattr__(self, "ci_coverage", _check_alpha(self.ci_coverage, "interval coverage"))
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,11 @@ class BootstrapResult:
 # ----------------------------------------------------------------------
 
 def _check_integer(value, name):
-    """value as a Python int; a ValueError names what is not an integer."""
+    """value as a Python int; a ValueError names what is not an integer,
+    a bool included."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -202,10 +206,8 @@ def _contract_stream(master_seed: int, contract: int, block: int = 0,
     jumped k times, so block 0 is the stream from its start. Lane 0 is the
     block's whole rows, lanes 1 and 2 its high and low tail ends; lane j
     starts j << 64 counter steps into the block's stream, far beyond what
-    any lane reads."""
-    _check_seed(master_seed)
-    if not 0 <= contract < 2 ** 64:
-        raise ValueError(f"contract index out of range: {contract!r}")
+    any lane reads. BootstrapConfig has checked the seed, and _bootstrap
+    numbers the contracts itself."""
     key = np.array([master_seed, contract], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=(block << 128) | (lane << 64)))
 
@@ -475,7 +477,10 @@ class GridCell:
 
 @dataclass(frozen=True)
 class ResultGrid:
+    """Every cell of one run_grid call, and the config it ran with."""
+
     cells: tuple[GridCell, ...]
+    config: BootstrapConfig
 
     @property
     def failed(self) -> tuple[GridCell, ...]:
@@ -537,4 +542,4 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
                     parameter=spec.parameter,
                     result=None if failed else result,
                     error=f"{type(result).__name__}: {result}" if failed else None))
-    return ResultGrid(cells=tuple(cells))
+    return ResultGrid(cells=tuple(cells), config=config)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -55,10 +54,7 @@ from .report import (
 
 SEED_ENV_VAR = "RISKBOOT_SEED"
 
-_QUANTILE_METHODS = {
-    "order": QuantileMethod.ORDER_STATISTIC,
-    "interp": QuantileMethod.LINEAR_INTERPOLATION,
-}
+_UNKNOWN_MEASURE = "unknown measure {!r}, expected var, es or srm"
 
 
 class ConfigError(ValueError):
@@ -94,39 +90,24 @@ def _resolve_seed(flag_value, default, problems):
     return seed, "env"
 
 
-def _parse_float_list(text, flag, problems):
+def _parse_list(text, flag, parse, unparseable, problems):
+    """The values of a comma list flag, in the order given. parse turns one
+    stripped token into its value or raises ValueError, and then the
+    problem is unparseable formatted with the token."""
     values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in filter(None, (t.strip() for t in text.split(","))):
         try:
-            values.append(float(token))
+            value = parse(token)
         except ValueError:
-            problems.append(f"{flag}: cannot parse {token!r} as a number")
+            problems.append(f"{flag}: {unparseable.format(token)}")
+            continue
+        if value in values:
+            problems.append(f"{flag}: duplicate value {token!r}")
+        else:
+            values.append(value)
     if not values:
         problems.append(f"{flag}: no usable values in {text!r}")
-    if len(set(values)) != len(values):
-        problems.append(f"{flag}: duplicate values in {text!r}")
     return values
-
-
-def _parse_measures(text, problems):
-    """Parse a --measure list into Measures, in the order given."""
-    measures = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in ("var", "es", "srm"):
-            problems.append(f"--measure: unknown measure {token!r}, expected var, es or srm")
-        elif Measure(token) in measures:
-            problems.append(f"--measure: duplicate measure {token!r}")
-        else:
-            measures.append(Measure(token))
-    if not measures:
-        problems.append(f"--measure: no usable measures in {text!r}")
-    return measures
 
 
 def _check_with(flag, check, value, problems):
@@ -182,13 +163,13 @@ def _estimate_config(args):
     if bool(args.price_col) == bool(args.return_col):
         problems.append("exactly one of --price-col and --return-col is required")
 
-    measures = _parse_measures(args.measure, problems)
+    measures = _parse_list(args.measure.lower(), "--measure", Measure, _UNKNOWN_MEASURE, problems)
 
     # the library owns every range check; the CLI only names the flag
-    alphas = _parse_float_list(args.alpha, "--alpha", problems)
+    alphas = _parse_list(args.alpha, "--alpha", float, "cannot parse {!r} as a number", problems)
     for a in alphas:
         _check_with("--alpha", lambda a: EstimatorSpec(Measure.VAR, a), a, problems)
-    aras = _parse_float_list(args.ara, "--ara", problems)
+    aras = _parse_list(args.ara, "--ara", float, "cannot parse {!r} as a number", problems)
     for k in aras:
         _check_with("--ara", lambda k: EstimatorSpec(Measure.SRM, k), k, problems)
     _check_with("--resamples", lambda b: BootstrapConfig(resamples=b), args.resamples, problems)
@@ -209,11 +190,7 @@ def _estimate_config(args):
     if problems:
         raise ConfigError(problems)
 
-    positions = {
-        "long": [Position.LONG],
-        "short": [Position.SHORT],
-        "both": [Position.LONG, Position.SHORT],
-    }[args.position]
+    positions = list(Position) if args.position == "both" else [Position(args.position)]
     return labels, measures, alphas, aras, positions, seed, seed_source
 
 
@@ -267,13 +244,11 @@ def _cmd_estimate(args) -> int:
     series, stats_pairs = _load_series(args, labels)
     samples = [to_losses(s, position) for s in series for position in positions]
 
-    grid_params = {}
-    for measure in measures:
-        grid_params[measure] = aras if measure is Measure.SRM else alphas
+    grid_params = {m: aras if m is Measure.SRM else alphas for m in measures}
     config = BootstrapConfig(
         resamples=args.resamples,
         master_seed=seed,
-        quantile_method=_QUANTILE_METHODS[args.quantile_method],
+        quantile_method=QuantileMethod(args.quantile_method),
         ci_coverage=args.ci_coverage)
 
     print(f"[config] seed={seed} seed_source={seed_source} resamples={args.resamples} "
@@ -286,8 +261,7 @@ def _cmd_estimate(args) -> int:
 
     tables = [build_summary_table(stats_pairs)]
     for measure in measures:
-        tables.append(build_measure_table(grid, measure, grid_params[measure],
-                                          ci_coverage=args.ci_coverage))
+        tables.append(build_measure_table(grid, measure))
 
     render = {"text": to_text, "csv": to_csv, "kv": to_kv}[args.format]
     metadata = _metadata_lines(args, seed, seed_source, labels, measures, alphas,
@@ -390,39 +364,34 @@ def _cmd_validate(args) -> int:
     problems = []
     if args.n < 100:
         problems.append(f"--n must be at least 100 for the oracle checks, got {args.n}")
-    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
-        problems.append(
-            f"--tolerance-scale must be finite and nonnegative, got {args.tolerance_scale:g}")
     seed, seed_source = _resolve_seed(args.seed, 7, problems)
-    measures = _parse_measures(args.measure, problems)
+    measures = _parse_list(args.measure.lower(), "--measure", Measure, _UNKNOWN_MEASURE, problems)
     if problems:
         raise ConfigError(problems)
 
-    method = _QUANTILE_METHODS[args.quantile_method]
+    method = QuantileMethod(args.quantile_method)
     print(f"[config] n={args.n} seed={seed} seed_source={seed_source} "
-          f"tolerance_scale={_fmt_num(args.tolerance_scale)} "
           f"measures={','.join(sorted(m.value for m in measures))}")
     series = generate(SyntheticSpec(family=Normal(0.0, 1.0), n=args.n, seed=seed))
     losses = to_losses(series, Position.LONG)
 
     checks = []  # (name, observed, reference, tolerance)
-    scale = args.tolerance_scale
     if Measure.VAR in measures:
         checks.append(("var_0.99_vs_normal_oracle",
                        value_at_risk(losses, 0.99, method),
-                       normal_var_oracle(0.99), 0.01 * scale))
+                       normal_var_oracle(0.99), 0.01))
     if Measure.ES in measures:
         checks.append(("es_0.99_vs_normal_oracle",
                        expected_shortfall(losses, 0.99),
-                       normal_es_oracle(0.99), 0.015 * scale))
+                       normal_es_oracle(0.99), 0.015))
     if Measure.SRM in measures:
         for k in (5.0, 20.0, 80.0):
             checks.append((f"srm_k{k:g}_vs_quadrature_oracle",
                            spectral_risk_measure(losses, k),
                            srm_quadrature_oracle(normal_quantile, k),
-                           0.01 * scale))
+                           0.01))
         checks.append(("weights_total_mass", float(spectral_weights(losses.n, 20.0).sum()),
-                       1.0, 1e-12 * scale))
+                       1.0, 1e-12))
 
     failures = 0
     for name, observed, reference, tolerance in checks:
@@ -450,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures with bootstrap precision diagnostics.")
     parser.add_argument("--version", action="version", version=f"riskboot {__version__}")
     sub = parser.add_subparsers(dest="command")
+    methods = [m.value for m in QuantileMethod]
 
     est = sub.add_parser("estimate", help="estimate measures from return or price files")
     est.add_argument("--input", action="append", metavar="FILE",
@@ -462,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--return-col", default=None,
                      help="pre-computed return column; used as-is")
     est.add_argument("--date-format", default="%Y-%m-%d")
-    est.add_argument("--position", choices=("long", "short", "both"), default="both")
+    est.add_argument("--position", choices=(*(p.value for p in Position), "both"),
+                     default="both")
     est.add_argument("--measure", default="var,es,srm",
                      help="comma list from var, es, srm (default: all)")
     est.add_argument("--alpha", default="0.90,0.95,0.99",
@@ -473,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--ci-coverage", type=float, default=0.90)
     est.add_argument("--seed", type=int, default=None,
                      help=f"master seed; falls back to ${SEED_ENV_VAR}, then 0")
-    est.add_argument("--quantile-method", choices=("order", "interp"), default="order")
+    est.add_argument("--quantile-method", choices=methods, default="order")
     est.add_argument("--workers", type=int, default=1)
     est.add_argument("--format", choices=("text", "csv", "kv"), default="text")
     est.add_argument("--out", default=None, metavar="DIR",
@@ -501,9 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--n", type=int, default=500_000)
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--measure", default="var,es,srm")
-    val.add_argument("--tolerance-scale", type=float, default=1.0,
-                     help="multiplies every tolerance; 0 forces failure")
-    val.add_argument("--quantile-method", choices=("order", "interp"), default="order")
+    val.add_argument("--quantile-method", choices=methods, default="order")
     return parser
 
 

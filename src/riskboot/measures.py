@@ -93,16 +93,15 @@ def to_losses(series: ReturnSeries, position: Position) -> LossSample:
 # quantile and tail estimators
 # ----------------------------------------------------------------------
 
-def _check_alpha(alpha) -> float:
-    """The confidence level alpha as a float; ValueError unless it lies
-    strictly between 0 and 1."""
+def _check_alpha(alpha, noun="confidence level") -> float:
+    """The level alpha as a float; ValueError, naming it by noun, unless it
+    lies strictly between 0 and 1. Both bools lie outside."""
     try:
         ok = math.isfinite(alpha) and 0.0 < alpha < 1.0
     except TypeError:
         ok = False
     if not ok:
-        raise ValueError(
-            f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
+        raise ValueError(f"{noun} must lie strictly between 0 and 1, got {alpha!r}")
     return float(alpha)
 
 
@@ -216,7 +215,7 @@ def _check_aversion(k) -> float:
     """The risk aversion k as a float; ValueError unless the weights are
     defined and not numerically flat at k."""
     try:
-        ok = math.isfinite(k) and k > 0.0
+        ok = not isinstance(k, bool) and math.isfinite(k) and k > 0.0
     except TypeError:
         ok = False
     if not ok:

@@ -5,7 +5,9 @@ position, each row holding one cell per contract plus a row mean. Measure
 tables carry four sections, in order: point estimates, standard errors,
 coefficients of variation and standardized confidence intervals; the long
 position group always precedes the short one. Sections with scalar cells
-also carry an overall mean, the mean of their row means.
+also carry an overall mean, the mean of their row means. A measure table
+is set by its ResultGrid alone: its rows are the parameters the grid ran,
+and its interval section names the coverage of the grid's config.
 
 Three output formats are provided. The text format is for reading: four
 decimals for estimates and standard errors, two for coefficients of
@@ -133,13 +135,14 @@ def _row_label(measure: Measure, parameter: float) -> str:
     return f"{parameter * 100:g}% {_MEASURE_SHORT[measure]}"
 
 
-def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
-                        ci_coverage: float = 0.90) -> ReportTable:
+def build_measure_table(grid: ResultGrid, measure: Measure) -> ReportTable:
     """Four-section precision table for one measure from a bootstrap grid.
 
     Contracts become columns in first-seen order; positions become row
-    groups with long before short; each parameter becomes one row per
-    group. Failed grid cells render blank and add a note.
+    groups with long before short; each parameter the grid ran for the
+    measure becomes one row per group, in grid order. Section (d) names the
+    interval coverage of grid.config. Failed grid cells render blank and
+    add a note.
     """
     cells = [c for c in grid.cells if c.measure is measure]
     if not cells:
@@ -151,6 +154,7 @@ def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
     for position in positions:  # a contract has one sample per position
         _check_labels([c.sample_label for c in samples if c.position is position])
     contracts = list(dict.fromkeys(c.sample_label for c in samples))
+    parameters = list(dict.fromkeys(c.parameter for c in cells))
     lookup = {(c.sample_label, c.position, c.parameter): c for c in cells}
     notes = []
 
@@ -173,15 +177,14 @@ def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
             for parameter in parameters:
                 row_cells = []
                 for contract in contracts:
-                    cell = lookup.get((contract, position, float(parameter)))
+                    cell = lookup.get((contract, position, parameter))
                     if cell is not None and cell.error is not None and kind == "estimate":
                         notes.append(
                             f"{contract}, {_POSITION_HEADING[position]}, "
                             f"{_row_label(measure, parameter)}: {cell.error}")
                     row_cells.append(value_of(cell, kind))
                 mean = _mean_or_none(row_cells) if kind != "ci" else None
-                rows.append(Row(_row_label(measure, float(parameter)),
-                                tuple(row_cells), mean))
+                rows.append(Row(_row_label(measure, parameter), tuple(row_cells), mean))
             groups.append(RowGroup(position=_POSITION_HEADING[position], rows=tuple(rows)))
         overall = None
         if kind != "ci":
@@ -193,7 +196,7 @@ def build_measure_table(grid: ResultGrid, measure: Measure, parameters,
         make_section(f"(a) {short} estimates", "estimate"),
         make_section("(b) Standard errors", "stderr"),
         make_section("(c) Coefficients of variation", "cv"),
-        make_section(f"(d) {ci_coverage * 100:g}% confidence intervals", "ci"),
+        make_section(f"(d) {grid.config.ci_coverage * 100:g}% confidence intervals", "ci"),
     )
     return ReportTable(
         name=measure.value,

@@ -96,15 +96,6 @@ class TestSampleStream:
             other = _contract_stream(seed, sample).integers(0, 2 ** 62, size=8)
             assert not np.array_equal(base, other)
 
-    def test_coordinate_bounds(self):
-        for seed in (-1, 2 ** 64):
-            with pytest.raises(ValueError, match="master seed"):
-                _contract_stream(seed, 0)
-        for sample in (-1, 2 ** 64):
-            with pytest.raises(ValueError, match="contract index"):
-                _contract_stream(0, sample)
-        _contract_stream(2 ** 64 - 1, 2 ** 64 - 1)  # both ends of the range are usable
-
     def test_block_k_is_the_contract_stream_jumped_k_times(self):
         key = np.array([7, 3], dtype=np.uint64)
         draws = []
@@ -316,6 +307,32 @@ class TestBootstrapEstimate:
         assert [EstimatorSpec(Measure.SRM, k).parameter for k in (1e-8, 1e300)] == [1e-8, 1e300]
         assert type(EstimatorSpec(Measure.SRM, 20).parameter) is float
         assert type(EstimatorSpec(Measure.VAR, np.float32(0.5)).parameter) is float
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EstimatorSpec(Measure.SRM, True),
+         "risk aversion must be a positive finite number, got True"),
+        (lambda: EstimatorSpec(Measure.ES, True),
+         "confidence level must lie strictly between 0 and 1, got True"),
+        (lambda: BootstrapConfig(master_seed=True), "master seed must be an integer, got True"),
+        (lambda: BootstrapConfig(resamples=True), "resamples must be an integer, got True"),
+        (lambda: run_grid([normal_sample()], {Measure.VAR: [0.9]}, BootstrapConfig(resamples=10),
+                          workers=True), "worker count must be an integer, got True"),
+        (lambda: BootstrapConfig(quantile_method="order"), "unknown quantile method 'order'"),
+        (lambda: BootstrapConfig(ci_coverage="0.9"),
+         "interval coverage must lie strictly between 0 and 1, got '0.9'"),
+    ], ids=["srm_bool", "es_bool", "seed_bool", "resamples_bool", "workers_bool",
+            "method_string", "coverage_string"])
+    def test_construction_rejects_what_cannot_run(self, build, message):
+        """A bool is not a number here, and a config holds only a
+        QuantileMethod and a float coverage, so nothing that cannot run gets
+        past construction to fail its cells later."""
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_config_stores_its_coverage_as_a_float(self):
+        coverage = BootstrapConfig(ci_coverage=np.float32(0.5)).ci_coverage
+        assert type(coverage) is float and coverage == 0.5
 
 
 class TestRunGrid:

@@ -214,6 +214,39 @@ class TestEstimate:
                          "exactly one of --price-col and --return-col"):
             assert fragment in err
 
+    def test_list_flags_report_each_bad_token(self, tmp_path, capsys):
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        capsys.readouterr()
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                              "--alpha", "0.9,0.90,x,0.9", "--ara", ",", "--measure", "Var,Z"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "config error: --measure: unknown measure 'z', expected var, es or srm",
+            "config error: --alpha: duplicate value '0.90'",
+            "config error: --alpha: cannot parse 'x' as a number",
+            "config error: --alpha: duplicate value '0.9'",
+            "config error: --ara: no usable values in ','",
+        ]
+
+    def test_parameter_flags_are_checked_and_echoed_whatever_the_measures(self, tmp_path,
+                                                                          capsys):
+        """--alpha and --ara are one rule each: checked and written to run.kv
+        whether or not --measure asks for a measure that reads them."""
+        inputs = [synth_file(tmp_path, "c1.csv", seed=101)]
+        capsys.readouterr()
+        code, out, err = run(self.estimate_args(inputs, tmp_path / "bad",
+                                                ("--measure", "srm", "--alpha", "2")), capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: --alpha: confidence level must lie strictly between "
+                       "0 and 1, got 2.0\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(self.estimate_args(inputs, out_dir, ("--measure", "srm")), capsys)
+        assert code == 0
+        assert "alphas = 0.9,0.95,0.99\n" in (out_dir / "run.kv").read_text()
+
     def test_reserved_label_rejected(self, tmp_path, capsys):
         path = synth_file(tmp_path, "c1.csv", seed=101)
         code, _, err = run(["estimate", "--input", str(path), "--label", "Mean",
@@ -431,9 +464,9 @@ class TestValidate:
         assert "[FAIL]" not in out
         assert "RESULT ok" in out
 
-    def test_zero_tolerance_forces_failure(self, capsys):
-        code, out, _ = run(["validate", "--n", "5000", "--measure", "var",
-                            "--tolerance-scale", "0"], capsys)
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("riskboot.synthetic.normal_var_oracle", lambda alpha: 1.0)
+        code, out, _ = run(["validate", "--n", "5000", "--measure", "var"], capsys)
         assert code == 1
         assert "[FAIL] var_0.99_vs_normal_oracle" in out
         assert "RESULT failed_checks=1" in out
@@ -444,20 +477,18 @@ class TestValidate:
         assert out.count("[PASS]") == 1
 
     def test_duplicate_measure_rejected(self, capsys):
-        code, out, err = run(["validate", "--n", "20000", "--measure", "var,var"], capsys)
+        code, out, err = run(["validate", "--n", "20000", "--measure", "var,es,VAR,var"],
+                             capsys)
         assert code == 2
         assert out == ""
-        assert "--measure: duplicate measure 'var'" in err
+        assert err == ("config error: --measure: duplicate value 'var'\n" * 2)
 
     def test_validation_of_flags(self, capsys):
-        for scale in ("-1", "nan", "inf"):
-            code, out, err = run(["validate", "--n", "10", "--tolerance-scale", scale,
-                                  "--measure", "huh"], capsys)
-            assert code == 2
-            assert out == ""
-            assert "--n must be at least 100" in err
-            assert f"--tolerance-scale must be finite and nonnegative, got {scale}" in err
-            assert "unknown measure 'huh'" in err
+        code, out, err = run(["validate", "--n", "10", "--measure", "huh"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n must be at least 100" in err
+        assert "--measure: unknown measure 'huh', expected var, es or srm" in err
 
 
 class TestTopLevel:

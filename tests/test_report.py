@@ -132,7 +132,7 @@ class TestSummaryTable:
 
 class TestMeasureTable:
     def test_section_labels_and_order(self, grid):
-        table = build_measure_table(grid, Measure.VAR, [0.9, 0.99])
+        table = build_measure_table(grid, Measure.VAR)
         assert table.name == "var"
         assert [s.label for s in table.sections] == [
             "(a) VaR estimates",
@@ -141,9 +141,9 @@ class TestMeasureTable:
             "(d) 90% confidence intervals",
         ]
         assert [s.kind for s in table.sections] == ["estimate", "stderr", "cv", "ci"]
-        assert build_measure_table(grid, Measure.ES, [0.95]).sections[0].label \
+        assert build_measure_table(grid, Measure.ES).sections[0].label \
             == "(a) ES estimates"
-        assert build_measure_table(grid, Measure.SRM, [5.0, 20.0]).sections[0].label \
+        assert build_measure_table(grid, Measure.SRM).sections[0].label \
             == "(a) Spectral measure estimates"
 
     def test_label_validation(self):
@@ -157,27 +157,42 @@ class TestMeasureTable:
             samples = [LossSample(values, label=label) for label in labels]
             grid = run_grid(samples, {Measure.ES: [0.95]}, config)
             with pytest.raises(ValueError, match=match):
-                build_measure_table(grid, Measure.ES, [0.95])
+                build_measure_table(grid, Measure.ES)
 
-    def test_ci_coverage_names_the_interval_section(self, grid):
-        table = build_measure_table(grid, Measure.VAR, [0.9, 0.99], ci_coverage=0.95)
-        assert table.sections[3].label == "(d) 95% confidence intervals"
+    def test_ci_coverage_names_the_interval_section(self):
+        """Section (d) names the coverage the grid ran at, not a default."""
+        sample = LossSample(np.random.default_rng(8).standard_t(4, 100), label="A")
+        for coverage, label in ((0.95, "(d) 95% confidence intervals"),
+                                (0.8, "(d) 80% confidence intervals")):
+            config = BootstrapConfig(resamples=20, master_seed=1, ci_coverage=coverage)
+            grid = run_grid([sample], {Measure.VAR: [0.9]}, config)
+            assert build_measure_table(grid, Measure.VAR).sections[3].label == label
+
+    def test_rows_are_the_parameters_the_grid_ran(self):
+        """The grid is the one record of a run: it keeps its config, and a
+        table's rows are its parameters for the measure, in grid order."""
+        sample = LossSample(np.random.default_rng(8).standard_t(4, 100), label="A")
+        config = BootstrapConfig(resamples=20, master_seed=1)
+        grid = run_grid([sample], {Measure.VAR: [0.99, 0.9], Measure.ES: [0.95]}, config)
+        assert grid.config is config
+        for section in build_measure_table(grid, Measure.VAR).sections:
+            assert [row.label for row in section.groups[0].rows] == ["99% VaR", "90% VaR"]
 
     def test_long_group_precedes_short(self, grid):
-        table = build_measure_table(grid, Measure.ES, [0.95])
+        table = build_measure_table(grid, Measure.ES)
         for section in table.sections:
             assert [g.position for g in section.groups] == ["Long position", "Short position"]
 
     def test_row_labels(self, grid):
-        var_rows = build_measure_table(grid, Measure.VAR, [0.9, 0.99]) \
+        var_rows = build_measure_table(grid, Measure.VAR) \
             .sections[0].groups[0].rows
         assert [r.label for r in var_rows] == ["90% VaR", "99% VaR"]
-        srm_rows = build_measure_table(grid, Measure.SRM, [5.0, 20.0]) \
+        srm_rows = build_measure_table(grid, Measure.SRM) \
             .sections[0].groups[0].rows
         assert [r.label for r in srm_rows] == ["ARA = 5", "ARA = 20"]
 
     def test_cells_mirror_the_grid(self, grid):
-        table = build_measure_table(grid, Measure.SRM, [5.0, 20.0])
+        table = build_measure_table(grid, Measure.SRM)
         est, stderr, cv, ci = table.sections
         cells = {(c.sample_index, c.measure, c.parameter): c for c in grid.cells}
         for g, position in ((0, Position.LONG), (1, Position.SHORT)):
@@ -190,7 +205,7 @@ class TestMeasureTable:
                     assert ci.groups[g].rows[r].cells[c] == result.ci_standardized
 
     def test_means_recompute(self, grid):
-        table = build_measure_table(grid, Measure.VAR, [0.9, 0.99])
+        table = build_measure_table(grid, Measure.VAR)
         for section in table.sections[:3]:
             row_means = []
             for group in section.groups:
@@ -200,7 +215,7 @@ class TestMeasureTable:
             assert section.overall_mean == sum(row_means) / len(row_means)
 
     def test_interval_rows_carry_no_means(self, grid):
-        ci = build_measure_table(grid, Measure.VAR, [0.9, 0.99]).sections[3]
+        ci = build_measure_table(grid, Measure.VAR).sections[3]
         assert ci.overall_mean is None
         assert all(row.mean is None for g in ci.groups for row in g.rows)
 
@@ -209,7 +224,7 @@ class TestMeasureTable:
         cells and is blank without any, the overall mean is taken over the
         present row means, and each failed cell adds one note."""
         grid = grid_with_a_failed_contract(monkeypatch, {Measure.SRM: [5.0, 20.0]}, 2)
-        table = build_measure_table(grid, Measure.SRM, [5.0, 20.0])
+        table = build_measure_table(grid, Measure.SRM)
         for section in table.sections:
             long, short = (group.rows for group in section.groups)
             assert [row.label for row in long] == ["ARA = 5", "ARA = 20"]
@@ -229,7 +244,7 @@ class TestMeasureTable:
             [LossSample(np.arange(1.0, 51.0), label="A")],
             {Measure.VAR: [0.9]}, BootstrapConfig(resamples=20))
         with pytest.raises(ValueError, match="no cells"):
-            build_measure_table(var_only, Measure.ES, [0.95])
+            build_measure_table(var_only, Measure.ES)
 
 
 class TestWeightCurves:
@@ -324,13 +339,13 @@ class TestTextRendering:
         assert n_line.split() == ["n", "250", "250"]
 
     def test_position_headings_present(self, grid):
-        text = to_text(build_measure_table(grid, Measure.ES, [0.95]))
+        text = to_text(build_measure_table(grid, Measure.ES))
         assert text.index("Long position") < text.index("Short position")
 
 
 class TestCsvRoundTrip:
     def test_measure_table_survives_bit_exactly(self, grid):
-        table = build_measure_table(grid, Measure.VAR, [0.9, 0.99])
+        table = build_measure_table(grid, Measure.VAR)
         records = parse_csv(to_csv(table))
         expected = walk_cells(table)
         seen = {}
@@ -364,7 +379,7 @@ class TestKvRoundTrip:
     def test_row_labels_containing_the_separator(self, grid):
         """'ARA = 5' contains the key-value separator; parsing must still
         split at the value."""
-        table = build_measure_table(grid, Measure.SRM, [5.0, 20.0])
+        table = build_measure_table(grid, Measure.SRM)
         records = parse_kv(to_kv(table))
         expected = walk_cells(table)
         assert len(records) == len(expected)  # no None cells in this grid
@@ -375,13 +390,13 @@ class TestKvRoundTrip:
         assert {r["row"] for r in records} >= {"ARA = 5", "ARA = 20"}
 
     def test_interval_cells_come_back_as_pairs(self, grid):
-        table = build_measure_table(grid, Measure.ES, [0.95])
+        table = build_measure_table(grid, Measure.ES)
         records = parse_kv(to_kv(table))
         pairs = [r["value"] for r in records if r["section"].startswith("(d)")]
         assert pairs and all(isinstance(v, tuple) and len(v) == 2 for v in pairs)
 
     def test_meta_lines(self, grid):
-        table = build_measure_table(grid, Measure.VAR, [0.9, 0.99])
+        table = build_measure_table(grid, Measure.VAR)
         lines = to_kv(table).splitlines()
         assert lines[0] == "table = var"
         assert lines[1] == "title = VaR and precision of VaR estimates"
@@ -389,7 +404,7 @@ class TestKvRoundTrip:
 
     def test_blank_cells_are_absent(self, monkeypatch):
         grid = grid_with_a_failed_contract(monkeypatch, {Measure.SRM: [5.0, 20.0]}, 4)
-        text = to_kv(build_measure_table(grid, Measure.SRM, [5.0, 20.0]))
+        text = to_kv(build_measure_table(grid, Measure.SRM))
         assert "|A = " not in text
         assert "note = " in text
         columns = {r["column"] for r in parse_kv(text)}
