@@ -27,6 +27,7 @@ from . import __version__
 from .bootstrap import BootstrapConfig, EstimatorSpec, Measure, _check_seed, _check_workers, run_grid
 from .ingest import (
     IngestError,
+    _date_parser,
     drop_zero_returns,
     load_prices,
     load_returns,
@@ -162,6 +163,7 @@ def _estimate_config(args):
 
     if bool(args.price_col) == bool(args.return_col):
         problems.append("exactly one of --price-col and --return-col is required")
+    _check_with("--date-format", _date_parser, args.date_format, problems)
 
     measures = _parse_list(args.measure.lower(), "--measure", Measure, _UNKNOWN_MEASURE, problems)
 

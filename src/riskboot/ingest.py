@@ -1,16 +1,24 @@
 """CSV ingestion, log returns and moment summaries for daily price series.
 
-Input files are plain CSV with a header row. The caller names the date
-column and either a price column or a pre-computed return column; dates are
-parsed with a configurable strptime format. Loading is strict: every problem
-in the file is collected and reported at once rather than failing on the
-first bad row.
+Input files are plain UTF-8 CSV with a header row. The caller names the
+date column and either a price column or a pre-computed return column.
+Dates are read with a strptime format, which is checked once, before the
+file is opened: a format strptime cannot use raises ValueError. A date is
+accepted exactly when datetime.strptime would accept it, because the parser
+matches strptime's own regex for the format. For a format whose directives
+are exactly %Y, %m and %d (plus %% and literal text), the match converts
+straight to a date; any other format keeps calling datetime.strptime on
+each row. Loading is strict: every problem in the file is collected and
+reported at once rather than failing on the first bad row; a file that is
+not UTF-8, or a field longer than the csv module allows, stops the read
+with one problem.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -92,8 +100,54 @@ class ReturnSeries:
 # loading
 # ----------------------------------------------------------------------
 
+def _date_parser(date_format):
+    """Build the date parser for one strptime format.
+
+    Raises ValueError, naming the format, when strptime could never use
+    it: an unknown directive, a stray %, or a field set twice. The parser
+    returned takes a string and gives its date, or raises ValueError
+    exactly where datetime.strptime(text, date_format) would.
+    """
+    import _strptime  # what datetime.strptime itself loads on first use
+
+    try:
+        regex = _strptime.TimeRE().compile(date_format)  # the regex for the current locale
+    except KeyError as exc:
+        bad = "%" if exc.args[0] == "\\" else exc.args[0]  # "% " reaches here as "\\"
+        raise ValueError(f"{bad!r} is a bad directive in format {date_format!r}") from None
+    except IndexError:
+        raise ValueError(f"stray % in format {date_format!r}") from None
+    except re.error:  # the same group twice: "%Y-%m-%d%Y", or %d after %x
+        raise ValueError(f"format {date_format!r} sets the same field twice") from None
+
+    if regex.groupindex.keys() != {"Y", "m", "d"}:
+        return lambda text: datetime.strptime(text, date_format).date()
+    match = regex.match
+
+    def parse(text):
+        found = match(text)
+        if found is None or found.end() != len(text):  # strptime's test, not fullmatch
+            raise ValueError(f"time data {text!r} does not match format {date_format!r}")
+        return date(int(found["Y"]), int(found["m"]), int(found["d"]))
+
+    return parse
+
+
+def _records(reader, path):
+    """The reader's records. Bytes that are not UTF-8, or a field longer
+    than csv.field_size_limit(), stop the read with an IngestError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise IngestError(path, [f"cannot decode the file as UTF-8: {exc.reason} "
+                                 f"{exc.object[exc.start:exc.end].hex(' ')}"]) from None
+    except csv.Error as exc:
+        raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from None
+
+
 def _read_rows(path, date_col, value_col, date_format):
     """Parse (date, value) rows. Returns (rows, problems); rows carry line numbers."""
+    parse_date = _date_parser(date_format)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -103,7 +157,8 @@ def _read_rows(path, date_col, value_col, date_format):
     rows = []
     with handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
+        records = _records(reader, path)
+        first = next(records, None)
         if first is None:
             raise IngestError(path, ["file is empty, expected a header row"])
         header = [name.strip() for name in first]
@@ -113,7 +168,7 @@ def _read_rows(path, date_col, value_col, date_format):
         if bad:
             raise IngestError(path, bad)
         i_date, i_value = header.index(date_col), header.index(value_col)
-        for record in reader:
+        for record in records:
             if not record:  # blank line
                 continue
             line = reader.line_num
@@ -125,7 +180,7 @@ def _read_rows(path, date_col, value_col, date_format):
                 problems.append(f"line {line}: empty {date_col!r} cell")
             else:
                 try:
-                    parsed_date = datetime.strptime(raw_date, date_format).date()
+                    parsed_date = parse_date(raw_date)
                 except ValueError:
                     problems.append(
                         f"line {line}: cannot parse date {raw_date!r} with format {date_format!r}")
@@ -164,8 +219,10 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
     - date_format: strptime format for the date column.
     - label: name for the series; defaults to the file stem.
 
-    Raises IngestError listing every malformed cell, non-positive price and
-    duplicate date found. Rows are sorted by date if the file is unordered.
+    Raises ValueError for a date_format strptime cannot use, before the
+    file is opened. Raises IngestError listing every malformed cell,
+    non-positive price and duplicate date found. Rows are sorted by date if
+    the file is unordered.
     """
     rows, problems = _read_rows(path, date_col, price_col, date_format)
     for d, value, line in rows:

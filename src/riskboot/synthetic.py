@@ -44,7 +44,7 @@ class Normal:
         return rng.normal(self.mu, self.sigma, n)
 
     def tag(self):
-        return f"normal(mu={self.mu:g},sigma={self.sigma:g})"
+        return f"normal(mu={self.mu:g};sigma={self.sigma:g})"
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class StudentT:
         return self.scale * rng.standard_t(self.dof, n)
 
     def tag(self):
-        return f"t(dof={self.dof:g},scale={self.scale:g})"
+        return f"t(dof={self.dof:g};scale={self.scale:g})"
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SkewedMix:
         return np.where(hit, tail, core)
 
     def tag(self):
-        return f"skewmix(w={self.weight:g},shift={self.shift:g},widen={self.widen:g})"
+        return f"skewmix(w={self.weight:g};shift={self.shift:g};widen={self.widen:g})"
 
 
 @dataclass(frozen=True)

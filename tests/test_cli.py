@@ -341,13 +341,23 @@ class TestEstimate:
         (1e308 * SPREAD, (), 2, "moments leave the float range"),
         (1e-300 * SPREAD, (), 2, "moments leave the float range"),
         (NORMAL, ("--ara", "1e-9"), 2, "plain mean"),
+        (b"date,return\n1991-01-01,0.01\n1991-01-02,0.02\xff\n", (), 2,
+         "edge.csv: 1 problem(s)\n  - cannot decode the file as UTF-8: invalid start byte ff"),
+        (b'date,return\n1991-01-01,0.01\n1991-01-02,"' + b"1" * (1 << 17) + b'0"\n', (), 2,
+         "edge.csv: 1 problem(s)\n  - line 3: field larger than field limit (131072)"),
     ], ids=["n2", "ties", "alpha_1-1e-10", "ara_1e-8", "ara_1e300", "b2", "seed_2^64-1",
-            "constant_0.1", "1e78", "1e308", "1e-300_deviations", "ara_1e-9"])
+            "constant_0.1", "1e78", "1e308", "1e-300_deviations", "ara_1e-9", "not_utf8",
+            "field_over_csv_limit"])
     def test_edge_cases_exit_as_documented(self, tmp_path, returns, flags, code, message,
                                            workers):
         """Edge inputs and parameters give their documented exit code (0,
-        or 2 with a message), and stderr holds no traceback or warning."""
-        path = returns_file(tmp_path / "edge.csv", returns)
+        or 2 with a message), and stderr holds no traceback or warning.
+        A bytes case is the whole file."""
+        path = tmp_path / "edge.csv"
+        if isinstance(returns, bytes):
+            path.write_bytes(returns)
+        else:
+            returns_file(path, returns)
         done = run_process(["estimate", "--input", str(path), "--return-col", "return",
                             "--resamples", "20", "--workers", str(workers), *flags,
                             "--out", str(tmp_path / "out")])
@@ -355,6 +365,23 @@ class TestEstimate:
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         if message is not None:
             assert message in done.stderr
+
+    @pytest.mark.parametrize("date_format, problem", [
+        ("%Q", "'Q' is a bad directive in format '%Q'"),
+        ("%", "stray % in format '%'"),
+        ("%Y-%m-%d%Y", "format '%Y-%m-%d%Y' sets the same field twice"),
+    ], ids=["unknown_directive", "stray_percent", "field_twice"])
+    def test_unusable_date_format_is_one_config_error(self, tmp_path, capsys, date_format,
+                                                     problem):
+        """A --date-format strptime cannot use is found before any file is
+        read, as one problem, not one per row."""
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        capsys.readouterr()
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                              "--date-format", date_format, "--out", str(tmp_path / "out")],
+                             capsys)
+        assert (code, out, err) == (2, "", f"config error: --date-format: {problem}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["file", "under_a_file"])
     def test_out_blocked_by_a_file_exits_two_before_any_work(self, tmp_path, capsys, out):

@@ -1,10 +1,13 @@
 """Loading, return transforms and moment summaries."""
 
 import math
+import re
+from datetime import datetime
 
 import numpy as np
 import pytest
 
+from riskboot import ingest
 from riskboot import (
     IngestError,
     PriceSeries,
@@ -135,6 +138,98 @@ class TestLoadPrices:
                      "date,price\n2001-01-02,1.0\n2001-01-03,inf\n")
         with pytest.raises(IngestError, match="non-finite"):
             load_prices(path)
+
+
+# formats the fuzz test covers; the last one takes the strptime path
+FUZZ_FORMATS = ["%Y-%m-%d", "%d/%m/%Y", "%m/%d/%y", "%Y%m%d", "%d-%b-%Y", "%B %d, %Y",
+                "%Y-%m", "%Y-%m-%d %H:%M"]
+
+# near-valid values per directive: edges, out of range, padded, short and long
+FUZZ_TOKENS = {
+    "Y": ["0000", "0001", "1899", "1900", "1968", "2000", "2023", "2024", "9999", "199", "20240"],
+    "y": ["00", "04", "68", "69", "99", "7", "100"],
+    "m": ["0", "00", "1", "01", "02", "09", "10", "12", "13", " 2"],
+    "d": ["0", "00", "1", "01", " 1", " 9", "9", "28", "29", "30", "31", "32", "3"],
+    "b": ["jan", "Feb", "FEB", "sep", "Sept", "may", "dec", "xyz", ""],
+    "B": ["January", "february", "MAY", "June", "Septembre", "decem", ""],
+    "H": ["0", "00", "09", "23", "24", "7"],
+    "M": ["00", "5", "59", "60"],
+}
+
+
+def fuzz_strings(date_format, rng, count):
+    """Strings close to date_format: each directive gets a near-valid
+    token and each literal is usually kept; some strings then gain or
+    lose a character at either end or in the middle."""
+    parts = re.findall(r"%.|[^%]+", date_format)
+    out = []
+    for _ in range(count):
+        text = "".join(
+            rng.choice(FUZZ_TOKENS[part[1]]) if part.startswith("%")
+            else (part if rng.random() < 0.9 else rng.choice(["", "-", "/", "  ", ".", part * 2]))
+            for part in parts)
+        edit = rng.integers(8)
+        if edit == 0:
+            text += rng.choice([" ", "x", "0", "-01", "\t"])
+        elif edit == 1:
+            text = rng.choice([" ", "0", "x"]) + text
+        elif edit == 2 and text:
+            cut = rng.integers(len(text))
+            text = text[:cut] + text[cut + 1:]
+        out.append(text)
+    return out
+
+
+def outcome(parse, text):
+    """The date parse gives text, or "rejected" where it raises ValueError."""
+    try:
+        return parse(text)
+    except ValueError:
+        return "rejected"
+
+
+class TestDateParser:
+    @pytest.mark.parametrize("date_format", FUZZ_FORMATS)
+    def test_same_dates_and_rejections_as_strptime(self, date_format):
+        """Every fuzzed string gets the date datetime.strptime gives it, or
+        is rejected where strptime rejects it."""
+        rng = np.random.default_rng([2024, FUZZ_FORMATS.index(date_format)])
+        parse = ingest._date_parser(date_format)
+
+        def reference(text):
+            return datetime.strptime(text, date_format).date()
+
+        rejected = set()
+        for text in fuzz_strings(date_format, rng, 3000):
+            expected = outcome(reference, text)
+            assert outcome(parse, text) == expected, text
+            rejected.add(expected == "rejected")
+        assert rejected == {True, False}  # the strings reach both sides of the rule
+
+    def test_default_format_never_calls_strptime(self, tmp_path, monkeypatch):
+        class NoStrptime:
+            @staticmethod
+            def strptime(text, date_format):
+                raise AssertionError(f"strptime({text!r}, {date_format!r}) called")
+
+        monkeypatch.setattr(ingest, "datetime", NoStrptime)
+        path = write(tmp_path / "p.csv", "date,price\n2001-01-02,1.0\n2001-01-03,2.0\n")
+        assert load_prices(path).prices.tolist() == [1.0, 2.0]
+        timed = write(tmp_path / "t.csv", "date,price\n2001-01-02 10:00,1.0\n")
+        with pytest.raises(AssertionError, match="strptime"):  # the guard is live
+            load_prices(timed, date_format="%Y-%m-%d %H:%M")
+
+    @pytest.mark.parametrize("date_format, message", [
+        ("%Q", "'Q' is a bad directive in format '%Q'"),
+        ("%", "stray % in format '%'"),
+        ("%Y-%m-%d%Y", "format '%Y-%m-%d%Y' sets the same field twice"),
+    ])
+    def test_unusable_format_fails_before_the_file_is_opened(self, tmp_path, date_format,
+                                                              message):
+        with pytest.raises(ValueError) as excinfo:
+            load_prices(tmp_path / "absent.csv", date_format=date_format)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
 
 
 class TestLoadReturns:

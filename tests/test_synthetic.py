@@ -16,7 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskboot import summary_stats
+from riskboot import (
+    BootstrapConfig,
+    Measure,
+    Position,
+    build_measure_table,
+    run_grid,
+    summary_stats,
+    to_kv,
+    to_losses,
+)
 from riskboot.synthetic import (
     Normal,
     SkewedMix,
@@ -60,6 +69,17 @@ class TestGenerate:
         assert generate(SyntheticSpec(family=StudentT(dof=4.0), n=5, seed=0)).label.startswith("t(")
         assert generate(SyntheticSpec(family=SkewedMix(), n=5, seed=0)).label.startswith("skewmix(")
         assert generate(SyntheticSpec(family=Normal(), n=5, seed=0, label="SP")).label == "SP"
+
+    def test_default_labels_can_head_a_table(self):
+        """A generated series goes through to_losses, run_grid and the
+        measure table under the label generate gave it."""
+        families = [Normal(0.0, 0.01), StudentT(dof=4.0, scale=0.01), SkewedMix()]
+        samples = [to_losses(generate(SyntheticSpec(family=f, n=50, seed=1)), Position.LONG)
+                   for f in families]
+        grid = run_grid(samples, {Measure.ES: [0.9]}, BootstrapConfig(resamples=20))
+        table = build_measure_table(grid, Measure.ES)
+        assert table.contracts == tuple(f.tag() for f in families)
+        assert f"contracts = {','.join(f.tag() for f in families)}" in to_kv(table)
 
     def test_normal_moments(self):
         series = generate(SyntheticSpec(family=Normal(mu=0.001, sigma=0.02), n=200_000, seed=3))
