@@ -78,7 +78,6 @@ from .measures import (
     QuantileMethod,
     _check_alpha,
     _check_aversion,
-    _evaluate,
     _evaluate_sorted,
     _first_column,
     spectral_weights,
@@ -154,17 +153,17 @@ class BootstrapConfig:
 class BootstrapResult:
     """Precision summary of one bootstrapped estimate.
 
-    point_estimate is the mean of the resample estimates; plug_in_estimate
-    is the measure evaluated once on the original sample. coeff_variation
-    is point_estimate / std_error and is None when the resample
-    distribution is degenerate (zero standard error) or the point estimate
-    is zero. ci_standardized holds the percentile interval of the resample
+    point_estimate is the mean of the resample estimates; the measure on
+    the original sample is value_at_risk, expected_shortfall or
+    spectral_risk_measure of that sample. coeff_variation is
+    point_estimate / std_error and is None when the resample distribution
+    is degenerate (zero standard error) or the point estimate is zero.
+    ci_standardized holds the percentile interval of the resample
     estimates divided through by the point estimate; a degenerate resample
     distribution gives (1.0, 1.0).
     """
 
     point_estimate: float
-    plug_in_estimate: float
     std_error: float
     coeff_variation: float | None
     ci_standardized: tuple[float, float]
@@ -218,7 +217,7 @@ def _mirrors(sample: LossSample, other: LossSample) -> bool:
             and np.array_equal(other.values, -sample.values[::-1]))
 
 
-def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -> BootstrapResult:
+def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> BootstrapResult:
     point = float(estimates.mean())
     std_error = float(estimates.std(ddof=1))
 
@@ -242,7 +241,6 @@ def _summarize(estimates: np.ndarray, plug_in: float, config: BootstrapConfig) -
 
     return BootstrapResult(
         point_estimate=point,
-        plug_in_estimate=plug_in,
         std_error=std_error,
         coeff_variation=coeff_variation,
         ci_standardized=ci)
@@ -287,14 +285,14 @@ class _Contract:
 
     group is a lone sample or a pair of mirrored samples of opposite
     positions, and ordinal its place among the grid's contracts. The
-    constructor takes every cell's estimator argument and plug-in and
-    picks the path: tail ends of _depth columns, or whole rows when _depth
-    is None; nothing changes after that, so the threads only read a
-    contract. The config.resamples rows of the long-oriented losses are
-    split into blocks of block_rows, the last one partial, and block k
-    draws from _contract_stream(seed, ordinal, k, lane), lane 0 for whole
-    rows and 1 and 2 for the high and low ends, and returns its rows'
-    estimates. A contract with no specs has no blocks.
+    constructor takes every cell's estimator argument and picks the path:
+    tail ends of _depth columns, or whole rows when _depth is None; nothing
+    changes after that, so the threads only read a contract. The
+    config.resamples rows of the long-oriented losses are split into blocks
+    of block_rows, the last one partial, and block k draws from
+    _contract_stream(seed, ordinal, k, lane), lane 0 for whole rows and 1
+    and 2 for the high and low ends, and returns its rows' estimates. A
+    contract with no specs has no blocks.
     """
 
     def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
@@ -302,18 +300,17 @@ class _Contract:
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
         n, method = lead.n, config.quantile_method
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        self._cells = []  # per sample and spec: (measure, estimator arg, mirrored, plug-in)
+        self._cells = []  # per sample and spec: (measure, estimator arg, mirrored)
         for sample in group:
             mirrored = sample.position is Position.SHORT
             for spec in specs:
                 srm = spec.measure is Measure.SRM
                 arg = spectral_weights(n, spec.parameter) if srm else spec.parameter
-                plug_in = _evaluate(sample, spec.measure, arg, method)
                 if mirrored and srm:
                     # the weights in the block's column order; einsum runs about
                     # twice as fast on a contiguous copy as on the reversed view
                     arg = np.ascontiguousarray(arg[::-1])
-                self._cells.append((spec.measure, arg, mirrored, plug_in))
+                self._cells.append((spec.measure, arg, mirrored))
         self.block_rows = max(_BLOCK_ELEMS // n, 1)
         self.blocks = -(-config.resamples // self.block_rows) if specs else 0
 
@@ -323,8 +320,8 @@ class _Contract:
         # enough draws just that many order statistics of each end; the rest
         # sort whole rows.
         depth = max((n - _first_column(measure, arg, n, method)
-                     for measure, arg, _, _ in self._cells), default=n)
-        spectral = any(measure is Measure.SRM for measure, _, _, _ in self._cells)
+                     for measure, arg, _ in self._cells), default=n)
+        spectral = any(measure is Measure.SRM for measure, _, _ in self._cells)
         self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
 
     def _run_block(self, block: int) -> list:
@@ -338,7 +335,7 @@ class _Contract:
         if self._depth is None:
             self._run_whole(block, estimates)
         else:
-            for mirrored in sorted({mirrored for _, _, mirrored, _ in self._cells}):
+            for mirrored in sorted({mirrored for _, _, mirrored in self._cells}):
                 self._run_tail(block, mirrored, estimates)
         return estimates
 
@@ -358,7 +355,7 @@ class _Contract:
             idx.sort(axis=1)
             sorted_rows = values[idx]
             del idx
-            for out, (measure, arg, mirrored, _) in zip(estimates, self._cells):
+            for out, (measure, arg, mirrored) in zip(estimates, self._cells):
                 out[done:done + rows] = _evaluate_sorted(
                     sorted_rows, measure, arg, method, n, mirrored)
             del sorted_rows  # so the next chunk's draw and gather never overlap this one's
@@ -382,7 +379,7 @@ class _Contract:
             # and ES would sum across rows in an order that depends on the group
             # size; at a row-major copy of the indices every row sums as a lone one.
             tail = values[np.ascontiguousarray(idx[:, done:done + group].T)]
-            for out, (measure, arg, end, _) in zip(estimates, self._cells):
+            for out, (measure, arg, end) in zip(estimates, self._cells):
                 if end is mirrored:
                     out[done:done + tail.shape[0]] = _evaluate_sorted(
                         tail, measure, arg, method, n, mirrored)
@@ -396,8 +393,8 @@ class _Contract:
         error = next((b for b in blocks if isinstance(b, Exception)), None)
         if error is None:
             try:
-                out = [_summarize(np.concatenate([b[i] for b in blocks]), plug_in, self.config)
-                       for i, (_, _, _, plug_in) in enumerate(self._cells)]
+                out = [_summarize(np.concatenate([b[i] for b in blocks]), self.config)
+                       for i in range(len(self._cells))]
             except Exception as exc:  # e.g. out of memory: fail this contract's cells
                 error = exc
         if error is not None:

@@ -154,6 +154,8 @@ def _estimate_config(args):
             problems.append(f"--input {path}: file not found")
 
     labels = list(args.label or ())
+    if "" in labels:  # the loader would name that contract after its file instead
+        problems.append("--label: a contract label may not be empty")
     if labels and len(labels) != len(args.input or ()):
         problems.append(
             f"got {len(labels)} --label values for {len(args.input or ())} --input files")
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", action="append", metavar="FILE",
                      help="input CSV; repeat for several contracts")
     est.add_argument("--label", action="append", metavar="NAME",
-                     help="contract label per --input; defaults to the file stem")
+                     help="non-empty contract label per --input; defaults to the file stem")
     est.add_argument("--date-col", default="date")
     est.add_argument("--price-col", default=None,
                      help="settlement price column; log returns are computed")

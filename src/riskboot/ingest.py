@@ -17,7 +17,9 @@ with one problem.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -39,6 +41,11 @@ class IngestError(ValueError):
 # ----------------------------------------------------------------------
 # series containers
 # ----------------------------------------------------------------------
+
+def _check_increasing(dates):
+    if not all(map(operator.lt, dates, dates[1:])):
+        raise ValueError("dates must be strictly increasing")
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -62,8 +69,7 @@ class PriceSeries:
             raise ValueError("dates and prices have different lengths")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError("prices must be positive and finite")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates must be strictly increasing")
+        _check_increasing(self.dates)
 
     @property
     def n(self) -> int:
@@ -88,8 +94,7 @@ class ReturnSeries:
             raise ValueError("dates and returns have different lengths")
         if not np.all(np.isfinite(returns)):
             raise ValueError("returns must be finite")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates must be strictly increasing")
+        _check_increasing(self.dates)
 
     @property
     def n(self) -> int:
@@ -274,7 +279,7 @@ def drop_zero_returns(series: ReturnSeries) -> ReturnSeries:
     keep = series.returns != 0.0
     if not np.any(keep):
         raise ValueError(f"{series.label}: every return is zero")
-    dates = tuple(d for d, k in zip(series.dates, keep) if k)
+    dates = tuple(itertools.compress(series.dates, keep))
     return ReturnSeries(label=series.label, dates=dates, returns=series.returns[keep])
 
 
@@ -300,8 +305,8 @@ class SummaryStats:
     maximum: float
 
 
-def summary_stats(series) -> SummaryStats:
-    """Compute SummaryStats for a ReturnSeries (or a bare array of returns).
+def summary_stats(series: ReturnSeries) -> SummaryStats:
+    """Compute SummaryStats for a ReturnSeries.
 
     Raises ValueError for fewer than 2 observations, for a constant
     series, whose higher moments are undefined, and for a series whose
@@ -309,12 +314,10 @@ def summary_stats(series) -> SummaryStats:
     fourth moment, and deviations under about 1e-81 underflow the squared
     variance that divides it.
     """
-    x = np.asarray(getattr(series, "returns", series), dtype=float)
+    x = series.returns  # finite, as ReturnSeries checks
     n = int(x.size)
     if n < 2:
         raise ValueError(f"need at least 2 observations for summary statistics, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
     # exactly, not by m2 == 0: the mean of a constant is often off by an ulp,
     # and an underflowed m2 of a varying series is a float-range error below
     lo, hi = float(x.min()), float(x.max())

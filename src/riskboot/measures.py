@@ -142,8 +142,8 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
 
     n is the length of the full sorted rows and defaults to width. A
     narrower array holds only their last width columns, which must cover
-    _first_column of the measure. The public measures and the bootstrap
-    plug-in are its one-row case.
+    _first_column of the measure. The public measures are its one-row
+    case.
 
     mirrored evaluates the measure on the mirror image of the rows, the
     losses of the opposite position: column j of the mirrored full rows is

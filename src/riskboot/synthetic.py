@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from statistics import NormalDist
 
 import numpy as np
 
-from .bootstrap import _check_seed
+from .bootstrap import _check_integer, _check_seed
 from .ingest import ReturnSeries
 
 _START_DATE = date(1991, 1, 1)
@@ -116,7 +116,7 @@ class SyntheticSpec:
 
 
 def _check_n(n):
-    if n < 1:
+    if _check_integer(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
 
 
@@ -128,7 +128,8 @@ def generate(spec: SyntheticSpec) -> ReturnSeries:
     """
     rng = np.random.default_rng(int(spec.seed))
     values = spec.family.draw(rng, spec.n)
-    dates = tuple(_START_DATE + timedelta(days=i) for i in range(spec.n))
+    start = _START_DATE.toordinal()
+    dates = tuple(map(date.fromordinal, range(start, start + spec.n)))
     return ReturnSeries(label=spec.label or spec.family.tag(), dates=dates, returns=values)
 
 
@@ -136,28 +137,23 @@ def generate(spec: SyntheticSpec) -> ReturnSeries:
 # oracles
 # ----------------------------------------------------------------------
 
-def normal_quantile(p, mu: float = 0.0, sigma: float = 1.0):
-    """Quantile function of Normal(mu, sigma); accepts scalars or arrays."""
-    return mu + sigma * _standard_normal_ppf(p)
+def normal_quantile(p):
+    """Quantile function of the standard normal; accepts scalars or arrays."""
+    return _standard_normal_ppf(p)[()]  # a scalar for a scalar, not a 0-d array
 
 
-def normal_var_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Exact alpha-quantile of a Normal(mu, sigma) loss distribution."""
+def normal_var_oracle(alpha: float) -> float:
+    """Exact alpha-quantile of a standard normal loss distribution."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return mu + sigma * _STANDARD_NORMAL.inv_cdf(alpha)
+    return _STANDARD_NORMAL.inv_cdf(alpha)
 
 
-def normal_es_oracle(alpha: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Exact mean of a Normal(mu, sigma) loss beyond its alpha-quantile."""
+def normal_es_oracle(alpha: float) -> float:
+    """Exact mean of a standard normal loss beyond its alpha-quantile."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    z = _STANDARD_NORMAL.inv_cdf(alpha)
-    return mu + sigma * _STANDARD_NORMAL.pdf(z) / (1.0 - alpha)
+    return _STANDARD_NORMAL.pdf(_STANDARD_NORMAL.inv_cdf(alpha)) / (1.0 - alpha)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -165,6 +161,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Edges span twelve decades of distance from each open endpoint; panels
 # beyond that add nothing at double precision.
 _EDGE_DECADES = 1e-12
+
+# srm_quadrature_oracle's starting panel count, tolerances and most doublings
+_PANELS = 200
+_REL_TOL, _ABS_TOL = 1e-9, 1e-12
+_MAX_DOUBLINGS = 8
 
 
 def _panel_edges(p_min: float, m: int) -> np.ndarray:
@@ -198,44 +199,36 @@ def _composite_gl(quantile_fn, density, edges: np.ndarray) -> float:
     return float(((f @ _GL_WEIGHTS) * half).sum())
 
 
-def _check_panels(panels):
-    if panels < 100:
-        raise ValueError(f"need at least 100 panels, got {panels}")
-
-
-def srm_quadrature_oracle(quantile_fn, k: float, panels: int = 200,
-                          rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                          max_doublings: int = 8) -> float:
+def srm_quadrature_oracle(quantile_fn, k: float) -> float:
     """Spectral measure by direct numeric integration of quantile * weight.
 
     Parameters:
     - quantile_fn: quantile function of the loss distribution; must accept a
       numpy array of probabilities strictly inside (0, 1).
     - k: risk-aversion coefficient of the exponential weighting.
-    - panels: starting panel count for the composite 16-node Gauss-Legendre
-      rule; at least 100.
 
     The integrand below p_min = 1 - 36.9 / k is dropped: there the weight
     density is under 1e-16 of its peak and contributes nothing at double
-    precision. Panel counts double until two successive values agree within
-    max(rel_tol * |value|, abs_tol); if they never do an ArithmeticError
-    reports the last two values. Intended for smooth quantile functions,
-    where the practical accuracy is far better than 1e-6 relative.
+    precision. The rest is integrated by a composite 16-node Gauss-Legendre
+    rule on 200 panels, doubled until two successive values agree within
+    max(1e-9 * |value|, 1e-12), at most 8 times; if they never do an
+    ArithmeticError reports the last value. Intended for smooth quantile
+    functions, where the practical accuracy is far better than 1e-6
+    relative.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
-    _check_panels(panels)
     norm = -math.expm1(-k)
 
     def density(p):
         return k * np.exp(-k * (1.0 - p)) / norm
 
     p_min = max(0.0, 1.0 - 36.9 / k)
-    m = int(panels)
+    m = _PANELS
     previous = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         value = _composite_gl(quantile_fn, density, _panel_edges(p_min, m))
-        if previous is not None and abs(value - previous) <= max(rel_tol * abs(value), abs_tol):
+        if previous is not None and abs(value - previous) <= max(_REL_TOL * abs(value), _ABS_TOL):
             return value
         previous = value
         m *= 2

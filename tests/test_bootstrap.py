@@ -19,10 +19,7 @@ from riskboot import (
     Position,
     QuantileMethod,
     bootstrap_estimate,
-    expected_shortfall,
     run_grid,
-    spectral_risk_measure,
-    value_at_risk,
 )
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
@@ -189,23 +186,25 @@ class TestBootstrapEstimate:
             assert result.coeff_variation is None
             assert result.ci_standardized == (1.0, 1.0)
 
-    def test_plug_in_matches_direct_measure_calls(self):
-        sample = normal_sample(seed=3)
-        config = BootstrapConfig(resamples=50, master_seed=4)
-        assert bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 0.99), config) \
-            .plug_in_estimate == value_at_risk(sample, 0.99)
-        assert bootstrap_estimate(sample, EstimatorSpec(Measure.ES, 0.99), config) \
-            .plug_in_estimate == expected_shortfall(sample, 0.99)
-        assert bootstrap_estimate(sample, EstimatorSpec(Measure.SRM, 20.0), config) \
-            .plug_in_estimate == spectral_risk_measure(sample, 20.0)
-
-    def test_plug_in_respects_quantile_method(self):
+    def test_resamples_respect_quantile_method(self):
+        """Each interpolated resample VaR lies at its fractional rank
+        1 + alpha * (n - 1) between two order statistics of its row, so
+        recompute them from the row's tail indices."""
         sample = normal_sample(seed=5)
-        config = BootstrapConfig(resamples=50, master_seed=4,
+        b, alpha = 50, 0.95
+        config = BootstrapConfig(resamples=b, master_seed=4,
                                  quantile_method=QuantileMethod.LINEAR_INTERPOLATION)
-        result = bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 0.95), config)
-        assert result.plug_in_estimate == value_at_risk(
-            sample, 0.95, QuantileMethod.LINEAR_INTERPOLATION)
+        result = bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, alpha), config)
+
+        h = 1.0 + alpha * (sample.n - 1)  # 380.05: between columns 379 and 380 (0-based)
+        depth = sample.n - (math.floor(h) - 1)  # the row's top 21 order statistics
+        top = tail_indices(4, 0, 1, sample.n, depth, b)
+        lo, hi = sample.values[top[-1]], sample.values[top[-2]]
+        estimates = lo + (h - math.floor(h)) * (hi - lo)
+
+        assert np.all((lo <= estimates) & (estimates <= hi)) and np.any(lo < estimates)
+        assert result.point_estimate == estimates.mean()
+        assert result.std_error == estimates.std(ddof=1)
 
     def test_summary_arithmetic(self):
         """Point, standard error, CV and the standardized interval are all

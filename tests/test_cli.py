@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskboot import bootstrap
 from riskboot.cli import SEED_ENV_VAR, main
 
 from report_records import parse_csv
@@ -259,14 +260,49 @@ class TestEstimate:
         (tmp_path / "again").mkdir()
         second = synth_file(tmp_path / "again", "c1.csv", seed=102)
         inputs = ["--input", str(first), "--input", str(second)]
+        capsys.readouterr()
         for extra, fragment in (((), "--input: duplicate contract labels: ['c1', 'c1']"),
                                 (("--label", "A", "--label", "A"),
                                  "--label: duplicate contract labels: ['A', 'A']"),
                                 (("--label", "a|b", "--label", "c,d", "--format", "kv"),
-                                 "--label: contract label 'a|b' may not contain")):
-            code, _, err = run(["estimate", *inputs, *extra, "--return-col", "return"], capsys)
+                                 "--label: contract label 'a|b' may not contain"),
+                                # the loader would name the first contract c1 after its file
+                                (("--label", "", "--label", "c1"),
+                                 "--label: a contract label may not be empty")):
+            code, out, err = run(["estimate", *inputs, *extra, "--return-col", "return"], capsys)
             assert code == 2
-            assert fragment in err
+            assert out == ""
+            assert err.startswith(f"config error: {fragment}") and err.count("\n") == 1
+
+    def test_failed_cells_exit_one(self, tmp_path, capsys, monkeypatch):
+        """A contract whose resampling fails blanks its cells and the run
+        exits 1 after writing every table; the other contract's cells equal a
+        clean run's."""
+        inputs = [synth_file(tmp_path, "c1.csv", seed=101), synth_file(tmp_path, "c2.csv", seed=102)]
+        clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
+        assert run(self.estimate_args(inputs, clean_dir), capsys)[0] == 0
+        run_block = bootstrap._Contract._run_block
+
+        def fail_c2(contract, block):
+            if contract.ordinal == 1:  # c2, both positions
+                raise MemoryError("no room for a block")
+            return run_block(contract, block)
+
+        monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_c2)
+        code, out, err = run(self.estimate_args(inputs, failed_dir), capsys)
+        failed = 2 * (3 + 3 + 5)  # two positions of 3 VaR, 3 ES and 5 SRM cells
+        assert code == 1
+        assert out.endswith(f"RESULT failed_cells={failed}\n")
+        warnings = err.splitlines()
+        assert len(warnings) == failed
+        assert all(line.startswith("[warn] cell failed: c2 ")
+                   and line.endswith(": MemoryError: no room for a block") for line in warnings)
+        assert f"failed_cells = {failed}\n" in (failed_dir / "run.kv").read_text()
+        for name in ("summary.csv", "var.csv", "es.csv", "srm.csv"):
+            clean, broken = (parse_csv((d / name).read_text()) for d in (clean_dir, failed_dir))
+            assert [r for r in broken if r["column"] == "c1"] == \
+                [r for r in clean if r["column"] == "c1"]
+            assert any(r["column"] == "c2" for r in broken)
 
     def test_column_named_twice_exits_two(self, tmp_path, capsys):
         path = tmp_path / "twice.csv"

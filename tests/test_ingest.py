@@ -2,7 +2,7 @@
 
 import math
 import re
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -311,11 +311,18 @@ class TestDropZeroReturns:
             drop_zero_returns(ReturnSeries("x", dates, np.array([0.0, 0.0])))
 
 
+def series_of(returns):
+    """A ReturnSeries of returns on consecutive days."""
+    start = date(2001, 1, 1).toordinal()
+    return ReturnSeries("x", tuple(map(date.fromordinal, range(start, start + len(returns)))),
+                        returns)
+
+
 class TestSummaryStats:
     def test_worked_example(self):
         """(0, 0, 0, 12): skewness 2/sqrt(3), kurtosis 7/3 with the
         n-divisor central moments."""
-        s = summary_stats(np.array([0.0, 0.0, 0.0, 12.0]))
+        s = summary_stats(series_of([0.0, 0.0, 0.0, 12.0]))
         assert s.skewness == pytest.approx(1.1547005383792515, abs=1e-12)
         assert s.kurtosis == pytest.approx(2.3333333333333335, abs=1e-12)
         assert s.mean == 3.0
@@ -323,19 +330,19 @@ class TestSummaryStats:
         assert s.minimum == 0.0 and s.maximum == 12.0
 
     def test_symmetric_three_points(self):
-        s = summary_stats(np.array([-1.0, 0.0, 1.0]))
+        s = summary_stats(series_of([-1.0, 0.0, 1.0]))
         assert s.mean == 0.0
         assert s.skewness == 0.0
         assert s.kurtosis is None  # needs at least 4 observations
 
     def test_std_dev_uses_n_minus_1(self):
-        s = summary_stats(np.array([0.0, 2.0]))
+        s = summary_stats(series_of([0.0, 2.0]))
         assert s.std_dev == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_kurtosis_of_big_normal_sample_is_near_3(self):
         """Kurtosis is reported raw, not excess."""
         x = np.random.default_rng(11).normal(0.0, 0.01, 200_000)
-        s = summary_stats(x)
+        s = summary_stats(series_of(x))
         assert abs(s.kurtosis - 3.0) < 0.1
         assert abs(s.skewness) < 0.05
 
@@ -345,11 +352,11 @@ class TestSummaryStats:
         for value in (3.25, 0.1, 0.7, 1 / 3, 0.013):
             for n in (3, 6, 7, 10, 100):
                 with pytest.raises(ValueError, match="constant series"):
-                    summary_stats(np.full(n, value))
+                    summary_stats(series_of(np.full(n, value)))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            summary_stats(np.array([1.0]))
+            summary_stats(series_of([1.0]))
 
     @pytest.mark.parametrize("size, n", [(1e-120, 4), (1e-300, 4), (1e77, 4), (1e154, 3),
                                          (1e308, 4)])
@@ -360,17 +367,17 @@ class TestSummaryStats:
         constant: each is a ValueError, never a numpy warning (an error
         under pytest here), an OverflowError or non-finite statistics."""
         with pytest.raises(ValueError, match="leave the float range"):
-            summary_stats(size * np.array([1.0, -1.0, 0.5, -0.25])[:n])
+            summary_stats(series_of(size * np.array([1.0, -1.0, 0.5, -0.25])[:n]))
 
     def test_moderately_large_returns_keep_finite_moments(self):
-        s = summary_stats(1e70 * np.array([0.0, 0.0, 0.0, 12.0]))
+        s = summary_stats(series_of(1e70 * np.array([0.0, 0.0, 0.0, 12.0])))
         assert s.skewness == pytest.approx(1.1547005383792515, rel=1e-12)
         assert s.kurtosis == pytest.approx(2.3333333333333335, rel=1e-12)
 
     def test_location_shift_moves_only_the_mean(self):
         rng = np.random.default_rng(5)
         x = rng.standard_t(5, 4000) * 0.01
-        a, b = summary_stats(x), summary_stats(x + 0.37)
+        a, b = summary_stats(series_of(x)), summary_stats(series_of(x + 0.37))
         assert b.mean == pytest.approx(a.mean + 0.37, abs=1e-12)
         assert b.std_dev == pytest.approx(a.std_dev, abs=1e-10)
         assert b.skewness == pytest.approx(a.skewness, abs=1e-10)
@@ -379,12 +386,9 @@ class TestSummaryStats:
     def test_order_invariance(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0.0, 1.0, 999)
-        a, b = summary_stats(x), summary_stats(x[::-1].copy())
+        a, b = summary_stats(series_of(x)), summary_stats(series_of(x[::-1].copy()))
         assert b.mean == pytest.approx(a.mean, abs=1e-12)
         assert b.skewness == pytest.approx(a.skewness, abs=1e-10)
 
     def test_accepts_return_series(self):
-        import datetime
-        dates = [datetime.date(2001, 1, 1) + datetime.timedelta(days=i) for i in range(4)]
-        series = ReturnSeries("x", dates, np.array([0.0, 0.0, 0.0, 12.0]))
-        assert summary_stats(series).n == 4
+        assert summary_stats(series_of([0.0, 0.0, 0.0, 12.0])).n == 4
