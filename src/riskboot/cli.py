@@ -124,12 +124,19 @@ def _nearest_existing(path: Path) -> Path:
     return next(p for p in (path, *path.parents) if p.exists())
 
 
+def _formats() -> dict:
+    """Each --format value with its table file extension and its renderer.
+    Built when called, so the renderers are looked up in this module's
+    namespace at run time."""
+    return {"text": ("txt", to_text), "csv": ("csv", to_csv), "kv": ("kv", to_kv)}
+
+
 def _out_paths(args, measures) -> list:
     """The files estimate writes under --out, in the order it writes them:
     the summary table, one table per measure, figure1.csv with --figure1,
     and run.kv."""
     out_dir = Path(args.out)
-    extension = {"text": "txt", "csv": "csv", "kv": "kv"}[args.format]
+    extension = _formats()[args.format][0]
     names = [f"{table}.{extension}" for table in ["summary", *(m.value for m in measures)]]
     if args.figure1:
         names.append("figure1.csv")
@@ -194,8 +201,11 @@ def _estimate_config(args):
     if problems:
         raise ConfigError(problems)
 
+    config = BootstrapConfig(resamples=args.resamples, master_seed=seed,
+                             quantile_method=QuantileMethod(args.quantile_method),
+                             ci_coverage=args.ci_coverage)
     positions = list(Position) if args.position == "both" else [Position(args.position)]
-    return labels, measures, alphas, aras, positions, seed, seed_source
+    return labels, measures, alphas, aras, positions, config, seed_source
 
 
 def _load_series(args, labels):
@@ -221,16 +231,34 @@ def _load_series(args, labels):
     return series, stats_pairs
 
 
-def _metadata_lines(args, seed, seed_source, labels, measures, alphas, aras,
-                    positions, failed):
-    return [
+def _cmd_estimate(args) -> int:
+    labels, measures, alphas, aras, positions, config, seed_source = _estimate_config(args)
+    series, stats_pairs = _load_series(args, labels)
+    samples = [to_losses(s, position) for s in series for position in positions]
+
+    grid_params = {m: aras if m is Measure.SRM else alphas for m in measures}
+    print(f"[config] seed={config.master_seed} seed_source={seed_source} "
+          f"resamples={config.resamples} workers={args.workers} "
+          f"cells={len(samples) * sum(len(v) for v in grid_params.values())}")
+    grid = run_grid(samples, grid_params, config, workers=args.workers)
+    for cell in grid.failed:
+        print(f"[warn] cell failed: {cell.sample_label} {cell.position.value} "
+              f"{cell.measure.value}({_fmt_num(cell.parameter)}): {cell.error}",
+              file=sys.stderr)
+
+    render = _formats()[args.format][1]
+    tables = [build_summary_table(stats_pairs), *(build_measure_table(grid, m) for m in measures)]
+    outputs = [render(table) for table in tables]
+    if args.figure1:
+        outputs.append(figure_csv(aras))
+    metadata = [
         "command = estimate",
         f"version = {__version__}",
-        f"seed = {seed}",
+        f"seed = {config.master_seed}",
         f"seed_source = {seed_source}",
-        f"resamples = {args.resamples}",
-        f"ci_coverage = {_fmt_num(args.ci_coverage)}",
-        f"quantile_method = {args.quantile_method}",
+        f"resamples = {config.resamples}",
+        f"ci_coverage = {_fmt_num(config.ci_coverage)}",
+        f"quantile_method = {config.quantile_method.value}",
         f"measures = {','.join(m.value for m in measures)}",
         f"alphas = {','.join(_fmt_num(a) for a in alphas)}",
         f"aras = {','.join(_fmt_num(k) for k in aras)}",
@@ -239,56 +267,21 @@ def _metadata_lines(args, seed, seed_source, labels, measures, alphas, aras,
         f"format = {args.format}",
         f"inputs = {','.join(args.input)}",
         f"labels = {','.join(labels)}",
-        f"failed_cells = {failed}",
+        f"failed_cells = {len(grid.failed)}",
     ]
-
-
-def _cmd_estimate(args) -> int:
-    labels, measures, alphas, aras, positions, seed, seed_source = _estimate_config(args)
-    series, stats_pairs = _load_series(args, labels)
-    samples = [to_losses(s, position) for s in series for position in positions]
-
-    grid_params = {m: aras if m is Measure.SRM else alphas for m in measures}
-    config = BootstrapConfig(
-        resamples=args.resamples,
-        master_seed=seed,
-        quantile_method=QuantileMethod(args.quantile_method),
-        ci_coverage=args.ci_coverage)
-
-    print(f"[config] seed={seed} seed_source={seed_source} resamples={args.resamples} "
-          f"workers={args.workers} cells={len(samples) * sum(len(v) for v in grid_params.values())}")
-    grid = run_grid(samples, grid_params, config, workers=args.workers)
-    for cell in grid.failed:
-        print(f"[warn] cell failed: {cell.sample_label} {cell.position.value} "
-              f"{cell.measure.value}({_fmt_num(cell.parameter)}): {cell.error}",
-              file=sys.stderr)
-
-    tables = [build_summary_table(stats_pairs)]
-    for measure in measures:
-        tables.append(build_measure_table(grid, measure))
-
-    render = {"text": to_text, "csv": to_csv, "kv": to_kv}[args.format]
-    metadata = _metadata_lines(args, seed, seed_source, labels, measures, alphas,
-                               aras, positions, len(grid.failed))
 
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        texts = [render(table) for table in tables]
-        if args.figure1:
-            texts.append(figure_csv(aras))
-        texts.append("\n".join(metadata) + "\n")
+        texts = [*outputs, "\n".join(metadata) + "\n"]
         for path, text in zip(_out_paths(args, measures), texts, strict=True):
             path.write_text(text, encoding="utf-8")
             print(f"[write] {path}")
     else:
         for line in metadata:
             print(f"[meta] {line}")
-        for table in tables:
+        for text in outputs:
             print()
-            print(render(table), end="")
-        if args.figure1:
-            print()
-            print(figure_csv(aras), end="")
+            print(text, end="")
 
     if grid.failed:
         print(f"RESULT failed_cells={len(grid.failed)}")
@@ -337,8 +330,7 @@ def _cmd_synth(args) -> int:
 
     spec = SyntheticSpec(family=family, n=args.n, seed=seed, label=args.label)
     series = generate(spec)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "return"])
@@ -450,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"master seed; falls back to ${SEED_ENV_VAR}, then 0")
     est.add_argument("--quantile-method", choices=methods, default="order")
     est.add_argument("--workers", type=int, default=1)
-    est.add_argument("--format", choices=("text", "csv", "kv"), default="text")
+    est.add_argument("--format", choices=tuple(_formats()), default="text")
     est.add_argument("--out", default=None, metavar="DIR",
                      help="write one file per table here instead of stdout")
     est.add_argument("--figure1", action="store_true",

@@ -16,6 +16,7 @@ lean on the far tail.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,7 +56,8 @@ class Measure(Enum):
 class LossSample:
     """Ascending-sorted losses for one instrument and position.
 
-    Construction sorts the values and rejects empty or non-finite input, so
+    Construction sorts the values and rejects a position that is not a
+    Position and values that are not one-dimensional, empty or finite, so
     every LossSample in circulation is safe to index by rank.
     """
 
@@ -64,7 +66,12 @@ class LossSample:
     label: str = ""
 
     def __post_init__(self):
-        values = np.sort(np.asarray(self.values, dtype=float))
+        if not isinstance(self.position, Position):
+            raise ValueError(f"unknown position {self.position!r}")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"loss sample must be one-dimensional, got shape {values.shape}")
+        values = np.sort(values)
         if values.size == 0:
             raise ValueError("loss sample is empty")
         if not np.all(np.isfinite(values)):
@@ -92,6 +99,17 @@ def to_losses(series: ReturnSeries, position: Position) -> LossSample:
 # ----------------------------------------------------------------------
 # quantile and tail estimators
 # ----------------------------------------------------------------------
+
+def _check_integer(value, name):
+    """value as a Python int; a ValueError names what is not an integer,
+    a bool included."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 def _check_alpha(alpha, noun="confidence level") -> float:
     """The level alpha as a float; ValueError, naming it by noun, unless it
@@ -252,7 +270,7 @@ def spectral_weights(n: int, k: float) -> np.ndarray:
     by telescoping.
     """
     k = _check_aversion(k)
-    if n < 1:
+    if _check_integer(n, "cell count") < 1:
         raise ValueError(f"need at least one cell, got {n}")
     i = np.arange(1, n + 1, dtype=float)
     return np.exp(-k * (1.0 - i / n)) * (np.expm1(-k / n) / np.expm1(-k))

@@ -158,19 +158,8 @@ def build_measure_table(grid: ResultGrid, measure: Measure) -> ReportTable:
     lookup = {(c.sample_label, c.position, c.parameter): c for c in cells}
     notes = []
 
-    def value_of(cell, kind):
-        if cell is None or cell.result is None:
-            return None
-        r = cell.result
-        if kind == "estimate":
-            return r.point_estimate
-        if kind == "stderr":
-            return r.std_error
-        if kind == "cv":
-            return r.coeff_variation
-        return r.ci_standardized
-
-    def make_section(label, kind):
+    def make_section(label, kind, field):
+        """The section of kind that shows each cell's BootstrapResult field."""
         groups = []
         for position in positions:
             rows = []
@@ -182,7 +171,8 @@ def build_measure_table(grid: ResultGrid, measure: Measure) -> ReportTable:
                         notes.append(
                             f"{contract}, {_POSITION_HEADING[position]}, "
                             f"{_row_label(measure, parameter)}: {cell.error}")
-                    row_cells.append(value_of(cell, kind))
+                    row_cells.append(None if cell is None or cell.result is None
+                                     else getattr(cell.result, field))
                 mean = _mean_or_none(row_cells) if kind != "ci" else None
                 rows.append(Row(_row_label(measure, parameter), tuple(row_cells), mean))
             groups.append(RowGroup(position=_POSITION_HEADING[position], rows=tuple(rows)))
@@ -193,10 +183,11 @@ def build_measure_table(grid: ResultGrid, measure: Measure) -> ReportTable:
 
     short = _MEASURE_SHORT[measure]
     sections = (
-        make_section(f"(a) {short} estimates", "estimate"),
-        make_section("(b) Standard errors", "stderr"),
-        make_section("(c) Coefficients of variation", "cv"),
-        make_section(f"(d) {grid.config.ci_coverage * 100:g}% confidence intervals", "ci"),
+        make_section(f"(a) {short} estimates", "estimate", "point_estimate"),
+        make_section("(b) Standard errors", "stderr", "std_error"),
+        make_section("(c) Coefficients of variation", "cv", "coeff_variation"),
+        make_section(f"(d) {grid.config.ci_coverage * 100:g}% confidence intervals", "ci",
+                     "ci_standardized"),
     )
     return ReportTable(
         name=measure.value,

@@ -18,8 +18,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bootstrap import _check_integer, _check_seed
+from .bootstrap import _check_seed
 from .ingest import ReturnSeries
+from .measures import _check_integer
 
 _START_DATE = date(1991, 1, 1)
 

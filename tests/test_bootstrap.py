@@ -319,12 +319,14 @@ class TestBootstrapEstimate:
         (lambda: BootstrapConfig(quantile_method="order"), "unknown quantile method 'order'"),
         (lambda: BootstrapConfig(ci_coverage="0.9"),
          "interval coverage must lie strictly between 0 and 1, got '0.9'"),
+        (lambda: EstimatorSpec("es", 0.99), "unknown measure 'es'"),
+        (lambda: EstimatorSpec("srm", 5.0), "unknown measure 'srm'"),
     ], ids=["srm_bool", "es_bool", "seed_bool", "resamples_bool", "workers_bool",
-            "method_string", "coverage_string"])
+            "method_string", "coverage_string", "es_string", "srm_string"])
     def test_construction_rejects_what_cannot_run(self, build, message):
-        """A bool is not a number here, and a config holds only a
-        QuantileMethod and a float coverage, so nothing that cannot run gets
-        past construction to fail its cells later."""
+        """A bool is not a number here, a spec holds only a Measure and a
+        config only a QuantileMethod and a float coverage, so nothing that
+        cannot run, or would run as another measure, gets past construction."""
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message

@@ -138,6 +138,30 @@ class TestEstimate:
             if name != "run.kv":  # run.kv records the worker count
                 assert (dirs[2] / name).read_bytes() == reference  # more workers
 
+    def test_stdout_carries_what_out_writes(self, tmp_path, capsys):
+        """Without --out, stdout holds run.kv's lines as [meta] lines, then
+        every other file --out writes, in write order, each after one blank
+        line."""
+        inputs = [synth_file(tmp_path, "c1.csv", seed=101),
+                  synth_file(tmp_path, "c2.csv", seed=102)]
+        capsys.readouterr()
+        args = self.estimate_args(inputs, tmp_path / "out", ("--figure1",))
+        code, written, _ = run(args, capsys)
+        assert code == 0
+        *files, run_kv = [Path(line.removeprefix("[write] "))
+                          for line in written.splitlines() if line.startswith("[write] ")]
+        assert [p.name for p in files] == ["summary.csv", "var.csv", "es.csv", "srm.csv",
+                                           "figure1.csv"]
+        assert run_kv.name == "run.kv"
+
+        out_flag = args.index("--out")
+        code, printed, _ = run(args[:out_flag] + args[out_flag + 2:], capsys)
+        assert code == 0
+        assert printed == (written.splitlines(keepends=True)[0]  # the [config] line
+                           + "".join(f"[meta] {line}\n" for line in run_kv.read_text().splitlines())
+                           + "".join("\n" + p.read_text() for p in files)
+                           + "RESULT ok\n")
+
     def test_cells_do_not_depend_on_the_positions_requested(self, tmp_path, capsys):
         """A contract's long and short cells read one stream, keyed on the
         contract, so --position long and short write the very rows that

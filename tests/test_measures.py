@@ -65,6 +65,21 @@ class TestLossSample:
         with pytest.raises(ValueError, match="non-finite"):
             LossSample(np.array([1.0, np.nan]))
 
+    def test_position_must_be_a_position(self):
+        """A string would pass for the short position in to_losses' sign
+        choice; the sample rejects it instead of mislabelling the losses."""
+        series = ReturnSeries("c", [datetime.date(2001, 1, 1), datetime.date(2001, 1, 2)],
+                              np.array([0.01, -0.02]))
+        with pytest.raises(ValueError, match="^unknown position 'long'$"):
+            to_losses(series, "long")
+
+    @pytest.mark.parametrize("values, shape", [([[1.0, 2.0], [3.0, 0.0]], "(2, 2)"), (3.0, "()")],
+                             ids=["two_d", "zero_d"])
+    def test_values_must_be_one_dimensional(self, values, shape):
+        with pytest.raises(ValueError) as caught:
+            LossSample(values)
+        assert str(caught.value) == f"loss sample must be one-dimensional, got shape {shape}"
+
 
 class TestToLosses:
     def make_series(self, returns):
@@ -267,6 +282,12 @@ class TestSpectralWeights:
     def test_zero_cells_rejected(self):
         with pytest.raises(ValueError, match="at least one cell"):
             spectral_weights(0, 5.0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_cell_count_rejected(self, n):
+        with pytest.raises(ValueError) as caught:
+            spectral_weights(n, 5.0)
+        assert str(caught.value) == f"cell count must be an integer, got {n!r}"
 
 
 class TestValidateWeighting:
