@@ -132,8 +132,7 @@ class EstimatorSpec:
     parameter: float
 
     def __post_init__(self):
-        if not isinstance(self.measure, Measure):
-            raise ValueError(f"unknown measure {self.measure!r}")
+        _check_measure(self.measure)
         check = _check_aversion if self.measure is Measure.SRM else _check_alpha
         object.__setattr__(self, "parameter", check(self.parameter))
 
@@ -177,6 +176,12 @@ class BootstrapResult:
 # ----------------------------------------------------------------------
 # streams and the contracts' resample blocks
 # ----------------------------------------------------------------------
+
+def _check_measure(measure):
+    """The one check of a measure, for EstimatorSpec and run_grid's keys."""
+    if not isinstance(measure, Measure):
+        raise ValueError(f"unknown measure {measure!r}")
+
 
 def _check_workers(workers):
     """The one check of a worker count, for run_grid and the CLI."""
@@ -501,14 +506,17 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       them. One worker runs every block on the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
-    in grid order. A parameter out of its measure's range raises the
-    ValueError of its EstimatorSpec before any contract is prepared. Every
+    in grid order. A grid key that is not a Measure, or a parameter out of
+    its measure's range, raises the ValueError of EstimatorSpec before any
+    contract is prepared. Every
     cell of a contract whose resampling fails at run time (out of memory,
     say) is recorded with the error message, and the rest of the grid still
     runs.
     """
     samples = list(samples)
     _check_workers(workers)
+    for measure in grid:  # the specs below would skip a key that is no Measure
+        _check_measure(measure)
     specs = [EstimatorSpec(measure, parameter)
              for measure in Measure if measure in grid for parameter in grid[measure]]
     groups = []  # the sample indices of each contract

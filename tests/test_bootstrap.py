@@ -321,12 +321,18 @@ class TestBootstrapEstimate:
          "interval coverage must lie strictly between 0 and 1, got '0.9'"),
         (lambda: EstimatorSpec("es", 0.99), "unknown measure 'es'"),
         (lambda: EstimatorSpec("srm", 5.0), "unknown measure 'srm'"),
+        (lambda: run_grid([normal_sample()], {"es": [0.99]}, BootstrapConfig(resamples=10)),
+         "unknown measure 'es'"),
+        (lambda: run_grid([normal_sample()], {Measure.ES: [0.99], "srm": [5.0]},
+                          BootstrapConfig(resamples=10)), "unknown measure 'srm'"),
     ], ids=["srm_bool", "es_bool", "seed_bool", "resamples_bool", "workers_bool",
-            "method_string", "coverage_string", "es_string", "srm_string"])
+            "method_string", "coverage_string", "es_string", "srm_string",
+            "grid_string_key", "grid_string_key_beside_a_measure"])
     def test_construction_rejects_what_cannot_run(self, build, message):
-        """A bool is not a number here, a spec holds only a Measure and a
-        config only a QuantileMethod and a float coverage, so nothing that
-        cannot run, or would run as another measure, gets past construction."""
+        """A bool is not a number here, a spec and a grid's keys hold only a
+        Measure and a config only a QuantileMethod and a float coverage, so
+        nothing that cannot run, would run as another measure or would be
+        skipped gets past construction."""
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
