@@ -27,7 +27,7 @@ from . import __version__
 from .bootstrap import BootstrapConfig, EstimatorSpec, Measure, _check_seed, _check_workers, run_grid
 from .ingest import (
     IngestError,
-    _date_parser,
+    _date_regex,
     drop_zero_returns,
     load_prices,
     load_returns,
@@ -172,7 +172,7 @@ def _estimate_config(args):
 
     if bool(args.price_col) == bool(args.return_col):
         problems.append("exactly one of --price-col and --return-col is required")
-    _check_with("--date-format", _date_parser, args.date_format, problems)
+    _check_with("--date-format", _date_regex, args.date_format, problems)
 
     measures = _parse_list(args.measure.lower(), "--measure", Measure, _UNKNOWN_MEASURE, problems)
 
@@ -215,13 +215,14 @@ def _load_series(args, labels):
     series, stats_pairs = [], []
     for path, label in zip(args.input, labels):
         if args.price_col:
-            prices = load_prices(path, date_col=args.date_col, price_col=args.price_col,
-                                 date_format=args.date_format, label=label)
-            one = log_returns(prices)
+            one = load_prices(path, date_col=args.date_col, price_col=args.price_col,
+                              date_format=args.date_format, label=label)
         else:
             one = load_returns(path, date_col=args.date_col, return_col=args.return_col,
                                date_format=args.date_format, label=label)
         try:
+            if args.price_col:
+                one = log_returns(one)
             if args.drop_zero_returns:
                 one = drop_zero_returns(one)
             stats_pairs.append((one.label, summary_stats(one)))

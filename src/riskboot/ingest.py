@@ -14,13 +14,14 @@ not UTF-8, or a field longer than the csv module allows, stops the read
 with one problem.
 
 A clean file in such a format is read column-wise, in slices of about
-256 KiB of whole lines: each slice's fields are split at once, its dates
-checked against strptime's regex in one match and converted by numpy, and
-its values parsed by float. Any file in doubt (a quote, CR or NUL, a
-header or field-count problem, a date or value the slice cannot take, a
-duplicate date, a non-positive price, too few rows) is read row by row
-through the csv module instead, which alone reports problems. Both reads
-accept the same files and give the same series.
+256 KiB of whole lines: each slice's fields are split at once, its first
+date matched against strptime's regex, every date checked by numpy to
+have that date's layout and converted, and its values parsed by float.
+Any file in doubt (a quote, CR or NUL, a header or field-count problem, a
+date or value the slice cannot take, a duplicate date, a non-positive
+price, too few rows) is read row by row through the csv module instead,
+which alone reports problems. Both reads accept the same files and give
+the same series.
 """
 
 from __future__ import annotations
@@ -133,15 +134,12 @@ def _date_regex(date_format):
         raise ValueError(f"format {date_format!r} sets the same field twice") from None
 
 
-def _date_parser(date_format):
-    """Build the date parser for one strptime format.
-
-    Raises the ValueError of _date_regex for a format strptime could
-    never use. The parser returned takes a string and gives its date, or
+def _date_parser(regex, date_format):
+    """Build the date parser for one strptime format, given its regex from
+    _date_regex. The parser returned takes a string and gives its date, or
     raises ValueError exactly where datetime.strptime(text, date_format)
     would.
     """
-    regex = _date_regex(date_format)
     if regex.groupindex.keys() != {"Y", "m", "d"}:
         return lambda text: datetime.strptime(text, date_format).date()
     match = regex.match
@@ -167,9 +165,9 @@ def _records(reader, path):
         raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from None
 
 
-def _read_rows(path, date_col, value_col, date_format):
+def _read_rows(path, date_col, value_col, date_format, regex):
     """Parse (date, value) rows. Returns (rows, problems); rows carry line numbers."""
-    parse_date = _date_parser(date_format)
+    parse_date = _date_parser(regex, date_format)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -258,19 +256,21 @@ def _slices(handle):
     yield rest
 
 
-def _days(texts, regex, rows_regex):
+def _days(texts, regex):
     """The dates of stripped date cells as datetime64[D], or None unless
-    each cell is a valid date that regex matches as strptime tests it, and
-    every cell splits where the first does, into a four-digit year and a
-    two-digit month and day.
+    regex matches the first cell as strptime tests it, as a four-digit
+    year and a two-digit month and day, and every cell is a valid date
+    laid out as the first: its length, its bytes outside the groups and
+    ASCII digits inside them. Each group tries two digits before one, so
+    strptime then splits every cell where it splits the first.
 
     The split has to be checked: under %Y%m%d, "2020131" is 2020-01-31,
     and reading "2020111" at the same places would give 2020-01-11 where
     strptime gives 2020-11-01."""
-    joined = "\0".join(texts) + "\0"
-    if not rows_regex.fullmatch(joined) or not joined.isascii():
-        return None
     found = regex.match(texts[0])
+    joined = "\0".join(texts) + "\0"
+    if found is None or found.end() != len(texts[0]) or not joined.isascii():
+        return None
     spans = [found.span(group) for group in "Ymd"]
     width = len(texts[0]) + 1  # a cell and the NUL after it
     if [end - start for start, end in spans] != [4, 2, 2] or len(joined) != len(texts) * width:
@@ -293,7 +293,7 @@ def _days(texts, regex, rows_regex):
     return days
 
 
-def _read_columns(path, date_col, value_col, date_format):
+def _read_columns(path, date_col, value_col, regex):
     """Read a clean file column-wise, a slice of lines at a time.
 
     Returns (dates, values) in date order, or None for any file that is
@@ -301,19 +301,12 @@ def _read_columns(path, date_col, value_col, date_format):
     message comes from one place. A clean file is UTF-8 holding no quote,
     CR or NUL, with a header naming each column once. Every other line is
     blank or has the header's field count, and no field is longer than
-    csv.field_size_limit(). The format's directives are %Y, %m and %d,
-    and every date is valid, distinct and read at the places of the first
-    in its slice. Every value is a finite float. Raises the ValueError of
-    _date_regex before the file is opened.
+    csv.field_size_limit(). regex, from _date_regex, has groups for %Y,
+    %m and %d alone, and each slice's dates are valid, distinct and laid
+    out as its first, which regex matches (see _days). Every value is a
+    finite float.
     """
-    regex = _date_regex(date_format)
     if regex.groupindex.keys() != {"Y", "m", "d"}:
-        return None
-    try:
-        # match, then end == len: an atomic group keeps the first match, as
-        # strptime's test does, where fullmatch alone would backtrack
-        rows_regex = re.compile(f"(?:(?>{regex.pattern})\\x00)+", regex.flags)
-    except re.error:  # Python 3.10 has no atomic groups
         return None
     try:
         handle = open(path, "rb")
@@ -352,7 +345,7 @@ def _read_columns(path, date_col, value_col, date_format):
                     or np.diff(ends, prepend=-1, append=marks.size).max() - 1 > limit):
                 return None
             fields = text.replace("\n", ",").split(",")
-            slice_days = _days(list(map(str.strip, fields[i_date::count])), regex, rows_regex)
+            slice_days = _days(list(map(str.strip, fields[i_date::count])), regex)
             if slice_days is None:
                 return None
             try:
@@ -392,9 +385,10 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
     non-positive price and duplicate date found. Rows are sorted by date if
     the file is unordered.
     """
-    columns = _read_columns(path, date_col, price_col, date_format)
+    regex = _date_regex(date_format)
+    columns = _read_columns(path, date_col, price_col, regex)
     if columns is None or columns[1].size < 2 or np.any(columns[1] <= 0.0):
-        rows, problems = _read_rows(path, date_col, price_col, date_format)
+        rows, problems = _read_rows(path, date_col, price_col, date_format, regex)
         for d, value, line in rows:
             if value <= 0.0:
                 problems.append(f"line {line}: price {value!r} is not positive")
@@ -410,9 +404,10 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
 def load_returns(path, date_col="date", return_col="return", date_format="%Y-%m-%d",
                  label="") -> ReturnSeries:
     """Load a file of pre-computed returns; same CSV rules as load_prices."""
-    columns = _read_columns(path, date_col, return_col, date_format)
+    regex = _date_regex(date_format)
+    columns = _read_columns(path, date_col, return_col, regex)
     if columns is None:
-        rows, problems = _read_rows(path, date_col, return_col, date_format)
+        rows, problems = _read_rows(path, date_col, return_col, date_format, regex)
         rows = _order_and_check_dates(rows, problems)
         if not problems and not rows:
             problems.append("no usable return rows")
@@ -431,9 +426,14 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
 
     A price repeated on consecutive dates (holiday padding) produces a
     return of exactly 0.0, because x / x is exactly 1 in floating point.
+    Raises ValueError when a ratio of consecutive prices overflows to inf
+    or underflows to 0, so its log is not finite.
     """
     p = series.prices
-    r = np.log(p[1:] / p[:-1])
+    with np.errstate(over="ignore", divide="ignore"):  # checked below instead
+        r = np.log(p[1:] / p[:-1])
+    if not np.all(np.isfinite(r)):
+        raise ValueError("a ratio of consecutive prices leaves the float range")
     return ReturnSeries(label=series.label, dates=series.dates[1:], returns=r)
 
 

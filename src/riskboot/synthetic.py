@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import _check_seed
 from .ingest import ReturnSeries
-from .measures import _check_integer
+from .measures import _check_alpha, _check_integer
 
 _START_DATE = date(1991, 1, 1)
 
@@ -145,15 +145,12 @@ def normal_quantile(p):
 
 def normal_var_oracle(alpha: float) -> float:
     """Exact alpha-quantile of a standard normal loss distribution."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
-    return _STANDARD_NORMAL.inv_cdf(alpha)
+    return _STANDARD_NORMAL.inv_cdf(_check_alpha(alpha))
 
 
 def normal_es_oracle(alpha: float) -> float:
     """Exact mean of a standard normal loss beyond its alpha-quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"confidence level must lie strictly between 0 and 1, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     return _STANDARD_NORMAL.pdf(_STANDARD_NORMAL.inv_cdf(alpha)) / (1.0 - alpha)
 
 

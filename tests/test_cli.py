@@ -387,6 +387,22 @@ class TestEstimate:
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("prices", [("1e-300", "1e300"), ("1e300", "1e-300")],
+                             ids=["ratio_overflows", "log_divides_by_zero"])
+    def test_price_ratio_outside_the_float_range_exit_two(self, tmp_path, prices):
+        """A ratio of consecutive prices that overflows, or that underflows
+        to 0 so its log divides by zero, is an input error naming the file,
+        with no traceback or numpy warning."""
+        path = tmp_path / "wide.csv"
+        path.write_text("date,price\n" + "".join(
+            f"2001-01-0{2 + i},{p}\n" for i, p in enumerate([*prices, "1.0", "2.0"])))
+        done = run_process(["estimate", "--input", str(path), "--price-col", "price",
+                            "--resamples", "20"])
+        assert done.returncode == 2
+        assert f"input error: {path}" in done.stderr
+        assert "ratio of consecutive prices leaves the float range" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("returns, flags, code, message", [
         ([0.01, -0.02], (), 0, None),

@@ -196,7 +196,7 @@ class TestDateParser:
         """Every fuzzed string gets the date datetime.strptime gives it, or
         is rejected where strptime rejects it."""
         rng = np.random.default_rng([2024, FUZZ_FORMATS.index(date_format)])
-        parse = ingest._date_parser(date_format)
+        parse = ingest._date_parser(ingest._date_regex(date_format), date_format)
 
         def reference(text):
             return datetime.strptime(text, date_format).date()
@@ -220,6 +220,27 @@ class TestDateParser:
         timed = write(tmp_path / "t.csv", "date,price\n2001-01-02 10:00,1.0\n")
         with pytest.raises(AssertionError, match="strptime"):  # the guard is live
             load_prices(timed, date_format="%Y-%m-%d %H:%M")
+
+    def test_one_strptime_regex_per_load(self, tmp_path, monkeypatch):
+        """A load builds strptime's TimeRE once, whether it reads the file
+        column-wise or falls back to the per-row path."""
+        import _strptime
+
+        built = []
+
+        class CountedTimeRE(_strptime.TimeRE):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(_strptime, "TimeRE", CountedTimeRE)
+        clean = write(tmp_path / "p.csv", "date,price\n2001-01-02,1.0\n2001-01-03,2.0\n")
+        quoted = write(tmp_path / "q.csv", 'date,price\n2001-01-02,"1.0"\n2001-01-03,2.0\n')
+        for path in (clean, quoted):
+            for load, value_col in ((load_prices, "price_col"), (load_returns, "return_col")):
+                built.clear()
+                assert load(path, **{value_col: "price"}).n == 2
+                assert len(built) == 1, (path.name, load.__name__)
 
     @pytest.mark.parametrize("date_format, message", [
         ("%Q", "'Q' is a bad directive in format '%Q'"),
@@ -284,6 +305,10 @@ def edit_cells(rng, rows, date_format, case):
         rows[i][0] = rng.choice(["", "not-a-date", date_text(date_format, 2020, 13, 1),
                                  date_text(date_format, 2021, 4, 31),
                                  text.replace("-", "/") if "-" in text else text.replace("/", "-")])
+    elif case == "same suffix":  # every date has the first one's layout, and strptime rejects it
+        suffix = rng.choice(["Z", "0"])
+        for row in rows:
+            row[0] += suffix
     elif case == "same length, other split" and date_format in SPLITS:
         del rows[2:]  # every row of one length
         for row, text in zip(rows, SPLITS[date_format][rng.integers(2):]):
@@ -321,7 +346,7 @@ def edit_text(rng, text, case):
 
 CELL_CASES = ["padded", "quotes", "short row", "extra field", "long field", "unordered",
               "duplicate date", "non-positive", "special value", "non-ASCII digit",
-              "year 0000", "Feb 29", "bad date", "same length, other split"]
+              "year 0000", "Feb 29", "bad date", "same suffix", "same length, other split"]
 TEXT_CASES = ["BOM", "CRLF", "lone CR", "NUL", "blank lines", "no final newline",
               "quoted line break"]
 FILE_CASES = CELL_CASES + TEXT_CASES + ["one row", "header only", "not UTF-8"]
@@ -391,7 +416,8 @@ class TestColumnWiseRead:
                 either = load_outcome(load, path, date_format)
                 monkeypatch.setattr(ingest, "_read_columns", lambda *args: None)
                 assert either == load_outcome(load, path, date_format), (cases, data)
-            column_wise.append(read_columns(path, "date", "price", date_format) is not None)
+            regex = ingest._date_regex(date_format)
+            column_wise.append(read_columns(path, "date", "price", regex) is not None)
         # both paths are reached, so the comparison is not with the per-row path alone
         assert set(column_wise) == ({True, False} if date_format in DIRECT_FORMATS else {False})
 
@@ -480,6 +506,13 @@ class TestLogReturns:
                      "date,price\n2001-01-02,96.37\n2001-01-03,96.37\n2001-01-04,97.0\n")
         r = log_returns(load_prices(path))
         assert r.returns[0] == 0.0
+
+    @pytest.mark.parametrize("prices", [[1e-300, 1e300, 1.0], [1e300, 1e-300, 1.0]],
+                             ids=["ratio_overflows", "ratio_underflows"])
+    def test_price_ratio_outside_the_float_range_is_an_error(self, prices):
+        series = PriceSeries("wide", [date(2001, 1, 2 + i) for i in range(3)], prices)
+        with pytest.raises(ValueError, match="ratio of consecutive prices leaves the float range"):
+            log_returns(series)
 
     def test_cumulative_sum_recovers_total_log_growth(self):
         import datetime

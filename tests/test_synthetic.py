@@ -9,6 +9,7 @@ quantile case from its closed-form antiderivative.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,10 +159,11 @@ class TestNormalOracles:
         assert self.modules_after("import riskboot.cli", "riskboot.synthetic") == "[]"
 
     def test_bad_arguments(self):
-        for bad in (0.0, 1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, "0.5", math.nan):
+            message = f"confidence level must lie strictly between 0 and 1, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 normal_var_oracle(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 normal_es_oracle(bad)
 
 
