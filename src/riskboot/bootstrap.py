@@ -29,7 +29,8 @@ statistics its cells read, from one stream per end: the high end for
 long cells, the low end for short cells, each as deep as the deepest
 cell. Otherwise every chunk of a block's rows is drawn, sorted and
 gathered once, and every cell of both positions reads that one sorted
-chunk, so a contract's long and short cells read paired resamples. On
+chunk, the SRM cells in one reduction over their stacked weights, so a
+contract's long and short cells read paired resamples. On
 the tail path the two ends are independent instead. Either way each
 cell's own bootstrap distribution is that of a plain resample of its
 sample.
@@ -286,7 +287,8 @@ class _Contract:
     positions, and ordinal its place among the grid's contracts. The
     constructor takes every cell's estimator argument and picks the path:
     tail ends of _depth columns, or whole rows when _depth is None; nothing
-    changes after that, so the threads only read a contract. The
+    changes after that, so the threads only read a contract. Its reduction
+    plan, _weights, stacks every SRM cell's weights as a row. The
     config.resamples rows of the long-oriented losses are split into blocks
     of block_rows, the last one partial, and block k draws from
     _contract_stream(seed, ordinal, k, lane), lane 0 for whole rows and 1
@@ -299,16 +301,22 @@ class _Contract:
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
         n, method = lead.n, config.quantile_method
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
+        # The reduction plan: every SRM cell's weights, in cell order, are a row
+        # of one (K, n) matrix that a chunk reduces in one einsum, and a cell's
+        # arg is a view of its row. A mirrored cell's row holds its weights
+        # reversed, in the block's column order: einsum runs about twice as
+        # fast on contiguous weights as on a reversed view.
+        srm_specs = sum(spec.measure is Measure.SRM for spec in specs)
+        self._weights = np.empty((len(group) * srm_specs, n))
+        weight_rows = iter(self._weights)
         self._cells = []  # per sample and spec: (measure, estimator arg, mirrored)
         for sample in group:
             mirrored = sample.position is Position.SHORT
             for spec in specs:
-                srm = spec.measure is Measure.SRM
-                arg = spectral_weights(n, spec.parameter) if srm else spec.parameter
-                if mirrored and srm:
-                    # the weights in the block's column order; einsum runs about
-                    # twice as fast on a contiguous copy as on the reversed view
-                    arg = np.ascontiguousarray(arg[::-1])
+                arg = spec.parameter
+                if spec.measure is Measure.SRM:
+                    arg, weights = next(weight_rows), spectral_weights(n, spec.parameter)
+                    arg[:] = weights[::-1] if mirrored else weights
                 self._cells.append((spec.measure, arg, mirrored))
         self.block_rows = max(_BLOCK_ELEMS // n, 1)
         self.blocks = -(-config.resamples // self.block_rows) if specs else 0
@@ -354,9 +362,13 @@ class _Contract:
             idx.sort(axis=1)
             sorted_rows = values[idx]
             del idx
+            srm = iter(_evaluate_sorted(sorted_rows, Measure.SRM, self._weights).T)
             for out, (measure, arg, mirrored) in zip(estimates, self._cells):
-                out[done:done + rows] = _evaluate_sorted(
-                    sorted_rows, measure, arg, method, n, mirrored)
+                if measure is Measure.SRM:  # its column, signed as for a lone cell
+                    np.multiply(next(srm), -1.0 if mirrored else 1.0, out=out[done:done + rows])
+                else:
+                    out[done:done + rows] = _evaluate_sorted(
+                        sorted_rows, measure, arg, method, n, mirrored)
             del sorted_rows  # so the next chunk's draw and gather never overlap this one's
 
     def _run_tail(self, block: int, mirrored: bool, estimates: list):

@@ -156,7 +156,8 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
     """The one estimator: evaluate a measure on each row of a (rows, width)
     array of ascending losses. arg is the confidence level for VAR and ES
     and, for SRM, the length-n weight vector in the order of the full rows'
-    columns; method applies to VAR only.
+    columns, or a (K, n) stack of K such vectors, which gives a (rows, K)
+    array; method applies to VAR only.
 
     n is the length of the full sorted rows and defaults to width. A
     narrower array holds only their last width columns, which must cover
@@ -182,10 +183,12 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
         # einsum sums each row of a multi-row array in one fixed order, whatever
         # the row count; a BLAS matrix product does not. A lone row longer than
         # numpy's 8192-element buffer einsum sums in another order, so it reads
-        # one as two stacked copies of itself and keeps the first sum.
+        # one as two stacked copies of itself and keeps the first sum. Stacked
+        # weight vectors give each of them the same sums as a lone one.
+        subscripts = "ij,kj->ik" if arg.ndim == 2 else "ij,j->i"
         if rows.shape[0] == 1:
-            return sign * np.einsum("ij,j->i", np.broadcast_to(rows, (2, rows.shape[1])), arg)[:1]
-        return sign * np.einsum("ij,j->i", rows, arg)
+            return sign * np.einsum(subscripts, np.broadcast_to(rows, (2, rows.shape[1])), arg)[:1]
+        return sign * np.einsum(subscripts, rows, arg)
     lo = sign * rows[:, c]
     if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:
         return lo

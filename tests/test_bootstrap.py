@@ -20,9 +20,11 @@ from riskboot import (
     QuantileMethod,
     bootstrap_estimate,
     run_grid,
+    spectral_weights,
 )
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
+from riskboot.measures import _evaluate_sorted
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -159,6 +161,34 @@ class TestTailDraw:
         for j in range(depth):
             gap = np.cumsum(np.bincount(tail[j], minlength=n) - np.bincount(full[:, j], minlength=n))
             assert np.abs(gap).max() / rows < 0.03
+
+
+class TestReductionPlan:
+    def test_stacked_srm_columns_equal_each_spec_s_own_reduction(self):
+        """A whole-row chunk reduces every SRM cell of its contract in one
+        einsum over the plan's (K, n) weights, whose rows the cells view. Each
+        column, signed as its cell is, equals that spec's one-vector reduction
+        bit for bit: for one-row chunks, past numpy's 8192-element buffer, and
+        for short cells, whose rows are their weights reversed."""
+        rng = np.random.default_rng(31)
+        for n in (1, 400, 3392, 8193, 20_000):
+            for rows in (1, 2, 5, 103):
+                chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
+                for vectors in (1, 3, 10):
+                    specs = [EstimatorSpec(Measure.SRM, k) for k in np.geomspace(0.5, 80.0, vectors)]
+                    for position in Position:
+                        mirrored = position is Position.SHORT
+                        sample = LossSample(rng.standard_normal(n), position)
+                        contract = bootstrap._Contract([sample], specs, BootstrapConfig(), 0)
+                        weights = contract._weights
+                        assert weights.shape == (vectors, n)
+                        assert all(arg.base is weights for _, arg, _ in contract._cells)
+                        stacked = _evaluate_sorted(chunk, Measure.SRM, weights)
+                        for column, spec in zip(stacked.T, specs):
+                            w = spectral_weights(n, spec.parameter)
+                            w = np.ascontiguousarray(w[::-1]) if mirrored else w
+                            own = _evaluate_sorted(chunk, Measure.SRM, w, mirrored=mirrored)
+                            assert np.array_equal(-column if mirrored else column, own)
 
 
 class TestBootstrapEstimate:
