@@ -358,9 +358,12 @@ def _read_columns(path, date_col, value_col, regex):
     if not days:
         return None
     days, values = np.concatenate(days), np.concatenate(values)
-    order = np.argsort(days, kind="stable")
-    days, values = days[order], values[order]
-    if np.any(days[1:] == days[:-1]) or not np.all(np.isfinite(values)):
+    if not np.all(days[1:] > days[:-1]):  # else already in order, each date once
+        order = np.argsort(days, kind="stable")
+        days, values = days[order], values[order]
+        if np.any(days[1:] == days[:-1]):
+            return None
+    if not np.all(np.isfinite(values)):
         return None
     return tuple(days.tolist()), values
 
