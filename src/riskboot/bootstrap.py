@@ -18,9 +18,8 @@ losses negated in reverse order). A contract, a pair or a lone sample,
 resamples its long-oriented losses, and a short cell reads the low end
 of each resample mirrored. Its B resamples of n losses are split into
 fixed blocks of _BLOCK_ELEMS // n rows (at least one), and each block
-draws from its own counter-based stream, keyed on the master seed and
-the contract's ordinal and started at an offset set by the block's
-ordinal only; block 0 is the contract's stream from its start.
+draws from streams of its own, keyed on the master seed, the contract's
+ordinal and the block's ordinal only (_contract_stream).
 
 A contract takes one of two paths, chosen from n and its specs alone.
 With no spectral cell and every VaR and ES cell reading at most
@@ -56,9 +55,10 @@ until their contract is summarized. On the whole-row path each thread
 draws its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
 bytes once a row alone exceeds that, so the chunks of a grid take about
 _CHUNK_BYTES per thread. The rows per chunk depend on n alone, never on
-the worker count. Even so, counter-based draws do not depend on how a
-block's rows are chunked, and every estimator reduces each row in a fixed
-order whatever the number of rows, so neither do the estimates. On the
+the worker count. Even so, a block's draws do not depend on how its
+rows are chunked, as each bounded int32 draw takes the next 32 bits of
+its stream, and every estimator reduces each row in a fixed order
+whatever the number of rows, so neither do the estimates. On the
 tail path a thread holds one end's int32 indices for a block, at most
 _BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in slabs
 of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes each.
@@ -191,7 +191,8 @@ def _check_workers(workers):
 
 
 def _check_seed(seed):
-    """The one check of a master seed: seeds key 64-bit Philox streams."""
+    """The one check of a master seed, which keys every stream together with
+    a contract, a block and a lane: an unsigned 64-bit integer."""
     if not 0 <= _check_integer(seed, "master seed") < 2 ** 64:
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
@@ -200,15 +201,13 @@ def _contract_stream(master_seed: int, contract: int, block: int = 0,
                      lane: int = 0) -> np.random.Generator:
     """Independent generator for one block of a contract's resamples, a pure
     function of (master_seed, contract, block, lane), where contract is the
-    ordinal of the sample group in run_grid. Block k is the contract's
-    Philox stream started at counter k << 128, the same as the stream
-    jumped k times, so block 0 is the stream from its start. Lane 0 is the
-    block's whole rows, lanes 1 and 2 its high and low tail ends; lane j
-    starts j << 64 counter steps into the block's stream, far beyond what
-    any lane reads. BootstrapConfig has checked the seed, and _bootstrap
-    numbers the contracts itself."""
-    key = np.array([master_seed, contract], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=(block << 128) | (lane << 64)))
+    ordinal of the sample group in run_grid. Lane 0 is the block's whole
+    rows, lanes 1 and 2 its high and low tail ends. Each is an SFC64 stream
+    seeded by a SeedSequence keyed on all four numbers, numpy's way to make
+    independent streams. BootstrapConfig has checked the seed, and
+    _bootstrap numbers the contracts itself."""
+    key = np.random.SeedSequence([master_seed, contract, block, lane])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _mirrors(sample: LossSample, other: LossSample) -> bool:

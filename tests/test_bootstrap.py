@@ -95,22 +95,29 @@ class TestSampleStream:
             other = _contract_stream(seed, sample).integers(0, 2 ** 62, size=8)
             assert not np.array_equal(base, other)
 
-    def test_block_k_is_the_contract_stream_jumped_k_times(self):
-        key = np.array([7, 3], dtype=np.uint64)
-        draws = []
-        for block in (0, 1, 5):
-            jumped = np.random.Generator(np.random.Philox(key=key).jumped(block))
-            draws.append(_contract_stream(7, 3, block).integers(0, 2 ** 62, size=8))
-            assert np.array_equal(draws[-1], jumped.integers(0, 2 ** 62, size=8))
-        assert np.array_equal(draws[0], _contract_stream(7, 3).integers(0, 2 ** 62, size=8))
-        assert len({tuple(d) for d in draws}) == 3
+    def test_stream_is_sfc64_keyed_on_every_coordinate(self):
+        for seed, contract, block, lane in ((7, 3, 0, 0), (7, 3, 5, 2), (2 ** 64 - 1, 0, 1, 1)):
+            key = np.random.SeedSequence([seed, contract, block, lane])
+            expected = np.random.Generator(np.random.SFC64(key)).integers(0, 2 ** 62, size=8)
+            assert np.array_equal(
+                _contract_stream(seed, contract, block, lane).integers(0, 2 ** 62, size=8), expected)
+        assert np.array_equal(_contract_stream(7, 3).integers(0, 2 ** 62, size=8),
+                              _contract_stream(7, 3, 0, 0).integers(0, 2 ** 62, size=8))
 
-    def test_lane_j_starts_j_times_2_to_the_64_steps_into_its_block(self):
-        key = np.array([7, 3], dtype=np.uint64)
-        for block, lane in ((0, 1), (0, 2), (5, 2)):
-            advanced = np.random.Philox(key=key, counter=block << 128).advance(lane << 64)
-            assert np.array_equal(_contract_stream(7, 3, block, lane).integers(0, 2 ** 62, size=8),
-                                  np.random.Generator(advanced).integers(0, 2 ** 62, size=8))
+    def test_each_coordinate_changes_the_stream(self):
+        base = _contract_stream(7, 3, 5, 1).integers(0, 2 ** 62, size=8)
+        for other in ((8, 3, 5, 1), (7, 4, 5, 1), (7, 3, 6, 1), (7, 3, 5, 2), (7, 3, 1, 5)):
+            assert not np.array_equal(base, _contract_stream(*other).integers(0, 2 ** 62, size=8))
+
+    def test_a_chunk_of_rows_draws_what_its_rows_draw_one_by_one(self):
+        """Bounded int32 draws take 32 bits at a time, and the generator
+        keeps the unused half of a 64-bit output for the next call, so a
+        (rows, n) draw equals rows draws of n, odd n too."""
+        for n in (400, 3391, 3392):
+            whole = _contract_stream(5, 1).integers(0, n, size=(7, n), dtype=np.int32)
+            stream = _contract_stream(5, 1)
+            rows = [stream.integers(0, n, size=(1, n), dtype=np.int32) for _ in range(7)]
+            assert np.array_equal(whole, np.concatenate(rows))
 
     def test_int32_draws_match_the_int64_default(self):
         for n in (400, 401, 3392):
