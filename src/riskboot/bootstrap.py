@@ -287,9 +287,11 @@ class _Contract:
     constructor takes every cell's estimator argument and picks the path:
     tail ends of _depth columns, or whole rows when _depth is None; nothing
     changes after that, so the threads only read a contract. Its reduction
-    plan, _weights, stacks every SRM cell's weights as a row. The
-    config.resamples rows of the long-oriented losses are split into blocks
-    of block_rows, the last one partial, and block k draws from
+    plan, _weights, holds every SRM cell's weights as a row, in cell order;
+    an SRM cell's arg is a view of its row, and a whole-row chunk reduces
+    them all in one einsum. The config.resamples rows of the long-oriented
+    losses are split into blocks of block_rows, the last one partial, and
+    block k draws from
     _contract_stream(seed, ordinal, k, lane), lane 0 for whole rows and 1
     and 2 for the high and low ends, and returns its rows' estimates. A
     contract with no specs has no blocks.
@@ -300,11 +302,9 @@ class _Contract:
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
         n, method = lead.n, config.quantile_method
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        # The reduction plan: every SRM cell's weights, in cell order, are a row
-        # of one (K, n) matrix that a chunk reduces in one einsum, and a cell's
-        # arg is a view of its row. A mirrored cell's row holds its weights
-        # reversed, in the block's column order: einsum runs about twice as
-        # fast on contiguous weights as on a reversed view.
+        # A mirrored cell's row of the plan holds its weights reversed, in the
+        # block's column order: einsum runs about twice as fast on contiguous
+        # weights as on a reversed view.
         srm_specs = sum(spec.measure is Measure.SRM for spec in specs)
         self._weights = np.empty((len(group) * srm_specs, n))
         weight_rows = iter(self._weights)
