@@ -11,57 +11,67 @@ An EstimatorSpec checks its parameter when it is built, so a grid rejects
 a bad parameter before any work, and a cell fails only when its
 contract's resampling fails at run time.
 
-Reproducibility is strict. The resamples belong to a contract, not to a
-sample: run_grid pairs a sample with the next one when that one holds
-the opposite position and is its exact mirror (short losses are the long
-losses negated in reverse order). A contract, a pair or a lone sample,
-resamples its long-oriented losses, and a short cell reads the low end
-of each resample mirrored. Its B resamples of n losses are split into
-fixed blocks of _BLOCK_ELEMS // n rows (at least one), and each block
-draws from streams of its own, keyed on the master seed, the contract's
-ordinal and the block's ordinal only (_contract_stream).
+Reproducibility is strict. The resamples belong to a series length, not
+to a sample: run_grid pairs a sample with the next one when that one
+holds the opposite position and is its exact mirror (short losses are
+the long losses negated in reverse order), and the contracts, pairs or
+lone samples, of equal length n form one length group. A contract
+resamples its long-oriented losses, and a short cell reads the low end of
+each resample mirrored. The group's B resamples of n indices are split
+into fixed blocks of rows, and each block draws from streams of its own,
+keyed on the master seed, n and the block's ordinal only
+(_contract_stream), never on a contract's place among the inputs.
 
-A contract takes one of two paths, chosen from n and its specs alone.
-With no spectral cell and every VaR and ES cell reading at most
-_TAIL_SHARE of a sorted row at its end, a block draws just the order
-statistics its cells read, from one stream per end: the high end for
-long cells, the low end for short cells, each as deep as the deepest
-cell. Otherwise every chunk of a block's rows is drawn, sorted and
-gathered once, and every cell of both positions reads that one sorted
-chunk, the SRM cells in one reduction over their stacked weights, so a
-contract's long and short cells read paired resamples. On
-the tail path the two ends are independent instead. Either way each
-cell's own bootstrap distribution is that of a plain resample of its
-sample.
+The path, one of two, is chosen from n and the specs alone, so every
+contract of a group takes it. With no spectral cell and every VaR and ES
+cell reading at most _TAIL_SHARE of a sorted row at its end, a block of
+_TAIL_BLOCK_ELEMS // n rows draws just the order statistics its cells
+read, from one stream per end: the high end for long cells, the low end
+for short cells, each as deep as the deepest cell. Otherwise a block
+holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn and
+sorted once; every contract of the group gathers its own losses at those
+sorted indices, and every cell of both positions reads that one sorted
+chunk, the SRM cells in one reduction over their stacked weights. So a
+contract's long and short cells read paired resamples on that path; on
+the tail path its two ends are independent instead. Either way the
+contracts of one length read common random numbers: their cells are not
+independent of one another, but each cell's own bootstrap distribution
+is that of a plain resample of its sample.
 
 So results are bit-identical for a given seed no matter how many workers
-share the grid, in what order blocks run, how rows are chunked, or
-whether the other position was requested. Other cells change no cell on
-the same path: a row's top j order statistics do not depend on how deep
-its end is drawn. A cell's draws do depend on its contract's path, so
-adding a spectral cell, or a VaR or ES cell past the cut-off, moves the
-VaR and ES cells of a tail contract to whole rows.
+share the grid, in what order blocks run, how rows are chunked, in what
+order the inputs come, what other series share the grid, or whether the
+other position was requested. Other cells change no cell on the same
+path: a row's top j order statistics do not depend on how deep its end
+is drawn. A cell's draws do depend on its group's path, so adding a
+spectral cell, or a VaR or ES cell past the cut-off, moves the VaR and ES
+cells of a tail group to whole rows.
 
-The blocks of all contracts are the unit of work: the worker threads
-take them in contract-major order, so a grid of one contract uses as
-many workers as it has blocks. The threads change no shared state. The
-calling thread prepares every contract before any block runs, each block
-returns its own estimates, and the calling thread reads them back in
-block order and summarizes a contract once its last block is in. With
-one worker the blocks run on the calling thread itself.
+The blocks of all length groups are the unit of work: the worker threads
+take them in group-major order, so a grid of one contract uses as many
+workers as it has blocks. The threads change no shared state. The
+calling thread prepares every contract and group before any block runs,
+each block returns its own estimates, and the calling thread reads them
+back in block order and summarizes a group's contracts once its last
+block is in. With one worker the blocks run on the calling thread
+itself. A run-time failure in one contract's gather or reduction fails
+only that contract's cells; a failure in a block's shared draw fails
+every contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
-until their contract is summarized. On the whole-row path each thread
+until their group is summarized. On the whole-row path each thread
 draws its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
-bytes once a row alone exceeds that, so the chunks of a grid take about
+bytes once a row alone exceeds that: a chunk's int32 indices and one
+contract's gathered losses at a time, so the chunks of a grid take about
 _CHUNK_BYTES per thread. The rows per chunk depend on n alone, never on
 the worker count. Even so, a block's draws do not depend on how its
 rows are chunked, as each bounded int32 draw takes the next 32 bits of
 its stream, and every estimator reduces each row in a fixed order
 whatever the number of rows, so neither do the estimates. On the
 tail path a thread holds one end's int32 indices for a block, at most
-_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in slabs
-of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes each.
+_TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in
+slabs of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes
+each.
 """
 
 from __future__ import annotations
@@ -95,13 +105,16 @@ from .measures import (
 _CHUNK_BYTES = 4 * 2 ** 20
 _CHUNK_ROWS = 512
 
-# A block holds _BLOCK_ELEMS // n resamples of n losses, at least 1. It is
-# at least 2 * 10**6 elements, so that every golden-file cell (5000
-# resamples of 400 losses) is one block, and small enough that a long
-# series still splits into a few dozen blocks for the workers to share.
-_BLOCK_ELEMS = 2 ** 22
+# A block holds _BLOCK_ELEMS // n resamples of n losses on the whole-row
+# path and _TAIL_BLOCK_ELEMS // n on the tail path, at least 1, and each of
+# its chunks serves every contract of that n. Whole-row blocks are small
+# enough that the golden grid's one length group (5000 resamples of 400
+# losses) splits into two blocks for two workers. Tail blocks are larger,
+# as a long series still splits into a few dozen of them.
+_BLOCK_ELEMS = 2 ** 20
+_TAIL_BLOCK_ELEMS = 2 ** 22
 
-# A VaR and ES contract whose ends are at most _TAIL_SHARE of the row deep
+# A VaR and ES grid whose ends are at most _TAIL_SHARE of the row deep
 # draws its ends' order statistics (_tail_indices) instead of sorting whole
 # rows. Time of the tail path over the whole sort, in run_grid on a mirrored
 # pair (two ends), ES at 1 - share, B = 5000 (1000 from n = 20 000), one
@@ -118,7 +131,7 @@ _BLOCK_ELEMS = 2 ** 22
 # at n = 97 084 and 0.5 at n = 400 and 3392, but the cut-off does not
 # depend on which ends are read, so that the path depends on n and the
 # specs alone. At 0.25 a block's tail indices take at most 4 MiB (4 bytes
-# for each of a quarter of _BLOCK_ELEMS).
+# for each of a quarter of _TAIL_BLOCK_ELEMS).
 _TAIL_SHARE = 0.25
 
 
@@ -192,21 +205,20 @@ def _check_workers(workers):
 
 def _check_seed(seed):
     """The one check of a master seed, which keys every stream together with
-    a contract, a block and a lane: an unsigned 64-bit integer."""
+    a series length, a block and a lane: an unsigned 64-bit integer."""
     if not 0 <= _check_integer(seed, "master seed") < 2 ** 64:
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
-def _contract_stream(master_seed: int, contract: int, block: int = 0,
+def _contract_stream(master_seed: int, n: int, block: int = 0,
                      lane: int = 0) -> np.random.Generator:
-    """Independent generator for one block of a contract's resamples, a pure
-    function of (master_seed, contract, block, lane), where contract is the
-    ordinal of the sample group in run_grid. Lane 0 is the block's whole
-    rows, lanes 1 and 2 its high and low tail ends. Each is an SFC64 stream
-    seeded by a SeedSequence keyed on all four numbers, numpy's way to make
-    independent streams. BootstrapConfig has checked the seed, and
-    _bootstrap numbers the contracts itself."""
-    key = np.random.SeedSequence([master_seed, contract, block, lane])
+    """Independent generator for one block of the resamples of every
+    contract of n losses, a pure function of (master_seed, n, block, lane).
+    Lane 0 is the block's whole rows, lanes 1 and 2 its high and low tail
+    ends. Each is an SFC64 stream seeded by a SeedSequence keyed on all
+    four numbers, numpy's way to make independent streams. BootstrapConfig
+    has checked the seed."""
+    key = np.random.SeedSequence([master_seed, n, block, lane])
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -280,120 +292,55 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
 
 
 class _Contract:
-    """One contract's bootstrap, run as blocks that any thread may take.
+    """One contract's cells and their reduction plan.
 
     group is a lone sample or a pair of mirrored samples of opposite
-    positions, and ordinal its place among the grid's contracts. The
-    constructor takes every cell's estimator argument and picks the path:
-    tail ends of _depth columns, or whole rows when _depth is None; nothing
-    changes after that, so the threads only read a contract. Its reduction
-    plan, _weights, holds every SRM cell's weights as a row, in cell order;
-    an SRM cell's arg is a view of its row, and a whole-row chunk reduces
-    them all in one einsum. The config.resamples rows of the long-oriented
-    losses are split into blocks of block_rows, the last one partial, and
-    block k draws from
-    _contract_stream(seed, ordinal, k, lane), lane 0 for whole rows and 1
-    and 2 for the high and low ends, and returns its rows' estimates. A
-    contract with no specs has no blocks.
+    positions. The constructor takes every cell's estimator argument, and
+    nothing changes after that, so the threads only read a contract. Its
+    reduction plan, _weights, holds every SRM cell's weights as a row, in
+    cell order; an SRM cell's arg is a view of its row, and a whole-row
+    chunk reduces them all in one einsum. A contract draws nothing itself:
+    the _LengthGroup of its n draws every chunk of indices, and the
+    contract gathers its long-oriented losses at them (_read).
     """
 
-    def __init__(self, group, specs, config: BootstrapConfig, ordinal: int):
-        self.group, self.specs, self.config, self.ordinal = group, specs, config, ordinal
+    def __init__(self, group, specs, config: BootstrapConfig):
+        self.group, self.specs, self.config = group, specs, config
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
-        n, method = lead.n, config.quantile_method
+        self.n = n = lead.n
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
         # A mirrored cell's row of the plan holds its weights reversed, in the
         # block's column order: einsum runs about twice as fast on contiguous
         # weights as on a reversed view.
-        srm_specs = sum(spec.measure is Measure.SRM for spec in specs)
-        self._weights = np.empty((len(group) * srm_specs, n))
+        srm = [spectral_weights(n, spec.parameter) if spec.measure is Measure.SRM else None
+               for spec in specs]
+        self._weights = np.empty((len(group) * sum(w is not None for w in srm), n))
         weight_rows = iter(self._weights)
         self._cells = []  # per sample and spec: (measure, estimator arg, mirrored)
         for sample in group:
             mirrored = sample.position is Position.SHORT
-            for spec in specs:
+            for spec, weights in zip(specs, srm):
                 arg = spec.parameter
-                if spec.measure is Measure.SRM:
-                    arg, weights = next(weight_rows), spectral_weights(n, spec.parameter)
+                if weights is not None:
+                    arg = next(weight_rows)
                     arg[:] = weights[::-1] if mirrored else weights
                 self._cells.append((spec.measure, arg, mirrored))
-        self.block_rows = max(_BLOCK_ELEMS // n, 1)
-        self.blocks = -(-config.resamples // self.block_rows) if specs else 0
+        self.ends = {mirrored for _, _, mirrored in self._cells}
 
-        # The depth of an end is how many of a sorted row's top (long) or
-        # bottom (short) columns the cells read; both positions share the
-        # specs, so it is the same at both ends. A VaR and ES contract shallow
-        # enough draws just that many order statistics of each end; the rest
-        # sort whole rows.
-        depth = max((n - _first_column(measure, arg, n, method)
-                     for measure, arg, _ in self._cells), default=n)
-        spectral = any(measure is Measure.SRM for measure, _, _ in self._cells)
-        self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
-
-    def _run_block(self, block: int) -> list:
-        """Return every cell's estimates of the block's rows, one array per
-        cell, from whole sorted rows or from the tail ends."""
-        rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
-        # One array per cell: at 40 kB each (a golden cell) the heap reuses them
-        # from block to block, while one array of them all took fresh pages on
-        # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [np.empty(rows) for _ in self._cells]
-        if self._depth is None:
-            self._run_whole(block, estimates)
-        else:
-            for mirrored in sorted({mirrored for _, _, mirrored in self._cells}):
-                self._run_tail(block, mirrored, estimates)
-        return estimates
-
-    def _run_whole(self, block: int, estimates: list):
-        """Draw the block's rows in chunks of at most _CHUNK_BYTES, sort and
-        gather each chunk once, and let every cell read it."""
-        values, method = self._values, self.config.quantile_method
-        n, block_rows = values.size, estimates[0].size
-        stream = _contract_stream(self.config.master_seed, self.ordinal, block)
-        chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
-        for done in range(0, block_rows, chunk_rows):
-            rows = min(chunk_rows, block_rows - done)
-            # int32 indices draw the same stream as the int64 default at half the
-            # memory. The values are sorted, so gathering them at sorted indices
-            # sorts each row, and 4-byte indices sort faster than 8-byte values.
-            idx = stream.integers(0, n, size=(rows, n), dtype=np.int32)
-            idx.sort(axis=1)
-            sorted_rows = values[idx]
-            del idx
-            srm = iter(_evaluate_sorted(sorted_rows, Measure.SRM, self._weights).T)
-            for out, (measure, arg, mirrored) in zip(estimates, self._cells):
-                if measure is Measure.SRM:  # its column, signed as for a lone cell
-                    np.multiply(next(srm), -1.0 if mirrored else 1.0, out=out[done:done + rows])
-                else:
-                    out[done:done + rows] = _evaluate_sorted(
-                        sorted_rows, measure, arg, method, n, mirrored)
-            del sorted_rows  # so the next chunk's draw and gather never overlap this one's
-
-    def _run_tail(self, block: int, mirrored: bool, estimates: list):
-        """Draw the top self._depth order statistics of each of the block's
-        rows at one end (the low end when mirrored), gather them as ascending
-        rows in groups of at most _CHUNK_BYTES // 8 bytes, and let the cells
-        of that end read them."""
-        values, depth, method = self._values, self._depth, self.config.quantile_method
-        n, block_rows = values.size, estimates[0].size
-        stream = _contract_stream(self.config.master_seed, self.ordinal, block, 2 if mirrored else 1)
-        idx = _tail_indices(stream, n, depth, block_rows)
-        if mirrored:  # n - 1 minus the top indices are bottom ones, in law
-            np.subtract(n - 1, idx, out=idx)
-        else:
-            idx = idx[::-1]
-        group = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
-        for done in range(0, block_rows, group):
-            # Gathered at the transposed view, the rows come out column-major,
-            # and ES would sum across rows in an order that depends on the group
-            # size; at a row-major copy of the indices every row sums as a lone one.
-            tail = values[np.ascontiguousarray(idx[:, done:done + group].T)]
-            for out, (measure, arg, end) in zip(estimates, self._cells):
-                if end is mirrored:
-                    out[done:done + tail.shape[0]] = _evaluate_sorted(
-                        tail, measure, arg, method, n, mirrored)
-            del tail
+    def _read(self, idx, estimates: list, done: int, end=None):
+        """Gather the losses at a chunk of shared indices whose rows ascend,
+        and write the estimates of the cells that read them to rows done
+        onwards of each cell's array: every cell when the rows are whole
+        (end None), else the cells of that end (mirrored or not), whose
+        rows hold only the columns they read."""
+        rows = self._values[idx]
+        stop, method = done + rows.shape[0], self.config.quantile_method
+        srm = iter(_evaluate_sorted(rows, Measure.SRM, self._weights).T) if end is None else None
+        for out, (measure, arg, mirrored) in zip(estimates, self._cells):
+            if measure is Measure.SRM:  # its column, signed as for a lone cell
+                np.multiply(next(srm), -1.0 if mirrored else 1.0, out=out[done:stop])
+            elif end is None or end is mirrored:
+                out[done:stop] = _evaluate_sorted(rows, measure, arg, method, self.n, mirrored)
 
     def finish(self, blocks) -> list:
         """Summarize the estimates that the contract's blocks returned, in
@@ -413,30 +360,137 @@ class _Contract:
         return [out[i * k:(i + 1) * k] for i in range(len(self.group))]
 
 
+class _LengthGroup:
+    """Every contract of one series length n, run as blocks that any thread
+    may take.
+
+    The constructor picks the path from n and the specs alone, so every
+    contract of the group shares it: tail ends of _depth columns, or whole
+    rows when _depth is None. The config.resamples rows are split into
+    blocks of block_rows, _BLOCK_ELEMS // n on the whole-row path and
+    _TAIL_BLOCK_ELEMS // n on the tail path (at least 1), the last one
+    partial, and block k draws from _contract_stream(seed, n, k, lane),
+    lane 0 for whole rows and 1 and 2 for the high and low ends. A block
+    draws each chunk of indices once, and every contract of the group
+    reads its own losses at them. A grid with no specs has no blocks.
+    """
+
+    def __init__(self, contracts, specs, config: BootstrapConfig):
+        self.contracts, self.config = contracts, config
+        self.n = n = contracts[0].n
+        # The depth of an end is how many of a sorted row's top (long) or
+        # bottom (short) columns the cells read; both positions share the
+        # specs, so it is the same at both ends. A VaR and ES grid shallow
+        # enough draws just that many order statistics of each end; the rest
+        # sort whole rows.
+        depth = max((n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
+                     for spec in specs), default=n)
+        spectral = any(spec.measure is Measure.SRM for spec in specs)
+        self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
+        elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
+        self.block_rows = max(elems // n, 1)
+        self.blocks = -(-config.resamples // self.block_rows) if specs else 0
+
+    def _run_block(self, block: int) -> list:
+        """Return, per contract, one array per cell of the estimates of the
+        block's rows, or the exception that failed that contract's gather or
+        reduction. An exception in the shared draw propagates: it fails every
+        contract of the group."""
+        rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
+        # One array per cell: at 21 kB each (a golden cell's block) the heap reuses
+        # them from block to block, while one array of them all took fresh pages on
+        # every block, and their faults cost 7 % of a golden grid's time.
+        estimates = [[np.empty(rows) for _ in contract._cells] for contract in self.contracts]
+        if self._depth is None:
+            self._run_whole(block, rows, estimates)
+        else:
+            self._run_tail(block, rows, estimates)
+        return estimates
+
+    def _share(self, idx, estimates: list, done: int, end=None):
+        """Let each contract that reads end and has not failed yet read the
+        chunk of indices idx; an exception fails that contract alone."""
+        for i, contract in enumerate(self.contracts):
+            if not isinstance(estimates[i], Exception) and (end is None or end in contract.ends):
+                try:
+                    contract._read(idx, estimates[i], done, end)
+                except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                    estimates[i] = exc
+
+    def _run_whole(self, block: int, rows: int, estimates: list):
+        """Draw the block's rows in chunks of at most _CHUNK_BYTES and sort
+        each chunk once; every contract gathers its losses at it in turn."""
+        n = self.n
+        stream = _contract_stream(self.config.master_seed, n, block)
+        chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
+        for done in range(0, rows, chunk_rows):
+            # int32 indices draw the same stream as the int64 default at half the
+            # memory. The values are sorted, so gathering them at sorted indices
+            # sorts each row, and 4-byte indices sort faster than 8-byte values.
+            idx = stream.integers(0, n, size=(min(chunk_rows, rows - done), n), dtype=np.int32)
+            idx.sort(axis=1)
+            self._share(idx, estimates, done)
+            del idx  # so the next chunk's draw never overlaps this one's gathers
+
+    def _run_tail(self, block: int, rows: int, estimates: list):
+        """For each end that a contract reads, draw the top self._depth order
+        statistics of each of the block's rows at that end (the low end when
+        mirrored) once, and let the contracts of that end gather them as
+        ascending rows in groups of at most _CHUNK_BYTES // 8 bytes."""
+        n, depth = self.n, self._depth
+        gather_rows = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
+        for end in sorted(set().union(*(contract.ends for contract in self.contracts))):
+            stream = _contract_stream(self.config.master_seed, n, block, 2 if end else 1)
+            idx = _tail_indices(stream, n, depth, rows)
+            if end:  # n - 1 minus the top indices are bottom ones, in law
+                np.subtract(n - 1, idx, out=idx)
+            else:
+                idx = idx[::-1]
+            for done in range(0, rows, gather_rows):
+                # Gathered at the transposed view, the rows come out column-major,
+                # and ES would sum across rows in an order that depends on the group
+                # size; at a row-major copy of the indices every row sums as a lone one.
+                self._share(np.ascontiguousarray(idx[:, done:done + gather_rows].T),
+                            estimates, done, end)
+            del idx  # so the other end's draw never overlaps this one's indices
+
+
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
-    return what each contract's finish returns (see _Contract).
+    return what each contract's finish returns (see _Contract), in the
+    order of groups.
 
-    Every block of every contract, in contract-major order, goes to at most
-    workers threads, which share nothing; each draws its own chunks of up
-    to _CHUNK_BYTES. The calling thread reads the blocks' estimates in that
-    order and finishes each contract once its last block is in. One thread
-    is the calling thread itself.
+    The contracts of each length form one _LengthGroup, in the order of
+    their lengths' first appearance. Every block of every length group, in
+    group-major order, goes to at most workers threads, which share
+    nothing; each draws its own chunks of up to _CHUNK_BYTES. The calling
+    thread reads the blocks' estimates in that order and finishes a
+    group's contracts once its last block is in. An exception in a block's
+    shared draw fails every contract of its length. One thread is the
+    calling thread itself.
     """
-    contracts = [_Contract(group, specs, config, ordinal) for ordinal, group in enumerate(groups)]
-    blocks = [(contract, block) for contract in contracts for block in range(contract.blocks)]
+    contracts = [_Contract(group, specs, config) for group in groups]
+    by_length = {}
+    for contract in contracts:
+        by_length.setdefault(contract.n, []).append(contract)
+    lengths = [_LengthGroup(members, specs, config) for members in by_length.values()]
+    blocks = [(length, block) for length in lengths for block in range(length.blocks)]
     threads = max(min(workers, len(blocks)), 1)
 
     def run(item):
-        contract, block = item
+        length, block = item
         try:
-            return contract._run_block(block)
-        except Exception as exc:  # e.g. out of memory: fail this contract's cells, not the grid
-            return exc
+            return length._run_block(block)
+        except Exception as exc:  # e.g. out of memory: fail the cells of every contract of this length
+            return [exc] * len(length.contracts)
 
     def finish(done):
-        return [contract.finish([next(done) for _ in range(contract.blocks)])
-                for contract in contracts]
+        results = {}
+        for length in lengths:
+            estimates = [next(done) for _ in range(length.blocks)]
+            for i, contract in enumerate(length.contracts):
+                results[contract] = contract.finish([b[i] for b in estimates])
+        return [results[contract] for contract in contracts]
 
     if threads == 1:
         return finish(map(run, blocks))
@@ -450,12 +504,12 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
     """Bootstrap one measure on one sample.
 
     Draws config.resamples samples with replacement, evaluates the
-    estimator on each and summarizes the resulting distribution. The
-    sample is treated as the lone sample of contract 0 of a grid, so the
-    result equals that cell of run_grid([sample], ...) under the same
-    config, bit for bit, for any grid on the same path: a VaR or ES spec
-    shallow enough for the tail path reproduces the cells of VaR and ES
-    grids on it, not those of a grid with a spectral cell.
+    estimator on each and summarizes the resulting distribution. Streams
+    are keyed on the sample's length, not its place, so the result equals
+    the sample's cell of any run_grid call under the same config that
+    holds the sample, bit for bit, for any grid on the same path: a VaR or
+    ES spec shallow enough for the tail path reproduces the cells of VaR
+    and ES grids on it, not those of a grid with a spectral cell.
     """
     (((result,),),) = _bootstrap([[sample]], [estimator], config, 1)
     if isinstance(result, Exception):
@@ -504,25 +558,29 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - workers: worker threads sharing the grid. A contract is a sample
       together with the next one when that one is its mirror in the
       opposite position, as to_losses makes them from one series; else
-      the sample alone. The cells of a contract read the same resamples,
-      which are split into fixed blocks, each with its own stream keyed on
-      the master seed, the contract's ordinal and the block's ordinal; a
-      VaR and ES contract with shallow enough ends draws just the order
-      statistics it reads, from one stream per end (see the module
-      docstring). The threads take blocks, not contracts, so even the two positions of one
-      series use every worker once they have that many blocks, and results
-      are bit-identical for any worker count. The threads share nothing,
-      and each holds chunks of about 4 MiB at a time: each block returns
-      its estimates, and the calling thread summarizes each contract from
-      them. One worker runs every block on the calling thread.
+      the sample alone. The contracts of equal length n read the same
+      resamples, split into fixed blocks, each with its own streams keyed
+      on the master seed, n and the block's ordinal; a VaR and ES grid
+      with shallow enough ends draws just the order statistics it reads,
+      from one stream per end (see the module docstring). So a contract's
+      cells do not depend on its place among the samples or on the other
+      samples, and the cells of contracts of one length are correlated,
+      each with the bootstrap distribution of a plain resample. The
+      threads take blocks, not contracts, so even the two positions of
+      one series use every worker once they have that many blocks, and
+      results are bit-identical for any worker count. The threads share
+      nothing, and each holds chunks of about 4 MiB at a time: each block
+      returns its estimates, and the calling thread summarizes each
+      contract from them. One worker runs every block on the calling
+      thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of
     its measure's range, raises the ValueError of EstimatorSpec before any
-    contract is prepared. Every
-    cell of a contract whose resampling fails at run time (out of memory,
-    say) is recorded with the error message, and the rest of the grid still
-    runs.
+    contract is prepared. Every cell of a contract whose gather or
+    reduction fails at run time (out of memory, say) is recorded with the
+    error message, as is every cell of every contract of its length when a
+    block's shared draw fails, and the rest of the grid still runs.
     """
     samples = list(samples)
     _check_workers(workers)

@@ -249,11 +249,18 @@ def _check_aversion(k) -> float:
     return float(k)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each element. numpy picks its exp code by the CPU's
+    instruction set at run time, and the last bits of its results differ
+    between them; the platform libm's do not depend on the CPU."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _weight_density(p, k: float) -> np.ndarray:
     """The exponential profile phi(p) = k e^(-k(1-p)) / (1 - e^(-k)) at
     quantile levels p in [0, 1]."""
     k = _check_aversion(k)
-    return k * np.exp(-k * (1.0 - np.asarray(p, dtype=float))) / -np.expm1(-k)
+    return k * _exp(-k * (1.0 - np.asarray(p, dtype=float))) / -math.expm1(-k)
 
 
 def spectral_weights(n: int, k: float) -> np.ndarray:
@@ -276,7 +283,7 @@ def spectral_weights(n: int, k: float) -> np.ndarray:
     if _check_integer(n, "cell count") < 1:
         raise ValueError(f"need at least one cell, got {n}")
     i = np.arange(1, n + 1, dtype=float)
-    return np.exp(-k * (1.0 - i / n)) * (np.expm1(-k / n) / np.expm1(-k))
+    return _exp(-k * (1.0 - i / n)) * (math.expm1(-k / n) / math.expm1(-k))
 
 
 def spectral_risk_measure(sample: LossSample, aversion: float) -> float:

@@ -8,7 +8,11 @@ test_criterion_7_cli_end_to_end_reproduction; regenerating them after an
 intentional output change is that one command run from tests/data/inputs.
 """
 
+import csv
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -299,3 +303,79 @@ def test_criterion_7_cli_end_to_end_reproduction(tmp_path, monkeypatch):
         assert all(isinstance(r["value"], tuple) for r in ci_records)
         assert all(r["column"] != "Mean" for r in ci_records)
     print("[PASS] criterion 7: golden outputs reproduced byte for byte")
+
+
+GOLDEN_INPUTS = [f"c{i}.csv" for i in range(1, 6)]
+GOLDEN_TABLES = ("summary.csv", "var.csv", "es.csv", "srm.csv")
+
+
+def golden_args(inputs, out_dir, *extra):
+    """The golden command of criterion 7 on the given inputs."""
+    args = ["estimate"]
+    for name in inputs:
+        args += ["--input", str(name)]
+    return args + ["--return-col", "return", "--seed", "11", "--format", "csv",
+                   "--out", str(out_dir), *extra]
+
+
+def contract_rows(directory, labels):
+    """Each contract's lines of every table in directory, keyed on (table,
+    label): the lines whose column field is that label, verbatim."""
+    rows = {}
+    for name in GOLDEN_TABLES:
+        for line in (directory / name).read_text().splitlines()[1:]:
+            label = next(csv.reader([line]))[4]
+            if label in labels:
+                rows.setdefault((name, label), []).append(line)
+    return rows
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "4"])
+def test_contract_rows_do_not_depend_on_the_other_inputs(tmp_path, monkeypatch, workers):
+    """Streams are keyed on the series length, not on a contract's place
+    among the inputs. So the golden command with its inputs reversed, or
+    with a sixth input of another length (c1's first 300 returns), writes
+    every golden contract's rows of every table as the golden files hold
+    them, byte for byte, at any worker count."""
+    monkeypatch.chdir(DATA_DIR / "inputs")
+    sixth = tmp_path / "c6.csv"
+    sixth.write_text("".join(Path("c1.csv").read_text().splitlines(keepends=True)[:301]))
+    labels = [Path(name).stem for name in GOLDEN_INPUTS]
+    golden = contract_rows(DATA_DIR / "golden", labels)
+    assert len(golden) == len(GOLDEN_TABLES) * len(labels)
+    for key, inputs in (("as_is", GOLDEN_INPUTS), ("reversed", GOLDEN_INPUTS[::-1]),
+                        ("sixth", [*GOLDEN_INPUTS, sixth])):
+        out_dir = tmp_path / key
+        assert main(golden_args(inputs, out_dir, "--workers", workers)) == 0
+        assert contract_rows(out_dir, labels) == golden, key
+
+
+def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
+    """numpy picks the SIMD code of some functions by the CPU at run time.
+    With every dispatched group above the build's baseline switched off by
+    numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for an older CPU,
+    the golden command writes the very bytes it writes without the switch.
+    On a CPU that lacks a group, switching it off changes nothing. numpy
+    reads the switch at import, so both runs are subprocesses, and each
+    must write nothing to stderr: a warning there would not reach this
+    process's warning filter."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    above = [group for group in umath.__cpu_dispatch__ if group not in umath.__cpu_baseline__]
+    assert above
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(src)
+    outputs = []
+    for switch in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(above)}):
+        out_dir = tmp_path / f"out{len(outputs)}"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())",
+             *golden_args(GOLDEN_INPUTS, out_dir)],
+            cwd=DATA_DIR / "inputs", env={**env, **switch}, capture_output=True, text=True,
+            timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append({name: (out_dir / name).read_bytes() for name in (*GOLDEN_TABLES, "run.kv")})
+    assert outputs[0] == outputs[1]

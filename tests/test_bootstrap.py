@@ -50,10 +50,10 @@ def by_coordinates(grid):
     return {(c.sample_index, c.measure, c.parameter): c for c in grid.cells}
 
 
-def first_resample(sample, seed, contract=0):
-    """Row 0 of the first resample block the bootstrap draws for a lone
-    long sample."""
-    idx = _contract_stream(seed, contract).integers(
+def first_resample(sample, seed, block=0):
+    """Row 0 of a resample block that the bootstrap draws for every
+    contract of the sample's length, sorted, at the sample's values."""
+    idx = _contract_stream(seed, sample.n, block).integers(
         0, sample.n, size=(1, sample.n), dtype=np.int32)
     return np.sort(sample.values[idx[0]])
 
@@ -62,16 +62,16 @@ def tail_indices(seed, block, lane, n, depth, rows):
     """The (depth, rows) top indices of a tail block's end, recomputed by
     Renyi's representation: level l of each row is the (l+1)-th largest of
     its n indices, from exponentials drawn level-major."""
-    e = _contract_stream(seed, 0, block, lane).standard_exponential((depth, rows))
+    e = _contract_stream(seed, n, block, lane).standard_exponential((depth, rows))
     u = np.exp(-np.cumsum(e / np.arange(n, n - depth, -1)[:, None], axis=0))
     return np.minimum(np.floor(n * u), n - 1).astype(np.int64)
 
 
 def var_estimates(sample, alpha, b, seed, block_rows, lane=1):
-    """The resample VaR estimates of contract 0's sample on the tail path:
-    block k holds resamples k * block_rows up to b, and a row's VaR is the
-    order statistic as deep as the cell reads, drawn from lane 1 of block
-    k's stream for a long sample, lane 2 for a short one. A short sample's
+    """The resample VaR estimates of a sample on the tail path: block k
+    holds resamples k * block_rows up to b, and a row's VaR is the order
+    statistic as deep as the cell reads, drawn from lane 1 of the stream of
+    block k of the sample's length for a long sample, lane 2 for a short one. A short sample's
     worst losses are the mirror of the low end of its contract's
     long-oriented losses, so either reads its own losses at the top
     indices of its lane."""
@@ -85,28 +85,31 @@ def var_estimates(sample, alpha, b, seed, block_rows, lane=1):
 
 class TestSampleStream:
     def test_same_coordinates_same_draws(self):
-        a = _contract_stream(7, 3).integers(0, 1000, size=20)
-        b = _contract_stream(7, 3).integers(0, 1000, size=20)
+        a = _contract_stream(7, 400).integers(0, 1000, size=20)
+        b = _contract_stream(7, 400).integers(0, 1000, size=20)
         assert np.array_equal(a, b)
 
     def test_any_coordinate_changes_the_stream(self):
-        base = _contract_stream(7, 3).integers(0, 2 ** 62, size=8)
-        for seed, sample in ((8, 3), (7, 4), (3, 7)):
-            other = _contract_stream(seed, sample).integers(0, 2 ** 62, size=8)
+        base = _contract_stream(7, 400).integers(0, 2 ** 62, size=8)
+        for seed, n in ((8, 400), (7, 401), (400, 7)):
+            other = _contract_stream(seed, n).integers(0, 2 ** 62, size=8)
             assert not np.array_equal(base, other)
 
     def test_stream_is_sfc64_keyed_on_every_coordinate(self):
-        for seed, contract, block, lane in ((7, 3, 0, 0), (7, 3, 5, 2), (2 ** 64 - 1, 0, 1, 1)):
-            key = np.random.SeedSequence([seed, contract, block, lane])
+        """Streams are keyed on the series length n, not on a contract's
+        place among the inputs, so every contract of n losses reads them."""
+        for seed, n, block, lane in ((7, 400, 0, 0), (7, 3392, 5, 2), (2 ** 64 - 1, 1, 1, 1)):
+            key = np.random.SeedSequence([seed, n, block, lane])
             expected = np.random.Generator(np.random.SFC64(key)).integers(0, 2 ** 62, size=8)
             assert np.array_equal(
-                _contract_stream(seed, contract, block, lane).integers(0, 2 ** 62, size=8), expected)
-        assert np.array_equal(_contract_stream(7, 3).integers(0, 2 ** 62, size=8),
-                              _contract_stream(7, 3, 0, 0).integers(0, 2 ** 62, size=8))
+                _contract_stream(seed, n, block, lane).integers(0, 2 ** 62, size=8), expected)
+        assert np.array_equal(_contract_stream(7, 400).integers(0, 2 ** 62, size=8),
+                              _contract_stream(7, 400, 0, 0).integers(0, 2 ** 62, size=8))
 
     def test_each_coordinate_changes_the_stream(self):
-        base = _contract_stream(7, 3, 5, 1).integers(0, 2 ** 62, size=8)
-        for other in ((8, 3, 5, 1), (7, 4, 5, 1), (7, 3, 6, 1), (7, 3, 5, 2), (7, 3, 1, 5)):
+        base = _contract_stream(7, 400, 5, 1).integers(0, 2 ** 62, size=8)
+        for other in ((8, 400, 5, 1), (7, 401, 5, 1), (7, 400, 6, 1), (7, 400, 5, 2),
+                      (7, 400, 1, 5)):
             assert not np.array_equal(base, _contract_stream(*other).integers(0, 2 ** 62, size=8))
 
     def test_a_chunk_of_rows_draws_what_its_rows_draw_one_by_one(self):
@@ -114,15 +117,15 @@ class TestSampleStream:
         keeps the unused half of a 64-bit output for the next call, so a
         (rows, n) draw equals rows draws of n, odd n too."""
         for n in (400, 3391, 3392):
-            whole = _contract_stream(5, 1).integers(0, n, size=(7, n), dtype=np.int32)
-            stream = _contract_stream(5, 1)
+            whole = _contract_stream(5, n).integers(0, n, size=(7, n), dtype=np.int32)
+            stream = _contract_stream(5, n)
             rows = [stream.integers(0, n, size=(1, n), dtype=np.int32) for _ in range(7)]
             assert np.array_equal(whole, np.concatenate(rows))
 
     def test_int32_draws_match_the_int64_default(self):
         for n in (400, 401, 3392):
-            narrow = _contract_stream(5, 1).integers(0, n, size=(3, n), dtype=np.int32)
-            wide = _contract_stream(5, 1).integers(0, n, size=(3, n))
+            narrow = _contract_stream(5, n).integers(0, n, size=(3, n), dtype=np.int32)
+            wide = _contract_stream(5, n).integers(0, n, size=(3, n))
             assert np.array_equal(narrow, wide)
 
 
@@ -141,7 +144,7 @@ class TestResample:
         a = first_resample(sample, seed=5)
         assert np.array_equal(a, first_resample(sample, seed=5))
         assert not np.array_equal(a, first_resample(sample, seed=6))
-        assert not np.array_equal(a, first_resample(sample, seed=5, contract=1))
+        assert not np.array_equal(a, first_resample(sample, seed=5, block=1))
 
 
 class TestTailDraw:
@@ -150,7 +153,7 @@ class TestTailDraw:
         1 - (1 - 1/n)**n, 0.6326 at n = 400. Over 200 000 tail draws at a
         fixed seed the share lands within 4 binomial standard errors."""
         n, rows = 400, 200_000
-        top = bootstrap._tail_indices(_contract_stream(3, 0, 0, 1), n, 1, rows)[0]
+        top = bootstrap._tail_indices(_contract_stream(3, n, 0, 1), n, 1, rows)[0]
         p = 1.0 - (1.0 - 1.0 / n) ** n
         share = np.count_nonzero(top == n - 1) / rows
         assert abs(share - p) < 4 * math.sqrt(p * (1.0 - p) / rows)
@@ -162,8 +165,8 @@ class TestTailDraw:
         under 0.03, a loose two-sample bound (a level off by one gives 0.19
         or more)."""
         n, rows, depth = 50, 20_000, 5
-        tail = bootstrap._tail_indices(_contract_stream(4, 0, 0, 1), n, depth, rows)
-        full = np.sort(_contract_stream(4, 0).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
+        tail = bootstrap._tail_indices(_contract_stream(4, n, 0, 1), n, depth, rows)
+        full = np.sort(_contract_stream(4, n).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
         assert np.all(np.diff(tail, axis=0) <= 0)  # every row descends
         for j in range(depth):
             gap = np.cumsum(np.bincount(tail[j], minlength=n) - np.bincount(full[:, j], minlength=n))
@@ -186,7 +189,7 @@ class TestReductionPlan:
                     for position in Position:
                         mirrored = position is Position.SHORT
                         sample = LossSample(rng.standard_normal(n), position)
-                        contract = bootstrap._Contract([sample], specs, BootstrapConfig(), 0)
+                        contract = bootstrap._Contract([sample], specs, BootstrapConfig())
                         weights = contract._weights
                         assert weights.shape == (vectors, n)
                         assert all(arg.base is weights for _, arg, _ in contract._cells)
@@ -267,7 +270,7 @@ class TestBootstrapEstimate:
         """Blocks of 150 rows of 400 losses split 500 resamples into blocks
         of 150, 150, 150 and 50 rows, block k drawn from stream k, and the
         contract's estimates are its blocks' joined in block order."""
-        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 150 * 400 + 399)
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 150 * 400 + 399)
         summarize, summarized = bootstrap._summarize, []
 
         def spy(estimates, *args):
@@ -413,16 +416,16 @@ class TestRunGrid:
             assert other == baseline  # nested dataclass equality, bit-exact
 
     def paths(self, monkeypatch):
-        """Record, for each contract that run_grid prepares, whether it
+        """Record, for each length group that run_grid prepares, whether it
         takes the tail path."""
         taken = []
-        prepare = bootstrap._Contract.__init__
+        prepare = bootstrap._LengthGroup.__init__
 
-        def spy(contract, *args):
-            prepare(contract, *args)
-            taken.append(contract._depth is not None)
+        def spy(group, *args):
+            prepare(group, *args)
+            taken.append(group._depth is not None)
 
-        monkeypatch.setattr(bootstrap._Contract, "__init__", spy)
+        monkeypatch.setattr(bootstrap._LengthGroup, "__init__", spy)
         return taken
 
     def subset_samples(self):
@@ -433,8 +436,8 @@ class TestRunGrid:
                                  *mirrored_pair(2000, 28, "D")]
 
     def test_cell_results_do_not_depend_on_which_measures_ran(self, monkeypatch):
-        """Streams are keyed on the contract, not on the cell or the grid
-        layout, so a subset grid that sorts whole rows reproduces the shared
+        """Streams are keyed on the series length, not on the cell or the
+        grid layout, so a subset grid that sorts whole rows reproduces the shared
         cells of the full grid exactly, whichever cell sends it there: a
         spectral one or a level whose ends reach past the cut-off."""
         samples = self.subset_samples()
@@ -476,7 +479,7 @@ class TestRunGrid:
         assert taken and all(taken)
 
     def test_contract_cells_do_not_depend_on_the_positions_requested(self):
-        """A contract's stream is keyed on its ordinal and a lone short
+        """Streams are keyed on the series length and a lone short
         sample reads the mirror of the same resamples as its pair, so one
         position alone gives the cells that both positions give."""
         a, b = mirrored_pair(300, 28, "A"), mirrored_pair(257, 29, "B")
@@ -493,7 +496,7 @@ class TestRunGrid:
 
     def test_only_a_mirror_is_paired(self):
         """A short sample that is not the mirror of the long one before it
-        is a contract of its own, with its own stream."""
+        is a contract of its own, whose cells do not depend on that sample."""
         first, second = normal_sample(seed=30), normal_sample(seed=31)
         short = normal_sample(seed=32, position=Position.SHORT)
         config = BootstrapConfig(resamples=100, master_seed=13)
@@ -612,6 +615,7 @@ class TestRunGrid:
         chunk_bytes = bootstrap._CHUNK_BYTES
         for n in (301, 8193):
             monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * n)
+            monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 23 * n)
             monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", chunk_bytes)
             samples = mirrored_pair(n, 26, "A")
             baseline = run_grid(samples, grid, config)
@@ -628,16 +632,16 @@ class TestRunGrid:
     def test_one_contract_s_blocks_share_the_workers(self, monkeypatch):
         """The first two blocks of one contract wait for each other at a
         barrier, so the grid fails unless two workers run them at once."""
-        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 25 * 301)
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 25 * 301)
         barrier = threading.Barrier(2, timeout=10)
-        run_block = bootstrap._Contract._run_block
+        run_block = bootstrap._LengthGroup._run_block
 
-        def meet(contract, block):
+        def meet(group, block):
             if block < 2:
                 barrier.wait()
-            return run_block(contract, block)
+            return run_block(group, block)
 
-        monkeypatch.setattr(bootstrap._Contract, "_run_block", meet)
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", meet)
         config = BootstrapConfig(resamples=100, master_seed=10)
         grid = run_grid(mirrored_pair(301, 26, "A"), {Measure.ES: [0.95]}, config, workers=2)
         assert not grid.failed
@@ -700,21 +704,22 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_block_fails_only_its_contract(self, monkeypatch, workers):
-        """A block that runs out of memory fails every cell of its
-        contract; the other contracts' cells come out as in a clean run."""
+        """A block whose shared draw runs out of memory fails every cell of
+        the contracts of its length, here B's alone; the other contracts'
+        cells come out as in a clean run."""
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * 301)
         samples = [*mirrored_pair(301, 26, "A"), *mirrored_pair(257, 29, "B"),
                    normal_sample(n=250, seed=23, label="C")]
         config = BootstrapConfig(resamples=100, master_seed=10)
         clean = run_grid(samples, self.GRID, config, workers)
-        run_block = bootstrap._Contract._run_block
+        run_block = bootstrap._LengthGroup._run_block
 
-        def fail_b(contract, block):
-            if contract.ordinal == 1 and block == 2:
+        def fail_b(group, block):
+            if group.n == 257 and block == 2:
                 raise MemoryError("no room for block 2")
-            return run_block(contract, block)
+            return run_block(group, block)
 
-        monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_b)
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", fail_b)
         grid = run_grid(samples, self.GRID, config, workers)
         assert len(grid.cells) == len(clean.cells)
         for cell, clean_cell in zip(grid.cells, clean.cells):
@@ -725,12 +730,109 @@ class TestRunGrid:
                 assert cell == clean_cell
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", [GRID, {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}],
+                             ids=["whole-sort", "tail"])
+    def test_failed_read_fails_only_its_contract_in_a_shared_block(self, monkeypatch, workers,
+                                                                   grid):
+        """A and B have equal length, so every block draws their indices
+        once for both. When B's gather runs out of memory in block 2, only
+        B's cells fail, and A and C come out as in a clean run. When the
+        shared draw of that block fails instead, A's and B's cells fail and
+        C's still come out clean."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * 301)
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 23 * 301)
+        samples = [*mirrored_pair(301, 26, "A"),
+                   normal_sample(n=301, seed=29, label="B", position=Position.SHORT),
+                   normal_sample(n=250, seed=23, label="C")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        clean = run_grid(samples, grid, config, workers)
+        current = threading.local()
+        run_block, read = bootstrap._LengthGroup._run_block, bootstrap._Contract._read
+
+        def mark(group, block):
+            current.block = block
+            return run_block(group, block)
+
+        def fail_b(contract, *args):
+            if contract.group[0].label == "B" and current.block == 2:
+                raise MemoryError("no room for B's gather")
+            return read(contract, *args)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", mark)
+        monkeypatch.setattr(bootstrap._Contract, "_read", fail_b)
+        failed = {"B": "MemoryError: no room for B's gather"}
+        stream = bootstrap._contract_stream
+
+        def fail_draw(seed, n, block, lane=0):
+            if n == 301 and block == 2:
+                raise MemoryError("no room for the draw")
+            return stream(seed, n, block, lane)
+
+        for inject in (None, fail_draw):
+            if inject is not None:
+                monkeypatch.setattr(bootstrap._Contract, "_read", read)
+                monkeypatch.setattr(bootstrap, "_contract_stream", inject)
+                failed = dict.fromkeys("AB", "MemoryError: no room for the draw")
+            out = run_grid(samples, grid, config, workers)
+            assert len(out.cells) == len(clean.cells)
+            for cell, clean_cell in zip(out.cells, clean.cells):
+                if cell.sample_label in failed:
+                    assert cell.result is None
+                    assert cell.error == failed[cell.sample_label]
+                else:
+                    assert cell == clean_cell
+
+    def test_equal_lengths_share_their_sorted_indices(self):
+        """Whole-row block k of every contract of n losses draws from
+        _contract_stream(seed, n, k) and sorts once, so each contract's
+        median VaR resamples are its own losses at one shared column of
+        those sorted indices, whatever its place among the samples. 3000
+        resamples of 400 losses make two blocks."""
+        n, b, seed = 400, 3000, 17
+        samples = [normal_sample(n=n, seed=40, label="A"), normal_sample(n=250, seed=41, label="B"),
+                   normal_sample(n=n, seed=42, label="C", position=Position.SHORT)]
+        grid = run_grid(samples, {Measure.VAR: [0.5]}, BootstrapConfig(resamples=b, master_seed=seed))
+        rows = bootstrap._BLOCK_ELEMS // n
+        assert rows < b
+        blocks = [np.sort(_contract_stream(seed, n, k).integers(
+            0, n, size=(min(rows, b - start), n), dtype=np.int32), axis=1)
+            for k, start in enumerate(range(0, b, rows))]
+        column = np.concatenate(blocks)[:, math.ceil(0.5 * n) - 1]
+        for i in (0, 2):
+            sample = samples[i]
+            if sample.position is Position.LONG:
+                estimates = sample.values[column]
+            else:  # the mirror of the low end of the long-oriented losses
+                estimates = sample.values[n - 1 - np.concatenate(blocks)[:, n - math.ceil(0.5 * n)]]
+            result = grid.cells[i].result
+            assert result.point_estimate == estimates.mean()
+            assert result.std_error == estimates.std(ddof=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_do_not_depend_on_the_other_samples_or_their_order(self, workers):
+        """Streams are keyed on the series length, so reversing the
+        contracts, or dropping some, changes no cell of the rest, on either
+        path, with contracts of equal and of unequal length."""
+        a, d = mirrored_pair(300, 28, "A"), mirrored_pair(300, 29, "D")
+        b, c = normal_sample(n=250, seed=23, label="B"), normal_sample(n=300, seed=30, label="C")
+        orders = [[*a, b, c, *d], [*d, c, b, *a], [c, *a], [*d[::-1]]]
+        config = BootstrapConfig(resamples=100, master_seed=19)
+        for grid in (self.GRID, {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}):
+            cells = {}
+            for samples in orders:
+                for cell in run_grid(samples, grid, config, workers).cells:
+                    key = (cell.sample_label, cell.position, cell.measure, cell.parameter)
+                    assert cells.setdefault(key, (cell.result, cell.error)) == (cell.result, cell.error)
+            assert len(cells) == 6 * sum(map(len, grid.values()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_parameter_raises_before_any_block(self, monkeypatch, workers):
         """One parameter out of range fails the whole grid with its spec's
         ValueError, before any contract is prepared or any block runs."""
         calls = []
         monkeypatch.setattr(bootstrap._Contract, "__init__", lambda *args: calls.append(args))
-        monkeypatch.setattr(bootstrap._Contract, "_run_block", lambda *args: calls.append(args))
+        monkeypatch.setattr(bootstrap._LengthGroup, "__init__", lambda *args: calls.append(args))
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", lambda *args: calls.append(args))
         config = BootstrapConfig(resamples=50, master_seed=7)
         for measure, bad, message in ((Measure.SRM, 1e-12, "plain mean"),
                                       (Measure.ES, 1.0, "between 0 and 1"),

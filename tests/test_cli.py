@@ -164,7 +164,7 @@ class TestEstimate:
 
     def test_cells_do_not_depend_on_the_positions_requested(self, tmp_path, capsys):
         """A contract's long and short cells read one stream, keyed on the
-        contract, so --position long and short write the very rows that
+        series length, so --position long and short write the very rows that
         --position both writes for those positions."""
         inputs = [synth_file(tmp_path, "c1.csv", seed=101),
                   synth_file(tmp_path, "c2.csv", seed=102, dist="t", extra=("--dof", "4"))]
@@ -305,14 +305,14 @@ class TestEstimate:
         inputs = [synth_file(tmp_path, "c1.csv", seed=101), synth_file(tmp_path, "c2.csv", seed=102)]
         clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
         assert run(self.estimate_args(inputs, clean_dir), capsys)[0] == 0
-        run_block = bootstrap._Contract._run_block
+        read = bootstrap._Contract._read
 
-        def fail_c2(contract, block):
-            if contract.ordinal == 1:  # c2, both positions
+        def fail_c2(contract, *args):
+            if contract.group[0].label == "c2":  # both positions; c1 shares its draws
                 raise MemoryError("no room for a block")
-            return run_block(contract, block)
+            return read(contract, *args)
 
-        monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_c2)
+        monkeypatch.setattr(bootstrap._Contract, "_read", fail_c2)
         code, out, err = run(self.estimate_args(inputs, failed_dir), capsys)
         failed = 2 * (3 + 3 + 5)  # two positions of 3 VaR, 3 ES and 5 SRM cells
         assert code == 1

@@ -36,7 +36,7 @@ _PHI_AT_ONE_K5 = 5.033918274531521
 
 # sha256 of figure_csv([5, 10, 20, 40, 80]), the curves of the default
 # --ara list; figure1.csv changes only with an announced output change
-_FIGURE_CSV_SHA256 = "6d36cde9a7148f8d26c5f24b0bf49de965bbeca883cd4e8a43adb670a48d12b3"
+_FIGURE_CSV_SHA256 = "8f2375a566c9dce057e3fab49e456459a21ee1029f43681610e40ba4a0413ebb"
 
 
 def make_stats(n=250, seed=0):
@@ -61,19 +61,20 @@ def grid():
 
 
 def grid_with_a_failed_contract(monkeypatch, params, seed):
-    """A grid of two contracts: A, long and short, whose resampling runs out
-    of memory, so that its every cell fails, and B, long only and clean."""
+    """A grid of two contracts of one length: A, long and short, whose
+    gather runs out of memory, so that its every cell fails, and B, long
+    only and clean."""
     a, b = np.random.default_rng(seed).normal(0.0, 1.0, (2, 150))
     samples = [LossSample(-a, Position.LONG, "A"), LossSample(a, Position.SHORT, "A"),
                LossSample(b, Position.LONG, "B")]
-    run_block = bootstrap._Contract._run_block
+    read = bootstrap._Contract._read
 
-    def fail_a(contract, block):
-        if contract.ordinal == 0:
+    def fail_a(contract, *args):
+        if contract.group[0].label == "A":  # B, of equal length, shares A's draws
             raise MemoryError("no room for block 0")
-        return run_block(contract, block)
+        return read(contract, *args)
 
-    monkeypatch.setattr(bootstrap._Contract, "_run_block", fail_a)
+    monkeypatch.setattr(bootstrap._Contract, "_read", fail_a)
     return run_grid(samples, params, BootstrapConfig(resamples=40, master_seed=seed))
 
 
