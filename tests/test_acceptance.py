@@ -352,19 +352,20 @@ def test_contract_rows_do_not_depend_on_the_other_inputs(tmp_path, monkeypatch, 
 
 def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
     """numpy picks the SIMD code of some functions by the CPU at run time.
-    With every dispatched group above the build's baseline switched off by
-    numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for an older CPU,
-    the golden command writes the very bytes it writes without the switch.
-    On a CPU that lacks a group, switching it off changes nothing. numpy
-    reads the switch at import, so both runs are subprocesses, and each
-    must write nothing to stderr: a warning there would not reach this
+    With every dispatched group above the build's baseline switched
+    off by numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for
+    an older CPU, the golden command writes the very bytes it writes
+    without the switch. On a CPU that lacks a group, switching it
+    off changes nothing, and a build that dispatches nothing above
+    its baseline has nothing to switch off. numpy reads the switch
+    at import, so both runs are subprocesses, and each must write
+    nothing to stderr: a warning there would not reach this
     process's warning filter."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
     above = [group for group in umath.__cpu_dispatch__ if group not in umath.__cpu_baseline__]
-    assert above
     src = Path(__file__).resolve().parents[1] / "src"
     env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(src)
