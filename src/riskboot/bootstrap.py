@@ -59,19 +59,19 @@ only that contract's cells; a failure in a block's shared draw fails
 every contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
-until their group is summarized. On the whole-row path each thread
-draws its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
+until their group is summarized. On the whole-row path each thread draws
+its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
 bytes once a row alone exceeds that: a chunk's int32 indices and one
-contract's gathered losses at a time, so the chunks of a grid take about
-_CHUNK_BYTES per thread. The rows per chunk depend on n alone, never on
-the worker count. Even so, a block's draws do not depend on how its
-rows are chunked, as each bounded int32 draw takes the next 32 bits of
-its stream, and every estimator reduces each row in a fixed order
-whatever the number of rows, so neither do the estimates. On the
-tail path a thread holds one end's int32 indices for a block, at most
-_TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in
-slabs of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes
-each.
+buffer that its contracts gather their losses into in turn, so the
+chunks of a grid take about _CHUNK_BYTES per thread. The rows per chunk
+depend on n alone, never on the worker count. Even so, a block's draws
+do not depend on how its rows are chunked, as each bounded int32 draw
+takes the next 32 bits of its stream, and every estimator reduces each
+row in a fixed order whatever the number of rows, so neither do the
+estimates. On the tail path a thread holds one end's int32 indices for a
+block, at most _TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works
+on them in slabs of levels and groups of rows of at most _CHUNK_BYTES //
+8 bytes each.
 """
 
 from __future__ import annotations
@@ -104,6 +104,21 @@ from .measures import (
 # 0.223 s) and the golden command's peak RSS rises from 39.1 to 40.8 MB.
 _CHUNK_BYTES = 4 * 2 ** 20
 _CHUNK_ROWS = 512
+
+# A contract gathers its losses at a chunk's int32 indices with take, which
+# casts them to intp first, in slabs of rows of at most _TAKE_ELEMS elements
+# (at least one row), so the cast takes at most max(_TAKE_ELEMS, width) * 8
+# bytes, no more than values[idx] buffers, and stays in cache. Per gather
+# of a sorted chunk, minimum of 7 runs of 30, in microseconds (values[idx] |
+# take of the whole chunk | slabs of 2**13 | 2**15 | 2**17 elements):
+#
+#     n = 400,    512 rows    685 | 448 | 514 | 436 | 438
+#     n = 3392,   103 rows   1202 | 686 | 526 | 587 | 762
+#     n = 20 000,  20 rows   1393 | 867 | 520 | 775 | 732
+#
+# take with mode="clip" (the indices are in range) writes straight into its
+# out array; by default it buffers.
+_TAKE_ELEMS = 2 ** 13
 
 # A block holds _BLOCK_ELEMS // n resamples of n losses on the whole-row
 # path and _TAIL_BLOCK_ELEMS // n on the tail path, at least 1, and each of
@@ -327,13 +342,16 @@ class _Contract:
                 self._cells.append((spec.measure, arg, mirrored))
         self.ends = {mirrored for _, _, mirrored in self._cells}
 
-    def _read(self, idx, estimates: list, done: int, end=None):
-        """Gather the losses at a chunk of shared indices whose rows ascend,
-        and write the estimates of the cells that read them to rows done
-        onwards of each cell's array: every cell when the rows are whole
-        (end None), else the cells of that end (mirrored or not), whose
-        rows hold only the columns they read."""
-        rows = self._values[idx]
+    def _read(self, idx, buffer, estimates: list, done: int, end=None):
+        """Gather the losses at a chunk of shared indices whose rows ascend
+        into the first rows of buffer, and write the estimates of the cells
+        that read them to rows done onwards of each cell's array: every cell
+        when the rows are whole (end None), else the cells of that end
+        (mirrored or not), whose rows hold only the columns they read."""
+        rows = buffer[:idx.shape[0]]
+        step = max(_TAKE_ELEMS // idx.shape[1], 1)
+        for r in range(0, idx.shape[0], step):
+            np.take(self._values, idx[r:r + step], mode="clip", out=rows[r:r + step])
         stop, method = done + rows.shape[0], self.config.quantile_method
         srm = iter(_evaluate_sorted(rows, Measure.SRM, self._weights).T) if end is None else None
         for out, (measure, arg, mirrored) in zip(estimates, self._cells):
@@ -407,13 +425,14 @@ class _LengthGroup:
             self._run_tail(block, rows, estimates)
         return estimates
 
-    def _share(self, idx, estimates: list, done: int, end=None):
+    def _share(self, idx, buffer, estimates: list, done: int, end=None):
         """Let each contract that reads end and has not failed yet read the
-        chunk of indices idx; an exception fails that contract alone."""
+        chunk of indices idx, gathering into buffer in turn; an exception
+        fails that contract alone."""
         for i, contract in enumerate(self.contracts):
             if not isinstance(estimates[i], Exception) and (end is None or end in contract.ends):
                 try:
-                    contract._read(idx, estimates[i], done, end)
+                    contract._read(idx, buffer, estimates[i], done, end)
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     estimates[i] = exc
 
@@ -423,14 +442,15 @@ class _LengthGroup:
         n = self.n
         stream = _contract_stream(self.config.master_seed, n, block)
         chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
+        buffer = np.empty((min(chunk_rows, rows), n))
         for done in range(0, rows, chunk_rows):
             # int32 indices draw the same stream as the int64 default at half the
             # memory. The values are sorted, so gathering them at sorted indices
             # sorts each row, and 4-byte indices sort faster than 8-byte values.
             idx = stream.integers(0, n, size=(min(chunk_rows, rows - done), n), dtype=np.int32)
             idx.sort(axis=1)
-            self._share(idx, estimates, done)
-            del idx  # so the next chunk's draw never overlaps this one's gathers
+            self._share(idx, buffer, estimates, done)
+            del idx  # so the next chunk's draw holds only its indices and the buffer
 
     def _run_tail(self, block: int, rows: int, estimates: list):
         """For each end that a contract reads, draw the top self._depth order
@@ -446,13 +466,14 @@ class _LengthGroup:
                 np.subtract(n - 1, idx, out=idx)
             else:
                 idx = idx[::-1]
+            buffer = np.empty((min(gather_rows, rows), depth))
             for done in range(0, rows, gather_rows):
                 # Gathered at the transposed view, the rows come out column-major,
                 # and ES would sum across rows in an order that depends on the group
                 # size; at a row-major copy of the indices every row sums as a lone one.
                 self._share(np.ascontiguousarray(idx[:, done:done + gather_rows].T),
-                            estimates, done, end)
-            del idx  # so the other end's draw never overlaps this one's indices
+                            buffer, estimates, done, end)
+            del idx, buffer  # so the other end's draw holds neither
 
 
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
