@@ -502,7 +502,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
         length, block = item
         try:
             return length._run_block(block)
-        except Exception as exc:  # e.g. out of memory: fail the cells of every contract of this length
+        except Exception as exc:  # e.g. out of memory: fail every contract of this length
             return [exc] * len(length.contracts)
 
     def finish(done):

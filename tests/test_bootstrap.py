@@ -69,12 +69,12 @@ def tail_indices(seed, block, lane, n, depth, rows):
 
 def var_estimates(sample, alpha, b, seed, block_rows, lane=1):
     """The resample VaR estimates of a sample on the tail path: block k
-    holds resamples k * block_rows up to b, and a row's VaR is the order
-    statistic as deep as the cell reads, drawn from lane 1 of the stream of
-    block k of the sample's length for a long sample, lane 2 for a short one. A short sample's
-    worst losses are the mirror of the low end of its contract's
-    long-oriented losses, so either reads its own losses at the top
-    indices of its lane."""
+    holds resamples k * block_rows up to b, and a row's VaR is the
+    order statistic as deep as the cell reads, drawn from lane 1 of
+    the stream of block k of the sample's length for a long sample,
+    lane 2 for a short one. A short sample's worst losses are the
+    mirror of the low end of its contract's long-oriented losses, so
+    either reads its own losses at the top indices of its lane."""
     depth = sample.n - math.ceil(alpha * sample.n - 1e-9) + 1
     estimates = []
     for block, start in enumerate(range(0, b, block_rows)):
@@ -791,7 +791,8 @@ class TestRunGrid:
         n, b, seed = 400, 3000, 17
         samples = [normal_sample(n=n, seed=40, label="A"), normal_sample(n=250, seed=41, label="B"),
                    normal_sample(n=n, seed=42, label="C", position=Position.SHORT)]
-        grid = run_grid(samples, {Measure.VAR: [0.5]}, BootstrapConfig(resamples=b, master_seed=seed))
+        config = BootstrapConfig(resamples=b, master_seed=seed)
+        grid = run_grid(samples, {Measure.VAR: [0.5]}, config)
         rows = bootstrap._BLOCK_ELEMS // n
         assert rows < b
         blocks = [np.sort(_contract_stream(seed, n, k).integers(
@@ -822,7 +823,8 @@ class TestRunGrid:
             for samples in orders:
                 for cell in run_grid(samples, grid, config, workers).cells:
                     key = (cell.sample_label, cell.position, cell.measure, cell.parameter)
-                    assert cells.setdefault(key, (cell.result, cell.error)) == (cell.result, cell.error)
+                    outcome = (cell.result, cell.error)
+                    assert cells.setdefault(key, outcome) == outcome
             assert len(cells) == 6 * sum(map(len, grid.values()))
 
     @pytest.mark.parametrize("workers", [1, 2])
