@@ -31,12 +31,14 @@ for short cells, each as deep as the deepest cell. Otherwise a block
 holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn and
 sorted once; every contract of the group gathers its own losses at those
 sorted indices, and every cell of both positions reads that one sorted
-chunk, the SRM cells in one reduction over their stacked weights. So a
-contract's long and short cells read paired resamples on that path; on
-the tail path its two ends are independent instead. Either way the
-contracts of one length read common random numbers: their cells are not
-independent of one another, but each cell's own bootstrap distribution
-is that of a plain resample of its sample.
+chunk. The spectral weights depend on n and the risk aversion alone, so
+the group builds them once, and a contract's SRM cells read its ends'
+rows of them in one reduction. So a contract's long and short cells read
+paired resamples on that path; on the tail path its two ends are
+independent instead. Either way the contracts of one length read common
+random numbers: their cells are not independent of one another, but each
+cell's own bootstrap distribution is that of a plain resample of its
+sample.
 
 So results are bit-identical for a given seed no matter how many workers
 share the grid, in what order blocks run, how rows are chunked, in what
@@ -190,10 +192,11 @@ class BootstrapResult:
     the original sample is value_at_risk, expected_shortfall or
     spectral_risk_measure of that sample. coeff_variation is
     point_estimate / std_error and is None when the resample distribution
-    is degenerate (zero standard error) or the point estimate is zero.
-    ci_standardized holds the percentile interval of the resample
-    estimates divided through by the point estimate; a degenerate resample
-    distribution gives (1.0, 1.0).
+    is degenerate or the point estimate is zero. ci_standardized holds the
+    percentile interval of the resample estimates divided through by the
+    point estimate. A degenerate resample distribution, every estimate
+    equal, reports that value as the point, a standard error of exactly
+    zero and the interval (1.0, 1.0).
     """
 
     point_estimate: float
@@ -244,8 +247,13 @@ def _mirrors(sample: LossSample, other: LossSample) -> bool:
 
 
 def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> BootstrapResult:
-    point = float(estimates.mean())
-    std_error = float(estimates.std(ddof=1))
+    # numpy's mean and std of equal floats can miss: 5000 copies of
+    # 0.026978671376387032 have mean 0.026978671376387042 and std 1.04e-17
+    if estimates.min() == estimates.max():
+        point, std_error = float(estimates[0]), 0.0
+    else:
+        point = float(estimates.mean())
+        std_error = float(estimates.std(ddof=1))
 
     if std_error > 0.0 and point != 0.0:
         coeff_variation = point / std_error
@@ -307,80 +315,38 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
 
 
 class _Contract:
-    """One contract's cells and their reduction plan.
+    """One contract's samples and its long-oriented losses.
 
     group is a lone sample or a pair of mirrored samples of opposite
-    positions. The constructor takes every cell's estimator argument, and
-    nothing changes after that, so the threads only read a contract. Its
-    reduction plan, _weights, holds every SRM cell's weights as a row, in
-    cell order; an SRM cell's arg is a view of its row, and a whole-row
-    chunk reduces them all in one einsum. A contract draws nothing itself:
-    the _LengthGroup of its n draws every chunk of indices, and the
-    contract gathers its long-oriented losses at them (_read).
+    positions, and ends holds the end of a sorted row that each sample
+    reads: False for the high end (long), True for the low end (short,
+    mirrored). Nothing changes after the constructor, so the threads only
+    read a contract. A contract draws and reduces nothing itself: the
+    _LengthGroup of its n draws every chunk of indices, the contract
+    gathers its long-oriented losses at them (_read), and the group
+    reduces them.
     """
 
-    def __init__(self, group, specs, config: BootstrapConfig):
-        self.group, self.specs, self.config = group, specs, config
+    def __init__(self, group):
+        self.group = group
         lead = group[0]  # the long-oriented losses are lead's, or its mirror's
-        self.n = n = lead.n
+        self.n = lead.n
         self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        # A mirrored cell's row of the plan holds its weights reversed, in the
-        # block's column order: einsum runs about twice as fast on contiguous
-        # weights as on a reversed view.
-        srm = [spectral_weights(n, spec.parameter) if spec.measure is Measure.SRM else None
-               for spec in specs]
-        self._weights = np.empty((len(group) * sum(w is not None for w in srm), n))
-        weight_rows = iter(self._weights)
-        self._cells = []  # per sample and spec: (measure, estimator arg, mirrored)
-        for sample in group:
-            mirrored = sample.position is Position.SHORT
-            for spec, weights in zip(specs, srm):
-                arg = spec.parameter
-                if weights is not None:
-                    arg = next(weight_rows)
-                    arg[:] = weights[::-1] if mirrored else weights
-                self._cells.append((spec.measure, arg, mirrored))
-        self.ends = {mirrored for _, _, mirrored in self._cells}
+        self.ends = [sample.position is Position.SHORT for sample in group]
 
-    def _read(self, idx, buffer, estimates: list, done: int, end=None):
+    def _read(self, idx, buffer) -> np.ndarray:
         """Gather the losses at a chunk of shared indices whose rows ascend
-        into the first rows of buffer, and write the estimates of the cells
-        that read them to rows done onwards of each cell's array: every cell
-        when the rows are whole (end None), else the cells of that end
-        (mirrored or not), whose rows hold only the columns they read."""
+        into the first rows of buffer, and return those rows."""
         rows = buffer[:idx.shape[0]]
         step = max(_TAKE_ELEMS // idx.shape[1], 1)
         for r in range(0, idx.shape[0], step):
             np.take(self._values, idx[r:r + step], mode="clip", out=rows[r:r + step])
-        stop, method = done + rows.shape[0], self.config.quantile_method
-        srm = iter(_evaluate_sorted(rows, Measure.SRM, self._weights).T) if end is None else None
-        for out, (measure, arg, mirrored) in zip(estimates, self._cells):
-            if measure is Measure.SRM:  # its column, signed as for a lone cell
-                np.multiply(next(srm), -1.0 if mirrored else 1.0, out=out[done:stop])
-            elif end is None or end is mirrored:
-                out[done:stop] = _evaluate_sorted(rows, measure, arg, method, self.n, mirrored)
-
-    def finish(self, blocks) -> list:
-        """Summarize the estimates that the contract's blocks returned, in
-        block order. Returns, per sample, one entry per spec: its
-        BootstrapResult, or the exception that failed the contract, as any
-        block's did."""
-        error = next((b for b in blocks if isinstance(b, Exception)), None)
-        if error is None:
-            try:
-                out = [_summarize(np.concatenate([b[i] for b in blocks]), self.config)
-                       for i in range(len(self._cells))]
-            except Exception as exc:  # e.g. out of memory: fail this contract's cells
-                error = exc
-        if error is not None:
-            out = [error] * len(self._cells)
-        k = len(self.specs)
-        return [out[i * k:(i + 1) * k] for i in range(len(self.group))]
+        return rows
 
 
 class _LengthGroup:
     """Every contract of one series length n, run as blocks that any thread
-    may take.
+    may take, and their one reduction plan.
 
     The constructor picks the path from n and the specs alone, so every
     contract of the group shares it: tail ends of _depth columns, or whole
@@ -391,10 +357,17 @@ class _LengthGroup:
     lane 0 for whole rows and 1 and 2 for the high and low ends. A block
     draws each chunk of indices once, and every contract of the group
     reads its own losses at them. A grid with no specs has no blocks.
+
+    The reduction plan, _plan, holds every SRM spec's weights as a row, in
+    spec order, once for the high end and once reversed for the low end,
+    in the block's column order: einsum runs about twice as fast on
+    contiguous weights as on a reversed view. A contract's SRM cells read
+    the rows of its ends, a contiguous slice of the plan, in one einsum
+    per whole-row chunk.
     """
 
     def __init__(self, contracts, specs, config: BootstrapConfig):
-        self.contracts, self.config = contracts, config
+        self.contracts, self.specs, self.config = contracts, specs, config
         self.n = n = contracts[0].n
         # The depth of an end is how many of a sorted row's top (long) or
         # bottom (short) columns the cells read; both positions share the
@@ -403,11 +376,32 @@ class _LengthGroup:
         # sort whole rows.
         depth = max((n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
                      for spec in specs), default=n)
-        spectral = any(spec.measure is Measure.SRM for spec in specs)
-        self._depth = None if spectral or depth > _TAIL_SHARE * n else depth
+        srm = [spectral_weights(n, spec.parameter) for spec in specs if spec.measure is Measure.SRM]
+        self._depth = None if srm or depth > _TAIL_SHARE * n else depth
         elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
         self.blocks = -(-config.resamples // self.block_rows) if specs else 0
+        self._plan = np.array(srm + [w[::-1] for w in srm]).reshape(-1, n)
+
+    def _reduce(self, contract, rows, estimates: list, done: int, end=None):
+        """Write the estimates of the contract's cells that read rows, its
+        losses at a chunk of shared indices, to rows done onwards of each
+        cell's array: every cell when the rows are whole (end None), else
+        the cells of that end, whose rows hold only the columns they read."""
+        stop, method, k = done + rows.shape[0], self.config.quantile_method, len(self._plan) // 2
+        first = min(contract.ends) * k  # the plan's rows of the contract's ends, high before low
+        srm = () if end is not None or k == 0 else _evaluate_sorted(
+            rows, Measure.SRM, self._plan[first:(max(contract.ends) + 1) * k]).T
+        cells = iter(estimates)
+        for mirrored in contract.ends:
+            columns = iter(srm[mirrored * k - first:])  # this sample's SRM cells, in spec order
+            for spec in self.specs:
+                out = next(cells)[done:stop]
+                if spec.measure is Measure.SRM:  # its column, signed as for a lone cell
+                    np.multiply(next(columns), -1.0 if mirrored else 1.0, out=out)
+                elif end is None or end is mirrored:
+                    out[:] = _evaluate_sorted(rows, spec.measure, spec.parameter, method,
+                                              self.n, mirrored)
 
     def _run_block(self, block: int) -> list:
         """Return, per contract, one array per cell of the estimates of the
@@ -418,7 +412,8 @@ class _LengthGroup:
         # One array per cell: at 21 kB each (a golden cell's block) the heap reuses
         # them from block to block, while one array of them all took fresh pages on
         # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [[np.empty(rows) for _ in contract._cells] for contract in self.contracts]
+        estimates = [[np.empty(rows) for _ in range(len(contract.ends) * len(self.specs))]
+                     for contract in self.contracts]
         if self._depth is None:
             self._run_whole(block, rows, estimates)
         else:
@@ -426,13 +421,13 @@ class _LengthGroup:
         return estimates
 
     def _share(self, idx, buffer, estimates: list, done: int, end=None):
-        """Let each contract that reads end and has not failed yet read the
-        chunk of indices idx, gathering into buffer in turn; an exception
-        fails that contract alone."""
+        """Let each contract that reads end and has not failed yet gather its
+        losses at the chunk of indices idx into buffer in turn, and reduce
+        them; an exception fails that contract alone."""
         for i, contract in enumerate(self.contracts):
             if not isinstance(estimates[i], Exception) and (end is None or end in contract.ends):
                 try:
-                    contract._read(idx, buffer, estimates[i], done, end)
+                    self._reduce(contract, contract._read(idx, buffer), estimates[i], done, end)
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     estimates[i] = exc
 
@@ -475,11 +470,29 @@ class _LengthGroup:
                             buffer, estimates, done, end)
             del idx, buffer  # so the other end's draw holds neither
 
+    def finish(self, blocks) -> list:
+        """Summarize the estimates that the group's blocks returned, in
+        block order. Returns, per contract, per sample, one entry per spec:
+        its BootstrapResult, or the exception that failed the contract, as
+        any block's did."""
+        k, results = len(self.specs), []
+        for i, contract in enumerate(self.contracts):
+            mine, cells = [b[i] for b in blocks], len(contract.ends) * k
+            out = next(([b] * cells for b in mine if isinstance(b, Exception)), None)
+            if out is None:
+                try:
+                    out = [_summarize(np.concatenate([b[c] for b in mine]), self.config)
+                           for c in range(cells)]
+                except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                    out = [exc] * cells
+            results.append([out[j:j + k] for j in range(0, cells, k)])
+        return results
+
 
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
-    return what each contract's finish returns (see _Contract), in the
-    order of groups.
+    return, per contract in the order of groups, what its length group's
+    finish returns for it (see _LengthGroup).
 
     The contracts of each length form one _LengthGroup, in the order of
     their lengths' first appearance. Every block of every length group, in
@@ -490,7 +503,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     shared draw fails every contract of its length. One thread is the
     calling thread itself.
     """
-    contracts = [_Contract(group, specs, config) for group in groups]
+    contracts = [_Contract(group) for group in groups]
     by_length = {}
     for contract in contracts:
         by_length.setdefault(contract.n, []).append(contract)
@@ -508,9 +521,8 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     def finish(done):
         results = {}
         for length in lengths:
-            estimates = [next(done) for _ in range(length.blocks)]
-            for i, contract in enumerate(length.contracts):
-                results[contract] = contract.finish([b[i] for b in estimates])
+            estimates = length.finish([next(done) for _ in range(length.blocks)])
+            results.update(zip(length.contracts, estimates))
         return [results[contract] for contract in contracts]
 
     if threads == 1:

@@ -175,30 +175,37 @@ class TestTailDraw:
 
 class TestReductionPlan:
     def test_stacked_srm_columns_equal_each_spec_s_own_reduction(self):
-        """A whole-row chunk reduces every SRM cell of its contract in one
-        einsum over the plan's (K, n) weights, whose rows the cells view. Each
-        column, signed as its cell is, equals that spec's one-vector reduction
-        bit for bit: for one-row chunks, past numpy's 8192-element buffer, and
-        for short cells, whose rows are their weights reversed."""
+        """A length group builds one reduction plan: every SRM spec's
+        weights as a row for the high end, then the same rows reversed for
+        the low end. A whole-row chunk reduces each contract's SRM cells in
+        one einsum over the plan's rows of its ends: a lone long sample, a
+        lone short sample, and a pair led by either position. Each cell
+        equals its spec's one-vector reduction bit for bit: for one-row
+        chunks, past numpy's 8192-element buffer, and for short cells,
+        whose rows are their weights reversed."""
         rng = np.random.default_rng(31)
         for n in (1, 400, 3392, 8193, 20_000):
-            for rows in (1, 2, 5, 103):
-                chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
-                for vectors in (1, 3, 10):
-                    specs = [EstimatorSpec(Measure.SRM, k) for k in np.geomspace(0.5, 80.0, vectors)]
-                    for position in Position:
-                        mirrored = position is Position.SHORT
-                        sample = LossSample(rng.standard_normal(n), position)
-                        contract = bootstrap._Contract([sample], specs, BootstrapConfig())
-                        weights = contract._weights
-                        assert weights.shape == (vectors, n)
-                        assert all(arg.base is weights for _, arg, _ in contract._cells)
-                        stacked = _evaluate_sorted(chunk, Measure.SRM, weights)
-                        for column, spec in zip(stacked.T, specs):
-                            w = spectral_weights(n, spec.parameter)
-                            w = np.ascontiguousarray(w[::-1]) if mirrored else w
-                            own = _evaluate_sorted(chunk, Measure.SRM, w, mirrored=mirrored)
-                            assert np.array_equal(-column if mirrored else column, own)
+            for vectors in (1, 3, 10):
+                specs = [EstimatorSpec(Measure.SRM, k) for k in np.geomspace(0.5, 80.0, vectors)]
+                long, short = (LossSample(rng.standard_normal(n), position) for position in Position)
+                contracts = [bootstrap._Contract(group)
+                             for group in ([long], [short], [long, short], [short, long])]
+                length = bootstrap._LengthGroup(contracts, specs, BootstrapConfig())
+                plan = length._plan
+                assert plan.shape == (2 * vectors, n) and plan.flags.c_contiguous
+                high = [spectral_weights(n, spec.parameter) for spec in specs]
+                weights = {False: high, True: [np.ascontiguousarray(w[::-1]) for w in high]}
+                for rows in (1, 2, 5, 103):
+                    chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
+                    for contract in contracts:
+                        estimates = [np.empty(rows) for _ in range(len(contract.group) * vectors)]
+                        length._reduce(contract, chunk, estimates, 0)
+                        cells = iter(estimates)
+                        for sample in contract.group:
+                            mirrored = sample.position is Position.SHORT
+                            for w in weights[mirrored]:
+                                own = _evaluate_sorted(chunk, Measure.SRM, w, mirrored=mirrored)
+                                assert np.array_equal(next(cells), own)
 
 
 class TestBootstrapEstimate:
@@ -225,6 +232,15 @@ class TestBootstrapEstimate:
             assert result.std_error == 0.0
             assert result.coeff_variation is None
             assert result.ci_standardized == (1.0, 1.0)
+
+    def test_inexact_constant_degenerates_cleanly(self):
+        """numpy's mean of 100 copies of 0.7 is 0.7000000000000002, and
+        their std comes out near 2e-16; a degenerate resample distribution
+        still reports its one value, SE 0, no CV and (1.0, 1.0)."""
+        config = BootstrapConfig(resamples=100)
+        for spec in (EstimatorSpec(Measure.VAR, 0.9), EstimatorSpec(Measure.ES, 0.9)):
+            result = bootstrap_estimate(LossSample([0.7]), spec, config)
+            assert result == bootstrap.BootstrapResult(0.7, 0.0, None, (1.0, 1.0))
 
     def test_resamples_respect_quantile_method(self):
         """Each interpolated resample VaR lies at its fractional rank
@@ -813,19 +829,43 @@ class TestRunGrid:
     def test_cells_do_not_depend_on_the_other_samples_or_their_order(self, workers):
         """Streams are keyed on the series length, so reversing the
         contracts, or dropping some, changes no cell of the rest, on either
-        path, with contracts of equal and of unequal length."""
+        path, with contracts of equal and of unequal length. In the first
+        order the length group of 300 holds a long-led pair, a lone long
+        sample, a lone short sample and a short-led pair, so its contracts
+        read every slice of the group's reduction plan."""
         a, d = mirrored_pair(300, 28, "A"), mirrored_pair(300, 29, "D")
         b, c = normal_sample(n=250, seed=23, label="B"), normal_sample(n=300, seed=30, label="C")
-        orders = [[*a, b, c, *d], [*d, c, b, *a], [c, *a], [*d[::-1]]]
+        e = normal_sample(n=300, seed=31, label="E", position=Position.SHORT)
+        orders = [[*a, b, c, e, *d[::-1]], [*d, e, c, b, *a], [c, *a], [*d[::-1]], [e]]
         config = BootstrapConfig(resamples=100, master_seed=19)
         for grid in (self.GRID, {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}):
             cells = {}
             for samples in orders:
-                for cell in run_grid(samples, grid, config, workers).cells:
+                out = run_grid(samples, grid, config, workers)
+                assert not out.failed
+                for cell in out.cells:
                     key = (cell.sample_label, cell.position, cell.measure, cell.parameter)
-                    outcome = (cell.result, cell.error)
-                    assert cells.setdefault(key, outcome) == outcome
-            assert len(cells) == 6 * sum(map(len, grid.values()))
+                    assert cells.setdefault(key, cell.result) == cell.result
+            assert len(cells) == 7 * sum(map(len, grid.values()))
+
+    def test_spectral_weights_are_built_once_per_length_and_aversion(self, monkeypatch):
+        """Every contract of one length reads the same spectral weights, so
+        one run_grid builds them once per (n, k): here for a mirrored pair,
+        a lone long and a lone short sample of 300 losses, and one of 250."""
+        calls = []
+        weights = bootstrap.spectral_weights
+
+        def spy(n, k):
+            calls.append((n, k))
+            return weights(n, k)
+
+        monkeypatch.setattr(bootstrap, "spectral_weights", spy)
+        samples = [*mirrored_pair(300, 28, "A"), normal_sample(n=300, seed=30, label="C"),
+                   normal_sample(n=300, seed=31, label="E", position=Position.SHORT),
+                   normal_sample(n=250, seed=23, label="B")]
+        grid = run_grid(samples, self.GRID, BootstrapConfig(resamples=50, master_seed=3))
+        assert not grid.failed
+        assert sorted(calls) == [(n, k) for n in (250, 300) for k in self.GRID[Measure.SRM]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_parameter_raises_before_any_block(self, monkeypatch, workers):

@@ -119,6 +119,26 @@ class TestEstimate:
         records = parse_csv((out_dir / "var.csv").read_text())
         assert {r["column"] for r in records} == {"c1", "c2", "Mean"}
 
+    def test_degenerate_resamples_report_no_spread(self, tmp_path, capsys):
+        """Every resample of 399 tied returns and one lower one has the
+        same 90 % VaR, but numpy's mean of 5000 copies of that loss misses
+        it by an ulp and their std comes out near 1e-17. The cell reports
+        the one value, SE 0, no CV and the interval (1.0, 1.0), as the
+        README documents for a degenerate resample distribution."""
+        path = tmp_path / "tied.csv"
+        dates = np.datetime_as_string(np.datetime64("1991-01-01") + np.arange(400), unit="D")
+        returns = [0.026978671376387032] * 399 + [-0.02]
+        path.write_text("date,return\n" + "".join(f"{d},{r!r}\n" for d, r in zip(dates, returns)))
+        code, out, err = run(["estimate", "--input", str(path), "--return-col", "return",
+                              "--measure", "var", "--alpha", "0.9", "--position", "long",
+                              "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        assert [line for line in out.splitlines() if ",90% VaR,tied," in line] == [
+            "var,(a) VaR estimates,Long position,90% VaR,tied,-0.026978671376387032,",
+            "var,(b) Standard errors,Long position,90% VaR,tied,0.0,",
+            "var,(c) Coefficients of variation,Long position,90% VaR,tied,,",
+            "var,(d) 90% confidence intervals,Long position,90% VaR,tied,1.0,1.0"]
+
     def test_measure_subset_limits_the_output(self, tmp_path, capsys):
         inputs = [synth_file(tmp_path, "c1.csv", seed=101)]
         out_dir = tmp_path / "out"
