@@ -15,27 +15,28 @@ Reproducibility is strict. The resamples belong to a series length, not
 to a sample: run_grid pairs a sample with the next one when that one
 holds the opposite position and is its exact mirror (short losses are
 the long losses negated in reverse order), and the contracts, pairs or
-lone samples, of equal length n form one length group. A contract
-resamples its long-oriented losses, and a short cell reads the low end of
-each resample mirrored. The group's B resamples of n indices are split
-into fixed blocks of rows, and each block draws from streams of its own,
-keyed on the master seed, n and the block's ordinal only
-(_contract_stream), never on a contract's place among the inputs.
+lone samples, of equal length n form one length group. The group's B
+resamples of n indices are split into fixed blocks of rows, and each
+block draws from one stream of its own, keyed on the master seed, n and
+the block's ordinal only (_contract_stream), never on a contract's place
+among the inputs.
 
 The path, one of two, is chosen from n and the specs alone, so every
 contract of a group takes it. With no spectral cell and every VaR and ES
 cell reading at most _TAIL_SHARE of a sorted row at its end, a block of
-_TAIL_BLOCK_ELEMS // n rows draws just the order statistics its cells
-read, from one stream per end: the high end for long cells, the low end
-for short cells, each as deep as the deepest cell. Otherwise a block
-holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn and
-sorted once; every contract of the group gathers its own losses at those
-sorted indices, and every cell of both positions reads that one sorted
-chunk. The spectral weights depend on n and the risk aversion alone, so
-the group builds them once, and a contract's SRM cells read its ends'
-rows of them in one reduction. So a contract's long and short cells read
-paired resamples on that path; on the tail path its two ends are
-independent instead. Either way the contracts of one length read common
+_TAIL_BLOCK_ELEMS // n rows draws just the top order statistics of its
+rows, as deep as the deepest cell, and every sample, long or short,
+reads its own losses at them. A short sample's losses there are the
+mirror of its contract's lowest long-oriented losses at n - 1 minus those
+indices, the bottom of a plain resample in law, so one draw serves both
+positions. Otherwise a block holds _BLOCK_ELEMS // n rows, and each chunk
+of its rows is drawn and sorted once; every contract of the group
+gathers its long-oriented losses at those sorted indices, and every cell
+of both positions reads that one sorted chunk, a short cell its low end
+mirrored. The spectral weights depend on n and the risk aversion alone,
+so the group builds them once, and a contract's SRM cells read its ends'
+rows of them in one reduction. On either path a contract's long and
+short cells read one draw, and the contracts of one length read common
 random numbers: their cells are not independent of one another, but each
 cell's own bootstrap distribution is that of a plain resample of its
 sample.
@@ -52,13 +53,13 @@ cells of a tail group to whole rows.
 The blocks of all length groups are the unit of work: the worker threads
 take them in group-major order, so a grid of one contract uses as many
 workers as it has blocks. The threads change no shared state. The
-calling thread prepares every contract and group before any block runs,
-each block returns its own estimates, and the calling thread reads them
-back in block order and summarizes a group's contracts once its last
-block is in. With one worker the blocks run on the calling thread
-itself. A run-time failure in one contract's gather or reduction fails
-only that contract's cells; a failure in a block's shared draw fails
-every contract of its length.
+calling thread prepares every group before any block runs, each block
+returns its own estimates, and the calling thread reads them back in
+block order and summarizes a group's contracts once its last block is
+in. With one worker the blocks run on the calling thread itself. A
+run-time failure in one contract's gather or reduction fails only that
+contract's cells; a failure in a block's shared draw fails every
+contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
 until their group is summarized. On the whole-row path each thread draws
@@ -70,10 +71,10 @@ depend on n alone, never on the worker count. Even so, a block's draws
 do not depend on how its rows are chunked, as each bounded int32 draw
 takes the next 32 bits of its stream, and every estimator reduces each
 row in a fixed order whatever the number of rows, so neither do the
-estimates. On the tail path a thread holds one end's int32 indices for a
-block, at most _TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works
-on them in slabs of levels and groups of rows of at most _CHUNK_BYTES //
-8 bytes each.
+estimates. On the tail path a thread holds one block's int32 indices, at
+most _TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in
+slabs of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes
+each.
 """
 
 from __future__ import annotations
@@ -132,23 +133,22 @@ _BLOCK_ELEMS = 2 ** 20
 _TAIL_BLOCK_ELEMS = 2 ** 22
 
 # A VaR and ES grid whose ends are at most _TAIL_SHARE of the row deep
-# draws its ends' order statistics (_tail_indices) instead of sorting whole
-# rows. Time of the tail path over the whole sort, in run_grid on a mirrored
-# pair (two ends), ES at 1 - share, B = 5000 (1000 from n = 20 000), one
-# worker, minimum process time of 5 alternating calls each:
+# draws the top order statistics of its rows (_tail_indices) once per block
+# instead of sorting whole rows. Time of the tail path over the whole sort,
+# in run_grid on a mirrored pair (one draw, two gathers), ES at 1 - share,
+# B = 5000 (1000 from n = 20 000), one worker, minimum process time of 5
+# alternating calls each, on a 2-CPU x86-64 host with AVX-512:
 #
-#     share      0.10  0.15  0.20  0.25  0.30  0.35  0.40
-#     n = 400    0.41  0.59  0.76  0.93  1.13  1.35
-#     n = 3392   0.36  0.49  0.66  0.87  1.05  1.31
-#     n = 20 000 0.30        0.67  0.83  1.08        1.39
-#     n = 97 084 0.34        0.78  0.97  1.20        1.93
+#     share      0.10  0.15  0.20  0.25  0.30  0.35  0.40  0.45  0.50
+#     n = 400    0.29  0.39  0.52  0.61  0.73  0.92  1.00  1.09  1.20
+#     n = 3392   0.21  0.34  0.39  0.62  0.63  0.75  0.89  1.03  1.08
+#     n = 20 000 0.20  0.31  0.40  0.54  0.64  0.73  0.81  0.92  1.07
+#     n = 97 084 0.20  0.27  0.42  0.53  0.68  0.85  0.93  0.96  1.14
 #
-# It breaks even near 0.27 of the row at every n. A lone end (a lone
-# sample) takes about half that time and breaks even near 0.4 of the row
-# at n = 97 084 and 0.5 at n = 400 and 3392, but the cut-off does not
-# depend on which ends are read, so that the path depends on n and the
-# specs alone. At 0.25 a block's tail indices take at most 4 MiB (4 bytes
-# for each of a quarter of _TAIL_BLOCK_ELEMS).
+# It breaks even between 0.40 and 0.47 of the row, a lone sample near 0.5,
+# so time alone would allow a deeper cut-off. It stays at 0.25 for memory:
+# there a block's tail indices take at most 4 MiB (4 bytes for each of a
+# quarter of _TAIL_BLOCK_ELEMS), as much as a whole-row chunk.
 _TAIL_SHARE = 0.25
 
 
@@ -223,20 +223,18 @@ def _check_workers(workers):
 
 def _check_seed(seed):
     """The one check of a master seed, which keys every stream together with
-    a series length, a block and a lane: an unsigned 64-bit integer."""
+    a series length and a block: an unsigned 64-bit integer."""
     if not 0 <= _check_integer(seed, "master seed") < 2 ** 64:
         raise ValueError(f"master seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
-def _contract_stream(master_seed: int, n: int, block: int = 0,
-                     lane: int = 0) -> np.random.Generator:
+def _contract_stream(master_seed: int, n: int, block: int = 0) -> np.random.Generator:
     """Independent generator for one block of the resamples of every
-    contract of n losses, a pure function of (master_seed, n, block, lane).
-    Lane 0 is the block's whole rows, lanes 1 and 2 its high and low tail
-    ends. Each is an SFC64 stream seeded by a SeedSequence keyed on all
-    four numbers, numpy's way to make independent streams. BootstrapConfig
-    has checked the seed."""
-    key = np.random.SeedSequence([master_seed, n, block, lane])
+    contract of n losses, a pure function of (master_seed, n, block), that
+    the block's whole rows or its tail draw read: an SFC64 stream seeded by
+    a SeedSequence keyed on all three numbers, numpy's way to make
+    independent streams. BootstrapConfig has checked the seed."""
+    key = np.random.SeedSequence([master_seed, n, block])
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -314,49 +312,37 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
     return idx
 
 
-class _Contract:
-    """One contract's samples and its long-oriented losses.
-
-    group is a lone sample or a pair of mirrored samples of opposite
-    positions, and ends holds the end of a sorted row that each sample
-    reads: False for the high end (long), True for the low end (short,
-    mirrored). Nothing changes after the constructor, so the threads only
-    read a contract. A contract draws and reduces nothing itself: the
-    _LengthGroup of its n draws every chunk of indices, the contract
-    gathers its long-oriented losses at them (_read), and the group
-    reduces them.
-    """
-
-    def __init__(self, group):
-        self.group = group
-        lead = group[0]  # the long-oriented losses are lead's, or its mirror's
-        self.n = lead.n
-        self._values = lead.values if lead.position is Position.LONG else -lead.values[::-1]
-        self.ends = [sample.position is Position.SHORT for sample in group]
-
-    def _read(self, idx, buffer) -> np.ndarray:
-        """Gather the losses at a chunk of shared indices whose rows ascend
-        into the first rows of buffer, and return those rows."""
-        rows = buffer[:idx.shape[0]]
-        step = max(_TAKE_ELEMS // idx.shape[1], 1)
-        for r in range(0, idx.shape[0], step):
-            np.take(self._values, idx[r:r + step], mode="clip", out=rows[r:r + step])
-        return rows
+def _gather(values, idx, buffer) -> np.ndarray:
+    """Gather values at a chunk of shared indices whose rows ascend into the
+    first rows of buffer, and return those rows."""
+    rows = buffer[:idx.shape[0]]
+    step = max(_TAKE_ELEMS // idx.shape[1], 1)
+    for r in range(0, idx.shape[0], step):
+        np.take(values, idx[r:r + step], mode="clip", out=rows[r:r + step])
+    return rows
 
 
 class _LengthGroup:
     """Every contract of one series length n, run as blocks that any thread
     may take, and their one reduction plan.
 
-    The constructor picks the path from n and the specs alone, so every
-    contract of the group shares it: tail ends of _depth columns, or whole
-    rows when _depth is None. The config.resamples rows are split into
-    blocks of block_rows, _BLOCK_ELEMS // n on the whole-row path and
-    _TAIL_BLOCK_ELEMS // n on the tail path (at least 1), the last one
-    partial, and block k draws from _contract_stream(seed, n, k, lane),
-    lane 0 for whole rows and 1 and 2 for the high and low ends. A block
-    draws each chunk of indices once, and every contract of the group
-    reads its own losses at them. A grid with no specs has no blocks.
+    groups holds each contract's samples: a lone sample or a pair of
+    mirrored samples of opposite positions. The constructor picks the path
+    from n and the specs alone, so every contract of the group shares it:
+    tail ends of _depth columns, or whole rows when _depth is None. The
+    config.resamples rows are split into blocks of block_rows,
+    _BLOCK_ELEMS // n on the whole-row path and _TAIL_BLOCK_ELEMS // n on
+    the tail path (at least 1), the last one partial, and block k draws
+    from _contract_stream(seed, n, k). A block draws each chunk of indices
+    once, and every contract of the group reads its own losses at them. A
+    grid with no specs has no blocks. Nothing changes after the
+    constructor, so the threads only read a group.
+
+    _reads holds, per contract, the losses it gathers at each chunk and the
+    ends that each gather serves, in sample order: False for the high end,
+    True for the low end mirrored. On the whole-row path that is one
+    gather of the contract's long-oriented losses for all its samples; on
+    the tail path each sample gathers its own losses for the high end.
 
     The reduction plan, _plan, holds every SRM spec's weights as a row, in
     spec order, once for the high end and once reversed for the low end,
@@ -366,14 +352,14 @@ class _LengthGroup:
     per whole-row chunk.
     """
 
-    def __init__(self, contracts, specs, config: BootstrapConfig):
-        self.contracts, self.specs, self.config = contracts, specs, config
-        self.n = n = contracts[0].n
+    def __init__(self, groups, specs, config: BootstrapConfig):
+        self.groups, self.specs, self.config = groups, specs, config
+        self.n = n = groups[0][0].n
         # The depth of an end is how many of a sorted row's top (long) or
         # bottom (short) columns the cells read; both positions share the
         # specs, so it is the same at both ends. A VaR and ES grid shallow
-        # enough draws just that many order statistics of each end; the rest
-        # sort whole rows.
+        # enough draws just that many order statistics of a row's top; the
+        # rest sort whole rows.
         depth = max((n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
                      for spec in specs), default=n)
         srm = [spectral_weights(n, spec.parameter) for spec in specs if spec.measure is Measure.SRM]
@@ -382,24 +368,28 @@ class _LengthGroup:
         self.block_rows = max(elems // n, 1)
         self.blocks = -(-config.resamples // self.block_rows) if specs else 0
         self._plan = np.array(srm + [w[::-1] for w in srm]).reshape(-1, n)
+        if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
+            self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
+                             [sample.position is Position.SHORT for sample in g])] for g in groups]
+        else:
+            self._reads = [[(sample.values, [False]) for sample in g] for g in groups]
 
-    def _reduce(self, contract, rows, estimates: list, done: int, end=None):
-        """Write the estimates of the contract's cells that read rows, its
-        losses at a chunk of shared indices, to rows done onwards of each
-        cell's array: every cell when the rows are whole (end None), else
-        the cells of that end, whose rows hold only the columns they read."""
+    def _reduce(self, rows, ends, cells, done: int):
+        """Write the estimates of the cells that read rows, losses gathered
+        at a chunk of shared indices, to rows done onwards of the next
+        arrays of cells: one per spec for each of ends in turn. Whole rows
+        serve every cell; tail rows hold only the columns the cells read."""
         stop, method, k = done + rows.shape[0], self.config.quantile_method, len(self._plan) // 2
-        first = min(contract.ends) * k  # the plan's rows of the contract's ends, high before low
-        srm = () if end is not None or k == 0 else _evaluate_sorted(
-            rows, Measure.SRM, self._plan[first:(max(contract.ends) + 1) * k]).T
-        cells = iter(estimates)
-        for mirrored in contract.ends:
-            columns = iter(srm[mirrored * k - first:])  # this sample's SRM cells, in spec order
+        first = min(ends) * k  # the plan's rows of these ends, high before low
+        srm = () if k == 0 else _evaluate_sorted(rows, Measure.SRM,
+                                                 self._plan[first:(max(ends) + 1) * k]).T
+        for mirrored in ends:
+            columns = iter(srm[mirrored * k - first:])  # this end's SRM cells, in spec order
             for spec in self.specs:
                 out = next(cells)[done:stop]
                 if spec.measure is Measure.SRM:  # its column, signed as for a lone cell
                     np.multiply(next(columns), -1.0 if mirrored else 1.0, out=out)
-                elif end is None or end is mirrored:
+                else:
                     out[:] = _evaluate_sorted(rows, spec.measure, spec.parameter, method,
                                               self.n, mirrored)
 
@@ -412,30 +402,29 @@ class _LengthGroup:
         # One array per cell: at 21 kB each (a golden cell's block) the heap reuses
         # them from block to block, while one array of them all took fresh pages on
         # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [[np.empty(rows) for _ in range(len(contract.ends) * len(self.specs))]
-                     for contract in self.contracts]
-        if self._depth is None:
-            self._run_whole(block, rows, estimates)
-        else:
-            self._run_tail(block, rows, estimates)
+        estimates = [[np.empty(rows) for _ in range(len(group) * len(self.specs))]
+                     for group in self.groups]
+        stream = _contract_stream(self.config.master_seed, self.n, block)
+        (self._run_whole if self._depth is None else self._run_tail)(stream, rows, estimates)
         return estimates
 
-    def _share(self, idx, buffer, estimates: list, done: int, end=None):
-        """Let each contract that reads end and has not failed yet gather its
-        losses at the chunk of indices idx into buffer in turn, and reduce
-        them; an exception fails that contract alone."""
-        for i, contract in enumerate(self.contracts):
-            if not isinstance(estimates[i], Exception) and (end is None or end in contract.ends):
+    def _share(self, idx, buffer, estimates: list, done: int):
+        """Let each contract that has not failed yet gather its losses at
+        the chunk of indices idx into buffer in turn, and reduce them; an
+        exception fails that contract alone."""
+        for i, reads in enumerate(self._reads):
+            if not isinstance(estimates[i], Exception):
                 try:
-                    self._reduce(contract, contract._read(idx, buffer), estimates[i], done, end)
+                    cells = iter(estimates[i])
+                    for values, ends in reads:
+                        self._reduce(_gather(values, idx, buffer), ends, cells, done)
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     estimates[i] = exc
 
-    def _run_whole(self, block: int, rows: int, estimates: list):
+    def _run_whole(self, stream, rows: int, estimates: list):
         """Draw the block's rows in chunks of at most _CHUNK_BYTES and sort
         each chunk once; every contract gathers its losses at it in turn."""
         n = self.n
-        stream = _contract_stream(self.config.master_seed, n, block)
         chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
         buffer = np.empty((min(chunk_rows, rows), n))
         for done in range(0, rows, chunk_rows):
@@ -447,28 +436,20 @@ class _LengthGroup:
             self._share(idx, buffer, estimates, done)
             del idx  # so the next chunk's draw holds only its indices and the buffer
 
-    def _run_tail(self, block: int, rows: int, estimates: list):
-        """For each end that a contract reads, draw the top self._depth order
-        statistics of each of the block's rows at that end (the low end when
-        mirrored) once, and let the contracts of that end gather them as
-        ascending rows in groups of at most _CHUNK_BYTES // 8 bytes."""
-        n, depth = self.n, self._depth
+    def _run_tail(self, stream, rows: int, estimates: list):
+        """Draw the top self._depth order statistics of each of the block's
+        rows once, and let every sample gather its own losses at them as
+        ascending rows, in groups of at most _CHUNK_BYTES // 8 bytes."""
+        depth = self._depth
         gather_rows = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
-        for end in sorted(set().union(*(contract.ends for contract in self.contracts))):
-            stream = _contract_stream(self.config.master_seed, n, block, 2 if end else 1)
-            idx = _tail_indices(stream, n, depth, rows)
-            if end:  # n - 1 minus the top indices are bottom ones, in law
-                np.subtract(n - 1, idx, out=idx)
-            else:
-                idx = idx[::-1]
-            buffer = np.empty((min(gather_rows, rows), depth))
-            for done in range(0, rows, gather_rows):
-                # Gathered at the transposed view, the rows come out column-major,
-                # and ES would sum across rows in an order that depends on the group
-                # size; at a row-major copy of the indices every row sums as a lone one.
-                self._share(np.ascontiguousarray(idx[:, done:done + gather_rows].T),
-                            buffer, estimates, done, end)
-            del idx, buffer  # so the other end's draw holds neither
+        idx = _tail_indices(stream, self.n, depth, rows)[::-1]
+        buffer = np.empty((min(gather_rows, rows), depth))
+        for done in range(0, rows, gather_rows):
+            # Gathered at the transposed view, the rows come out column-major,
+            # and ES would sum across rows in an order that depends on the group
+            # size; at a row-major copy of the indices every row sums as a lone one.
+            self._share(np.ascontiguousarray(idx[:, done:done + gather_rows].T),
+                        buffer, estimates, done)
 
     def finish(self, blocks) -> list:
         """Summarize the estimates that the group's blocks returned, in
@@ -476,8 +457,8 @@ class _LengthGroup:
         its BootstrapResult, or the exception that failed the contract, as
         any block's did."""
         k, results = len(self.specs), []
-        for i, contract in enumerate(self.contracts):
-            mine, cells = [b[i] for b in blocks], len(contract.ends) * k
+        for i, group in enumerate(self.groups):
+            mine, cells = [b[i] for b in blocks], len(group) * k
             out = next(([b] * cells for b in mine if isinstance(b, Exception)), None)
             if out is None:
                 try:
@@ -503,12 +484,12 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     shared draw fails every contract of its length. One thread is the
     calling thread itself.
     """
-    contracts = [_Contract(group) for group in groups]
-    by_length = {}
-    for contract in contracts:
-        by_length.setdefault(contract.n, []).append(contract)
-    lengths = [_LengthGroup(members, specs, config) for members in by_length.values()]
-    blocks = [(length, block) for length in lengths for block in range(length.blocks)]
+    by_length = {}  # the indices in groups of each length's contracts
+    for i, group in enumerate(groups):
+        by_length.setdefault(group[0].n, []).append(i)
+    lengths = [(_LengthGroup([groups[i] for i in members], specs, config), members)
+               for members in by_length.values()]
+    blocks = [(length, block) for length, _ in lengths for block in range(length.blocks)]
     threads = max(min(workers, len(blocks)), 1)
 
     def run(item):
@@ -516,14 +497,15 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
         try:
             return length._run_block(block)
         except Exception as exc:  # e.g. out of memory: fail every contract of this length
-            return [exc] * len(length.contracts)
+            return [exc] * len(length.groups)
 
     def finish(done):
-        results = {}
-        for length in lengths:
-            estimates = length.finish([next(done) for _ in range(length.blocks)])
-            results.update(zip(length.contracts, estimates))
-        return [results[contract] for contract in contracts]
+        results = [None] * len(groups)
+        for length, members in lengths:
+            finished = length.finish([next(done) for _ in range(length.blocks)])
+            for i, result in zip(members, finished):
+                results[i] = result
+        return results
 
     if threads == 1:
         return finish(map(run, blocks))
@@ -531,18 +513,18 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return finish(pool.map(run, blocks))
 
-
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
                        config: BootstrapConfig) -> BootstrapResult:
     """Bootstrap one measure on one sample.
 
     Draws config.resamples samples with replacement, evaluates the
     estimator on each and summarizes the resulting distribution. Streams
-    are keyed on the sample's length, not its place, so the result equals
-    the sample's cell of any run_grid call under the same config that
-    holds the sample, bit for bit, for any grid on the same path: a VaR or
-    ES spec shallow enough for the tail path reproduces the cells of VaR
-    and ES grids on it, not those of a grid with a spectral cell.
+    are keyed on the sample's length and the block, not its place, so the
+    result equals the sample's cell of any run_grid call under the same
+    config that holds the sample, bit for bit, for any grid on the same
+    path: a VaR or ES spec shallow enough for the tail path reproduces the
+    cells of VaR and ES grids on it, not those of a grid with a spectral
+    cell.
     """
     (((result,),),) = _bootstrap([[sample]], [estimator], config, 1)
     if isinstance(result, Exception):
@@ -592,20 +574,20 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       together with the next one when that one is its mirror in the
       opposite position, as to_losses makes them from one series; else
       the sample alone. The contracts of equal length n read the same
-      resamples, split into fixed blocks, each with its own streams keyed
-      on the master seed, n and the block's ordinal; a VaR and ES grid
-      with shallow enough ends draws just the order statistics it reads,
-      from one stream per end (see the module docstring). So a contract's
-      cells do not depend on its place among the samples or on the other
-      samples, and the cells of contracts of one length are correlated,
-      each with the bootstrap distribution of a plain resample. The
-      threads take blocks, not contracts, so even the two positions of
-      one series use every worker once they have that many blocks, and
-      results are bit-identical for any worker count. The threads share
-      nothing, and each holds chunks of about 4 MiB at a time: each block
-      returns its estimates, and the calling thread summarizes each
-      contract from them. One worker runs every block on the calling
-      thread.
+      resamples, split into fixed blocks, each with one stream of its own
+      keyed on the master seed, n and the block's ordinal; a VaR and ES
+      grid with shallow enough ends draws just the top order statistics
+      it reads, once for both positions (see the module docstring). So a
+      contract's cells do not depend on its place among the samples or on
+      the other samples, and the cells of contracts of one length are
+      correlated, each with the bootstrap distribution of a plain
+      resample. The threads take blocks, not contracts, so even the two
+      positions of one series use every worker once they have that many
+      blocks, and results are bit-identical for any worker count. The
+      threads share nothing, and each holds chunks of about 4 MiB at a
+      time: each block returns its estimates, and the calling thread
+      summarizes each contract from them. One worker runs every block on
+      the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of

@@ -168,7 +168,10 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
     losses of the opposite position: column j of the mirrored full rows is
     -rows[:, n - 1 - j]. A narrower array then holds the first width
     columns of the full rows, and an SRM arg is the mirrored sample's
-    weights reversed, so that it still follows the columns of rows."""
+    weights reversed, so that it still follows the columns of rows. The
+    bootstrap passes mirrored rows only whole: its tail path gathers each
+    sample's own losses and reads them unmirrored. Narrow mirrored rows
+    remain supported all the same."""
     n = rows.shape[1] if n is None else n
     first = _first_column(measure, arg, n, method)
     if mirrored:

@@ -354,12 +354,14 @@ def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
     """numpy picks the SIMD code of some functions by the CPU at run time.
     With every dispatched group above the build's baseline switched off by
     numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for an older CPU,
-    the golden command writes the very bytes it writes without the switch.
-    On a CPU that lacks a group, switching it off changes nothing. A build
-    that dispatches nothing above its baseline has nothing to switch off,
-    so there the test is skipped. numpy reads the switch at import, so both
-    runs are subprocesses, and each must write nothing to stderr: a warning
-    there would not reach this process's warning filter."""
+    the golden command writes the very bytes it writes without the switch,
+    and so does a VaR and ES command on the same inputs, whose cells take
+    the tail path and its np.exp. On a CPU that lacks a group, switching it
+    off changes nothing. A build that dispatches nothing above its baseline
+    has nothing to switch off, so there the test is skipped. numpy reads
+    the switch at import, so every run is a subprocess, and each must write
+    nothing to stderr: a warning there would not reach this process's
+    warning filter."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
@@ -370,14 +372,16 @@ def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(src)
-    outputs = []
-    for switch in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(above)}):
-        out_dir = tmp_path / f"out{len(outputs)}"
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())",
-             *golden_args(GOLDEN_INPUTS, out_dir)],
-            cwd=DATA_DIR / "inputs", env={**env, **switch}, capture_output=True, text=True,
-            timeout=120)
-        assert (done.returncode, done.stderr) == (0, "")
-        outputs.append({name: (out_dir / name).read_bytes() for name in (*GOLDEN_TABLES, "run.kv")})
-    assert outputs[0] == outputs[1]
+    tail = ("--measure", "var,es", "--alpha", "0.9,0.95,0.99")
+    for extra, tables in (((), GOLDEN_TABLES), (tail, GOLDEN_TABLES[:3])):
+        outputs = []
+        for switch in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(above)}):
+            out_dir = tmp_path / f"out{len(outputs)}{len(extra)}"
+            code = "import sys; from riskboot.cli import main; sys.exit(main())"
+            done = subprocess.run(
+                [sys.executable, "-c", code, *golden_args(GOLDEN_INPUTS, out_dir, *extra)],
+                cwd=DATA_DIR / "inputs", env={**env, **switch}, capture_output=True, text=True,
+                timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            outputs.append({name: (out_dir / name).read_bytes() for name in (*tables, "run.kv")})
+        assert outputs[0] == outputs[1]

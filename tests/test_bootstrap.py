@@ -1,5 +1,6 @@
 """Bootstrap precision: streams, resampling, cell estimates and the grid."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -19,12 +20,16 @@ from riskboot import (
     Position,
     QuantileMethod,
     bootstrap_estimate,
+    expected_shortfall,
     run_grid,
     spectral_weights,
+    value_at_risk,
 )
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
 from riskboot.measures import _evaluate_sorted
+
+from exact_bootstrap import exact_order_means
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -37,6 +42,12 @@ def mirrored_pair(n, seed, label):
     from one return series: each is the other mirrored."""
     returns = np.random.default_rng(seed).normal(0.0, 1.0, n)
     return [LossSample(-returns, Position.LONG, label), LossSample(returns, Position.SHORT, label)]
+
+
+def gathers_losses_of(values, sample):
+    """Whether a contract gathers values for sample: its losses, or on the
+    whole-row path their mirror, when the sample leads its contract short."""
+    return np.array_equal(values, sample.values) or np.array_equal(values, -sample.values[::-1])
 
 
 def content(cells):
@@ -58,28 +69,27 @@ def first_resample(sample, seed, block=0):
     return np.sort(sample.values[idx[0]])
 
 
-def tail_indices(seed, block, lane, n, depth, rows):
-    """The (depth, rows) top indices of a tail block's end, recomputed by
-    Renyi's representation: level l of each row is the (l+1)-th largest of
-    its n indices, from exponentials drawn level-major."""
-    e = _contract_stream(seed, n, block, lane).standard_exponential((depth, rows))
+def tail_indices(seed, block, n, depth, rows):
+    """The (depth, rows) top indices of a tail block, recomputed by Renyi's
+    representation: level l of each row is the (l+1)-th largest of its n
+    indices, from exponentials drawn level-major."""
+    e = _contract_stream(seed, n, block).standard_exponential((depth, rows))
     u = np.exp(-np.cumsum(e / np.arange(n, n - depth, -1)[:, None], axis=0))
     return np.minimum(np.floor(n * u), n - 1).astype(np.int64)
 
 
-def var_estimates(sample, alpha, b, seed, block_rows, lane=1):
+def var_estimates(sample, alpha, b, seed, block_rows):
     """The resample VaR estimates of a sample on the tail path: block k
     holds resamples k * block_rows up to b, and a row's VaR is the
-    order statistic as deep as the cell reads, drawn from lane 1 of
-    the stream of block k of the sample's length for a long sample,
-    lane 2 for a short one. A short sample's worst losses are the
-    mirror of the low end of its contract's long-oriented losses, so
-    either reads its own losses at the top indices of its lane."""
+    order statistic as deep as the cell reads, drawn from the stream of
+    block k of the sample's length. A long or a short sample reads its
+    own losses at those top indices: a short sample's are the mirror of
+    its contract's long-oriented losses at n - 1 minus them."""
     depth = sample.n - math.ceil(alpha * sample.n - 1e-9) + 1
     estimates = []
     for block, start in enumerate(range(0, b, block_rows)):
         rows = min(block_rows, b - start)
-        estimates.append(sample.values[tail_indices(seed, block, lane, sample.n, depth, rows)[-1]])
+        estimates.append(sample.values[tail_indices(seed, block, sample.n, depth, rows)[-1]])
     return np.concatenate(estimates)
 
 
@@ -98,18 +108,17 @@ class TestSampleStream:
     def test_stream_is_sfc64_keyed_on_every_coordinate(self):
         """Streams are keyed on the series length n, not on a contract's
         place among the inputs, so every contract of n losses reads them."""
-        for seed, n, block, lane in ((7, 400, 0, 0), (7, 3392, 5, 2), (2 ** 64 - 1, 1, 1, 1)):
-            key = np.random.SeedSequence([seed, n, block, lane])
+        for seed, n, block in ((7, 400, 0), (7, 3392, 5), (2 ** 64 - 1, 1, 1)):
+            key = np.random.SeedSequence([seed, n, block])
             expected = np.random.Generator(np.random.SFC64(key)).integers(0, 2 ** 62, size=8)
             assert np.array_equal(
-                _contract_stream(seed, n, block, lane).integers(0, 2 ** 62, size=8), expected)
+                _contract_stream(seed, n, block).integers(0, 2 ** 62, size=8), expected)
         assert np.array_equal(_contract_stream(7, 400).integers(0, 2 ** 62, size=8),
-                              _contract_stream(7, 400, 0, 0).integers(0, 2 ** 62, size=8))
+                              _contract_stream(7, 400, 0).integers(0, 2 ** 62, size=8))
 
     def test_each_coordinate_changes_the_stream(self):
-        base = _contract_stream(7, 400, 5, 1).integers(0, 2 ** 62, size=8)
-        for other in ((8, 400, 5, 1), (7, 401, 5, 1), (7, 400, 6, 1), (7, 400, 5, 2),
-                      (7, 400, 1, 5)):
+        base = _contract_stream(7, 400, 5).integers(0, 2 ** 62, size=8)
+        for other in ((8, 400, 5), (7, 401, 5), (7, 400, 6), (7, 5, 400), (5, 400, 7)):
             assert not np.array_equal(base, _contract_stream(*other).integers(0, 2 ** 62, size=8))
 
     def test_a_chunk_of_rows_draws_what_its_rows_draw_one_by_one(self):
@@ -153,7 +162,7 @@ class TestTailDraw:
         1 - (1 - 1/n)**n, 0.6326 at n = 400. Over 200 000 tail draws at a
         fixed seed the share lands within 4 binomial standard errors."""
         n, rows = 400, 200_000
-        top = bootstrap._tail_indices(_contract_stream(3, n, 0, 1), n, 1, rows)[0]
+        top = bootstrap._tail_indices(_contract_stream(3, n, 0), n, 1, rows)[0]
         p = 1.0 - (1.0 - 1.0 / n) ** n
         share = np.count_nonzero(top == n - 1) / rows
         assert abs(share - p) < 4 * math.sqrt(p * (1.0 - p) / rows)
@@ -165,8 +174,8 @@ class TestTailDraw:
         under 0.03, a loose two-sample bound (a level off by one gives 0.19
         or more)."""
         n, rows, depth = 50, 20_000, 5
-        tail = bootstrap._tail_indices(_contract_stream(4, n, 0, 1), n, depth, rows)
-        full = np.sort(_contract_stream(4, n).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
+        tail = bootstrap._tail_indices(_contract_stream(4, n, 0), n, depth, rows)
+        full = np.sort(_contract_stream(4, n, 1).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
         assert np.all(np.diff(tail, axis=0) <= 0)  # every row descends
         for j in range(depth):
             gap = np.cumsum(np.bincount(tail[j], minlength=n) - np.bincount(full[:, j], minlength=n))
@@ -188,24 +197,78 @@ class TestReductionPlan:
             for vectors in (1, 3, 10):
                 specs = [EstimatorSpec(Measure.SRM, k) for k in np.geomspace(0.5, 80.0, vectors)]
                 long, short = (LossSample(rng.standard_normal(n), position) for position in Position)
-                contracts = [bootstrap._Contract(group)
-                             for group in ([long], [short], [long, short], [short, long])]
-                length = bootstrap._LengthGroup(contracts, specs, BootstrapConfig())
+                groups = [[long], [short], [long, short], [short, long]]
+                length = bootstrap._LengthGroup(groups, specs, BootstrapConfig())
                 plan = length._plan
                 assert plan.shape == (2 * vectors, n) and plan.flags.c_contiguous
                 high = [spectral_weights(n, spec.parameter) for spec in specs]
                 weights = {False: high, True: [np.ascontiguousarray(w[::-1]) for w in high]}
                 for rows in (1, 2, 5, 103):
                     chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
-                    for contract in contracts:
-                        estimates = [np.empty(rows) for _ in range(len(contract.group) * vectors)]
-                        length._reduce(contract, chunk, estimates, 0)
+                    for group, [(_, ends)] in zip(groups, length._reads):
+                        estimates = [np.empty(rows) for _ in range(len(group) * vectors)]
+                        length._reduce(chunk, ends, iter(estimates), 0)
                         cells = iter(estimates)
-                        for sample in contract.group:
+                        for sample in group:
                             mirrored = sample.position is Position.SHORT
                             for w in weights[mirrored]:
                                 own = _evaluate_sorted(chunk, Measure.SRM, w, mirrored=mirrored)
                                 assert np.array_equal(next(cells), own)
+
+
+class TestExactMeans:
+    def test_helper_matches_every_resample(self):
+        """At n up to 4 the n ** n equally likely resamples can be listed:
+        their mean order statistics are the helper's, ties included."""
+        for x in ([2.5], [0.0, 1.0, 1.0], [-2.0, 0.5, 0.5, 7.0], [-1.0, 0.0, 3.0, 4.0]):
+            rows = np.sort(np.array(list(itertools.product(x, repeat=len(x)))), axis=1)
+            assert np.allclose(exact_order_means(x), rows.mean(axis=0), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 40, 400])
+    def test_tail_cells_lie_near_their_exact_means(self, monkeypatch, n):
+        """Every VaR and ES point of a mirrored pair with ties, a lone long
+        and a lone short sample, at B = 20 000 and either quantile method,
+        lies within 4 Monte Carlo standard errors (SE / sqrt(B)) of its
+        exact bootstrap mean, and every cell of a constant pair, whose
+        resample distribution is degenerate, equals its exact mean to
+        rounding. So the one tail draw per block leaves no cell biased, the
+        short cells that read the mirror of their pair's draw included.
+        Under a normal approximation a correct cell fails with probability
+        6.3e-5, so the 48 random cells of one n fail together with
+        probability at most 0.3 %. At n = 5 an interpolated VaR reads two of
+        the five order statistics, past the tail cut-off, so that grid
+        sorts whole rows; the others take the tail path."""
+        rng = np.random.default_rng(n)
+        tied = rng.choice(rng.standard_t(4, max(n // 4, 3)), n)  # about four copies of each value
+        samples = [LossSample(-tied, Position.LONG, "tied"),
+                   LossSample(tied, Position.SHORT, "tied"),
+                   normal_sample(n, seed=41, label="long"),
+                   LossSample(rng.standard_t(3, n), Position.SHORT, "short"),
+                   LossSample(np.full(n, -0.7), Position.LONG, "constant"),
+                   LossSample(np.full(n, 0.7), Position.SHORT, "constant")]
+        levels = [0.9, 0.95, 0.99]
+        taken, prepare = [], bootstrap._LengthGroup.__init__
+
+        def spy(group, *args):
+            prepare(group, *args)
+            taken.append(group._depth is not None)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "__init__", spy)
+        b = 20_000
+        for method in QuantileMethod:
+            config = BootstrapConfig(resamples=b, master_seed=23, quantile_method=method)
+            grid = run_grid(samples, {Measure.VAR: levels, Measure.ES: levels}, config)
+            assert not grid.failed and len(grid.cells) == 6 * 6
+            for cell in grid.cells:
+                means = LossSample(exact_order_means(samples[cell.sample_index].values))
+                exact = (value_at_risk(means, cell.parameter, method) if cell.measure is Measure.VAR
+                         else expected_shortfall(means, cell.parameter))
+                point, se = cell.result.point_estimate, cell.result.std_error
+                if cell.sample_label == "constant":
+                    assert se == 0.0 and point == pytest.approx(exact, rel=1e-12)
+                else:
+                    assert se > 0.0 and abs(point - exact) <= 4.0 * se / math.sqrt(b), cell
+        assert taken == [True, n != 5]
 
 
 class TestBootstrapEstimate:
@@ -254,7 +317,7 @@ class TestBootstrapEstimate:
 
         h = 1.0 + alpha * (sample.n - 1)  # 380.05: between columns 379 and 380 (0-based)
         depth = sample.n - (math.floor(h) - 1)  # the row's top 21 order statistics
-        top = tail_indices(4, 0, 1, sample.n, depth, b)
+        top = tail_indices(4, 0, sample.n, depth, b)
         lo, hi = sample.values[top[-1]], sample.values[top[-2]]
         estimates = lo + (h - math.floor(h)) * (hi - lo)
 
@@ -302,10 +365,11 @@ class TestBootstrapEstimate:
         assert result.point_estimate == estimates.mean()
         assert result.std_error == estimates.std(ddof=1)
 
-    def test_each_end_draws_from_its_own_lane(self, monkeypatch):
-        """On the tail path the long cell of a mirrored pair reads the high
-        end from lane 1 and the short cell the low end from lane 2, so the
-        two ends are independent draws."""
+    def test_both_ends_read_one_draw(self, monkeypatch):
+        """On the tail path the long and the short cell of a mirrored pair
+        each read their own losses at the top indices of the block's one
+        stream: the short cell's are the mirror of the pair's lowest
+        long-oriented losses."""
         summarize, summarized = bootstrap._summarize, []
 
         def spy(estimates, *args):
@@ -315,8 +379,28 @@ class TestBootstrapEstimate:
         monkeypatch.setattr(bootstrap, "_summarize", spy)
         pair = mirrored_pair(400, 6, "A")
         run_grid(pair, {Measure.VAR: [0.9]}, BootstrapConfig(resamples=500, master_seed=11))
-        assert np.array_equal(summarized[0], var_estimates(pair[0], 0.9, 500, 11, 500, lane=1))
-        assert np.array_equal(summarized[1], var_estimates(pair[1], 0.9, 500, 11, 500, lane=2))
+        assert np.array_equal(summarized[0], var_estimates(pair[0], 0.9, 500, 11, 500))
+        assert np.array_equal(summarized[1], var_estimates(pair[1], 0.9, 500, 11, 500))
+
+    def test_a_tail_block_draws_once_for_any_positions(self, monkeypatch):
+        """A tail block draws its top indices once, whether its length group
+        holds long samples, short ones, mirrored pairs or all of them: 500
+        resamples of 400 losses in blocks of 150 rows take four draws."""
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 150 * 400)
+        draw, calls = bootstrap._tail_indices, []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return draw(*args)
+
+        monkeypatch.setattr(bootstrap, "_tail_indices", spy)
+        pair = mirrored_pair(400, 6, "A")
+        lone = normal_sample(seed=7, label="B", position=Position.SHORT)
+        config = BootstrapConfig(resamples=500, master_seed=11)
+        for samples in ([pair[0]], [pair[1]], pair, pair[::-1], [*pair, lone, pair[0]]):
+            calls.clear()
+            assert not run_grid(samples, {Measure.VAR: [0.9], Measure.ES: [0.99]}, config).failed
+            assert calls == [(400, 41, 150)] * 3 + [(400, 41, 50)]
 
     def test_interval_brackets_the_percentile_mass(self):
         sample = normal_sample(seed=7)
@@ -596,10 +680,10 @@ class TestRunGrid:
     def test_tail_memory_stays_within_the_budget(self, monkeypatch, workers):
         """At the cut-off depth, a block of 209 rows of 20 000 losses holds
         5000 tail indices a row, 4 MiB, where the rows' whole draws take
-        50 MB. Each worker holds one end's indices of one block at a time,
-        and an eighth of the chunk size at most for the draw or the gather:
-        4.6 MiB a worker here. Drawing or gathering a whole end at once
-        would take 8 MiB more."""
+        50 MB. Each worker holds one block's indices at a time, and an
+        eighth of the chunk size at most for the draw or the gather: 4.6 MiB
+        a worker here. Drawing or gathering a whole block at once would take
+        8 MiB more."""
         n = 20_000
         alpha = 1.0 - bootstrap._TAIL_SHARE
         taken = self.paths(monkeypatch)
@@ -763,30 +847,30 @@ class TestRunGrid:
         config = BootstrapConfig(resamples=100, master_seed=10)
         clean = run_grid(samples, grid, config, workers)
         current = threading.local()
-        run_block, read = bootstrap._LengthGroup._run_block, bootstrap._Contract._read
+        run_block, gather = bootstrap._LengthGroup._run_block, bootstrap._gather
 
         def mark(group, block):
             current.block = block
             return run_block(group, block)
 
-        def fail_b(contract, *args):
-            if contract.group[0].label == "B" and current.block == 2:
+        def fail_b(values, *args):
+            if gathers_losses_of(values, samples[2]) and current.block == 2:
                 raise MemoryError("no room for B's gather")
-            return read(contract, *args)
+            return gather(values, *args)
 
         monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", mark)
-        monkeypatch.setattr(bootstrap._Contract, "_read", fail_b)
+        monkeypatch.setattr(bootstrap, "_gather", fail_b)
         failed = {"B": "MemoryError: no room for B's gather"}
         stream = bootstrap._contract_stream
 
-        def fail_draw(seed, n, block, lane=0):
+        def fail_draw(seed, n, block):
             if n == 301 and block == 2:
                 raise MemoryError("no room for the draw")
-            return stream(seed, n, block, lane)
+            return stream(seed, n, block)
 
         for inject in (None, fail_draw):
             if inject is not None:
-                monkeypatch.setattr(bootstrap._Contract, "_read", read)
+                monkeypatch.setattr(bootstrap, "_gather", gather)
                 monkeypatch.setattr(bootstrap, "_contract_stream", inject)
                 failed = dict.fromkeys("AB", "MemoryError: no room for the draw")
             out = run_grid(samples, grid, config, workers)
@@ -870,9 +954,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_parameter_raises_before_any_block(self, monkeypatch, workers):
         """One parameter out of range fails the whole grid with its spec's
-        ValueError, before any contract is prepared or any block runs."""
+        ValueError, before any length group is prepared or any block runs."""
         calls = []
-        monkeypatch.setattr(bootstrap._Contract, "__init__", lambda *args: calls.append(args))
         monkeypatch.setattr(bootstrap._LengthGroup, "__init__", lambda *args: calls.append(args))
         monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", lambda *args: calls.append(args))
         config = BootstrapConfig(resamples=50, master_seed=7)

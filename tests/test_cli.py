@@ -325,14 +325,17 @@ class TestEstimate:
         inputs = [synth_file(tmp_path, "c1.csv", seed=101), synth_file(tmp_path, "c2.csv", seed=102)]
         clean_dir, failed_dir = tmp_path / "clean", tmp_path / "failed"
         assert run(self.estimate_args(inputs, clean_dir), capsys)[0] == 0
-        read = bootstrap._Contract._read
+        gather = bootstrap._gather
+        returns = np.array([float(line.split(",")[1])
+                            for line in inputs[1].read_text().splitlines()[1:]])
 
-        def fail_c2(contract, *args):
-            if contract.group[0].label == "c2":  # both positions; c1 shares its draws
+        def fail_c2(values, *args):
+            # c2's losses of either position; c1, of equal length, shares its draws
+            if any(np.array_equal(values, np.sort(sign * returns)) for sign in (-1.0, 1.0)):
                 raise MemoryError("no room for a block")
-            return read(contract, *args)
+            return gather(values, *args)
 
-        monkeypatch.setattr(bootstrap._Contract, "_read", fail_c2)
+        monkeypatch.setattr(bootstrap, "_gather", fail_c2)
         code, out, err = run(self.estimate_args(inputs, failed_dir), capsys)
         failed = 2 * (3 + 3 + 5)  # two positions of 3 VaR, 3 ES and 5 SRM cells
         assert code == 1

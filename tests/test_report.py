@@ -67,14 +67,15 @@ def grid_with_a_failed_contract(monkeypatch, params, seed):
     a, b = np.random.default_rng(seed).normal(0.0, 1.0, (2, 150))
     samples = [LossSample(-a, Position.LONG, "A"), LossSample(a, Position.SHORT, "A"),
                LossSample(b, Position.LONG, "B")]
-    read = bootstrap._Contract._read
+    gather = bootstrap._gather
 
-    def fail_a(contract, *args):
-        if contract.group[0].label == "A":  # B, of equal length, shares A's draws
+    def fail_a(values, *args):
+        # either of A's samples; B, of equal length, shares A's draws
+        if any(np.array_equal(values, sample.values) for sample in samples[:2]):
             raise MemoryError("no room for block 0")
-        return read(contract, *args)
+        return gather(values, *args)
 
-    monkeypatch.setattr(bootstrap._Contract, "_read", fail_a)
+    monkeypatch.setattr(bootstrap, "_gather", fail_a)
     return run_grid(samples, params, BootstrapConfig(resamples=40, master_seed=seed))
 
 
