@@ -50,16 +50,17 @@ is drawn. A cell's draws do depend on its group's path, so adding a
 spectral cell, or a VaR or ES cell past the cut-off, moves the VaR and ES
 cells of a tail group to whole rows.
 
-The blocks of all length groups are the unit of work: the worker threads
-take them in group-major order, so a grid of one contract uses as many
-workers as it has blocks. The threads change no shared state. The
-calling thread prepares every group before any block runs, each block
-returns its own estimates, and the calling thread reads them back in
-block order and summarizes a group's contracts once its last block is
-in. With one worker the blocks run on the calling thread itself. A
-run-time failure in one contract's gather or reduction fails only that
-contract's cells; a failure in a block's shared draw fails every
-contract of its length.
+The blocks of all length groups are the unit of work: the worker threads,
+plain threading.Thread objects, each take the next block in group-major
+order under a lock, so a grid of one contract uses as many workers as it
+has blocks. The threads change no state but that count of blocks taken
+and their blocks' result slots. The calling thread prepares every group
+before any block runs, each block returns its own estimates, and the
+calling thread reads them back in block order and summarizes a group's
+contracts once its last block is in. With one worker the blocks run on
+the calling thread itself. A run-time failure in one contract's gather
+or reduction fails only that contract's cells; a failure in a block's
+shared draw fails every contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
 until their group is summarized. On the whole-row path each thread draws
@@ -80,6 +81,8 @@ each.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,12 +480,12 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
 
     The contracts of each length form one _LengthGroup, in the order of
     their lengths' first appearance. Every block of every length group, in
-    group-major order, goes to at most workers threads, which share
-    nothing; each draws its own chunks of up to _CHUNK_BYTES. The calling
-    thread reads the blocks' estimates in that order and finishes a
-    group's contracts once its last block is in. An exception in a block's
-    shared draw fails every contract of its length. One thread is the
-    calling thread itself.
+    group-major order, goes to at most workers threads (_in_threads), each
+    drawing its own chunks of up to _CHUNK_BYTES. The calling thread reads
+    the blocks' estimates in that order and finishes a group's contracts
+    once its last block is in. An exception in a block's shared draw fails
+    every contract of its length; a BaseException that is no Exception
+    propagates from here. One thread is the calling thread itself.
     """
     by_length = {}  # the indices in groups of each length's contracts
     for i, group in enumerate(groups):
@@ -509,9 +512,53 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
 
     if threads == 1:
         return finish(map(run, blocks))
-    from concurrent.futures import ThreadPoolExecutor  # imported only when a pool runs
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return finish(pool.map(run, blocks))
+    with closing(_in_threads(run, blocks, threads)) as done:
+        return finish(done)
+
+
+def _in_threads(run, items, threads: int):
+    """Yield run(item) for each of items, in order, as threads worker
+    threads compute them: each takes the next item under a lock and stores
+    its result at that item's index. An exception that escapes run (a
+    BaseException) is re-raised here when its item's turn comes. However
+    the generator stops, early or at the end, the workers take no further
+    item and are joined before it returns."""
+    results = [None] * len(items)
+    ready = [threading.Event() for _ in items]
+    lock = threading.Lock()
+    taken = 0  # items handed out; guarded by lock
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i, taken = taken, taken + 1
+            if i >= len(items):
+                return
+            try:
+                results[i] = (run(items[i]), None)
+            except BaseException as exc:  # re-raised on the calling thread
+                results[i] = (None, exc)
+            ready[i].set()
+
+    workers = [threading.Thread(target=work) for _ in range(threads)]
+    try:
+        for worker in workers:
+            worker.start()
+        for i in range(len(items)):
+            ready[i].wait()
+            result, exc = results[i]
+            results[i] = None  # a summarized group's estimates can go
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with lock:
+            taken = len(items)
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
+
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
                        config: BootstrapConfig) -> BootstrapResult:
@@ -584,10 +631,10 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
       resample. The threads take blocks, not contracts, so even the two
       positions of one series use every worker once they have that many
       blocks, and results are bit-identical for any worker count. The
-      threads share nothing, and each holds chunks of about 4 MiB at a
-      time: each block returns its estimates, and the calling thread
-      summarizes each contract from them. One worker runs every block on
-      the calling thread.
+      threads share only the count of blocks taken, and each holds chunks
+      of about 4 MiB at a time: each block returns its estimates, and the
+      calling thread summarizes each contract from them. One worker runs
+      every block on the calling thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of

@@ -17,6 +17,9 @@ A clean file in such a format is read column-wise, in slices of about
 256 KiB of whole lines: each slice's fields are split at once, its first
 date matched against strptime's regex, every date checked by numpy to
 have that date's layout and converted, and its values parsed by float.
+No cell is stripped: float skips the whitespace that strip would remove
+(bar U+001C to U+001F, which it rejects), and a padded date cell is either
+the slice's first, which is refused, or laid out unlike that one.
 Any file in doubt (a quote, CR or NUL, a header or field-count problem, a
 date or value the slice cannot take, a duplicate date, a non-positive
 price, too few rows) is read row by row through the csv module instead,
@@ -257,16 +260,24 @@ def _slices(handle):
 
 
 def _days(texts, regex):
-    """The dates of stripped date cells as datetime64[D], or None unless
-    regex matches the first cell as strptime tests it, as a four-digit
-    year and a two-digit month and day, and every cell is a valid date
-    laid out as the first: its length, its bytes outside the groups and
-    ASCII digits inside them. Each group tries two digits before one, so
-    strptime then splits every cell where it splits the first.
+    """The dates of date cells as datetime64[D], or None unless the first
+    cell has no whitespace to strip, regex matches it as strptime tests it,
+    as a four-digit year and a two-digit month and day, and every cell is a
+    valid date laid out as the first: its length, its bytes outside the
+    groups and ASCII digits inside them. Each group tries two digits before
+    one, so strptime then splits every cell where it splits the first.
+
+    So no cell has whitespace to strip: a padded cell differs from the
+    first in its length, holds whitespace where the first holds a digit or
+    another fixed byte, or is not ASCII. The per-row path strips each cell
+    before parsing it, and under a format such as "%Y-%m-%d " no stripped
+    cell matches; the unstripped first cell would.
 
     The split has to be checked: under %Y%m%d, "2020131" is 2020-01-31,
     and reading "2020111" at the same places would give 2020-01-11 where
     strptime gives 2020-11-01."""
+    if texts[0] != texts[0].strip():
+        return None
     found = regex.match(texts[0])
     joined = "\0".join(texts) + "\0"
     if found is None or found.end() != len(texts[0]) or not joined.isascii():
@@ -345,12 +356,12 @@ def _read_columns(path, date_col, value_col, regex):
                     or np.diff(ends, prepend=-1, append=marks.size).max() - 1 > limit):
                 return None
             fields = text.replace("\n", ",").split(",")
-            slice_days = _days(list(map(str.strip, fields[i_date::count])), regex)
+            slice_days = _days(fields[i_date::count], regex)
             if slice_days is None:
                 return None
-            try:
-                slice_values = np.fromiter(map(float, map(str.strip, fields[i_value::count])),
-                                           float, count=slice_days.size)
+            try:  # float strips what str.strip does, bar \x1c-\x1f, which it rejects
+                slice_values = np.fromiter(map(float, fields[i_value::count]), float,
+                                           count=slice_days.size)
             except ValueError:
                 return None
             days.append(slice_days)
@@ -474,11 +485,16 @@ class SummaryStats:
 def summary_stats(series: ReturnSeries) -> SummaryStats:
     """Compute SummaryStats for a ReturnSeries.
 
+    The central moments are means of products of the deviations c from
+    the mean, c * c, then c**2 * c and c**2 * c**2: exact IEEE multiplies,
+    so the statistics do not depend on the CPU, as numpy's dispatched power
+    would make them.
+
     Raises ValueError for fewer than 2 observations, for a constant
     series, whose higher moments are undefined, and for a series whose
-    moments leave the float range: deviations of about 1e77 overflow the
-    fourth moment, and deviations under about 1e-81 underflow the squared
-    variance that divides it.
+    moments leave the float range: deviations of about 1.16e77 overflow
+    the fourth moment, and deviations under about 1e-81 underflow the
+    squared variance that divides it.
     """
     x = series.returns  # finite, as ReturnSeries checks
     n = int(x.size)
@@ -492,9 +508,10 @@ def summary_stats(series: ReturnSeries) -> SummaryStats:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
         mean = float(x.mean())
         c = x - mean
-        m2 = float((c ** 2).mean())
-        m3 = float((c ** 3).mean())
-        m4 = float((c ** 4).mean()) if n >= 4 else 0.0
+        c2 = c * c
+        m2 = float(c2.mean())
+        m3 = float((c2 * c).mean())
+        m4 = float((c2 * c2).mean()) if n >= 4 else 0.0
     std_dev = skew = kurt = math.nan
     try:  # Python float powers raise where numpy's would overflow to inf
         std_dev = math.sqrt(m2 * n / (n - 1))

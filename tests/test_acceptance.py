@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -350,18 +351,15 @@ def test_contract_rows_do_not_depend_on_the_other_inputs(tmp_path, monkeypatch, 
         assert contract_rows(out_dir, labels) == golden, key
 
 
-def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
-    """numpy picks the SIMD code of some functions by the CPU at run time.
-    With every dispatched group above the build's baseline switched off by
-    numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for an older CPU,
-    the golden command writes the very bytes it writes without the switch,
-    and so does a VaR and ES command on the same inputs, whose cells take
-    the tail path and its np.exp. On a CPU that lacks a group, switching it
-    off changes nothing. A build that dispatches nothing above its baseline
-    has nothing to switch off, so there the test is skipped. numpy reads
-    the switch at import, so every run is a subprocess, and each must write
-    nothing to stderr: a warning there would not reach this process's
-    warning filter."""
+def dispatch_environments():
+    """Two environments for a subprocess that runs riskboot from this
+    tree: one with numpy's SIMD dispatch as the CPU allows it, and one with
+    every dispatched group above the build's baseline switched off by
+    numpy's own NPY_DISABLE_CPU_FEATURES, which stands in for an older CPU.
+    On a CPU that lacks a group, switching it off changes nothing. A build
+    that dispatches nothing above its baseline has nothing to switch off,
+    so there the calling test is skipped. numpy reads the switch at
+    import, so every run must be a subprocess."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
@@ -372,16 +370,50 @@ def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(src)
+    return [env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(above)}]
+
+
+def run_cli(args, cwd, env):
+    """Run the command line in a subprocess, and check that it exits 0 and
+    writes nothing to stderr: a warning there would not reach this
+    process's warning filter."""
+    code = "import sys; from riskboot.cli import main; sys.exit(main())"
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
+    """numpy picks the SIMD code of some functions by the CPU at run time.
+    With the dispatched groups switched off (dispatch_environments), the
+    golden command writes the very bytes it writes without the switch, and
+    so does a VaR and ES command on the same inputs, whose cells take the
+    tail path and its np.exp."""
+    environments = dispatch_environments()
     tail = ("--measure", "var,es", "--alpha", "0.9,0.95,0.99")
     for extra, tables in (((), GOLDEN_TABLES), (tail, GOLDEN_TABLES[:3])):
         outputs = []
-        for switch in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(above)}):
+        for env in environments:
             out_dir = tmp_path / f"out{len(outputs)}{len(extra)}"
-            code = "import sys; from riskboot.cli import main; sys.exit(main())"
-            done = subprocess.run(
-                [sys.executable, "-c", code, *golden_args(GOLDEN_INPUTS, out_dir, *extra)],
-                cwd=DATA_DIR / "inputs", env={**env, **switch}, capture_output=True, text=True,
-                timeout=120)
-            assert (done.returncode, done.stderr) == (0, "")
+            run_cli(golden_args(GOLDEN_INPUTS, out_dir, *extra), DATA_DIR / "inputs", env)
             outputs.append({name: (out_dir / name).read_bytes() for name in (*tables, "run.kv")})
         assert outputs[0] == outputs[1]
+
+
+def test_summary_moments_do_not_depend_on_cpu_dispatch(tmp_path):
+    """The summary's moments are means of products of the deviations,
+    which every CPU rounds alike. These 400 Student-t(4) returns gave
+    another Skewness with the dispatched groups switched off while the
+    third and fourth moments were means of numpy powers of them."""
+    returns = np.random.default_rng(19).standard_t(4, 400) * 0.01
+    start = date(2001, 1, 1).toordinal()
+    (tmp_path / "t4.csv").write_text("date,return\n" + "".join(
+        f"{date.fromordinal(start + i).isoformat()},{value!r}\n"
+        for i, value in enumerate(returns.tolist())))
+    outputs = []
+    for env in dispatch_environments():
+        out_dir = tmp_path / f"out{len(outputs)}"
+        run_cli(golden_args(["t4.csv"], out_dir, "--measure", "var", "--alpha", "0.9",
+                            "--resamples", "100"), tmp_path, env)
+        outputs.append((out_dir / "summary.csv").read_bytes())
+    assert outputs[0] == outputs[1]

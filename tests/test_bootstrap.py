@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -224,20 +225,28 @@ class TestExactMeans:
             rows = np.sort(np.array(list(itertools.product(x, repeat=len(x)))), axis=1)
             assert np.allclose(exact_order_means(x), rows.mean(axis=0), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [5, 40, 400])
-    def test_tail_cells_lie_near_their_exact_means(self, monkeypatch, n):
+    @pytest.mark.parametrize("n, workers", [(1, 1), (2, 1), (5, 1), (40, 1), (400, 1), (40, 2)],
+                             ids=["1", "2", "5", "40", "400", "40_at_2_workers"])
+    def test_tail_cells_lie_near_their_exact_means(self, monkeypatch, n, workers):
         """Every VaR and ES point of a mirrored pair with ties, a lone long
         and a lone short sample, at B = 20 000 and either quantile method,
         lies within 4 Monte Carlo standard errors (SE / sqrt(B)) of its
         exact bootstrap mean, and every cell of a constant pair, whose
         resample distribution is degenerate, equals its exact mean to
-        rounding. So the one tail draw per block leaves no cell biased, the
-        short cells that read the mirror of their pair's draw included.
-        Under a normal approximation a correct cell fails with probability
-        6.3e-5, so the 48 random cells of one n fail together with
-        probability at most 0.3 %. At n = 5 an interpolated VaR reads two of
-        the five order statistics, past the tail cut-off, so that grid
-        sorts whole rows; the others take the tail path."""
+        rounding, as does every cell at n = 1. So the one tail draw per
+        block leaves no cell biased, the short cells that read the mirror
+        of their pair's draw included. Under a normal approximation a
+        correct cell fails with probability 6.3e-5, so the 48 random cells
+        of one run fail together with probability at most 0.3 %, and the
+        five runs with random cells at most 1.5 %. At n = 5 an interpolated
+        VaR reads two of the five order statistics, past the tail cut-off,
+        so that grid sorts whole rows, as every grid at n = 1 and 2 does;
+        the others take the tail path. At two workers the blocks hold 2500
+        rows, so the threads share the eight blocks of each grid, whose
+        draws differ from those of the one block at one worker."""
+        if workers > 1:
+            monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 2500 * n)
+            monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 2500 * n)
         rng = np.random.default_rng(n)
         tied = rng.choice(rng.standard_t(4, max(n // 4, 3)), n)  # about four copies of each value
         samples = [LossSample(-tied, Position.LONG, "tied"),
@@ -251,24 +260,25 @@ class TestExactMeans:
 
         def spy(group, *args):
             prepare(group, *args)
-            taken.append(group._depth is not None)
+            taken.append((group._depth is not None, group.blocks))
 
         monkeypatch.setattr(bootstrap._LengthGroup, "__init__", spy)
         b = 20_000
         for method in QuantileMethod:
             config = BootstrapConfig(resamples=b, master_seed=23, quantile_method=method)
-            grid = run_grid(samples, {Measure.VAR: levels, Measure.ES: levels}, config)
+            grid = run_grid(samples, {Measure.VAR: levels, Measure.ES: levels}, config, workers)
             assert not grid.failed and len(grid.cells) == 6 * 6
             for cell in grid.cells:
                 means = LossSample(exact_order_means(samples[cell.sample_index].values))
                 exact = (value_at_risk(means, cell.parameter, method) if cell.measure is Measure.VAR
                          else expected_shortfall(means, cell.parameter))
                 point, se = cell.result.point_estimate, cell.result.std_error
-                if cell.sample_label == "constant":
+                if cell.sample_label == "constant" or n == 1:
                     assert se == 0.0 and point == pytest.approx(exact, rel=1e-12)
                 else:
                     assert se > 0.0 and abs(point - exact) <= 4.0 * se / math.sqrt(b), cell
-        assert taken == [True, n != 5]
+        assert [tail for tail, _ in taken] == [n >= 5, n >= 40]
+        assert workers == 1 or {blocks for _, blocks in taken} == {8}
 
 
 class TestBootstrapEstimate:
@@ -977,14 +987,57 @@ class TestRunGrid:
             == run_grid(self.samples(), self.GRID, config)
 
     def test_one_worker_imports_no_thread_pool(self):
-        """concurrent.futures takes several milliseconds to import, and only
-        a run on more than one worker uses it: neither the command line's
-        import nor a one-worker bootstrap loads it."""
+        """concurrent.futures, with the logging and queue modules it loads,
+        takes several milliseconds to import, and no run needs it: neither
+        the command line's import, nor a one-worker bootstrap, nor a grid of
+        three blocks on two worker threads loads any of them."""
         src = Path(__file__).resolve().parents[1] / "src"
+        n, resamples = 1000, 3 * (bootstrap._BLOCK_ELEMS // 1000)  # whole-row SRM blocks
         code = ("import sys; import numpy as np; import riskboot.cli; from riskboot import *; "
                 "bootstrap_estimate(LossSample(np.arange(10.0)), EstimatorSpec(Measure.ES, 0.9), "
                 "BootstrapConfig(resamples=10)); "
-                "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+                "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging', "
+                "'queue')))); "
+                f"grid = run_grid([LossSample(np.arange({n}.0))], {{Measure.SRM: [5.0]}}, "
+                f"BootstrapConfig(resamples={resamples}), 2); assert not grid.failed; "
+                "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging', "
+                "'queue'))))")
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "[]"]
+
+    def test_an_escaping_base_exception_reaches_the_caller(self):
+        """A BaseException that is no Exception, raised by one block of
+        several on two worker threads, propagates out of run_grid, whether
+        its block is the first the caller waits for or a later one, and no
+        worker thread is left running. The run is a subprocess with a
+        timeout, so a caller left waiting fails the test."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = textwrap.dedent("""\
+            import threading
+            import numpy as np
+            from riskboot import *
+            from riskboot import bootstrap
+
+            class Stop(BaseException):
+                pass
+
+            run_block = bootstrap._LengthGroup._run_block
+            bootstrap._BLOCK_ELEMS = 100 * 100  # 20 blocks of 100 rows of 100 losses
+            sample = LossSample(np.arange(100.0))
+            for failing in (0, 1, 19):
+                def fail(group, block):
+                    if block == failing:
+                        raise Stop(f"block {block}")
+                    return run_block(group, block)
+
+                bootstrap._LengthGroup._run_block = fail
+                try:
+                    run_grid([sample], {Measure.SRM: [5.0]}, BootstrapConfig(resamples=2000), 2)
+                except Stop as exc:
+                    print(exc, threading.active_count())
+            """)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == ["block 0 1", "block 1 1", "block 19 1"]

@@ -1,8 +1,10 @@
 """Loading, return transforms and moment summaries."""
 
 import csv
+import itertools
 import math
 import re
+import sys
 import tracemalloc
 from datetime import date, datetime
 
@@ -420,6 +422,48 @@ class TestColumnWiseRead:
             column_wise.append(read_columns(path, "date", "price", regex) is not None)
         # both paths are reached, so the comparison is not with the per-row path alone
         assert set(column_wise) == ({True, False} if date_format in DIRECT_FORMATS else {False})
+
+    def test_padded_cells_load_as_the_per_row_path_loads_them(self, tmp_path, monkeypatch):
+        """The column-wise read strips no cell. Each of the 29 code points
+        that str.isspace() takes, NBSP and U+001C to U+001F (which float
+        rejects) among them, put before, after or around the first, a later
+        or every date or value cell, gives load_prices and load_returns the
+        outcome of the per-row path, which strips every cell. So does each
+        under a format that ends in whitespace, which no stripped date
+        matches, though every date padded alike has one layout. A plain
+        file is still read column-wise, never row by row."""
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert len(spaces) == 29
+        rows = [[date(2001, 1, 1 + i).isoformat(), repr(100 + i / 8)] for i in range(4)]
+        path = tmp_path / "f.csv"
+
+        def write_rows(rows):
+            write(path, "date,price\n" + "".join(",".join(row) + "\n" for row in rows))
+
+        def no_rows(*args):
+            raise AssertionError("_read_rows called")
+
+        write_rows(rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_read_rows", no_rows)
+            assert load_prices(path).n == load_returns(path, return_col="price").n == 4
+        read_columns = ingest._read_columns
+        column_wise = set()
+        for date_format, space in itertools.product(["%Y-%m-%d", "%Y-%m-%d "], spaces):
+            regex = ingest._date_regex(date_format)
+            for which, column, (before, after) in itertools.product(
+                    ([0], [2], range(4)), (0, 1), [(space, ""), ("", space), (space, space)]):
+                padded = [list(cells) for cells in rows]
+                for row in which:
+                    padded[row][column] = before + padded[row][column] + after
+                write_rows(padded)
+                for load in (load_prices, load_returns):
+                    monkeypatch.setattr(ingest, "_read_columns", read_columns)
+                    either = load_outcome(load, path, date_format)
+                    monkeypatch.setattr(ingest, "_read_columns", lambda *args: None)
+                    assert either == load_outcome(load, path, date_format), (date_format, padded)
+                column_wise.add(read_columns(path, "date", "price", regex) is not None)
+        assert column_wise == {True, False}  # float skips some padding itself
 
     def test_clean_file_is_read_without_csv_in_no_more_memory(self, tmp_path, monkeypatch):
         """A clean file of a few thousand rows never reaches csv.reader. Read
