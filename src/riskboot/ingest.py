@@ -4,26 +4,24 @@ Input files are plain UTF-8 CSV with a header row. The caller names the
 date column and either a price column or a pre-computed return column.
 Dates are read with a strptime format, which is checked once, before the
 file is opened: a format strptime cannot use raises ValueError. A date is
-accepted exactly when datetime.strptime would accept it, because the parser
-matches strptime's own regex for the format. For a format whose directives
-are exactly %Y, %m and %d (plus %% and literal text), the match converts
-straight to a date; any other format keeps calling datetime.strptime on
-each row. Loading is strict: every problem in the file is collected and
-reported at once rather than failing on the first bad row; a file that is
-not UTF-8, or a field longer than the csv module allows, stops the read
-with one problem.
+accepted exactly when datetime.strptime accepts it. Loading is strict:
+every problem in the file is collected and reported at once rather than
+failing on the first bad row; a file that is not UTF-8, or a field longer
+than the csv module allows, stops the read with one problem.
 
-A clean file in such a format is read column-wise, in slices of about
-256 KiB of whole lines: each slice's fields are split at once, its first
-date matched against strptime's regex, every date checked by numpy to
-have that date's layout and converted, and its values parsed by float.
-No cell is stripped: float skips the whitespace that strip would remove
-(bar U+001C to U+001F, which it rejects), and a padded date cell is either
-the slice's first, which is refused, or laid out unlike that one.
-Any file in doubt (a quote, CR or NUL, a header or field-count problem, a
-date or value the slice cannot take, a duplicate date, a non-positive
-price, too few rows) is read row by row through the csv module instead,
-which alone reports problems. Both reads accept the same files and give
+A clean file in a format whose directives are exactly %Y, %m and %d (plus
+%% and literal text) is read column-wise, in slices of about 256 KiB of
+whole lines: each slice's fields are split at once, its first date
+matched against strptime's regex, every date checked by numpy to have
+that date's layout and converted, and its values parsed by float. Lines
+may end in LF or CRLF. No cell is stripped: float skips the whitespace
+that strip would remove (bar U+001C to U+001F, which it rejects), and a
+padded date cell is either the slice's first, which is refused, or laid
+out unlike that one. Any file in doubt (a quote, a lone CR or a NUL, a
+header or field-count problem, a date or value the slice cannot take, a
+duplicate date, a non-positive price, too few rows) is read row by row
+through the csv module instead, which parses each date with strptime
+and alone reports problems. Both reads accept the same files and give
 the same series.
 """
 
@@ -137,25 +135,6 @@ def _date_regex(date_format):
         raise ValueError(f"format {date_format!r} sets the same field twice") from None
 
 
-def _date_parser(regex, date_format):
-    """Build the date parser for one strptime format, given its regex from
-    _date_regex. The parser returned takes a string and gives its date, or
-    raises ValueError exactly where datetime.strptime(text, date_format)
-    would.
-    """
-    if regex.groupindex.keys() != {"Y", "m", "d"}:
-        return lambda text: datetime.strptime(text, date_format).date()
-    match = regex.match
-
-    def parse(text):
-        found = match(text)
-        if found is None or found.end() != len(text):  # strptime's test, not fullmatch
-            raise ValueError(f"time data {text!r} does not match format {date_format!r}")
-        return date(int(found["Y"]), int(found["m"]), int(found["d"]))
-
-    return parse
-
-
 def _records(reader, path):
     """The reader's records. Bytes that are not UTF-8, or a field longer
     than csv.field_size_limit(), stop the read with an IngestError."""
@@ -168,9 +147,8 @@ def _records(reader, path):
         raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from None
 
 
-def _read_rows(path, date_col, value_col, date_format, regex):
+def _read_rows(path, date_col, value_col, date_format):
     """Parse (date, value) rows. Returns (rows, problems); rows carry line numbers."""
-    parse_date = _date_parser(regex, date_format)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -203,7 +181,7 @@ def _read_rows(path, date_col, value_col, date_format, regex):
                 problems.append(f"line {line}: empty {date_col!r} cell")
             else:
                 try:
-                    parsed_date = parse_date(raw_date)
+                    parsed_date = datetime.strptime(raw_date, date_format).date()
                 except ValueError:
                     problems.append(
                         f"line {line}: cannot parse date {raw_date!r} with format {date_format!r}")
@@ -221,15 +199,6 @@ def _read_rows(path, date_col, value_col, date_format, regex):
             if parsed_date is not None and parsed_value is not None:
                 rows.append((parsed_date, parsed_value, line))
     return rows, problems
-
-
-def _order_and_check_dates(rows, problems):
-    """Sort rows by date (files may be unordered) and flag duplicate dates."""
-    rows = sorted(rows, key=lambda r: r[0])
-    for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]):
-        if d1 == d2:
-            problems.append(f"duplicate date {d1.isoformat()} (lines {l1} and {l2})")
-    return rows
 
 
 # Text per slice of a column-wise read. A slice's field strings and byte
@@ -310,12 +279,12 @@ def _read_columns(path, date_col, value_col, regex):
     Returns (dates, values) in date order, or None for any file that is
     not clean, which _read_rows then reads row by row, so every problem
     message comes from one place. A clean file is UTF-8 holding no quote,
-    CR or NUL, with a header naming each column once. Every other line is
-    blank or has the header's field count, and no field is longer than
-    csv.field_size_limit(). regex, from _date_regex, has groups for %Y,
-    %m and %d alone, and each slice's dates are valid, distinct and laid
-    out as its first, which regex matches (see _days). Every value is a
-    finite float.
+    NUL or CR outside a CRLF line end, with a header naming each column
+    once. Every other line is blank or has the header's field count, and
+    no field is longer than csv.field_size_limit(). regex, from
+    _date_regex, has groups for %Y, %m and %d alone, and each slice's
+    dates are valid, distinct and laid out as its first, which regex
+    matches (see _days). Every value is a finite float.
     """
     if regex.groupindex.keys() != {"Y", "m", "d"}:
         return None
@@ -328,7 +297,10 @@ def _read_columns(path, date_col, value_col, regex):
     days, values = [], []
     with handle:
         for chunk in _slices(handle):
-            if chunk is None or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+            if chunk is None:
+                return None
+            chunk = chunk.replace(b"\r\n", b"\n")  # a slice ends at a LF: none is split
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
                 return None
             try:
                 if header is None:
@@ -379,8 +351,32 @@ def _read_columns(path, date_col, value_col, regex):
     return tuple(days.tolist()), values
 
 
-def _columns(rows):
-    """The dates and values of rows from _read_rows."""
+def _load(path, date_col, value_col, date_format, prices):
+    """The dates and values of a file's two columns, in date order: read
+    column-wise if the file is clean, else row by row. Values are prices
+    when prices is true, and then must be positive and at least two.
+
+    Raises ValueError for a date_format strptime cannot use, before the
+    file is opened, and IngestError listing every problem found.
+    """
+    regex = _date_regex(date_format)
+    least = 2 if prices else 1
+    columns = _read_columns(path, date_col, value_col, regex)
+    if columns is not None and columns[1].size >= least and not (
+            prices and np.any(columns[1] <= 0.0)):
+        return columns
+    rows, problems = _read_rows(path, date_col, value_col, date_format)
+    if prices:
+        problems += [f"line {line}: price {value!r} is not positive"
+                     for _, value, line in rows if value <= 0.0]
+    rows.sort(key=lambda r: r[0])  # files may be unordered
+    problems += [f"duplicate date {d1.isoformat()} (lines {l1} and {l2})"
+                 for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]) if d1 == d2]
+    if not problems and len(rows) < least:
+        problems.append(f"need at least 2 usable price rows, got {len(rows)}" if prices
+                        else "no usable return rows")
+    if problems:
+        raise IngestError(path, problems)
     return tuple(r[0] for r in rows), np.array([r[1] for r in rows], dtype=float)
 
 
@@ -399,36 +395,15 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
     non-positive price and duplicate date found. Rows are sorted by date if
     the file is unordered.
     """
-    regex = _date_regex(date_format)
-    columns = _read_columns(path, date_col, price_col, regex)
-    if columns is None or columns[1].size < 2 or np.any(columns[1] <= 0.0):
-        rows, problems = _read_rows(path, date_col, price_col, date_format, regex)
-        for d, value, line in rows:
-            if value <= 0.0:
-                problems.append(f"line {line}: price {value!r} is not positive")
-        rows = _order_and_check_dates(rows, problems)
-        if not problems and len(rows) < 2:
-            problems.append(f"need at least 2 usable price rows, got {len(rows)}")
-        if problems:
-            raise IngestError(path, problems)
-        columns = _columns(rows)
-    return PriceSeries(label=label or Path(path).stem, dates=columns[0], prices=columns[1])
+    dates, prices = _load(path, date_col, price_col, date_format, prices=True)
+    return PriceSeries(label=label or Path(path).stem, dates=dates, prices=prices)
 
 
 def load_returns(path, date_col="date", return_col="return", date_format="%Y-%m-%d",
                  label="") -> ReturnSeries:
     """Load a file of pre-computed returns; same CSV rules as load_prices."""
-    regex = _date_regex(date_format)
-    columns = _read_columns(path, date_col, return_col, regex)
-    if columns is None:
-        rows, problems = _read_rows(path, date_col, return_col, date_format, regex)
-        rows = _order_and_check_dates(rows, problems)
-        if not problems and not rows:
-            problems.append("no usable return rows")
-        if problems:
-            raise IngestError(path, problems)
-        columns = _columns(rows)
-    return ReturnSeries(label=label or Path(path).stem, dates=columns[0], returns=columns[1])
+    dates, returns = _load(path, date_col, return_col, date_format, prices=False)
+    return ReturnSeries(label=label or Path(path).stem, dates=dates, returns=returns)
 
 
 # ----------------------------------------------------------------------

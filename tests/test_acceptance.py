@@ -1,11 +1,15 @@
-"""Release acceptance checks, one test per criterion.
+r"""Release acceptance checks, one test per criterion.
 
 Each test enforces one end-to-end contract of the estimator suite at its
 stated tolerance and prints the measured margin, so `pytest -v` reads as a
 pass/fail checklist. Golden files for the command-line criterion live in
 tests/data/golden and were produced by the exact command in
-test_criterion_7_cli_end_to_end_reproduction; regenerating them after an
-intentional output change is that one command run from tests/data/inputs.
+test_criterion_7_cli_end_to_end_reproduction. After an intentional output
+change, regenerate them by running that command from tests/data/inputs:
+
+    PYTHONPATH=../../../src python -m riskboot estimate \
+        --input c1.csv --input c2.csv --input c3.csv --input c4.csv --input c5.csv \
+        --return-col return --seed 11 --format csv --out ../golden
 """
 
 import csv

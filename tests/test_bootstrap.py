@@ -30,7 +30,7 @@ from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
 from riskboot.measures import _evaluate_sorted
 
-from exact_bootstrap import exact_order_means
+from exact_bootstrap import exact_order_law, exact_order_means
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -217,13 +217,32 @@ class TestReductionPlan:
                                 assert np.array_equal(next(cells), own)
 
 
+def exact_test_samples(n):
+    """A mirrored pair with ties (about four copies of each value), a lone
+    long and a lone short sample, and a constant pair, all of length n."""
+    rng = np.random.default_rng(n)
+    tied = rng.choice(rng.standard_t(4, max(n // 4, 3)), n)
+    return [LossSample(-tied, Position.LONG, "tied"),
+            LossSample(tied, Position.SHORT, "tied"),
+            normal_sample(n, seed=41, label="long"),
+            LossSample(rng.standard_t(3, n), Position.SHORT, "short"),
+            LossSample(np.full(n, -0.7), Position.LONG, "constant"),
+            LossSample(np.full(n, 0.7), Position.SHORT, "constant")]
+
+
 class TestExactMeans:
     def test_helper_matches_every_resample(self):
         """At n up to 4 the n ** n equally likely resamples can be listed:
-        their mean order statistics are the helper's, ties included."""
+        their mean order statistics are the helper's, ties included, and
+        each order statistic's law gives its mean and variance."""
         for x in ([2.5], [0.0, 1.0, 1.0], [-2.0, 0.5, 0.5, 7.0], [-1.0, 0.0, 3.0, 4.0]):
             rows = np.sort(np.array(list(itertools.product(x, repeat=len(x)))), axis=1)
             assert np.allclose(exact_order_means(x), rows.mean(axis=0), rtol=0.0, atol=1e-12)
+            laws = np.array([exact_order_law(len(x), r) for r in range(1, len(x) + 1)])
+            assert np.allclose(laws.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(laws @ x, rows.mean(axis=0), rtol=0.0, atol=1e-12)
+            assert np.allclose(laws @ np.square(x) - (laws @ x) ** 2, rows.var(axis=0),
+                               rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, workers", [(1, 1), (2, 1), (5, 1), (40, 1), (400, 1), (40, 2)],
                              ids=["1", "2", "5", "40", "400", "40_at_2_workers"])
@@ -247,14 +266,7 @@ class TestExactMeans:
         if workers > 1:
             monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 2500 * n)
             monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 2500 * n)
-        rng = np.random.default_rng(n)
-        tied = rng.choice(rng.standard_t(4, max(n // 4, 3)), n)  # about four copies of each value
-        samples = [LossSample(-tied, Position.LONG, "tied"),
-                   LossSample(tied, Position.SHORT, "tied"),
-                   normal_sample(n, seed=41, label="long"),
-                   LossSample(rng.standard_t(3, n), Position.SHORT, "short"),
-                   LossSample(np.full(n, -0.7), Position.LONG, "constant"),
-                   LossSample(np.full(n, 0.7), Position.SHORT, "constant")]
+        samples = exact_test_samples(n)
         levels = [0.9, 0.95, 0.99]
         taken, prepare = [], bootstrap._LengthGroup.__init__
 
@@ -279,6 +291,50 @@ class TestExactMeans:
                     assert se > 0.0 and abs(point - exact) <= 4.0 * se / math.sqrt(b), cell
         assert [tail for tail, _ in taken] == [n >= 5, n >= 40]
         assert workers == 1 or {blocks for _, blocks in taken} == {8}
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_order_var_cells_follow_their_exact_law(self, monkeypatch, n):
+        """Every order-statistic VaR cell at B = 20 000 of the samples above
+        reads X*_(r) for its rank r, so its resamples follow the law of
+        exact_order_law, with mean mu, variance sigma ** 2 and fourth
+        central moment mu4. Its point lies within 4 SE/sqrt(B) of mu, and
+        its SE within 4 sqrt((mu4 - sigma ** 4) / B) / (2 sigma) of sigma,
+        four standard deviations of a sample SD by the delta method, on the
+        tail path and on whole rows, which one SRM spec forces. Degenerate
+        cells have SE 0. Under a normal approximation a correct check
+        fails with probability 6.3e-5, so the 48 checks of the 24 random
+        cells at one n fail together with probability at most 0.3 %."""
+        samples = exact_test_samples(n)
+        taken, prepare = [], bootstrap._LengthGroup.__init__
+
+        def spy(group, *args):
+            prepare(group, *args)
+            taken.append(group._depth is not None)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "__init__", spy)
+        b, levels = 20_000, [0.9, 0.95, 0.99]
+        config = BootstrapConfig(resamples=b, master_seed=29)
+        for specs in ({Measure.VAR: levels}, {Measure.VAR: levels, Measure.SRM: [20.0]}):
+            grid = run_grid(samples, specs, config)
+            assert not grid.failed
+            for cell in grid.cells:
+                if cell.measure is not Measure.VAR:
+                    continue
+                # the rank value_at_risk reads, from the values 1..n
+                rank = int(value_at_risk(LossSample(np.arange(1.0, n + 1)), cell.parameter))
+                law = exact_order_law(n, rank)
+                x = np.sort(samples[cell.sample_index].values)
+                mu = law @ x
+                sigma2, mu4 = law @ (x - mu) ** 2, law @ (x - mu) ** 4
+                point, se = cell.result.point_estimate, cell.result.std_error
+                if cell.sample_label == "constant":
+                    assert se == 0.0 and point == pytest.approx(mu, rel=1e-12)
+                    continue
+                sigma = math.sqrt(sigma2)
+                se_of_se = math.sqrt((mu4 - sigma2 ** 2) / b) / (2 * sigma)
+                assert abs(point - mu) <= 4.0 * se / math.sqrt(b), cell
+                assert abs(se - sigma) <= 4.0 * se_of_se, cell
+        assert taken == [True, False]
 
 
 class TestBootstrapEstimate:

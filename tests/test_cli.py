@@ -21,12 +21,12 @@ def run(args, capsys):
 
 
 def run_process(args):
-    """Run the command line in a subprocess, where a warning or traceback
-    reaches stderr as a user would see it; pytest's warning filter does not
-    reach it."""
+    """Run the command line in a subprocess, as python -m riskboot, where a
+    warning or traceback reaches stderr as a user would see it; pytest's
+    warning filter does not reach it."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from riskboot.cli import main; sys.exit(main())", *args],
+        [sys.executable, "-m", "riskboot", *args],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
 
 
@@ -623,6 +623,11 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert "riskboot 0.1.0" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        done = run_process(["--version"])
+        assert done.returncode == 0
+        assert done.stdout == "riskboot 0.1.0\n" and done.stderr == ""
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

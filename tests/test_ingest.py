@@ -144,20 +144,14 @@ class TestLoadPrices:
             load_prices(path)
 
 
-# formats the fuzz test covers; the last one takes the strptime path
-FUZZ_FORMATS = ["%Y-%m-%d", "%d/%m/%Y", "%m/%d/%y", "%Y%m%d", "%d-%b-%Y", "%B %d, %Y",
-                "%Y-%m", "%Y-%m-%d %H:%M"]
+# the formats whose dates the column-wise read can take, which the date fuzz test covers
+DIRECT_FORMATS = ["%Y-%m-%d", "%d/%m/%Y", "%Y%m%d"]
 
 # near-valid values per directive: edges, out of range, padded, short and long
 FUZZ_TOKENS = {
     "Y": ["0000", "0001", "1899", "1900", "1968", "2000", "2023", "2024", "9999", "199", "20240"],
-    "y": ["00", "04", "68", "69", "99", "7", "100"],
     "m": ["0", "00", "1", "01", "02", "09", "10", "12", "13", " 2"],
     "d": ["0", "00", "1", "01", " 1", " 9", "9", "28", "29", "30", "31", "32", "3"],
-    "b": ["jan", "Feb", "FEB", "sep", "Sept", "may", "dec", "xyz", ""],
-    "B": ["January", "february", "MAY", "June", "Septembre", "decem", ""],
-    "H": ["0", "00", "09", "23", "24", "7"],
-    "M": ["00", "5", "59", "60"],
 }
 
 
@@ -184,33 +178,26 @@ def fuzz_strings(date_format, rng, count):
     return out
 
 
-def outcome(parse, text):
-    """The date parse gives text, or "rejected" where it raises ValueError."""
-    try:
-        return parse(text)
-    except ValueError:
-        return "rejected"
-
-
 class TestDateParser:
-    @pytest.mark.parametrize("date_format", FUZZ_FORMATS)
+    @pytest.mark.parametrize("date_format", DIRECT_FORMATS)
     def test_same_dates_and_rejections_as_strptime(self, date_format):
-        """Every fuzzed string gets the date datetime.strptime gives it, or
-        is rejected where strptime rejects it."""
-        rng = np.random.default_rng([2024, FUZZ_FORMATS.index(date_format)])
-        parse = ingest._date_parser(ingest._date_regex(date_format), date_format)
-
-        def reference(text):
-            return datetime.strptime(text, date_format).date()
-
-        rejected = set()
+        """Every fuzzed string that the column-wise read's date check takes,
+        as a column of one cell, gets the date datetime.strptime gives it;
+        so strptime rejects none of them. Others are refused, and a file
+        holding them goes to the per-row path, which calls strptime."""
+        rng = np.random.default_rng([2024, DIRECT_FORMATS.index(date_format)])
+        regex = ingest._date_regex(date_format)
+        taken = set()
         for text in fuzz_strings(date_format, rng, 3000):
-            expected = outcome(reference, text)
-            assert outcome(parse, text) == expected, text
-            rejected.add(expected == "rejected")
-        assert rejected == {True, False}  # the strings reach both sides of the rule
+            days = ingest._days([text], regex)
+            if days is not None:
+                assert days.tolist() == [datetime.strptime(text, date_format).date()], text
+            taken.add(days is not None)
+        assert taken == {True, False}  # the strings reach both outcomes
 
-    def test_default_format_never_calls_strptime(self, tmp_path, monkeypatch):
+    def test_clean_file_never_calls_strptime(self, tmp_path, monkeypatch):
+        """A clean file in the default format is read column-wise, with no
+        strptime call; a file read row by row calls strptime per date."""
         class NoStrptime:
             @staticmethod
             def strptime(text, date_format):
@@ -257,8 +244,7 @@ class TestDateParser:
         assert str(excinfo.value) == message
 
 
-# the fuzzed formats whose dates the column-wise read can take, and one it cannot
-DIRECT_FORMATS = [f for f in FUZZ_FORMATS if sorted(re.findall("%(.)", f)) == ["Y", "d", "m"]]
+# the formats the column-wise read can take, and one it cannot
 FILE_FORMATS = DIRECT_FORMATS + ["%m/%d/%y"]
 
 # rows of one length that strptime splits differently, so a read at the
@@ -464,6 +450,28 @@ class TestColumnWiseRead:
                     assert either == load_outcome(load, path, date_format), (date_format, padded)
                 column_wise.add(read_columns(path, "date", "price", regex) is not None)
         assert column_wise == {True, False}  # float skips some padding itself
+
+    def test_crlf_file_is_read_column_wise(self, tmp_path, monkeypatch):
+        """A clean file whose lines end in CRLF is read column-wise, never
+        row by row, and loads as its LF copy does. A lone CR still sends a
+        file row by row, which reads it as a line end."""
+        lines = ["date,price"] + [f"{date(2001, 1, 1 + i).isoformat()},{100 + i / 8!r}"
+                                  for i in range(4)]
+        lf = write(tmp_path / "lf.csv", "\n".join(lines) + "\n")
+        crlf = write(tmp_path / "crlf.csv", "\r\n".join(lines) + "\r\n")
+        lone = write(tmp_path / "cr.csv", "\r\n".join(lines[:3]) + "\r" + "\r\n".join(lines[3:]))
+
+        def no_rows(*args):
+            raise AssertionError("_read_rows called")
+
+        loads = (load_prices, load_returns)
+        expected = [load_outcome(load, lf, "%Y-%m-%d") for load in loads]
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_read_rows", no_rows)
+            assert [load_outcome(load, crlf, "%Y-%m-%d") for load in loads] == expected
+            with pytest.raises(AssertionError, match="_read_rows"):  # the guard is live
+                load_prices(lone)
+        assert [load_outcome(load, lone, "%Y-%m-%d") for load in loads] == expected
 
     def test_clean_file_is_read_without_csv_in_no_more_memory(self, tmp_path, monkeypatch):
         """A clean file of a few thousand rows never reaches csv.reader. Read
