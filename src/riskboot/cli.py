@@ -335,8 +335,7 @@ def _cmd_synth(args) -> int:
     with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "return"])
-        for d, r in zip(series.dates, series.returns):
-            writer.writerow([d.isoformat(), repr(float(r))])
+        writer.writerows(zip(series.dates.astype(str), map(repr, series.returns.tolist())))
     print(f"[config] dist={series.label} n={args.n} seed={seed} seed_source={seed_source}")
     print(f"[write] {out}")
     print("RESULT ok")

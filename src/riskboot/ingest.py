@@ -22,15 +22,13 @@ header or field-count problem, a date or value the slice cannot take, a
 duplicate date, a non-positive price, too few rows) is read row by row
 through the csv module instead, which parses each date with strptime
 and alone reports problems. Both reads accept the same files and give
-the same series.
+the same series, whose dates are one datetime64[D] array throughout.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -53,34 +51,44 @@ class IngestError(ValueError):
 # series containers
 # ----------------------------------------------------------------------
 
-def _check_increasing(dates):
-    if not all(map(operator.lt, dates, dates[1:])):
+def _days_of(dates, size, values):
+    """dates as a datetime64[D] array, checked to hold one day per value,
+    strictly increasing. dates must be a datetime64[D] array, which is
+    taken as it is, or a list or tuple of datetime.date objects (not
+    datetimes, whose time of day would be dropped); strings, integers and
+    anything else raise ValueError rather than being parsed as dates."""
+    if not (isinstance(dates, np.ndarray) and dates.dtype == "datetime64[D]"):
+        if not isinstance(dates, (list, tuple)) or not all(type(d) is date for d in dates):
+            raise ValueError("dates must be a datetime64[D] array or a sequence of datetime.date")
+        dates = np.array(dates, "datetime64[D]")
+    if dates.shape != (size,):
+        raise ValueError(f"dates and {values} have different lengths")
+    if np.any(np.isnat(dates)) or not np.all(dates[1:] > dates[:-1]):
         raise ValueError("dates must be strictly increasing")
+    return dates
 
 
 @dataclass(frozen=True)
 class PriceSeries:
     """Settlement prices on strictly increasing trading dates.
 
-    Prices must be positive and finite and there must be at least two of
-    them, since a lone price yields no return.
+    dates is a datetime64[D] array; a list or tuple of datetime.date is
+    converted to one. Prices must be positive and finite and there must be
+    at least two of them, since a lone price yields no return.
     """
 
     label: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
         prices = np.asarray(self.prices, dtype=float)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "dates", tuple(self.dates))
         if prices.size < 2:
             raise ValueError(f"{self.label or 'price series'}: need at least 2 prices, got {prices.size}")
-        if len(self.dates) != prices.size:
-            raise ValueError("dates and prices have different lengths")
+        object.__setattr__(self, "dates", _days_of(self.dates, prices.size, "prices"))
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError("prices must be positive and finite")
-        _check_increasing(self.dates)
 
     @property
     def n(self) -> int:
@@ -89,23 +97,20 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Daily log returns, one per date, in date order."""
+    """Daily log returns, one per date, in date order; dates as in PriceSeries."""
 
     label: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     returns: np.ndarray
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "dates", tuple(self.dates))
         if returns.size < 1:
             raise ValueError(f"{self.label or 'return series'}: series is empty")
-        if len(self.dates) != returns.size:
-            raise ValueError("dates and returns have different lengths")
+        object.__setattr__(self, "dates", _days_of(self.dates, returns.size, "returns"))
         if not np.all(np.isfinite(returns)):
             raise ValueError("returns must be finite")
-        _check_increasing(self.dates)
 
     @property
     def n(self) -> int:
@@ -348,7 +353,7 @@ def _read_columns(path, date_col, value_col, regex):
             return None
     if not np.all(np.isfinite(values)):
         return None
-    return tuple(days.tolist()), values
+    return days, values
 
 
 def _load(path, date_col, value_col, date_format, prices):
@@ -377,7 +382,8 @@ def _load(path, date_col, value_col, date_format, prices):
                         else "no usable return rows")
     if problems:
         raise IngestError(path, problems)
-    return tuple(r[0] for r in rows), np.array([r[1] for r in rows], dtype=float)
+    return (np.array([r[0] for r in rows], "datetime64[D]"),
+            np.array([r[1] for r in rows], dtype=float))
 
 
 def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d",
@@ -419,10 +425,13 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
     or underflows to 0, so its log is not finite.
     """
     p = series.prices
-    with np.errstate(over="ignore", divide="ignore"):  # checked below instead
-        r = np.log(p[1:] / p[:-1])
-    if not np.all(np.isfinite(r)):
+    with np.errstate(over="ignore"):  # checked below instead
+        ratios = p[1:] / p[:-1]
+    if not 0.0 < ratios.min() <= ratios.max() < math.inf:
         raise ValueError("a ratio of consecutive prices leaves the float range")
+    # the platform libm's log, one ratio at a time: numpy's dispatched log
+    # can differ in the last bit between CPUs
+    r = np.fromiter(map(math.log, ratios.tolist()), float, count=ratios.size)
     return ReturnSeries(label=series.label, dates=series.dates[1:], returns=r)
 
 
@@ -431,8 +440,7 @@ def drop_zero_returns(series: ReturnSeries) -> ReturnSeries:
     keep = series.returns != 0.0
     if not np.any(keep):
         raise ValueError(f"{series.label}: every return is zero")
-    dates = tuple(itertools.compress(series.dates, keep))
-    return ReturnSeries(label=series.label, dates=dates, returns=series.returns[keep])
+    return ReturnSeries(label=series.label, dates=series.dates[keep], returns=series.returns[keep])
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +21,8 @@ from .bootstrap import _check_seed
 from .ingest import ReturnSeries
 from .measures import _check_alpha, _check_integer
 
-_START_DATE = date(1991, 1, 1)
+_START_DATE = np.datetime64("1991-01-01")
+_MOST_N = (np.datetime64("9999-12-31") - _START_DATE).item().days + 1  # %Y has four digits
 
 _STANDARD_NORMAL = NormalDist()
 _standard_normal_ppf = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
@@ -117,20 +117,21 @@ class SyntheticSpec:
 
 
 def _check_n(n):
-    if _check_integer(n, "n") < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= _check_integer(n, "n") <= _MOST_N:
+        raise ValueError(f"need n >= 1, got {n}" if n < 1 else
+                         f"need n <= {_MOST_N}, the days from 1991-01-01 to 9999-12-31, got {n}")
 
 
 def generate(spec: SyntheticSpec) -> ReturnSeries:
     """Draw a return series; the same spec always yields the same series.
 
-    Dates are synthetic consecutive calendar days, so the output plugs into
-    the same pipeline as a loaded file.
+    Dates are synthetic consecutive calendar days from 1991-01-01, so the
+    output plugs into the same pipeline as a loaded file; SyntheticSpec
+    keeps them before year 10000, which strptime's %Y could not read back.
     """
     rng = np.random.default_rng(int(spec.seed))
     values = spec.family.draw(rng, spec.n)
-    start = _START_DATE.toordinal()
-    dates = tuple(map(date.fromordinal, range(start, start + spec.n)))
+    dates = _START_DATE + np.arange(spec.n)
     return ReturnSeries(label=spec.label or spec.family.tag(), dates=dates, returns=values)
 
 

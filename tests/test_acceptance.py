@@ -404,6 +404,30 @@ def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
         assert outputs[0] == outputs[1]
 
 
+def test_price_file_does_not_depend_on_cpu_dispatch(tmp_path):
+    """A price file's returns are the platform libm's log of each ratio of
+    consecutive prices. While they were numpy's dispatched log, switching
+    the dispatched groups off moved some of these 400 prices' returns by
+    an ulp, and with them the summary, VaR and ES tables of this command,
+    whose cells take the tail path. Every table and run.kv keep their
+    bytes."""
+    steps = np.random.default_rng(7).standard_t(4, 399) * 0.01
+    prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    start = date(2001, 1, 1).toordinal()
+    (tmp_path / "p.csv").write_text("date,settle\n" + "".join(
+        f"{date.fromordinal(start + i).isoformat()},{value!r}\n"
+        for i, value in enumerate(prices.tolist())))
+    outputs = []
+    for env in dispatch_environments():
+        out_dir = tmp_path / f"out{len(outputs)}"
+        run_cli(["estimate", "--input", "p.csv", "--price-col", "settle", "--seed", "11",
+                 "--measure", "var,es", "--alpha", "0.9,0.99", "--format", "csv",
+                 "--out", str(out_dir)], tmp_path, env)
+        outputs.append({name: (out_dir / name).read_bytes()
+                        for name in (*GOLDEN_TABLES[:3], "run.kv")})
+    assert outputs[0] == outputs[1]
+
+
 def test_summary_moments_do_not_depend_on_cpu_dispatch(tmp_path):
     """The summary's moments are means of products of the deviations,
     which every CPU rounds alike. These 400 Student-t(4) returns gave

@@ -300,10 +300,15 @@ class TestExactMeans:
         central moment mu4. Its point lies within 4 SE/sqrt(B) of mu, and
         its SE within 4 sqrt((mu4 - sigma ** 4) / B) / (2 sigma) of sigma,
         four standard deviations of a sample SD by the delta method, on the
-        tail path and on whole rows, which one SRM spec forces. Degenerate
-        cells have SE 0. Under a normal approximation a correct check
-        fails with probability 6.3e-5, so the 48 checks of the 24 random
-        cells at one n fail together with probability at most 0.3 %."""
+        tail path and on whole rows, which one SRM spec forces. Each end of
+        its percentile interval (ci_standardized times the point) is a
+        resample estimate, so a value x_(j), whose exact CDF position, from
+        P(X* < x_(j)) to P(X* <= x_(j)), reaches within 4 sqrt(t (1 - t) / B)
+        of its tail t (0.05 or 0.95), four standard deviations of the
+        empirical CDF there. Degenerate cells have SE 0. Under a normal
+        approximation a correct check fails with probability 6.3e-5, so the
+        96 checks of the 24 random cells at one n fail together with
+        probability at most 0.6 %."""
         samples = exact_test_samples(n)
         taken, prepare = [], bootstrap._LengthGroup.__init__
 
@@ -334,6 +339,14 @@ class TestExactMeans:
                 se_of_se = math.sqrt((mu4 - sigma2 ** 2) / b) / (2 * sigma)
                 assert abs(point - mu) <= 4.0 * se / math.sqrt(b), cell
                 assert abs(se - sigma) <= 4.0 * se_of_se, cell
+                tail = (1.0 - config.ci_coverage) / 2.0
+                ends = sorted(ratio * point for ratio in cell.result.ci_standardized)
+                for t, end in zip((tail, 1.0 - tail), ends):
+                    value = x[np.argmin(np.abs(x - end))]
+                    assert end == pytest.approx(value, rel=1e-15, abs=0.0), cell
+                    below, upto = law[x < value].sum(), law[x <= value].sum()
+                    band = 4.0 * math.sqrt(t * (1.0 - t) / b)
+                    assert below <= t + band and upto >= t - band, (cell, t, below, upto)
         assert taken == [True, False]
 
 

@@ -37,7 +37,7 @@ class TestLoadPrices:
         assert series.label == "sp"
         assert series.n == 3
         assert series.prices.tolist() == [100.0, 101.5, 99.25]
-        assert [d.isoformat() for d in series.dates] == ["2001-01-02", "2001-01-03", "2001-01-04"]
+        assert series.dates.astype(str).tolist() == ["2001-01-02", "2001-01-03", "2001-01-04"]
 
     def test_explicit_label_and_columns(self, tmp_path):
         path = write(tmp_path / "x.csv", "day,settle\n02/01/2001,5.0\n03/01/2001,6.0\n")
@@ -57,7 +57,7 @@ class TestLoadPrices:
                      "date,price\n2001-01-04,3.0\n2001-01-02,1.0\n2001-01-03,2.0\n")
         series = load_prices(path)
         assert series.prices.tolist() == [1.0, 2.0, 3.0]
-        assert series.dates == tuple(sorted(series.dates))
+        assert np.array_equal(series.dates, np.sort(series.dates))
 
     def test_every_problem_reported_at_once(self, tmp_path):
         path = write(tmp_path / "bad.csv",
@@ -378,7 +378,7 @@ def load_outcome(load, path, date_format):
     except IngestError as exc:
         return exc.problems
     values = series.prices if load is load_prices else series.returns
-    return series.dates, values.tobytes()
+    return series.dates.tolist(), values.tobytes()
 
 
 class TestColumnWiseRead:
@@ -503,7 +503,7 @@ class TestColumnWiseRead:
                 load_prices(quoted)
         monkeypatch.setattr(ingest, "_read_columns", lambda *args: None)
         per_row, per_row_peak = peak_memory(load_prices)
-        assert column_wise.dates == per_row.dates and column_wise.n == 4000
+        assert np.array_equal(column_wise.dates, per_row.dates) and column_wise.n == 4000
         assert column_wise.prices.tobytes() == per_row.prices.tobytes()
         assert peak <= per_row_peak
 
@@ -540,6 +540,34 @@ class TestSeriesContainers:
         with pytest.raises(ValueError, match="empty"):
             ReturnSeries("x", [], np.array([]))
 
+    @pytest.mark.parametrize("dates", [
+        ["2001-01-02", "2001-01-03"], np.array(["2001-01-02", "2001-01-03"]),
+        [1, 2], np.arange(1, 3), np.array(["2001-01-02", "2001-01-03"], "datetime64[s]"),
+        [datetime(2001, 1, 2, 10), datetime(2001, 1, 3, 10)], "20",
+    ], ids=["iso_strings", "iso_string_array", "integers", "integer_array", "seconds",
+            "datetimes", "string"])
+    def test_dates_are_never_parsed(self, dates):
+        """The containers hold dates as one datetime64[D] array. They take
+        such an array as it is, or datetime.date objects, and refuse
+        anything numpy would otherwise turn into days: ISO strings,
+        integers (days since 1970), another unit, or datetimes, whose time
+        of day would be dropped."""
+        message = r"dates must be a datetime64\[D\] array or a sequence of datetime.date"
+        with pytest.raises(ValueError, match=message):
+            PriceSeries("x", dates, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=message):
+            ReturnSeries("x", dates, np.array([0.1, 0.2]))
+        days = np.array(["2001-01-02", "2001-01-03"], "datetime64[D]")
+        assert ReturnSeries("x", days, np.array([0.1, 0.2])).dates is days
+        taken = ReturnSeries("x", [date(2001, 1, 2), date(2001, 1, 3)], np.array([0.1, 0.2]))
+        assert np.array_equal(taken.dates, days)
+
+    def test_not_a_time_is_refused(self):
+        """NaT compares false with every day, so it is refused outright."""
+        for dates in (["NaT"], ["2001-01-02", "NaT", "2001-01-04"]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ReturnSeries("x", np.array(dates, "datetime64[D]"), np.zeros(len(dates)))
+
 
 class TestLogReturns:
     def test_single_step_value(self, tmp_path):
@@ -549,7 +577,7 @@ class TestLogReturns:
         r = log_returns(load_prices(path))
         assert r.returns[0] == pytest.approx(0.09531017980432493, abs=1e-15)
         assert r.n == 1
-        assert r.dates[0].isoformat() == "2001-01-03"
+        assert str(r.dates[0]) == "2001-01-03"
 
     def test_repeated_price_gives_exact_zero(self, tmp_path):
         """Holiday padding repeats the settlement price; the log return

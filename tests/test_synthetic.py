@@ -52,7 +52,7 @@ class TestGenerate:
         spec = SyntheticSpec(family=Normal(0.0, 0.01), n=1000, seed=42)
         a, b = generate(spec), generate(spec)
         assert np.array_equal(a.returns, b.returns)
-        assert a.dates == b.dates
+        assert np.array_equal(a.dates, b.dates)
 
     def test_different_seeds_differ(self):
         a = generate(SyntheticSpec(family=Normal(), n=100, seed=1))
@@ -62,8 +62,17 @@ class TestGenerate:
     def test_row_count_and_consecutive_dates(self):
         series = generate(SyntheticSpec(family=Normal(0.0, 0.01), n=3392, seed=0))
         assert series.n == 3392
-        gaps = {(b - a).days for a, b in zip(series.dates, series.dates[1:])}
-        assert gaps == {1}
+        assert series.dates[0] == np.datetime64("1991-01-01")
+        assert set(np.diff(series.dates).astype(int).tolist()) == {1}
+
+    def test_every_date_falls_before_year_10000(self):
+        """Dates run one a day from 1991-01-01, and strptime's %Y reads four
+        digits, so n stops at the day count up to 9999-12-31 rather than
+        writing a file that cannot be read back."""
+        last = int((np.datetime64("9999-12-31") - np.datetime64("1991-01-01")).astype(int)) + 1
+        assert SyntheticSpec(family=Normal(), n=last, seed=0).n == last
+        with pytest.raises(ValueError, match=f"need n <= {last}, the days from 1991-01-01"):
+            SyntheticSpec(family=Normal(), n=last + 1, seed=0)
 
     def test_default_labels_name_the_family(self):
         assert generate(SyntheticSpec(family=Normal(), n=5, seed=0)).label.startswith("normal(")
