@@ -13,6 +13,11 @@ configuration. Every source of randomness flows from one master seed, which
 may come from --seed, from the RISKBOOT_SEED environment variable or from
 the command's default; the seed and where it came from are always echoed in
 the run metadata.
+
+riskboot calls no BLAS, so importing this module asks numpy's bundled
+OpenBLAS for one thread (OPENBLAS_NUM_THREADS=1) unless the caller has set
+the variable or numpy is already loaded. `import riskboot` alone loads no
+numpy and sets nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +29,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
+
+# riskboot calls no BLAS routine: its sums run in numpy's own loops, whose
+# order does not depend on the host. numpy's bundled OpenBLAS still starts
+# a worker thread when numpy loads, which burns CPU through the rest of
+# numpy's import. The cap belongs to the program, not to the library, so
+# it is set here, before the submodules below load numpy, and only when
+# the caller has not set it; `import riskboot` leaves the environment alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bootstrap import BootstrapConfig, EstimatorSpec, Measure, _check_seed, _check_workers, run_grid
 from .ingest import (
     IngestError,

@@ -404,6 +404,18 @@ def test_golden_command_does_not_depend_on_cpu_dispatch(tmp_path):
         assert outputs[0] == outputs[1]
 
 
+def test_golden_command_does_not_depend_on_blas_threads(tmp_path):
+    """The command line asks numpy's OpenBLAS for one thread only when the
+    caller has not set OPENBLAS_NUM_THREADS. riskboot calls no BLAS, so a
+    caller's two threads leave the golden tables byte for byte as they
+    are."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    run_cli(golden_args(GOLDEN_INPUTS, tmp_path), DATA_DIR / "inputs", env)
+    for name in (*GOLDEN_TABLES, "run.kv"):
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / "golden" / name).read_bytes(), name
+
+
 def test_price_file_does_not_depend_on_cpu_dispatch(tmp_path):
     """A price file's returns are the platform libm's log of each ratio of
     consecutive prices. While they were numpy's dispatched log, switching

@@ -292,6 +292,37 @@ class TestExactMeans:
         assert [tail for tail, _ in taken] == [n >= 5, n >= 40]
         assert workers == 1 or {blocks for _, blocks in taken} == {8}
 
+    @pytest.mark.parametrize("n", [5, 40, 400])
+    def test_srm_cells_lie_near_their_exact_means(self, monkeypatch, n):
+        """An SRM cell is its weights applied to the sorted resample, so its
+        exact bootstrap mean is the weights applied to E*[X*_(r)]. Every SRM
+        point of the samples above at the golden aversions and B = 20 000,
+        on whole rows as every SRM grid runs, lies within 4 SE/sqrt(B) of
+        that mean, and every cell of the constant pair equals it to
+        rounding. Under a normal approximation a correct cell fails with
+        probability 6.3e-5, so the 20 random cells of one n fail together
+        with probability at most 0.13 %, and the three n at most 0.4 %."""
+        samples = exact_test_samples(n)
+        taken, prepare = [], bootstrap._LengthGroup.__init__
+
+        def spy(group, *args):
+            prepare(group, *args)
+            taken.append(group._depth is not None)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "__init__", spy)
+        b, aversions = 20_000, [5.0, 10.0, 20.0, 40.0, 80.0]
+        grid = run_grid(samples, {Measure.SRM: aversions}, BootstrapConfig(resamples=b, master_seed=31))
+        assert not grid.failed and len(grid.cells) == 6 * 5
+        for cell in grid.cells:
+            exact = spectral_weights(n, cell.parameter) @ exact_order_means(
+                samples[cell.sample_index].values)
+            point, se = cell.result.point_estimate, cell.result.std_error
+            if cell.sample_label == "constant":
+                assert se == 0.0 and point == pytest.approx(exact, rel=1e-12)
+            else:
+                assert se > 0.0 and abs(point - exact) <= 4.0 * se / math.sqrt(b), cell
+        assert taken == [False]
+
     @pytest.mark.parametrize("n", [40, 400])
     def test_order_var_cells_follow_their_exact_law(self, monkeypatch, n):
         """Every order-statistic VaR cell at B = 20 000 of the samples above
@@ -1110,3 +1141,85 @@ class TestRunGrid:
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines() == ["block 0 1", "block 1 1", "block 19 1"]
+
+
+def fresh_python(code, **env):
+    """Run code in a new interpreter on this tree's src, with
+    OPENBLAS_NUM_THREADS taken out of its environment unless env sets it,
+    and return its standard output lines."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    environ = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", code], env={**environ, "PYTHONPATH": str(src), **env},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout.splitlines()
+
+
+class TestStartUp:
+    """riskboot calls no BLAS, yet numpy's bundled OpenBLAS starts a worker
+    thread at import that burns CPU through the rest of numpy's import. The
+    command line asks for one BLAS thread before numpy loads; the package
+    is lazy, so `import riskboot` loads no numpy and sets nothing, and a
+    library user's BLAS keeps its threads."""
+
+    EXPORTS = [
+        "BootstrapConfig", "BootstrapResult", "EstimatorSpec", "GridCell", "IngestError",
+        "LossSample", "MEAN_COLUMN", "Measure", "OVERALL_ROW", "Position", "PriceSeries",
+        "QuantileMethod", "ReportTable", "ResultGrid", "ReturnSeries", "Row", "RowGroup",
+        "Section", "SummaryStats", "bootstrap", "bootstrap_estimate", "build_measure_table",
+        "build_summary_table", "drop_zero_returns", "expected_shortfall", "figure_csv",
+        "ingest", "load_prices", "load_returns", "log_returns", "measures", "report",
+        "run_grid", "spectral_risk_measure", "spectral_weights", "summary_stats", "to_csv",
+        "to_kv", "to_losses", "to_text", "value_at_risk"]
+
+    def test_the_command_line_starts_no_blas_thread(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count this process's threads")
+        code = ("import os; import riskboot.cli; import numpy; "
+                "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        assert fresh_python(code) == ["1 1"]
+
+    def test_a_callers_blas_setting_is_kept(self):
+        code = "import os; import riskboot.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_the_package_alone_loads_no_numpy_and_sets_nothing(self):
+        code = ("import os, sys; before = dict(os.environ); import riskboot; "
+                "print(dict(os.environ) == before, 'numpy' in sys.modules)")
+        assert fresh_python(code) == ["True False"]
+
+    def test_every_export_resolves(self):
+        """__all__ holds the 41 names the package has always exported, the
+        four submodules included, and each resolves to its submodule's
+        object, through `from riskboot import *` as well."""
+        code = textwrap.dedent("""\
+            import importlib, riskboot
+            print(*riskboot.__all__)
+            modules = {name: importlib.import_module(f"riskboot.{name}")
+                       for name in ("bootstrap", "ingest", "measures", "report")}
+            for name in riskboot.__all__:
+                assert name in modules or any(getattr(m, name, None) is getattr(riskboot, name)
+                                              for m in modules.values()), name
+            namespace = {}
+            exec("from riskboot import *", namespace)
+            assert all(namespace[name] is getattr(riskboot, name) for name in riskboot.__all__)
+            assert set(riskboot.__all__) <= set(dir(riskboot))
+            assert not hasattr(riskboot, "no_such_name")
+            """)
+        assert fresh_python(code) == [" ".join(self.EXPORTS)]
+
+    def test_version_still_loads_numpy_and_every_module(self):
+        """`riskboot --version` stands in for an estimate's start-up when
+        the benchmark samples it, so it must still load what an estimate
+        loads."""
+        code = textwrap.dedent("""\
+            import sys
+            from riskboot.cli import main
+            try:
+                main(["--version"])
+            finally:
+                print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("riskboot.")))
+            """)
+        assert fresh_python(code)[-1] == str(["numpy", "riskboot.bootstrap", "riskboot.cli",
+                                              "riskboot.ingest", "riskboot.measures",
+                                              "riskboot.report"])
