@@ -50,17 +50,18 @@ is drawn. A cell's draws do depend on its group's path, so adding a
 spectral cell, or a VaR or ES cell past the cut-off, moves the VaR and ES
 cells of a tail group to whole rows.
 
-The blocks of all length groups are the unit of work: the worker threads,
-plain threading.Thread objects, each take the next block in group-major
-order under a lock, so a grid of one contract uses as many workers as it
-has blocks. The threads change no state but that count of blocks taken
-and their blocks' result slots. The calling thread prepares every group
-before any block runs, each block returns its own estimates, and the
-calling thread reads them back in block order and summarizes a group's
-contracts once its last block is in. With one worker the blocks run on
-the calling thread itself. A run-time failure in one contract's gather
-or reduction fails only that contract's cells; a failure in a block's
-shared draw fails every contract of its length.
+The blocks of all length groups are the unit of work. The calling thread
+prepares every group, then it and up to workers - 1 more threads, plain
+threading.Thread objects, run one loop: each takes the next block in
+group-major order under a lock, so a grid of one contract uses as many
+workers as it has blocks, and one worker starts no thread. The threads
+change no state but that count of blocks taken, each group's count of
+blocks not yet in and their blocks' result slots. The thread whose block
+is the last of its group to come in summarizes the group's contracts from
+the slots, in block order, and frees them, at any worker count. A
+run-time failure in one contract's gather or reduction fails only that
+contract's cells; a failure in a block's shared draw fails every
+contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
 until their group is summarized. On the whole-row path each thread draws
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,9 +337,9 @@ class _LengthGroup:
     _BLOCK_ELEMS // n on the whole-row path and _TAIL_BLOCK_ELEMS // n on
     the tail path (at least 1), the last one partial, and block k draws
     from _contract_stream(seed, n, k). A block draws each chunk of indices
-    once, and every contract of the group reads its own losses at them. A
-    grid with no specs has no blocks. Nothing changes after the
-    constructor, so the threads only read a group.
+    once, and every contract of the group reads its own losses at them.
+    Nothing changes after the constructor, so the threads only read a
+    group.
 
     _reads holds, per contract, the losses it gathers at each chunk and the
     ends that each gather serves, in sample order: False for the high end,
@@ -369,7 +369,7 @@ class _LengthGroup:
         self._depth = None if srm or depth > _TAIL_SHARE * n else depth
         elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
-        self.blocks = -(-config.resamples // self.block_rows) if specs else 0
+        self.blocks = -(-config.resamples // self.block_rows)
         self._plan = np.array(srm + [w[::-1] for w in srm]).reshape(-1, n)
         if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
             self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
@@ -476,88 +476,72 @@ class _LengthGroup:
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
     return, per contract in the order of groups, what its length group's
-    finish returns for it (see _LengthGroup).
+    finish returns for it (see _LengthGroup). specs holds at least one spec.
 
     The contracts of each length form one _LengthGroup, in the order of
-    their lengths' first appearance. Every block of every length group, in
-    group-major order, goes to at most workers threads (_in_threads), each
-    drawing its own chunks of up to _CHUNK_BYTES. The calling thread reads
-    the blocks' estimates in that order and finishes a group's contracts
-    once its last block is in. An exception in a block's shared draw fails
-    every contract of its length; a BaseException that is no Exception
-    propagates from here. One thread is the calling thread itself.
+    their lengths' first appearance. The calling thread and up to
+    workers - 1 more threads run one loop: each takes the next block of
+    every length group, in group-major order, under a lock, draws its own
+    chunks of up to _CHUNK_BYTES, and puts the block's estimates in that
+    block's slot. The thread whose block is the last of its group to come
+    in finishes the group's contracts from the slots, in block order, and
+    drops them, so a group's estimates are freed as soon as it is complete.
+    An exception in a block's shared draw fails every contract of its
+    length. A BaseException that is no Exception stops every thread from
+    taking further blocks, and propagates from here once all are joined.
     """
     by_length = {}  # the indices in groups of each length's contracts
     for i, group in enumerate(groups):
         by_length.setdefault(group[0].n, []).append(i)
     lengths = [(_LengthGroup([groups[i] for i in members], specs, config), members)
                for members in by_length.values()]
-    blocks = [(length, block) for length, _ in lengths for block in range(length.blocks)]
-    threads = max(min(workers, len(blocks)), 1)
-
-    def run(item):
-        length, block = item
-        try:
-            return length._run_block(block)
-        except Exception as exc:  # e.g. out of memory: fail every contract of this length
-            return [exc] * len(length.groups)
-
-    def finish(done):
-        results = [None] * len(groups)
-        for length, members in lengths:
-            finished = length.finish([next(done) for _ in range(length.blocks)])
-            for i, result in zip(members, finished):
-                results[i] = result
-        return results
-
-    if threads == 1:
-        return finish(map(run, blocks))
-    with closing(_in_threads(run, blocks, threads)) as done:
-        return finish(done)
-
-
-def _in_threads(run, items, threads: int):
-    """Yield run(item) for each of items, in order, as threads worker
-    threads compute them: each takes the next item under a lock and stores
-    its result at that item's index. An exception that escapes run (a
-    BaseException) is re-raised here when its item's turn comes. However
-    the generator stops, early or at the end, the workers take no further
-    item and are joined before it returns."""
-    results = [None] * len(items)
-    ready = [threading.Event() for _ in items]
+    blocks = [(g, block) for g, (length, _) in enumerate(lengths) for block in range(length.blocks)]
+    slots = [[None] * length.blocks for length, _ in lengths]  # each block's estimates
+    left = [length.blocks for length, _ in lengths]  # blocks not yet in; guarded by lock
+    results, escaped = [None] * len(groups), []
     lock = threading.Lock()
-    taken = 0  # items handed out; guarded by lock
+    taken = 0  # blocks handed out; guarded by lock
 
     def work():
         nonlocal taken
-        while True:
+        try:
+            while True:
+                with lock:
+                    i, taken = taken, taken + 1
+                if i >= len(blocks):
+                    return
+                g, block = blocks[i]
+                length, members = lengths[g]
+                try:
+                    slots[g][block] = length._run_block(block)
+                except Exception as exc:  # e.g. out of memory: fail every contract of this length
+                    slots[g][block] = [exc] * len(length.groups)
+                with lock:
+                    left[g] -= 1
+                    last = left[g] == 0
+                if last:
+                    for member, result in zip(members, length.finish(slots[g])):
+                        results[member] = result
+                    slots[g] = None
+        except BaseException as exc:  # re-raised on the calling thread
             with lock:
-                i, taken = taken, taken + 1
-            if i >= len(items):
-                return
-            try:
-                results[i] = (run(items[i]), None)
-            except BaseException as exc:  # re-raised on the calling thread
-                results[i] = (None, exc)
-            ready[i].set()
+                taken = len(blocks)
+            escaped.append(exc)
 
-    workers = [threading.Thread(target=work) for _ in range(threads)]
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(blocks)) - 1)]
     try:
-        for worker in workers:
-            worker.start()
-        for i in range(len(items)):
-            ready[i].wait()
-            result, exc = results[i]
-            results[i] = None  # a summarized group's estimates can go
-            if exc is not None:
-                raise exc
-            yield result
+        for thread in threads:
+            thread.start()
+        work()
     finally:
-        with lock:
-            taken = len(items)
-        for worker in workers:
-            if worker.ident is not None:  # started
-                worker.join()
+        with lock:  # no further block, should a thread fail to start
+            taken = len(blocks)
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if escaped:
+        raise escaped[0]
+    return results
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -617,24 +601,24 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - samples: sequence of LossSample.
     - grid: mapping of Measure to its parameter list, e.g.
       {Measure.VAR: [0.95, 0.99], Measure.SRM: [5, 20]}.
-    - workers: worker threads sharing the grid. A contract is a sample
-      together with the next one when that one is its mirror in the
-      opposite position, as to_losses makes them from one series; else
-      the sample alone. The contracts of equal length n read the same
-      resamples, split into fixed blocks, each with one stream of its own
-      keyed on the master seed, n and the block's ordinal; a VaR and ES
-      grid with shallow enough ends draws just the top order statistics
-      it reads, once for both positions (see the module docstring). So a
-      contract's cells do not depend on its place among the samples or on
-      the other samples, and the cells of contracts of one length are
-      correlated, each with the bootstrap distribution of a plain
-      resample. The threads take blocks, not contracts, so even the two
-      positions of one series use every worker once they have that many
+    - workers: threads sharing the grid, the calling thread among them. A
+      contract is a sample together with the next one when that one is its
+      mirror in the opposite position, as to_losses makes them from one
+      series; else the sample alone. The contracts of equal length n read
+      the same resamples, split into fixed blocks, each with one stream of
+      its own keyed on the master seed, n and the block's ordinal; a VaR
+      and ES grid with shallow enough ends draws just the top order
+      statistics it reads, once for both positions (see the module
+      docstring). So a contract's cells do not depend on its place among
+      the samples or on the other samples, and the cells of contracts of
+      one length are correlated, each with the bootstrap distribution of a
+      plain resample. The threads take blocks, not contracts, so even the
+      two positions of one series use every worker once they have that many
       blocks, and results are bit-identical for any worker count. The
-      threads share only the count of blocks taken, and each holds chunks
-      of about 4 MiB at a time: each block returns its estimates, and the
-      calling thread summarizes each contract from them. One worker runs
-      every block on the calling thread.
+      threads share only the count of blocks taken and each length's count
+      of blocks not yet in, and each holds chunks of about 4 MiB at a time;
+      the thread whose block completes a length summarizes that length's
+      contracts. One worker starts no thread.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of
@@ -650,6 +634,8 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
         _check_measure(measure)
     specs = [EstimatorSpec(measure, parameter)
              for measure in Measure if measure in grid for parameter in grid[measure]]
+    if not specs:
+        return ResultGrid(cells=(), config=config)
     groups = []  # the sample indices of each contract
     for i, sample in enumerate(samples):
         if groups and groups[-1] == [i - 1] and _mirrors(samples[i - 1], sample):

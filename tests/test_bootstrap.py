@@ -856,6 +856,36 @@ class TestRunGrid:
         grid = run_grid(mirrored_pair(301, 26, "A"), {Measure.ES: [0.95]}, config, workers=2)
         assert not grid.failed
 
+    def test_the_calling_thread_takes_blocks(self, monkeypatch):
+        """The calling thread runs the block loop itself and starts one
+        thread fewer than the workers, and none past the blocks. One worker
+        runs every block on the calling thread and starts no thread. At two
+        workers on four blocks, and at eight on two, the first two blocks
+        meet at a barrier, so two threads run them at once: the calling
+        thread and the one it started, with no third thread live."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 25 * 301)  # blocks of 25 rows
+        run_block, seen, barrier = bootstrap._LengthGroup._run_block, [], None
+
+        def spy(group, block):
+            seen.append((threading.current_thread(), threading.active_count()))
+            if barrier is not None and block < 2:
+                barrier.wait()
+            return run_block(group, block)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", spy)
+        caller, live = threading.current_thread(), threading.active_count()
+        for workers, resamples in ((1, 100), (2, 100), (8, 50)):
+            barrier = None if workers == 1 else threading.Barrier(2, timeout=10)
+            seen.clear()
+            config = BootstrapConfig(resamples=resamples, master_seed=10)
+            assert not run_grid(mirrored_pair(301, 26, "A"), {Measure.SRM: [5.0]}, config,
+                                workers).failed
+            threads, counts = zip(*seen)
+            assert len(seen) == resamples // 25
+            assert caller in threads
+            assert len(set(threads)) == min(workers, 2)
+            assert max(counts) == live + min(workers, 2) - 1
+
     def test_many_small_blocks_on_more_workers_than_cores(self, monkeypatch):
         """Threads switching every microsecond over many one-row blocks of
         several contracts, finishing out of order: each contract must still
@@ -894,6 +924,30 @@ class TestRunGrid:
             tracemalloc.stop()
         assert not grid.failed
         assert peak < (workers + 0.5) * 2 ** 20
+
+    def test_a_length_group_s_estimates_go_once_it_is_summarized(self, monkeypatch):
+        """Five mirrored pairs of lengths 400 to 404 form five length groups,
+        and the golden grid's 11 parameters make 110 cells. A block's
+        estimates take 8 bytes per resample and cell, so holding every
+        group's at once takes 8 * 5000 * 110 bytes, 4.4 MB, the bound here.
+        One group's take 8 * 5000 * 22 bytes, 0.88 MB, and the thread whose
+        block completes a group summarizes it and frees them, so one worker
+        holds them next to a 1 MiB chunk: about 2.2 MB. Summarizing every
+        group only after the last block takes about 5.7 MB."""
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
+        samples = [sample for n in range(400, 405) for sample in mirrored_pair(n, n, str(n))]
+        grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
+                Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        config = BootstrapConfig(resamples=5000, master_seed=11)
+        tracemalloc.start()
+        try:
+            result = run_grid(samples, grid, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.failed
+        assert len(result.cells) == 110
+        assert peak < 8 * config.resamples * len(result.cells)
 
     def test_paper_size_grid_holds_a_default_chunk_per_worker(self):
         """At the default chunk size, two workers on two n = 3392 contracts
@@ -1077,6 +1131,17 @@ class TestRunGrid:
                 run_grid(self.samples(), grid, config, workers)
         assert calls == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_grid_with_no_parameter_has_no_cells(self, monkeypatch, workers):
+        """A grid with no measure, or with a measure of no parameter, gives
+        a grid of no cells, as no samples do, and prepares no length group."""
+        taken = self.paths(monkeypatch)
+        config = BootstrapConfig(resamples=50, master_seed=7)
+        for grid in ({}, {Measure.VAR: []}):
+            assert run_grid(self.samples(), grid, config, workers) \
+                == bootstrap.ResultGrid(cells=(), config=config)
+        assert taken == []
+
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="at least 1 worker"):
             run_grid(self.samples(), self.GRID, BootstrapConfig(resamples=10), workers=0)
@@ -1108,9 +1173,9 @@ class TestRunGrid:
 
     def test_an_escaping_base_exception_reaches_the_caller(self):
         """A BaseException that is no Exception, raised by one block of
-        several on two worker threads, propagates out of run_grid, whether
-        its block is the first the caller waits for or a later one, and no
-        worker thread is left running. The run is a subprocess with a
+        several on two workers, propagates out of run_grid, whether its
+        block is the first, the second or the last one taken, and no other
+        thread is left running. The run is a subprocess with a
         timeout, so a caller left waiting fails the test."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = textwrap.dedent("""\
