@@ -21,25 +21,25 @@ block draws from one stream of its own, keyed on the master seed, n and
 the block's ordinal only (_contract_stream), never on a contract's place
 among the inputs.
 
-The path, one of two, is chosen from n and the specs alone, so every
-contract of a group takes it. With no spectral cell and every VaR and ES
-cell reading at most _TAIL_SHARE of a sorted row at its end, a block of
+The path, one of two, is chosen from the depth of the group's ends
+alone, the number of a sorted row's end columns that its deepest cell
+reads (all n for a spectral cell), so every contract of a group takes
+it. When that depth is at most _TAIL_SHARE of the row, a block of
 _TAIL_BLOCK_ELEMS // n rows draws just the top order statistics of its
-rows, as deep as the deepest cell, and every sample, long or short,
-reads its own losses at them. A short sample's losses there are the
-mirror of its contract's lowest long-oriented losses at n - 1 minus those
-indices, the bottom of a plain resample in law, so one draw serves both
-positions. Otherwise a block holds _BLOCK_ELEMS // n rows, and each chunk
-of its rows is drawn and sorted once; every contract of the group
-gathers its long-oriented losses at those sorted indices, and every cell
-of both positions reads that one sorted chunk, a short cell its low end
-mirrored. The spectral weights depend on n and the risk aversion alone,
-so the group builds them once, and a contract's SRM cells read its ends'
-rows of them in one reduction. On either path a contract's long and
-short cells read one draw, and the contracts of one length read common
-random numbers: their cells are not independent of one another, but each
-cell's own bootstrap distribution is that of a plain resample of its
-sample.
+rows, that deep, and every sample, long or short, reads its own losses
+at them. A short sample's losses there are the mirror of its contract's
+lowest long-oriented losses at n - 1 minus those indices, the bottom of
+a plain resample in law, so one draw serves both positions. Otherwise a
+block holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn
+and sorted once; every contract of the group gathers its long-oriented
+losses at those sorted indices, and every cell of both positions reads
+that one sorted chunk, a short cell its low end mirrored. The spectral
+weights depend on n and the risk aversion alone, so the group builds
+them once, and a contract's SRM cells read its ends' rows of them in one
+reduction. On either path a contract's long and short cells read one
+draw, and the contracts of one length read common random numbers: their
+cells are not independent of one another, but each cell's own bootstrap
+distribution is that of a plain resample of its sample.
 
 So results are bit-identical for a given seed no matter how many workers
 share the grid, in what order blocks run, how rows are chunked, in what
@@ -49,6 +49,18 @@ path: a row's top j order statistics do not depend on how deep its end
 is drawn. A cell's draws do depend on its group's path, so adding a
 spectral cell, or a VaR or ES cell past the cut-off, moves the VaR and ES
 cells of a tail group to whole rows.
+
+Each stage gets the array it reads. On the whole-row path a chunk's
+indices are a (rows, n) int32 array sorted along its rows; on the tail
+path a block's are one row-major (rows, depth) int32 array whose rows
+ascend (_tail_indices), taken in groups of rows. A contract gathers its
+losses at them into rows of ascending losses, so each row reduces as a
+lone row would, whatever the chunk or group. A block gives each contract
+one (cells, rows) array of estimates, cells sample by sample and spec by
+spec within a sample, or the exception that failed that contract. Once
+its blocks are in, a group joins each cell's rows in block order, one
+cell at a time, and summarizes it; the results go on as one list per
+sample, one entry per spec, in sample order.
 
 The blocks of all length groups are the unit of work. The calling thread
 prepares every group, then it and up to workers - 1 more threads, plain
@@ -199,7 +211,9 @@ class BootstrapResult:
     percentile interval of the resample estimates divided through by the
     point estimate. A degenerate resample distribution, every estimate
     equal, reports that value as the point, a standard error of exactly
-    zero and the interval (1.0, 1.0).
+    zero and the interval (1.0, 1.0). Resample estimates that spread but
+    have a mean of exactly zero keep their standard error and report the
+    interval (nan, nan): no interval can be divided by a zero point.
     """
 
     point_estimate: float
@@ -283,8 +297,8 @@ def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> BootstrapResul
 
 def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) -> np.ndarray:
     """The depth largest of each of rows draws of n iid indices in 0..n-1,
-    as a (depth, rows) int32 array whose level l holds each row's (l+1)-th
-    largest, so each column descends.
+    as a row-major (rows, depth) int32 array whose rows ascend, so column
+    depth - 1 - l holds each row's (l+1)-th largest.
 
     Renyi's representation of uniform order statistics: with E_0, E_1, ...
     iid standard exponential, exp(-(E_0/n + ... + E_l/(n-l))) has the law of
@@ -296,7 +310,7 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
     depend on depth. They are drawn and summed in slabs of levels of at
     most _CHUNK_BYTES // 8 bytes, each carrying the running sums of the one
     before, which neither changes a sum nor which draws a row reads."""
-    idx = np.empty((depth, rows), dtype=np.int32)
+    idx = np.empty((rows, depth), dtype=np.int32)
     levels = max(_CHUNK_BYTES // (64 * rows), 1)
     total = np.zeros(rows)
     for top in range(0, depth, levels):
@@ -310,7 +324,7 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
         np.exp(s, out=s)
         s *= n
         np.minimum(s, n - 1, out=s)  # n * exp(-S) rounds to n when S is below an ulp
-        idx[top:stop] = s  # truncates, which floors these non-negative values
+        idx[:, depth - stop:depth - top] = s[::-1].T  # truncates, a floor as s >= 0
         del s
     return idx
 
@@ -330,14 +344,10 @@ class _LengthGroup:
     may take, and their one reduction plan.
 
     groups holds each contract's samples: a lone sample or a pair of
-    mirrored samples of opposite positions. The constructor picks the path
-    from n and the specs alone, so every contract of the group shares it:
-    tail ends of _depth columns, or whole rows when _depth is None. The
-    config.resamples rows are split into blocks of block_rows,
-    _BLOCK_ELEMS // n on the whole-row path and _TAIL_BLOCK_ELEMS // n on
-    the tail path (at least 1), the last one partial, and block k draws
-    from _contract_stream(seed, n, k). A block draws each chunk of indices
-    once, and every contract of the group reads its own losses at them.
+    mirrored samples of opposite positions. The constructor picks the
+    group's path, tail ends of _depth columns or whole rows when _depth is
+    None, and splits the config.resamples rows into blocks of block_rows,
+    the last one partial; block k draws from _contract_stream(seed, n, k).
     Nothing changes after the constructor, so the threads only read a
     group.
 
@@ -359,17 +369,15 @@ class _LengthGroup:
         self.groups, self.specs, self.config = groups, specs, config
         self.n = n = groups[0][0].n
         # The depth of an end is how many of a sorted row's top (long) or
-        # bottom (short) columns the cells read; both positions share the
-        # specs, so it is the same at both ends. A VaR and ES grid shallow
-        # enough draws just that many order statistics of a row's top; the
-        # rest sort whole rows.
-        depth = max((n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
-                     for spec in specs), default=n)
-        srm = [spectral_weights(n, spec.parameter) for spec in specs if spec.measure is Measure.SRM]
-        self._depth = None if srm or depth > _TAIL_SHARE * n else depth
+        # bottom (short) columns the cells read, n for an SRM cell; both
+        # positions share the specs, so it is the same at both ends.
+        depth = max(n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
+                    for spec in specs)
+        self._depth = None if depth > _TAIL_SHARE * n else depth
         elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
         self.blocks = -(-config.resamples // self.block_rows)
+        srm = [spectral_weights(n, spec.parameter) for spec in specs if spec.measure is Measure.SRM]
         self._plan = np.array(srm + [w[::-1] for w in srm]).reshape(-1, n)
         if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
             self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
@@ -377,36 +385,31 @@ class _LengthGroup:
         else:
             self._reads = [[(sample.values, [False]) for sample in g] for g in groups]
 
-    def _reduce(self, rows, ends, cells, done: int):
+    def _reduce(self, rows, ends, cells):
         """Write the estimates of the cells that read rows, losses gathered
-        at a chunk of shared indices, to rows done onwards of the next
-        arrays of cells: one per spec for each of ends in turn. Whole rows
+        at a chunk of shared indices, to the next rows that the iterator
+        cells yields: one per spec for each of ends in turn. Whole rows
         serve every cell; tail rows hold only the columns the cells read."""
-        stop, method, k = done + rows.shape[0], self.config.quantile_method, len(self._plan) // 2
+        method, k = self.config.quantile_method, len(self._plan) // 2
         first = min(ends) * k  # the plan's rows of these ends, high before low
         srm = () if k == 0 else _evaluate_sorted(rows, Measure.SRM,
                                                  self._plan[first:(max(ends) + 1) * k]).T
         for mirrored in ends:
             columns = iter(srm[mirrored * k - first:])  # this end's SRM cells, in spec order
             for spec in self.specs:
-                out = next(cells)[done:stop]
                 if spec.measure is Measure.SRM:  # its column, signed as for a lone cell
-                    np.multiply(next(columns), -1.0 if mirrored else 1.0, out=out)
+                    np.multiply(next(columns), -1.0 if mirrored else 1.0, out=next(cells))
                 else:
-                    out[:] = _evaluate_sorted(rows, spec.measure, spec.parameter, method,
-                                              self.n, mirrored)
+                    next(cells)[:] = _evaluate_sorted(rows, spec.measure, spec.parameter, method,
+                                                      self.n, mirrored)
 
     def _run_block(self, block: int) -> list:
-        """Return, per contract, one array per cell of the estimates of the
-        block's rows, or the exception that failed that contract's gather or
-        reduction. An exception in the shared draw propagates: it fails every
-        contract of the group."""
+        """Return, per contract, the (cells, rows) array of the estimates of
+        the block's rows, or the exception that failed that contract's
+        gather or reduction. An exception in the shared draw propagates: it
+        fails every contract of the group."""
         rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
-        # One array per cell: at 21 kB each (a golden cell's block) the heap reuses
-        # them from block to block, while one array of them all took fresh pages on
-        # every block, and their faults cost 7 % of a golden grid's time.
-        estimates = [[np.empty(rows) for _ in range(len(group) * len(self.specs))]
-                     for group in self.groups]
+        estimates = [np.empty((len(group) * len(self.specs), rows)) for group in self.groups]
         stream = _contract_stream(self.config.master_seed, self.n, block)
         (self._run_whole if self._depth is None else self._run_tail)(stream, rows, estimates)
         return estimates
@@ -418,9 +421,9 @@ class _LengthGroup:
         for i, reads in enumerate(self._reads):
             if not isinstance(estimates[i], Exception):
                 try:
-                    cells = iter(estimates[i])
+                    cells = iter(estimates[i][:, done:done + idx.shape[0]])  # in cell order
                     for values, ends in reads:
-                        self._reduce(_gather(values, idx, buffer), ends, cells, done)
+                        self._reduce(_gather(values, idx, buffer), ends, cells)
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     estimates[i] = exc
 
@@ -445,20 +448,16 @@ class _LengthGroup:
         ascending rows, in groups of at most _CHUNK_BYTES // 8 bytes."""
         depth = self._depth
         gather_rows = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
-        idx = _tail_indices(stream, self.n, depth, rows)[::-1]
+        idx = _tail_indices(stream, self.n, depth, rows)
         buffer = np.empty((min(gather_rows, rows), depth))
         for done in range(0, rows, gather_rows):
-            # Gathered at the transposed view, the rows come out column-major,
-            # and ES would sum across rows in an order that depends on the group
-            # size; at a row-major copy of the indices every row sums as a lone one.
-            self._share(np.ascontiguousarray(idx[:, done:done + gather_rows].T),
-                        buffer, estimates, done)
+            self._share(idx[done:done + gather_rows], buffer, estimates, done)
 
     def finish(self, blocks) -> list:
         """Summarize the estimates that the group's blocks returned, in
-        block order. Returns, per contract, per sample, one entry per spec:
-        its BootstrapResult, or the exception that failed the contract, as
-        any block's did."""
+        block order, one cell at a time. Returns, per sample of the group's
+        contracts in turn, one entry per spec: its BootstrapResult, or the
+        exception that failed its contract, as any block's did."""
         k, results = len(self.specs), []
         for i, group in enumerate(self.groups):
             mine, cells = [b[i] for b in blocks], len(group) * k
@@ -469,36 +468,32 @@ class _LengthGroup:
                            for c in range(cells)]
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     out = [exc] * cells
-            results.append([out[j:j + k] for j in range(0, cells, k)])
+            results += (out[j:j + k] for j in range(0, cells, k))
         return results
 
 
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
-    return, per contract in the order of groups, what its length group's
-    finish returns for it (see _LengthGroup). specs holds at least one spec.
+    return, per sample in the order of groups, one entry per spec: its
+    BootstrapResult, or the exception that failed its contract. specs
+    holds at least one spec.
 
     The contracts of each length form one _LengthGroup, in the order of
-    their lengths' first appearance. The calling thread and up to
-    workers - 1 more threads run one loop: each takes the next block of
-    every length group, in group-major order, under a lock, draws its own
-    chunks of up to _CHUNK_BYTES, and puts the block's estimates in that
-    block's slot. The thread whose block is the last of its group to come
-    in finishes the group's contracts from the slots, in block order, and
-    drops them, so a group's estimates are freed as soon as it is complete.
-    An exception in a block's shared draw fails every contract of its
-    length. A BaseException that is no Exception stops every thread from
-    taking further blocks, and propagates from here once all are joined.
+    their lengths' first appearance, and the calling thread and up to
+    workers - 1 more run their blocks. An exception in a block's shared
+    draw fails every contract of its length. A BaseException that is no
+    Exception stops every thread from taking further blocks, and
+    propagates from here once all are joined.
     """
-    by_length = {}  # the indices in groups of each length's contracts
-    for i, group in enumerate(groups):
-        by_length.setdefault(group[0].n, []).append(i)
-    lengths = [(_LengthGroup([groups[i] for i in members], specs, config), members)
-               for members in by_length.values()]
-    blocks = [(g, block) for g, (length, _) in enumerate(lengths) for block in range(length.blocks)]
-    slots = [[None] * length.blocks for length, _ in lengths]  # each block's estimates
-    left = [length.blocks for length, _ in lengths]  # blocks not yet in; guarded by lock
-    results, escaped = [None] * len(groups), []
+    by_length = {}  # the contracts of each length
+    for group in groups:
+        by_length.setdefault(group[0].n, []).append(group)
+    lengths = [_LengthGroup(contracts, specs, config) for contracts in by_length.values()]
+    blocks = [(g, length, block) for g, length in enumerate(lengths)
+              for block in range(length.blocks)]
+    slots = [[None] * length.blocks for length in lengths]  # each block's estimates
+    left = [length.blocks for length in lengths]  # blocks not yet in; guarded by lock
+    finished, escaped = {}, []  # per length, its samples' results in turn
     lock = threading.Lock()
     taken = 0  # blocks handed out; guarded by lock
 
@@ -510,8 +505,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
                     i, taken = taken, taken + 1
                 if i >= len(blocks):
                     return
-                g, block = blocks[i]
-                length, members = lengths[g]
+                g, length, block = blocks[i]
                 try:
                     slots[g][block] = length._run_block(block)
                 except Exception as exc:  # e.g. out of memory: fail every contract of this length
@@ -520,8 +514,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
                     left[g] -= 1
                     last = left[g] == 0
                 if last:
-                    for member, result in zip(members, length.finish(slots[g])):
-                        results[member] = result
+                    finished[length.n] = iter(length.finish(slots[g]))
                     slots[g] = None
         except BaseException as exc:  # re-raised on the calling thread
             with lock:
@@ -541,7 +534,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
                 thread.join()
     if escaped:
         raise escaped[0]
-    return results
+    return [next(finished[group[0].n]) for group in groups for _ in group]
 
 
 def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
@@ -557,7 +550,7 @@ def bootstrap_estimate(sample: LossSample, estimator: EstimatorSpec,
     cells of VaR and ES grids on it, not those of a grid with a spectral
     cell.
     """
-    (((result,),),) = _bootstrap([[sample]], [estimator], config, 1)
+    ((result,),) = _bootstrap([[sample]], [estimator], config, 1)
     if isinstance(result, Exception):
         raise result
     return result
@@ -601,24 +594,20 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     - samples: sequence of LossSample.
     - grid: mapping of Measure to its parameter list, e.g.
       {Measure.VAR: [0.95, 0.99], Measure.SRM: [5, 20]}.
-    - workers: threads sharing the grid, the calling thread among them. A
-      contract is a sample together with the next one when that one is its
-      mirror in the opposite position, as to_losses makes them from one
-      series; else the sample alone. The contracts of equal length n read
-      the same resamples, split into fixed blocks, each with one stream of
-      its own keyed on the master seed, n and the block's ordinal; a VaR
-      and ES grid with shallow enough ends draws just the top order
-      statistics it reads, once for both positions (see the module
-      docstring). So a contract's cells do not depend on its place among
-      the samples or on the other samples, and the cells of contracts of
-      one length are correlated, each with the bootstrap distribution of a
-      plain resample. The threads take blocks, not contracts, so even the
-      two positions of one series use every worker once they have that many
-      blocks, and results are bit-identical for any worker count. The
-      threads share only the count of blocks taken and each length's count
-      of blocks not yet in, and each holds chunks of about 4 MiB at a time;
-      the thread whose block completes a length summarizes that length's
-      contracts. One worker starts no thread.
+    - workers: threads sharing the grid, the calling thread among them;
+      one worker starts no thread. The threads take blocks, not contracts,
+      so even the two positions of one series use every worker once they
+      have that many blocks, and results are bit-identical for any worker
+      count.
+
+    A contract is a sample together with the next one when that one is
+    its mirror in the opposite position, as to_losses makes them from one
+    series; else the sample alone. The contracts of equal length n read
+    the same resamples, in blocks with streams keyed on the master seed,
+    n and the block alone (see the module docstring). So a contract's
+    cells do not depend on its place among the samples or on the other
+    samples, and the cells of contracts of one length are correlated,
+    each with the bootstrap distribution of a plain resample.
 
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of
@@ -636,26 +625,23 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
              for measure in Measure if measure in grid for parameter in grid[measure]]
     if not specs:
         return ResultGrid(cells=(), config=config)
-    groups = []  # the sample indices of each contract
-    for i, sample in enumerate(samples):
-        if groups and groups[-1] == [i - 1] and _mirrors(samples[i - 1], sample):
-            groups[-1].append(i)
+    contracts = []
+    for sample in samples:
+        if contracts and len(contracts[-1]) == 1 and _mirrors(contracts[-1][0], sample):
+            contracts[-1].append(sample)
         else:
-            groups.append([i])
+            contracts.append([sample])
 
-    results = _bootstrap([[samples[i] for i in group] for group in groups], specs, config, workers)
-    cells = []
-    for group, contract_results in zip(groups, results):
-        for sample_index, sample_results in zip(group, contract_results):
-            sample = samples[sample_index]
-            for spec, result in zip(specs, sample_results):
-                failed = isinstance(result, Exception)
-                cells.append(GridCell(
-                    sample_index=sample_index,
-                    sample_label=sample.label,
-                    position=sample.position,
-                    measure=spec.measure,
-                    parameter=spec.parameter,
-                    result=None if failed else result,
-                    error=f"{type(result).__name__}: {result}" if failed else None))
+    cells, results = [], _bootstrap(contracts, specs, config, workers)
+    for i, (sample, sample_results) in enumerate(zip(samples, results)):
+        for spec, result in zip(specs, sample_results):
+            failed = isinstance(result, Exception)
+            cells.append(GridCell(
+                sample_index=i,
+                sample_label=sample.label,
+                position=sample.position,
+                measure=spec.measure,
+                parameter=spec.parameter,
+                result=None if failed else result,
+                error=f"{type(result).__name__}: {result}" if failed else None))
     return ResultGrid(cells=tuple(cells), config=config)

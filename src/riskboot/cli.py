@@ -365,6 +365,7 @@ def _cmd_validate(args) -> int:
     from .synthetic import (
         Normal,
         SyntheticSpec,
+        _check_n,
         generate,
         normal_es_oracle,
         normal_quantile,
@@ -375,6 +376,8 @@ def _cmd_validate(args) -> int:
     problems = []
     if args.n < 100:
         problems.append(f"--n must be at least 100 for the oracle checks, got {args.n}")
+    else:
+        _check_with("--n", _check_n, args.n, problems)
     seed, seed_source = _resolve_seed(args.seed, 7, problems)
     measures = _parse_list(args.measure.lower(), "--measure", Measure, _UNKNOWN_MEASURE, problems)
     if problems:

@@ -163,7 +163,7 @@ class TestTailDraw:
         1 - (1 - 1/n)**n, 0.6326 at n = 400. Over 200 000 tail draws at a
         fixed seed the share lands within 4 binomial standard errors."""
         n, rows = 400, 200_000
-        top = bootstrap._tail_indices(_contract_stream(3, n, 0), n, 1, rows)[0]
+        top = bootstrap._tail_indices(_contract_stream(3, n, 0), n, 1, rows)[:, -1]
         p = 1.0 - (1.0 - 1.0 / n) ** n
         share = np.count_nonzero(top == n - 1) / rows
         assert abs(share - p) < 4 * math.sqrt(p * (1.0 - p) / rows)
@@ -177,9 +177,11 @@ class TestTailDraw:
         n, rows, depth = 50, 20_000, 5
         tail = bootstrap._tail_indices(_contract_stream(4, n, 0), n, depth, rows)
         full = np.sort(_contract_stream(4, n, 1).integers(0, n, size=(rows, n)), axis=1)[:, ::-1]
-        assert np.all(np.diff(tail, axis=0) <= 0)  # every row descends
+        assert tail.shape == (rows, depth) and tail.flags.c_contiguous
+        assert np.all(np.diff(tail, axis=1) >= 0)  # every row ascends
         for j in range(depth):
-            gap = np.cumsum(np.bincount(tail[j], minlength=n) - np.bincount(full[:, j], minlength=n))
+            gap = np.cumsum(np.bincount(tail[:, -1 - j], minlength=n)
+                            - np.bincount(full[:, j], minlength=n))
             assert np.abs(gap).max() / rows < 0.03
 
 
@@ -207,8 +209,8 @@ class TestReductionPlan:
                 for rows in (1, 2, 5, 103):
                     chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
                     for group, [(_, ends)] in zip(groups, length._reads):
-                        estimates = [np.empty(rows) for _ in range(len(group) * vectors)]
-                        length._reduce(chunk, ends, iter(estimates), 0)
+                        estimates = np.empty((len(group) * vectors, rows))
+                        length._reduce(chunk, ends, iter(estimates))
                         cells = iter(estimates)
                         for sample in group:
                             mirrored = sample.position is Position.SHORT

@@ -89,6 +89,22 @@ class TestSynth:
         assert "--n: need n >= 1, got 0" in err
         assert "sigma" in err
 
+    def test_skewmix_writes_a_seeded_file(self, tmp_path, capsys):
+        a = synth_file(tmp_path, "a.csv", seed=5, dist="skewmix", extra=("--widen", "2"))
+        b = synth_file(tmp_path, "b.csv", seed=5, dist="skewmix", extra=("--widen", "2"))
+        out = capsys.readouterr().out
+        assert "[config] dist=skewmix(w=0.1;shift=-3;widen=2) n=80 seed=5" in out
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 81
+
+    def test_skewmix_without_width_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        code, out, err = run(["synth", "--dist", "skewmix", "--widen", "0", "--n", "10",
+                              "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: widen must be positive and finite, got 0.0\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("out, message", [
         ("", "--out {tmp}: is a directory"),
         ("taken/x.csv", "--out {tmp}/taken/x.csv: {tmp}/taken is not a directory"),
@@ -625,6 +641,17 @@ class TestValidate:
         assert out == ""
         assert "--n must be at least 100" in err
         assert "--measure: unknown measure 'huh', expected var, es or srm" in err
+
+    def test_n_past_the_last_synthetic_date_exits_two(self, capsys):
+        """validate draws its sample with generate, whose dates end at
+        9999-12-31, so a larger --n is a configuration error, collected
+        with the others, not a traceback."""
+        code, out, err = run(["validate", "--n", "2925228", "--measure", "huh"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[:2] == [
+            "config error: --n: need n <= 2925227, the days from 1991-01-01 to 9999-12-31, "
+            "got 2925228",
+            "config error: --measure: unknown measure 'huh', expected var, es or srm"]
 
 
 class TestTopLevel:

@@ -562,6 +562,16 @@ class TestSeriesContainers:
         taken = ReturnSeries("x", [date(2001, 1, 2), date(2001, 1, 3)], np.array([0.1, 0.2]))
         assert np.array_equal(taken.dates, days)
 
+    def test_dates_and_values_of_different_lengths_are_refused(self):
+        """A series holds one date per value: one date too many or too few
+        raises ValueError naming the values, whichever form the dates take."""
+        days = np.array(["2001-01-02", "2001-01-03", "2001-01-04"], "datetime64[D]")
+        for dates in (days, days[:1], [date(2001, 1, 2), date(2001, 1, 3), date(2001, 1, 4)]):
+            with pytest.raises(ValueError, match="^dates and prices have different lengths$"):
+                PriceSeries("x", dates, np.array([1.0, 2.0]))
+            with pytest.raises(ValueError, match="^dates and returns have different lengths$"):
+                ReturnSeries("x", dates, np.array([0.1, 0.2]))
+
     def test_not_a_time_is_refused(self):
         """NaT compares false with every day, so it is refused outright."""
         for dates in (["NaT"], ["2001-01-02", "NaT", "2001-01-04"]):

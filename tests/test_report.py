@@ -1,6 +1,7 @@
 """Report tables: builders, text rendering and machine round trips."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from riskboot import (
     MEAN_COLUMN,
     OVERALL_ROW,
     BootstrapConfig,
+    EstimatorSpec,
     LossSample,
     Measure,
     Position,
+    QuantileMethod,
     ReportTable,
     Row,
     RowGroup,
     Section,
     SummaryStats,
     build_measure_table,
+    bootstrap_estimate,
     build_summary_table,
     figure_csv,
     run_grid,
@@ -339,6 +343,34 @@ class TestTextRendering:
         assert not any(OVERALL_ROW in l for l in lines)
         n_line = next(l for l in lines if l.startswith("  n"))
         assert n_line.split() == ["n", "250", "250"]
+
+    def test_zero_point_cell_has_no_standardized_interval(self):
+        """The interpolated median of the losses -1 and 1 is 0 on the sample,
+        and its four resample estimates here (1 and -1 once, 0 twice) spread
+        but have mean 0 exactly. The cell keeps its standard error, has no CV, and
+        its interval, divided by a zero point, is (nan, nan): run_grid and
+        bootstrap_estimate agree, text prints n/a and [nan, nan], and CSV
+        an empty CV and nan, nan."""
+        sample = LossSample([-1.0, 1.0], label="zero")
+        config = BootstrapConfig(resamples=4, master_seed=26,
+                                 quantile_method=QuantileMethod.LINEAR_INTERPOLATION)
+        result = bootstrap_estimate(sample, EstimatorSpec(Measure.VAR, 0.5), config)
+        assert result.point_estimate == 0.0
+        assert result.std_error == pytest.approx(0.8165, abs=1e-4)
+        assert result.coeff_variation is None
+        assert all(math.isnan(end) for end in result.ci_standardized)
+        grid = run_grid([sample], {Measure.VAR: [0.5]}, config)
+        assert repr(grid.cells[0].result) == repr(result)
+        table = build_measure_table(grid, Measure.VAR)
+        lines = to_text(table).splitlines()
+        cv, ci = (lines[lines.index(title) + 3] for title in
+                  ("(c) Coefficients of variation", "(d) 90% confidence intervals"))
+        assert (cv.split(), ci.split()) == (["50%", "VaR", "n/a"], ["50%", "VaR", "[nan,", "nan]"])
+        assert [line for line in to_csv(table).splitlines() if ",zero," in line] == [
+            "var,(a) VaR estimates,Long position,50% VaR,zero,0.0,",
+            "var,(b) Standard errors,Long position,50% VaR,zero,0.816496580927726,",
+            "var,(c) Coefficients of variation,Long position,50% VaR,zero,,",
+            "var,(d) 90% confidence intervals,Long position,50% VaR,zero,nan,nan"]
 
     def test_position_headings_present(self, grid):
         text = to_text(build_measure_table(grid, Measure.ES))

@@ -46,3 +46,44 @@ def test_every_imported_name_is_used(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert [(name, line) for name, line in imported_names(tree) if name not in read] == []
+
+
+def private_definitions(tree):
+    """The private names a module defines, with the line of each: its
+    module-level functions, classes and assigned constants, and the
+    methods of its classes, whose names start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((target.id, node.lineno) for target in targets
+                        if isinstance(target, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_name_is_read():
+    """Each private function, class, constant or method that a module of
+    the package defines is read somewhere in the package: as a name, as
+    an attribute, or by a from-import, whose name the import check above
+    sees read. So a helper whose last caller went is removed with it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [(module, name, line) for module, tree in trees.items()
+              for name, line in private_definitions(tree) if is_private(name) and name not in read]
+    assert unread == []

@@ -116,6 +116,14 @@ class TestGenerate:
             StudentT(dof=4.0, scale=-1.0)
         with pytest.raises(ValueError, match="weight"):
             SkewedMix(weight=1.0)
+        for bad, message in [({"sigma": 0.0}, "sigma must be positive and finite"),
+                             ({"sigma": math.inf}, "sigma must be positive and finite"),
+                             ({"mu": math.nan}, "mu and shift must be finite"),
+                             ({"shift": -math.inf}, "mu and shift must be finite"),
+                             ({"widen": 0.0}, "widen must be positive and finite"),
+                             ({"widen": math.inf}, "widen must be positive and finite")]:
+            with pytest.raises(ValueError, match=message):
+                SkewedMix(**bad)
         with pytest.raises(ValueError, match="n >= 1"):
             SyntheticSpec(family=Normal(), n=0, seed=0)
         for n in (2.5, True):
