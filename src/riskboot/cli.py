@@ -110,8 +110,11 @@ def _parse_list(text, flag, parse, unparseable, problems):
     """The values of a comma list flag, in the order given. parse turns one
     stripped token into its value or raises ValueError, and then the
     problem is unparseable formatted with the token."""
+    tokens = list(filter(None, map(str.strip, text.split(","))))
+    if not tokens:
+        problems.append(f"{flag}: no usable values in {text!r}")
     values = []
-    for token in filter(None, (t.strip() for t in text.split(","))):
+    for token in tokens:
         try:
             value = parse(token)
         except ValueError:
@@ -121,8 +124,6 @@ def _parse_list(text, flag, parse, unparseable, problems):
             problems.append(f"{flag}: duplicate value {token!r}")
         else:
             values.append(value)
-    if not values:
-        problems.append(f"{flag}: no usable values in {text!r}")
     return values
 
 
@@ -310,31 +311,23 @@ def _cmd_estimate(args) -> int:
 # synth
 # ----------------------------------------------------------------------
 
-def _synth_family(args, problems):
-    from .synthetic import Normal, SkewedMix, StudentT
-
-    try:
-        if args.dist == "normal":
-            return Normal(mu=args.mu, sigma=args.sigma)
-        if args.dist == "t":
-            if args.dof is None:
-                problems.append("--dist t requires --dof")
-                return None
-            return StudentT(dof=args.dof, scale=args.scale)
-        return SkewedMix(mu=args.mu, sigma=args.sigma, weight=args.weight,
-                         shift=args.shift, widen=args.widen)
-    except ValueError as exc:
-        problems.append(str(exc))
-        return None
-
-
 def _cmd_synth(args) -> int:
-    from .synthetic import SyntheticSpec, _check_n, generate
+    from dataclasses import fields
+
+    from .synthetic import (Normal, SkewedMix, StudentT, SyntheticSpec, _FIELD_RULES, _check_n,
+                            generate)
 
     problems = []
     _check_with("--n", _check_n, args.n, problems)
     seed, seed_source = _resolve_seed(args.seed, 0, problems)
-    family = _synth_family(args, problems)
+    # each field of the family is a flag of the same name, checked by the field's rule
+    family = {"normal": Normal, "t": StudentT, "skewmix": SkewedMix}[args.dist]
+    params = {field.name: getattr(args, field.name) for field in fields(family)}
+    for name, value in params.items():
+        if value is None:
+            problems.append(f"--dist {args.dist} requires --{name}")
+        else:
+            _check_with(f"--{name}", _FIELD_RULES[name], value, problems)
     out = Path(args.out)
     found = _nearest_existing(out.parent)
     if out.is_dir():
@@ -344,8 +337,7 @@ def _cmd_synth(args) -> int:
     if problems:
         raise ConfigError(problems)
 
-    spec = SyntheticSpec(family=family, n=args.n, seed=seed, label=args.label)
-    series = generate(spec)
+    series = generate(SyntheticSpec(family=family(**params), n=args.n, seed=seed))
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -479,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--widen", type=float, default=3.0, help="contaminant sigma multiplier")
     syn.add_argument("--n", type=int, required=True)
     syn.add_argument("--seed", type=int, default=None)
-    syn.add_argument("--label", default="")
     syn.add_argument("--out", required=True, metavar="FILE")
 
     val = sub.add_parser("validate", help="check estimators against their oracles")

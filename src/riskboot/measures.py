@@ -116,11 +116,26 @@ def _check_alpha(alpha, noun="confidence level") -> float:
     lies strictly between 0 and 1. Both bools lie outside."""
     try:
         ok = math.isfinite(alpha) and 0.0 < alpha < 1.0
-    except TypeError:
+    except (TypeError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"{noun} must lie strictly between 0 and 1, got {alpha!r}")
     return float(alpha)
+
+
+def _check_real(value, name, above=None) -> float:
+    """value as a float; a ValueError names it unless it is a finite real
+    number, not a bool, and, when above is given, greater than above."""
+    try:
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and (above is None or value > above))
+    except (TypeError, OverflowError):  # an int past the float range overflows
+        ok = False
+    if not ok:
+        rule = ("a finite number" if above is None else "a positive finite number" if above == 0
+                else f"a finite number above {above:g}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
 def _order_stat_rank(alpha: float, n: int) -> int:
@@ -238,18 +253,13 @@ def expected_shortfall(sample: LossSample, alpha: float) -> float:
 def _check_aversion(k) -> float:
     """The risk aversion k as a float; ValueError unless the weights are
     defined and not numerically flat at k."""
-    try:
-        ok = not isinstance(k, bool) and math.isfinite(k) and k > 0.0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
+    k = _check_real(k, "risk aversion", above=0.0)
     if k < _MIN_RISK_AVERSION:
         raise ValueError(
             f"risk aversion {k!r} is below {_MIN_RISK_AVERSION:g}; the weights are "
             "numerically flat there and the measure collapses to the plain mean of "
             "losses, which should be used directly instead")
-    return float(k)
+    return k
 
 
 def _exp(x: np.ndarray) -> np.ndarray:

@@ -5,21 +5,26 @@ distributions; everything is deterministic in the seed. The oracles give
 reference values by independent routes: exact normal formulas for the
 quantile and tail mean, from the standard library's statistics.NormalDist,
 and direct numeric integration of the weighted quantile function for the
-spectral measure. The integration shares no code with the discrete cell
-weights used by the estimator, so the two routes can validate each other.
+spectral measure. The integrand's weight density is the measures module's
+_weight_density, whose libm exp gives the same bits on any CPU; the
+integration shares no code with the discrete cell weights used by the
+estimator, so the two routes can validate each other.
+
+Each distribution parameter has one rule, in _FIELD_RULES, which the
+families apply when they are built and the synth command applies to its
+flags of the same names.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
 
 from .bootstrap import _check_seed
 from .ingest import ReturnSeries
-from .measures import _check_alpha, _check_integer
+from .measures import _check_alpha, _check_aversion, _check_integer, _check_real, _weight_density
 
 _START_DATE = np.datetime64("1991-01-01")
 _MOST_N = (np.datetime64("9999-12-31") - _START_DATE).item().days + 1  # %Y has four digits
@@ -32,14 +37,31 @@ _standard_normal_ppf = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])
 # distribution families
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Normal:
-    mu: float = 0.0
-    sigma: float = 1.0
+# The rule of each family field, by name: the field as a float, or a ValueError.
+_FIELD_RULES = {
+    "mu": lambda x: _check_real(x, "mu"),
+    "shift": lambda x: _check_real(x, "shift"),
+    "sigma": lambda x: _check_real(x, "sigma", above=0.0),
+    "scale": lambda x: _check_real(x, "scale", above=0.0),
+    "widen": lambda x: _check_real(x, "widen", above=0.0),
+    "dof": lambda x: _check_real(x, "degrees of freedom", above=2.0),
+    "weight": lambda x: _check_alpha(x, "mixture weight"),
+}
+
+
+class _Family:
+    """Checks every field of a family dataclass by its rule and stores it
+    as a float; a bool is not a number."""
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"need finite mu and sigma > 0, got mu={self.mu!r} sigma={self.sigma!r}")
+        for name in (field.name for field in fields(self)):
+            object.__setattr__(self, name, _FIELD_RULES[name](getattr(self, name)))
+
+
+@dataclass(frozen=True)
+class Normal(_Family):
+    mu: float = 0.0
+    sigma: float = 1.0
 
     def draw(self, rng, n):
         return rng.normal(self.mu, self.sigma, n)
@@ -49,17 +71,11 @@ class Normal:
 
 
 @dataclass(frozen=True)
-class StudentT:
+class StudentT(_Family):
     """Student-t scaled by a constant. dof > 2 keeps the variance finite."""
 
     dof: float
     scale: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dof) and self.dof > 2.0):
-            raise ValueError(f"degrees of freedom must exceed 2, got {self.dof!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     def draw(self, rng, n):
         return self.scale * rng.standard_t(self.dof, n)
@@ -69,7 +85,7 @@ class StudentT:
 
 
 @dataclass(frozen=True)
-class SkewedMix:
+class SkewedMix(_Family):
     """Normal core contaminated by an occasional shifted, widened component.
 
     With probability weight the draw comes from
@@ -83,16 +99,6 @@ class SkewedMix:
     weight: float = 0.1
     shift: float = -3.0
     widen: float = 3.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not 0.0 < self.weight < 1.0:
-            raise ValueError(f"mixture weight must lie strictly between 0 and 1, got {self.weight!r}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.shift)):
-            raise ValueError("mu and shift must be finite")
-        if not (math.isfinite(self.widen) and self.widen > 0.0):
-            raise ValueError(f"widen must be positive and finite, got {self.widen!r}")
 
     def draw(self, rng, n):
         hit = rng.random(n) < self.weight
@@ -189,12 +195,12 @@ def _panel_edges(p_min: float, m: int) -> np.ndarray:
     return np.concatenate([lower[:-1], upper])
 
 
-def _composite_gl(quantile_fn, density, edges: np.ndarray) -> float:
+def _composite_gl(quantile_fn, k: float, edges: np.ndarray) -> float:
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     p = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    f = np.asarray(quantile_fn(p.ravel()), dtype=float).reshape(p.shape) * density(p)
+    f = np.asarray(quantile_fn(p.ravel()), dtype=float).reshape(p.shape) * _weight_density(p, k)
     return float(((f @ _GL_WEIGHTS) * half).sum())
 
 
@@ -204,7 +210,8 @@ def srm_quadrature_oracle(quantile_fn, k: float) -> float:
     Parameters:
     - quantile_fn: quantile function of the loss distribution; must accept a
       numpy array of probabilities strictly inside (0, 1).
-    - k: risk-aversion coefficient of the exponential weighting.
+    - k: risk-aversion coefficient of the exponential weighting; a
+      ValueError rejects the same k that spectral_weights rejects.
 
     The integrand below p_min = 1 - 36.9 / k is dropped: there the weight
     density is under 1e-16 of its peak and contributes nothing at double
@@ -215,18 +222,12 @@ def srm_quadrature_oracle(quantile_fn, k: float) -> float:
     functions, where the practical accuracy is far better than 1e-6
     relative.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"risk aversion must be a positive finite number, got {k!r}")
-    norm = -math.expm1(-k)
-
-    def density(p):
-        return k * np.exp(-k * (1.0 - p)) / norm
-
+    k = _check_aversion(k)
     p_min = max(0.0, 1.0 - 36.9 / k)
     m = _PANELS
     previous = None
     for _ in range(_MAX_DOUBLINGS + 1):
-        value = _composite_gl(quantile_fn, density, _panel_edges(p_min, m))
+        value = _composite_gl(quantile_fn, k, _panel_edges(p_min, m))
         if previous is not None and abs(value - previous) <= max(_REL_TOL * abs(value), _ABS_TOL):
             return value
         previous = value

@@ -102,8 +102,34 @@ class TestSynth:
         code, out, err = run(["synth", "--dist", "skewmix", "--widen", "0", "--n", "10",
                               "--out", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == "config error: widen must be positive and finite, got 0.0\n"
+        assert err == "config error: --widen: widen must be a positive finite number, got 0.0\n"
         assert not path.exists()
+
+    def test_every_bad_family_flag_is_named(self, tmp_path, capsys):
+        """Each family flag is checked by its field's rule, and every bad
+        one is reported under its own name before anything is written."""
+        path = tmp_path / "x.csv"
+        code, out, err = run(["synth", "--dist", "skewmix", "--sigma", "0", "--widen", "0",
+                              "--weight", "2", "--mu", "nan", "--shift", "inf", "--n", "10",
+                              "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "config error: --mu: mu must be a finite number, got nan",
+            "config error: --sigma: sigma must be a positive finite number, got 0.0",
+            "config error: --weight: mixture weight must lie strictly between 0 and 1, got 2.0",
+            "config error: --shift: shift must be a finite number, got inf",
+            "config error: --widen: widen must be a positive finite number, got 0.0",
+        ]
+        assert not path.exists()
+
+    def test_label_is_not_a_synth_flag(self, tmp_path, capsys):
+        """The file holds no label, so synth takes none; its config line
+        names the family."""
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--dist", "normal", "--n", "10", "--label", "x",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --label x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out, message", [
         ("", "--out {tmp}: is a directory"),
@@ -639,8 +665,9 @@ class TestValidate:
         code, out, err = run(["validate", "--n", "10", "--measure", "huh"], capsys)
         assert code == 2
         assert out == ""
-        assert "--n must be at least 100" in err
-        assert "--measure: unknown measure 'huh', expected var, es or srm" in err
+        assert err.splitlines() == [  # one line for the bad measure, not a second for the list
+            "config error: --n must be at least 100 for the oracle checks, got 10",
+            "config error: --measure: unknown measure 'huh', expected var, es or srm"]
 
     def test_n_past_the_last_synthetic_date_exits_two(self, capsys):
         """validate draws its sample with generate, whose dates end at

@@ -108,22 +108,37 @@ class TestGenerate:
         assert summary_stats(right).skewness > 0.3
 
     def test_family_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            Normal(sigma=0.0)
-        with pytest.raises(ValueError, match="exceed 2"):
-            StudentT(dof=2.0)
-        with pytest.raises(ValueError, match="scale"):
-            StudentT(dof=4.0, scale=-1.0)
-        with pytest.raises(ValueError, match="weight"):
-            SkewedMix(weight=1.0)
-        for bad, message in [({"sigma": 0.0}, "sigma must be positive and finite"),
-                             ({"sigma": math.inf}, "sigma must be positive and finite"),
-                             ({"mu": math.nan}, "mu and shift must be finite"),
-                             ({"shift": -math.inf}, "mu and shift must be finite"),
-                             ({"widen": 0.0}, "widen must be positive and finite"),
-                             ({"widen": math.inf}, "widen must be positive and finite")]:
-            with pytest.raises(ValueError, match=message):
-                SkewedMix(**bad)
+        """Each field has one rule, whatever the family; a bool, a string or
+        an int past the float range is refused, and every field is stored
+        as a float."""
+        for family, bad, message in [
+                (Normal, {"sigma": 0.0}, "sigma must be a positive finite number, got 0.0"),
+                (Normal, {"sigma": True}, "sigma must be a positive finite number, got True"),
+                (Normal, {"mu": "a"}, "mu must be a finite number, got 'a'"),
+                (Normal, {"sigma": 10**400},
+                 f"sigma must be a positive finite number, got {10**400}"),
+                (StudentT, {"dof": 2.0},
+                 "degrees of freedom must be a finite number above 2, got 2.0"),
+                (StudentT, {"dof": "3"},
+                 "degrees of freedom must be a finite number above 2, got '3'"),
+                (StudentT, {"dof": 4.0, "scale": -1.0},
+                 "scale must be a positive finite number, got -1.0"),
+                (SkewedMix, {"weight": 1.0},
+                 "mixture weight must lie strictly between 0 and 1, got 1.0"),
+                (SkewedMix, {"weight": 10**400},
+                 f"mixture weight must lie strictly between 0 and 1, got {10**400}"),
+                (SkewedMix, {"sigma": 0.0}, "sigma must be a positive finite number, got 0.0"),
+                (SkewedMix, {"sigma": math.inf}, "sigma must be a positive finite number, got inf"),
+                (SkewedMix, {"mu": math.nan}, "mu must be a finite number, got nan"),
+                (SkewedMix, {"shift": -math.inf}, "shift must be a finite number, got -inf"),
+                (SkewedMix, {"widen": 0.0}, "widen must be a positive finite number, got 0.0"),
+                (SkewedMix, {"widen": math.inf},
+                 "widen must be a positive finite number, got inf")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                family(**bad)
+        mix = SkewedMix(mu=1, sigma=np.float32(0.5), weight=np.float64(0.25))
+        assert [type(value) for value in vars(mix).values()] == [float] * 5
+        assert (mix.mu, mix.sigma, mix.weight) == (1.0, 0.5, 0.25)
         with pytest.raises(ValueError, match="n >= 1"):
             SyntheticSpec(family=Normal(), n=0, seed=0)
         for n in (2.5, True):
@@ -210,7 +225,7 @@ class TestQuadratureOracle:
         assert abs(value) < 1e-5  # standard normal mean is 0
 
     def test_bad_aversion_rejected(self):
-        for k in (0.0, -2.0, float("nan")):
+        for k in (0.0, -2.0, float("nan"), True, 10**400):
             with pytest.raises(ValueError, match="positive finite"):
                 srm_quadrature_oracle(normal_quantile, k)
 
