@@ -33,13 +33,16 @@ a plain resample in law, so one draw serves both positions. Otherwise a
 block holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn
 and sorted once; every contract of the group gathers its long-oriented
 losses at those sorted indices, and every cell of both positions reads
-that one sorted chunk, a short cell its low end mirrored. The spectral
-weights depend on n and the risk aversion alone, so the group builds
-them once, and a contract's SRM cells read its ends' rows of them in one
-reduction. On either path a contract's long and short cells read one
-draw, and the contracts of one length read common random numbers: their
-cells are not independent of one another, but each cell's own bootstrap
-distribution is that of a plain resample of its sample.
+that one sorted chunk, a short cell its low end through the mirror of
+_evaluate_sorted, the one estimator, for VaR, ES and SRM alike. The
+spectral weights depend on n and the risk aversion alone, so the group
+builds them once, as one plan per end: every SRM spec's weights for the
+high end, and the same weights reversed for the low end. An end's SRM
+cells read its plan in one reduction. On either path a contract's long
+and short cells read one draw, and the contracts of one length read
+common random numbers: their cells are not independent of one another,
+but each cell's own bootstrap distribution is that of a plain resample
+of its sample.
 
 So results are bit-identical for a given seed no matter how many workers
 share the grid, in what order blocks run, how rows are chunked, in what
@@ -50,17 +53,19 @@ is drawn. A cell's draws do depend on its group's path, so adding a
 spectral cell, or a VaR or ES cell past the cut-off, moves the VaR and ES
 cells of a tail group to whole rows.
 
-Each stage gets the array it reads. On the whole-row path a chunk's
-indices are a (rows, n) int32 array sorted along its rows; on the tail
-path a block's are one row-major (rows, depth) int32 array whose rows
-ascend (_tail_indices), taken in groups of rows. A contract gathers its
-losses at them into rows of ascending losses, so each row reduces as a
-lone row would, whatever the chunk or group. A block gives each contract
-one (cells, rows) array of estimates, cells sample by sample and spec by
-spec within a sample, or the exception that failed that contract. Once
-its blocks are in, a group joins each cell's rows in block order, one
-cell at a time, and summarizes it; the results go on as one list per
-sample, one entry per spec, in sample order.
+Each stage gets the array it reads. A block runs one chunk loop on
+either path, and the path decides only where a chunk's indices come
+from. On the whole-row path they are a fresh (rows, n) int32 draw sorted
+along its rows; on the tail path a block's are one row-major (rows,
+depth) int32 array whose rows ascend (_tail_indices), and a chunk is a
+slice of its rows. A contract gathers its losses at a chunk's indices
+into rows of ascending losses, so each row reduces as a lone row would,
+whatever the chunk or group. A block gives each contract one (cells,
+rows) array of estimates, cells sample by sample and spec by spec within
+a sample, or the exception that failed that contract. Once its blocks
+are in, a group joins each cell's rows in block order, one cell at a
+time, and summarizes it; the results go on as one list per sample, one
+entry per spec, in sample order.
 
 The blocks of all length groups are the unit of work. The calling thread
 prepares every group, then it and up to workers - 1 more threads, plain
@@ -341,7 +346,8 @@ def _gather(values, idx, buffer) -> np.ndarray:
 
 class _LengthGroup:
     """Every contract of one series length n, run as blocks that any thread
-    may take, and their one reduction plan.
+    may take, each in one chunk loop on either path, and their reduction
+    plans, one per end.
 
     groups holds each contract's samples: a lone sample or a pair of
     mirrored samples of opposite positions. The constructor picks the
@@ -357,12 +363,13 @@ class _LengthGroup:
     gather of the contract's long-oriented losses for all its samples; on
     the tail path each sample gathers its own losses for the high end.
 
-    The reduction plan, _plan, holds every SRM spec's weights as a row, in
-    spec order, once for the high end and once reversed for the low end,
-    in the block's column order: einsum runs about twice as fast on
-    contiguous weights as on a reversed view. A contract's SRM cells read
-    the rows of its ends, a contiguous slice of the plan, in one einsum
-    per whole-row chunk.
+    The reduction plans, _plans, hold one (K, n) stack per end, indexed by
+    mirrored: every SRM spec's weights as a row, in spec order, for the
+    high end, and the same rows reversed, in the block's column order, for
+    the low end. Each is contiguous, as einsum runs about twice as fast on
+    contiguous weights as on a reversed view. An end's SRM cells read its
+    plan in one _evaluate_sorted call per whole-row chunk, which mirrors
+    them as it mirrors VaR and ES.
     """
 
     def __init__(self, groups, specs, config: BootstrapConfig):
@@ -377,8 +384,9 @@ class _LengthGroup:
         elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
         self.blocks = -(-config.resamples // self.block_rows)
-        srm = [spectral_weights(n, spec.parameter) for spec in specs if spec.measure is Measure.SRM]
-        self._plan = np.array(srm + [w[::-1] for w in srm]).reshape(-1, n)
+        high = np.array([spectral_weights(n, spec.parameter)
+                         for spec in specs if spec.measure is Measure.SRM]).reshape(-1, n)
+        self._plans = (high, np.ascontiguousarray(high[:, ::-1]))
         if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
             self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
                              [sample.position is Position.SHORT for sample in g])] for g in groups]
@@ -390,68 +398,60 @@ class _LengthGroup:
         at a chunk of shared indices, to the next rows that the iterator
         cells yields: one per spec for each of ends in turn. Whole rows
         serve every cell; tail rows hold only the columns the cells read."""
-        method, k = self.config.quantile_method, len(self._plan) // 2
-        first = min(ends) * k  # the plan's rows of these ends, high before low
-        srm = () if k == 0 else _evaluate_sorted(rows, Measure.SRM,
-                                                 self._plan[first:(max(ends) + 1) * k]).T
+        method = self.config.quantile_method
         for mirrored in ends:
-            columns = iter(srm[mirrored * k - first:])  # this end's SRM cells, in spec order
+            plan = self._plans[mirrored]  # this end's SRM weights, in spec order
+            columns = iter(_evaluate_sorted(rows, Measure.SRM, plan, method, self.n, mirrored).T
+                           if len(plan) else ())
             for spec in self.specs:
-                if spec.measure is Measure.SRM:  # its column, signed as for a lone cell
-                    np.multiply(next(columns), -1.0 if mirrored else 1.0, out=next(cells))
-                else:
-                    next(cells)[:] = _evaluate_sorted(rows, spec.measure, spec.parameter, method,
-                                                      self.n, mirrored)
+                next(cells)[:] = (next(columns) if spec.measure is Measure.SRM else
+                                  _evaluate_sorted(rows, spec.measure, spec.parameter, method,
+                                                   self.n, mirrored))
 
     def _run_block(self, block: int) -> list:
         """Return, per contract, the (cells, rows) array of the estimates of
         the block's rows, or the exception that failed that contract's
         gather or reduction. An exception in the shared draw propagates: it
-        fails every contract of the group."""
+        fails every contract of the group.
+
+        The block's rows go in chunks, and each contract that has not failed
+        yet gathers its losses at a chunk's indices into one buffer in turn
+        and reduces them; an exception fails that contract alone. The path
+        only decides where a chunk's indices come from. On whole rows each
+        chunk of at most _CHUNK_BYTES is drawn and sorted along its rows.
+        On the tail path the block's top self._depth order statistics are
+        drawn once, and a chunk is a group of their rows that takes, with
+        the buffer it is gathered into, at most _CHUNK_BYTES // 8 bytes (12
+        bytes an element)."""
+        n, depth = self.n, self._depth
         rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
         estimates = [np.empty((len(group) * len(self.specs), rows)) for group in self.groups]
-        stream = _contract_stream(self.config.master_seed, self.n, block)
-        (self._run_whole if self._depth is None else self._run_tail)(stream, rows, estimates)
-        return estimates
-
-    def _share(self, idx, buffer, estimates: list, done: int):
-        """Let each contract that has not failed yet gather its losses at
-        the chunk of indices idx into buffer in turn, and reduce them; an
-        exception fails that contract alone."""
-        for i, reads in enumerate(self._reads):
-            if not isinstance(estimates[i], Exception):
-                try:
-                    cells = iter(estimates[i][:, done:done + idx.shape[0]])  # in cell order
-                    for values, ends in reads:
-                        self._reduce(_gather(values, idx, buffer), ends, cells)
-                except Exception as exc:  # e.g. out of memory: fail this contract's cells
-                    estimates[i] = exc
-
-    def _run_whole(self, stream, rows: int, estimates: list):
-        """Draw the block's rows in chunks of at most _CHUNK_BYTES and sort
-        each chunk once; every contract gathers its losses at it in turn."""
-        n = self.n
-        chunk_rows = min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
-        buffer = np.empty((min(chunk_rows, rows), n))
+        stream = _contract_stream(self.config.master_seed, n, block)
+        if depth is None:
+            width, chunk_rows = n, min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
+        else:
+            width, chunk_rows = depth, max(_CHUNK_BYTES // (96 * depth), 1)
+            tail = _tail_indices(stream, n, depth, rows)
+        buffer = np.empty((min(chunk_rows, rows), width))
         for done in range(0, rows, chunk_rows):
-            # int32 indices draw the same stream as the int64 default at half the
-            # memory. The values are sorted, so gathering them at sorted indices
-            # sorts each row, and 4-byte indices sort faster than 8-byte values.
-            idx = stream.integers(0, n, size=(min(chunk_rows, rows - done), n), dtype=np.int32)
-            idx.sort(axis=1)
-            self._share(idx, buffer, estimates, done)
+            if depth is None:
+                # int32 indices draw the same stream as the int64 default at half the
+                # memory. The values are sorted, so gathering them at sorted indices
+                # sorts each row, and 4-byte indices sort faster than 8-byte values.
+                idx = stream.integers(0, n, size=(min(chunk_rows, rows - done), n), dtype=np.int32)
+                idx.sort(axis=1)
+            else:
+                idx = tail[done:done + chunk_rows]
+            for i, reads in enumerate(self._reads):
+                if not isinstance(estimates[i], Exception):
+                    try:
+                        cells = iter(estimates[i][:, done:done + idx.shape[0]])  # in cell order
+                        for values, ends in reads:
+                            self._reduce(_gather(values, idx, buffer), ends, cells)
+                    except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                        estimates[i] = exc
             del idx  # so the next chunk's draw holds only its indices and the buffer
-
-    def _run_tail(self, stream, rows: int, estimates: list):
-        """Draw the top self._depth order statistics of each of the block's
-        rows once, and let every sample gather its own losses at them as
-        ascending rows, in groups of at most _CHUNK_BYTES // 8 bytes."""
-        depth = self._depth
-        gather_rows = max(_CHUNK_BYTES // (96 * depth), 1)  # 12 bytes an element
-        idx = _tail_indices(stream, self.n, depth, rows)
-        buffer = np.empty((min(gather_rows, rows), depth))
-        for done in range(0, rows, gather_rows):
-            self._share(idx[done:done + gather_rows], buffer, estimates, done)
+        return estimates
 
     def finish(self, blocks) -> list:
         """Summarize the estimates that the group's blocks returned, in

@@ -169,20 +169,22 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
                      method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
                      n: int | None = None, mirrored: bool = False) -> np.ndarray:
     """The one estimator: evaluate a measure on each row of a (rows, width)
-    array of ascending losses. arg is the confidence level for VAR and ES
-    and, for SRM, the length-n weight vector in the order of the full rows'
-    columns, or a (K, n) stack of K such vectors, which gives a (rows, K)
-    array; method applies to VAR only.
+    array of ascending losses. arg is the confidence level for VAR and ES,
+    which give one value per row, and for SRM always a (K, n) stack of K
+    length-n weight vectors in the order of the full rows' columns, which
+    gives a (rows, K) array, one column per vector; method applies to VAR
+    only.
 
     n is the length of the full sorted rows and defaults to width. A
     narrower array holds only their last width columns, which must cover
     _first_column of the measure. The public measures are its one-row
-    case.
+    case, spectral_risk_measure with a one-row stack.
 
-    mirrored evaluates the measure on the mirror image of the rows, the
-    losses of the opposite position: column j of the mirrored full rows is
-    -rows[:, n - 1 - j]. A narrower array then holds the first width
-    columns of the full rows, and an SRM arg is the mirrored sample's
+    mirrored evaluates any of the measures on the mirror image of the
+    rows, the losses of the opposite position: column j of the mirrored
+    full rows is -rows[:, n - 1 - j], and the value is negated here, so a
+    caller never negates one. A narrower array then holds the first width
+    columns of the full rows, and an SRM stack holds the mirrored sample's
     weights reversed, so that it still follows the columns of rows. The
     bootstrap passes mirrored rows only whole: its tail path gathers each
     sample's own losses and reads them unmirrored. Narrow mirrored rows
@@ -201,12 +203,10 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
         # einsum sums each row of a multi-row array in one fixed order, whatever
         # the row count; a BLAS matrix product does not. A lone row longer than
         # numpy's 8192-element buffer einsum sums in another order, so it reads
-        # one as two stacked copies of itself and keeps the first sum. Stacked
-        # weight vectors give each of them the same sums as a lone one.
-        subscripts = "ij,kj->ik" if arg.ndim == 2 else "ij,j->i"
-        if rows.shape[0] == 1:
-            return sign * np.einsum(subscripts, np.broadcast_to(rows, (2, rows.shape[1])), arg)[:1]
-        return sign * np.einsum(subscripts, rows, arg)
+        # one as two stacked copies of itself and keeps the first sum. Each
+        # vector of a stack gets the same sums as a one-row stack of it.
+        both = np.broadcast_to(rows, (2, rows.shape[1])) if rows.shape[0] == 1 else rows
+        return sign * np.einsum("ij,kj->ik", both, arg)[:rows.shape[0]]
     lo = sign * rows[:, c]
     if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:
         return lo
@@ -216,7 +216,7 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
 
 def _evaluate(sample: LossSample, measure: Measure, arg,
               method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
-    return float(_evaluate_sorted(sample.values[None, :], measure, arg, method)[0])
+    return _evaluate_sorted(sample.values[None, :], measure, arg, method).item()
 
 
 def value_at_risk(sample: LossSample, alpha: float,
@@ -306,4 +306,4 @@ def spectral_risk_measure(sample: LossSample, aversion: float) -> float:
     Rising weights keep the value between the sample mean and the sample
     maximum; it approaches the mean as k -> 0 and the maximum as k -> inf.
     """
-    return _evaluate(sample, Measure.SRM, spectral_weights(sample.n, aversion))
+    return _evaluate(sample, Measure.SRM, spectral_weights(sample.n, aversion)[None, :])

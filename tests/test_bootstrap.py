@@ -31,6 +31,7 @@ from riskboot.bootstrap import _contract_stream
 from riskboot.measures import _evaluate_sorted
 
 from exact_bootstrap import exact_order_law, exact_order_means
+import zreport
 
 
 def normal_sample(n=400, seed=2, label="x", position=Position.LONG):
@@ -187,14 +188,15 @@ class TestTailDraw:
 
 class TestReductionPlan:
     def test_stacked_srm_columns_equal_each_spec_s_own_reduction(self):
-        """A length group builds one reduction plan: every SRM spec's
-        weights as a row for the high end, then the same rows reversed for
-        the low end. A whole-row chunk reduces each contract's SRM cells in
-        one einsum over the plan's rows of its ends: a lone long sample, a
-        lone short sample, and a pair led by either position. Each cell
-        equals its spec's one-vector reduction bit for bit: for one-row
-        chunks, past numpy's 8192-element buffer, and for short cells,
-        whose rows are their weights reversed."""
+        """A length group builds one reduction plan per end: every SRM
+        spec's weights as a row for the high end, and the same rows
+        reversed for the low end, each a contiguous stack. A whole-row chunk
+        reduces each end's SRM cells in one _evaluate_sorted call on that
+        end's plan: a lone long sample, a lone short sample, and a pair led
+        by either position. Each cell equals its spec's one-vector
+        reduction, a one-row stack, bit for bit: for one-row chunks, past
+        numpy's 8192-element buffer, and for short cells, whose rows are
+        their weights reversed."""
         rng = np.random.default_rng(31)
         for n in (1, 400, 3392, 8193, 20_000):
             for vectors in (1, 3, 10):
@@ -202,10 +204,10 @@ class TestReductionPlan:
                 long, short = (LossSample(rng.standard_normal(n), position) for position in Position)
                 groups = [[long], [short], [long, short], [short, long]]
                 length = bootstrap._LengthGroup(groups, specs, BootstrapConfig())
-                plan = length._plan
-                assert plan.shape == (2 * vectors, n) and plan.flags.c_contiguous
-                high = [spectral_weights(n, spec.parameter) for spec in specs]
-                weights = {False: high, True: [np.ascontiguousarray(w[::-1]) for w in high]}
+                high = np.array([spectral_weights(n, spec.parameter) for spec in specs])
+                for mirrored, plan in enumerate(length._plans):
+                    assert plan.shape == (vectors, n) and plan.flags.c_contiguous
+                    assert np.array_equal(plan, high[:, ::-1] if mirrored else high)
                 for rows in (1, 2, 5, 103):
                     chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
                     for group, [(_, ends)] in zip(groups, length._reads):
@@ -214,9 +216,10 @@ class TestReductionPlan:
                         cells = iter(estimates)
                         for sample in group:
                             mirrored = sample.position is Position.SHORT
-                            for w in weights[mirrored]:
-                                own = _evaluate_sorted(chunk, Measure.SRM, w, mirrored=mirrored)
-                                assert np.array_equal(next(cells), own)
+                            for w in high:
+                                one = np.ascontiguousarray((w[::-1] if mirrored else w)[None, :])
+                                own = _evaluate_sorted(chunk, Measure.SRM, one, mirrored=mirrored)
+                                assert np.array_equal(next(cells), own[:, 0])
 
 
 def exact_test_samples(n):
@@ -324,6 +327,19 @@ class TestExactMeans:
             else:
                 assert se > 0.0 and abs(point - exact) <= 4.0 * se / math.sqrt(b), cell
         assert taken == [False]
+
+    def test_every_golden_cell_lies_near_its_exact_mean(self, capsys):
+        """tests/zreport.py on the committed golden run: every one of its 110
+        VaR, ES and SRM cells lies within 4 SE/sqrt(B) of its exact mean.
+        The goldens are fixed, so this fails only when they are regenerated
+        and a cell lands that far out, which a correct cell does with
+        probability 6.3e-5 under a normal approximation: at most 0.7 % for
+        the 110 together."""
+        assert zreport.main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        z = [float(line.split()[-1]) for line in lines[1:lines.index("")]]
+        assert len(z) == 110 and max(map(abs, z)) < 4.0
+        assert lines[-1].split()[:2] == ["all", "110"]
 
     @pytest.mark.parametrize("n", [40, 400])
     def test_order_var_cells_follow_their_exact_law(self, monkeypatch, n):

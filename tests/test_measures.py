@@ -215,9 +215,10 @@ class TestTailBlock:
                         assert np.array_equal(_evaluate_sorted(
                             head, measure, alpha, method, n=n, mirrored=True), full)
             for k in (5.0, 80.0):
-                w = spectral_weights(n, k)
-                full = _evaluate_sorted(rows, Measure.SRM, np.ascontiguousarray(w[::-1]),
+                w = spectral_weights(n, k)[None, :]  # a one-row stack
+                full = _evaluate_sorted(rows, Measure.SRM, np.ascontiguousarray(w[:, ::-1]),
                                         mirrored=True)
+                assert full.shape == (3, 1)
                 assert full == pytest.approx(_evaluate_sorted(short, Measure.SRM, w),
                                              rel=1e-12, abs=1e-12)
 
