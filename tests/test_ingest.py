@@ -604,6 +604,19 @@ class TestLogReturns:
         with pytest.raises(ValueError, match="ratio of consecutive prices leaves the float range"):
             log_returns(series)
 
+    def test_returns_are_libm_log_whatever_numpy_log_gives(self, monkeypatch):
+        """Each return is the platform libm's log of its ratio, bit for bit.
+        numpy's log, which picks its SIMD code by the CPU, is replaced by
+        one that rounds every value an ulp up, as a CPU whose dispatched
+        log differs would; the returns do not move with it."""
+        true_log = np.log
+        monkeypatch.setattr(np, "log", lambda x, *a, **k: np.nextafter(true_log(x), np.inf))
+        prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(7).normal(0.0, 0.01, 50)))
+        dates = np.arange(50).astype("datetime64[D]")
+        r = log_returns(PriceSeries("walk", dates, prices))
+        ratios = (prices[1:] / prices[:-1]).tolist()
+        assert r.returns.tolist() == [math.log(x) for x in ratios]
+
     def test_cumulative_sum_recovers_total_log_growth(self):
         import datetime
         rng = np.random.default_rng(42)

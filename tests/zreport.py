@@ -2,7 +2,7 @@
 bootstrap mean (B = infinity).
 
     python tests/zreport.py                       # the golden command's run
-    python tests/zreport.py --inputs DIR --tables DIR --resamples B
+    python tests/zreport.py --inputs DIR --tables DIR
 
 Each cell's point is the mean of B resample estimates, so it lies about
 SE/sqrt(B) from the exact mean that exact_bootstrap gives, where SE is the
@@ -13,7 +13,8 @@ of one run are correlated (across parameters, and across contracts through
 common random numbers), so a few past 2 are expected; one past 4 is not.
 
 The tables are the csv tables of `riskboot estimate --format csv` and the
-run.kv written with them. Each input is the file that run.kv names for
+run.kv written with them, which gives B, the quantile method and each
+label's input file. Each input is the file that run.kv names for
 its label, read from --inputs with its `return` column, as the golden
 command reads it (see tests/test_acceptance.py); a run from prices is not
 covered. A cell whose SE is zero gets no z. The exact means use numpy's
@@ -51,26 +52,27 @@ DATA = ROOT / "tests" / "data"
 POSITIONS = {"Long position": Position.LONG, "Short position": Position.SHORT}
 
 
-def _exact(measure, row, values, method):
+def _exact(measure, row, means, method):
     """The exact bootstrap mean of the cell of measure and row label (say
-    "95% VaR" or "ARA = 20") on the ascending losses values."""
-    means = exact_order_means(values)
+    "95% VaR" or "ARA = 20"), from the exact means of a sample's order
+    statistics."""
     if measure == "srm":
-        return float(spectral_weights(values.size, float(row.split("=")[1])) @ means)
+        return float(spectral_weights(means.size, float(row.split("=")[1])) @ means)
     alpha = float(row.split("%")[0]) / 100.0
     if measure == "var":
         return value_at_risk(LossSample(means), alpha, method)
     return expected_shortfall(LossSample(means), alpha)
 
 
-def z_scores(inputs: Path, tables: Path, resamples: int) -> list:
+def z_scores(inputs: Path, tables: Path) -> list:
     """(measure, position, row, label, point, exact, z) of every VaR, ES and
     SRM cell in the tables, z None where the SE is zero."""
     run = dict(line.split(" = ", 1) for line in
                (tables / "run.kv").read_text(encoding="utf-8").splitlines() if " = " in line)
     method = QuantileMethod(run["quantile_method"])
+    resamples = int(run["resamples"])
     files = dict(zip(run["labels"].split(","), run["inputs"].split(",")))
-    losses = {}  # per (label, position), its ascending losses
+    means = {}  # per (label, position), the exact means of its order statistics
     cells = []
     for measure in ("var", "es", "srm"):
         path = tables / f"{measure}.csv"
@@ -83,11 +85,11 @@ def z_scores(inputs: Path, tables: Path, resamples: int) -> list:
                 found.setdefault((r["position"], r["row"], r["column"]), {})[part] = r["value"]
         for (position, row, label), values in found.items():
             key = (label, POSITIONS[position])
-            if key not in losses:
+            if key not in means:
                 series = load_returns(inputs / files[label], return_col="return", label=label)
-                losses[key] = to_losses(series, key[1]).values
+                means[key] = exact_order_means(to_losses(series, key[1]).values)
             point, se = values["(a)"], values["(b)"]
-            exact = _exact(measure, row, losses[key], method)
+            exact = _exact(measure, row, means[key], method)
             z = (point - exact) / (se / math.sqrt(resamples)) if se > 0.0 else None
             cells.append((measure, position, row, label, point, exact, z))
     return cells
@@ -99,10 +101,8 @@ def main(argv=None) -> int:
                         help="directory of the input files (default: tests/data/inputs)")
     parser.add_argument("--tables", type=Path, default=DATA / "golden",
                         help="directory of the csv tables and run.kv (default: tests/data/golden)")
-    parser.add_argument("--resamples", type=int, default=5000,
-                        help="the run's resample count B (default: 5000)")
     args = parser.parse_args(argv)
-    cells = z_scores(args.inputs, args.tables, args.resamples)
+    cells = z_scores(args.inputs, args.tables)
 
     print(f"{'measure':<8}{'position':<16}{'row':<10}{'label':<8}"
           f"{'point':>14}{'exact':>14}{'z':>8}")
