@@ -82,18 +82,20 @@ contract of its length.
 
 Memory: a block's estimates take 8 bytes per row and cell, and are held
 until their group is summarized. On the whole-row path each thread draws
-its rows in chunks of at most _CHUNK_BYTES, or of one row of 12 * n
-bytes once a row alone exceeds that: a chunk's int32 indices and one
-buffer that its contracts gather their losses into in turn, so the
-chunks of a grid take about _CHUNK_BYTES per thread. The rows per chunk
-depend on n alone, never on the worker count. Even so, a block's draws
-do not depend on how its rows are chunked, as each bounded int32 draw
-takes the next 32 bits of its stream, and every estimator reduces each
-row in a fixed order whatever the number of rows, so neither do the
-estimates. On the tail path a thread holds one block's int32 indices, at
-most _TAIL_BLOCK_ELEMS bytes (4 MiB) at the cut-off, and works on them in
-slabs of levels and groups of rows of at most _CHUNK_BYTES // 8 bytes
-each.
+its rows in chunks of at most _CHUNK_BYTES, or of two rows of 12 * n
+bytes each once a row exceeds half of it: a chunk's int32 indices and
+one buffer that its contracts gather their losses into in turn, so the
+chunks of a grid take about _CHUNK_BYTES per thread, and 24 * n bytes
+past n = 43 690. Two rows, not one, because the spectral estimator reads
+a lone row as two (_evaluate_sorted); only a block's last chunk can hold
+one row. The rows per chunk depend on n alone, never on the worker
+count. Even so, a block's draws do not depend on how its rows are
+chunked, as each bounded int32 draw takes the next 32 bits of its
+stream, and every estimator reduces each row in a fixed order whatever
+the number of rows, so neither do the estimates. On the tail path a
+thread holds one block's int32 indices, at most _TAIL_BLOCK_ELEMS bytes
+(4 MiB) at the cut-off, and works on them in slabs of levels and groups
+of rows of at most _CHUNK_BYTES // 2 bytes each.
 """
 
 from __future__ import annotations
@@ -119,14 +121,30 @@ from .measures import (
 
 # A chunk holds 12 bytes per element (int32 index and float64 value), and
 # each thread draws its own chunks: as many rows as fit in _CHUNK_BYTES, at
-# least 1 and at most _CHUNK_ROWS. Timed in run_grid at n = 400 to 97 084
-# and 1 to 4 workers, 4 MiB runs as fast as 8 to 32 MiB; at 2 MiB a row of
-# 97 084 losses fills a chunk alone and runs 10 to 14 % slower. The row cap
-# only binds below n = 683, and it stays for memory: without it a golden
-# chunk grows from 512 to 873 rows, run_grid's time is level (0.221 against
-# 0.223 s) and the golden command's peak RSS rises from 39.1 to 40.8 MB.
-_CHUNK_BYTES = 4 * 2 ** 20
-_CHUNK_ROWS = 512
+# least 2, so the budget alone bounds a chunk below n = 43 691. run_grid's
+# wall time (median of 10 alternating rounds of the minimum of 3 calls) and
+# the peak RSS of the riskboot estimate process (VmHWM, median of 4 to 6
+# runs), on a 2-CPU x86-64 host; the long_history row has the tail path's
+# slabs and chunks at an eighth of the budget:
+#
+#                                               4 MiB    2 MiB    1 MiB
+#     golden grid (n = 400), 1 worker  (ms)      116      109      113
+#     paper grid (n = 3392), 1 worker  (ms)      293      296      300
+#     paper grid (n = 3392), 2 workers (ms)      177      185      198
+#     SRM grid, n = 20 000, 2 workers  (ms)      137      146      154
+#     long_history ES 0.99, 2 workers  (ms)     13.1     15.9     19.7
+#     paper command, peak RSS          (MB)     47.7     42.8     40.6
+#     golden command, peak RSS         (MB)     44.4     42.4     41.4
+#
+# At 1 MiB a paper thread's chunks are 25 rows where they were 103, and a
+# golden thread's 218, where at 4 MiB a cap of 512 rows held them (peak RSS
+# 42.6 MB). The time goes to fixed costs per chunk, chiefly the six
+# estimator calls that each contract makes on it. The tail path's memory
+# is its block's indices, up to 4 MiB, so its slabs and chunks take half
+# the budget, 512 KiB, as they did at an eighth of 4 MiB: at an eighth of
+# 1 MiB the long_history command ran 4.6 % slower (wall_s, median of 10
+# alternating bench/run.py pairs).
+_CHUNK_BYTES = 2 ** 20
 
 # A contract gathers its losses at a chunk's int32 indices with take, which
 # casts them to intp first, in slabs of rows of at most _TAKE_ELEMS elements
@@ -168,7 +186,8 @@ _TAIL_BLOCK_ELEMS = 2 ** 22
 # It breaks even between 0.40 and 0.47 of the row, a lone sample near 0.5,
 # so time alone would allow a deeper cut-off. It stays at 0.25 for memory:
 # there a block's tail indices take at most 4 MiB (4 bytes for each of a
-# quarter of _TAIL_BLOCK_ELEMS), as much as a whole-row chunk.
+# quarter of _TAIL_BLOCK_ELEMS), four times a whole-row chunk, so a thread
+# on the tail path holds more than one on whole rows.
 _TAIL_SHARE = 0.25
 
 
@@ -284,9 +303,8 @@ def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> BootstrapResul
         ci = (1.0, 1.0)
     else:
         tail = (1.0 - config.ci_coverage) / 2.0
-        ordered = np.sort(estimates)[None, :]
-        lo, hi = (float(_evaluate_sorted(ordered, Measure.VAR, a, config.quantile_method)[0])
-                  for a in (tail, 1.0 - tail))
+        lo, hi = _evaluate_sorted(np.sort(estimates)[None, :], Measure.VAR, (tail, 1.0 - tail),
+                                  config.quantile_method)[0].tolist()
         if point == 0.0:
             ci = (math.nan, math.nan)  # standardization undefined
         else:
@@ -313,10 +331,10 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
     exactly in law. The exponentials are drawn level-major, all of a
     level's rows before the next level's, so a row's top j indices never
     depend on depth. They are drawn and summed in slabs of levels of at
-    most _CHUNK_BYTES // 8 bytes, each carrying the running sums of the one
+    most _CHUNK_BYTES // 2 bytes, each carrying the running sums of the one
     before, which neither changes a sum nor which draws a row reads."""
     idx = np.empty((rows, depth), dtype=np.int32)
-    levels = max(_CHUNK_BYTES // (64 * rows), 1)
+    levels = max(_CHUNK_BYTES // (16 * rows), 1)
     total = np.zeros(rows)
     for top in range(0, depth, levels):
         stop = min(top + levels, depth)
@@ -340,7 +358,7 @@ def _gather(values, idx, buffer) -> np.ndarray:
     rows = buffer[:idx.shape[0]]
     step = max(_TAKE_ELEMS // idx.shape[1], 1)
     for r in range(0, idx.shape[0], step):
-        np.take(values, idx[r:r + step], mode="clip", out=rows[r:r + step])
+        values.take(idx[r:r + step], mode="clip", out=rows[r:r + step])
     return rows
 
 
@@ -367,9 +385,11 @@ class _LengthGroup:
     mirrored: every SRM spec's weights as a row, in spec order, for the
     high end, and the same rows reversed, in the block's column order, for
     the low end. Each is contiguous, as einsum runs about twice as fast on
-    contiguous weights as on a reversed view. An end's SRM cells read its
-    plan in one _evaluate_sorted call per whole-row chunk, which mirrors
-    them as it mirrors VaR and ES.
+    contiguous weights as on a reversed view. _batches holds each measure
+    of the specs with its parameters, in spec order; the specs come in
+    Measure order, as run_grid makes them. Per chunk and end, the cells of
+    one measure take one _evaluate_sorted call: VaR and ES on their levels,
+    SRM on the end's plan, and the low end through the mirror.
     """
 
     def __init__(self, groups, specs, config: BootstrapConfig):
@@ -387,26 +407,23 @@ class _LengthGroup:
         high = np.array([spectral_weights(n, spec.parameter)
                          for spec in specs if spec.measure is Measure.SRM]).reshape(-1, n)
         self._plans = (high, np.ascontiguousarray(high[:, ::-1]))
+        self._batches = [(m, [spec.parameter for spec in specs if spec.measure is m])
+                         for m in Measure if any(spec.measure is m for spec in specs)]
         if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
             self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
                              [sample.position is Position.SHORT for sample in g])] for g in groups]
         else:
             self._reads = [[(sample.values, [False]) for sample in g] for g in groups]
 
-    def _reduce(self, rows, ends, cells):
-        """Write the estimates of the cells that read rows, losses gathered
-        at a chunk of shared indices, to the next rows that the iterator
-        cells yields: one per spec for each of ends in turn. Whole rows
-        serve every cell; tail rows hold only the columns the cells read."""
-        method = self.config.quantile_method
-        for mirrored in ends:
-            plan = self._plans[mirrored]  # this end's SRM weights, in spec order
-            columns = iter(_evaluate_sorted(rows, Measure.SRM, plan, method, self.n, mirrored).T
-                           if len(plan) else ())
-            for spec in self.specs:
-                next(cells)[:] = (next(columns) if spec.measure is Measure.SRM else
-                                  _evaluate_sorted(rows, spec.measure, spec.parameter, method,
-                                                   self.n, mirrored))
+    def _reduce(self, rows, ends):
+        """The estimates of the cells that read rows, losses gathered at a
+        chunk of shared indices, from one _evaluate_sorted call per measure
+        and end: for each of ends in turn, one (k, rows) array per measure
+        of the specs, k cells in spec order. Whole rows serve every cell;
+        tail rows hold only the columns the cells read."""
+        return [_evaluate_sorted(rows, measure, self._plans[mirrored] if measure is Measure.SRM
+                                 else args, self.config.quantile_method, self.n, mirrored).T
+                for mirrored in ends for measure, args in self._batches]
 
     def _run_block(self, block: int) -> list:
         """Return, per contract, the (cells, rows) array of the estimates of
@@ -418,19 +435,20 @@ class _LengthGroup:
         yet gathers its losses at a chunk's indices into one buffer in turn
         and reduces them; an exception fails that contract alone. The path
         only decides where a chunk's indices come from. On whole rows each
-        chunk of at most _CHUNK_BYTES is drawn and sorted along its rows.
+        chunk of at most _CHUNK_BYTES, or of two rows, is drawn and sorted
+        along its rows.
         On the tail path the block's top self._depth order statistics are
         drawn once, and a chunk is a group of their rows that takes, with
-        the buffer it is gathered into, at most _CHUNK_BYTES // 8 bytes (12
+        the buffer it is gathered into, at most _CHUNK_BYTES // 2 bytes (12
         bytes an element)."""
         n, depth = self.n, self._depth
         rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
         estimates = [np.empty((len(group) * len(self.specs), rows)) for group in self.groups]
         stream = _contract_stream(self.config.master_seed, n, block)
         if depth is None:
-            width, chunk_rows = n, min(max(_CHUNK_BYTES // (12 * n), 1), _CHUNK_ROWS)
+            width, chunk_rows = n, max(_CHUNK_BYTES // (12 * n), 2)
         else:
-            width, chunk_rows = depth, max(_CHUNK_BYTES // (96 * depth), 1)
+            width, chunk_rows = depth, max(_CHUNK_BYTES // (24 * depth), 1)
             tail = _tail_indices(stream, n, depth, rows)
         buffer = np.empty((min(chunk_rows, rows), width))
         for done in range(0, rows, chunk_rows):
@@ -445,9 +463,9 @@ class _LengthGroup:
             for i, reads in enumerate(self._reads):
                 if not isinstance(estimates[i], Exception):
                     try:
-                        cells = iter(estimates[i][:, done:done + idx.shape[0]])  # in cell order
-                        for values, ends in reads:
-                            self._reduce(_gather(values, idx, buffer), ends, cells)
+                        np.concatenate([cells for values, ends in reads  # in cell order
+                                        for cells in self._reduce(_gather(values, idx, buffer), ends)],
+                                       out=estimates[i][:, done:done + idx.shape[0]])
                     except Exception as exc:  # e.g. out of memory: fail this contract's cells
                         estimates[i] = exc
             del idx  # so the next chunk's draw holds only its indices and the buffer

@@ -165,20 +165,22 @@ def _first_column(measure: Measure, arg, n: int,
     raise ValueError(f"unknown quantile method {method!r}")
 
 
-def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
+def _evaluate_sorted(rows: np.ndarray, measure: Measure, args,
                      method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
                      n: int | None = None, mirrored: bool = False) -> np.ndarray:
-    """The one estimator: evaluate a measure on each row of a (rows, width)
-    array of ascending losses. arg is the confidence level for VAR and ES,
-    which give one value per row, and for SRM always a (K, n) stack of K
-    length-n weight vectors in the order of the full rows' columns, which
-    gives a (rows, K) array, one column per vector; method applies to VAR
-    only.
+    """The one estimator: evaluate a measure at each of k parameters on each
+    row of a (rows, width) array of ascending losses, as a (rows, k) array,
+    one column per parameter in the order of args. args holds confidence
+    levels for VAR and ES, and for SRM always a (k, n) stack of k length-n
+    weight vectors in the order of the full rows' columns; method applies
+    to VAR only. VAR reads all its columns with one index, ES sums each
+    level's tail in turn and SRM reduces the stack in one einsum, and each
+    column equals the one its parameter gives alone, bit for bit.
 
     n is the length of the full sorted rows and defaults to width. A
     narrower array holds only their last width columns, which must cover
-    _first_column of the measure. The public measures are its one-row
-    case, spectral_risk_measure with a one-row stack.
+    _first_column of every parameter. The public measures are its one-row,
+    one-parameter case.
 
     mirrored evaluates any of the measures on the mirror image of the
     rows, the losses of the opposite position: column j of the mirrored
@@ -190,15 +192,7 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
     sample's own losses and reads them unmirrored. Narrow mirrored rows
     remain supported all the same."""
     n = rows.shape[1] if n is None else n
-    first = _first_column(measure, arg, n, method)
-    if mirrored:
-        sign, c, step = -1.0, n - 1 - first, -1
-        tail = rows[:, :c + 1]
-    else:  # c is the column of rows that holds column first of the full rows
-        sign, c, step = 1.0, first - n + rows.shape[1], 1
-        tail = rows[:, c:]
-    if measure is Measure.ES:
-        return sign * tail.mean(axis=1)
+    sign = -1.0 if mirrored else 1.0
     if measure is Measure.SRM:
         # einsum sums each row of a multi-row array in one fixed order, whatever
         # the row count; a BLAS matrix product does not. A lone row longer than
@@ -206,17 +200,25 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, arg,
         # one as two stacked copies of itself and keeps the first sum. Each
         # vector of a stack gets the same sums as a one-row stack of it.
         both = np.broadcast_to(rows, (2, rows.shape[1])) if rows.shape[0] == 1 else rows
-        return sign * np.einsum("ij,kj->ik", both, arg)[:rows.shape[0]]
+        return sign * np.einsum("ij,kj->ik", both, args)[:rows.shape[0]]
+    first = np.array([_first_column(measure, a, n, method) for a in args], dtype=np.intp)
+    # per parameter, c is the column of rows that holds column first of the full rows
+    c, step = (n - 1 - first, -1) if mirrored else (first - n + rows.shape[1], 1)
+    if measure is Measure.ES:  # a level's tail sum over its count: mean's own steps and bits
+        sums = np.array([np.add.reduce(rows[:, :j + 1] if mirrored else rows[:, j:], axis=1)
+                         for j in c])
+        return (sums / (sign * (n - first))[:, None]).T
     lo = sign * rows[:, c]
-    if method is QuantileMethod.ORDER_STATISTIC or first == n - 1:
-        return lo
-    h = 1.0 + arg * (n - 1)  # fractional rank, 1-indexed; its floor is first + 1
-    return lo + (h - (first + 1)) * (sign * rows[:, c + step] - lo)
+    if method is QuantileMethod.LINEAR_INTERPOLATION:
+        i = first < n - 1  # a level whose first column is the last reads that column alone
+        h = 1.0 + np.asarray(args)[i] * (n - 1)  # fractional rank, 1-indexed; its floor is first + 1
+        lo[:, i] += (h - (first[i] + 1)) * (sign * rows[:, c[i] + step] - lo[:, i])
+    return lo
 
 
-def _evaluate(sample: LossSample, measure: Measure, arg,
+def _evaluate(sample: LossSample, measure: Measure, args,
               method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
-    return _evaluate_sorted(sample.values[None, :], measure, arg, method).item()
+    return _evaluate_sorted(sample.values[None, :], measure, args, method).item()
 
 
 def value_at_risk(sample: LossSample, alpha: float,
@@ -232,7 +234,7 @@ def value_at_risk(sample: LossSample, alpha: float,
       around the fractional rank 1 + alpha * (n - 1).
     """
     _check_alpha(alpha)
-    return _evaluate(sample, Measure.VAR, alpha, method)
+    return _evaluate(sample, Measure.VAR, [alpha], method)
 
 
 def expected_shortfall(sample: LossSample, alpha: float) -> float:
@@ -243,7 +245,7 @@ def expected_shortfall(sample: LossSample, alpha: float) -> float:
     than value_at_risk at the same level.
     """
     _check_alpha(alpha)
-    return _evaluate(sample, Measure.ES, alpha)
+    return _evaluate(sample, Measure.ES, [alpha])
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from riskboot.bootstrap import _contract_stream
 from riskboot.measures import _evaluate_sorted
 
 from exact_bootstrap import exact_order_law, exact_order_means
+from spec_grid import spec_grid
 import zreport
 
 
@@ -211,9 +212,9 @@ class TestReductionPlan:
                 for rows in (1, 2, 5, 103):
                     chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
                     for group, [(_, ends)] in zip(groups, length._reads):
-                        estimates = np.empty((len(group) * vectors, rows))
-                        length._reduce(chunk, ends, iter(estimates))
-                        cells = iter(estimates)
+                        parts = length._reduce(chunk, ends)
+                        assert len(parts) == len(ends)  # one SRM call an end
+                        cells = iter(np.concatenate(parts))
                         for sample in group:
                             mirrored = sample.position is Position.SHORT
                             for w in high:
@@ -765,6 +766,51 @@ class TestRunGrid:
         self.check_bare_calls(monkeypatch, {Measure.VAR: [0.9, 0.95, 0.99],
                                             Measure.ES: [0.9, 0.95, 0.99]}, True)
 
+    def test_every_cell_equals_the_executable_specification(self, monkeypatch):
+        """tests/spec_grid.py states the protocol in one plain function, with
+        no chunks, buffers, plans or threads. Over 40 seeded random grids
+        every run_grid cell equals the specification's bit for bit, at 1 and
+        3 workers: lengths from 1 to 9000, past numpy's 8192-element einsum
+        buffer; mirrored pairs led by either position, lone samples of
+        either, and a short sample after a long one it does not mirror;
+        grids on both paths; both quantile methods; B of 2, 37 and 300; and
+        the chunk and block sizes patched down to a few thousand, so blocks
+        hold one row or many and chunks one, two or more rows. About 2 s."""
+        rng = np.random.default_rng(16)
+        levels = [0.001, 0.01, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, float(np.nextafter(1.0, 0.0))]
+        taken, lengths = self.paths(monkeypatch), set()
+        for trial in range(40):
+            for name in ("_CHUNK_BYTES", "_BLOCK_ELEMS", "_TAIL_BLOCK_ELEMS"):
+                monkeypatch.setattr(bootstrap, name, int(rng.integers(1, 6000)))
+            samples = []
+            ns = [int(np.exp(rng.uniform(0.0, math.log(9000)))) for _ in range(rng.integers(1, 4))]
+            if trial % 8 == 7:
+                ns[0] = int(rng.integers(8193, 9001))
+            for n in ns:  # a length may come twice: two contracts share its draws
+                lengths.add(n)
+                returns = rng.standard_t(4, n)
+                kind = rng.integers(4)
+                if kind < 2:  # a mirrored pair, led by either position
+                    pair = [LossSample(-returns, Position.LONG), LossSample(returns, Position.SHORT)]
+                    samples += pair[::1 - 2 * kind]
+                elif kind == 2:  # a lone sample of either position
+                    samples.append(LossSample(returns, Position(rng.choice(["long", "short"]))))
+                else:  # a short sample that does not mirror the long one before it
+                    samples += [LossSample(returns, Position.LONG),
+                                LossSample(rng.standard_normal(n), Position.SHORT)]
+            grid = {Measure.VAR: list(rng.choice(levels, rng.integers(1, 4), replace=False)),
+                    Measure.ES: list(rng.choice(levels, rng.integers(0, 3), replace=False))}
+            if trial % 2:
+                grid[Measure.SRM] = list(rng.choice([0.5, 5.0, 20.0, 80.0], rng.integers(1, 3)))
+            config = BootstrapConfig(resamples=[2, 37, 300][trial % 3], master_seed=trial,
+                                     quantile_method=list(QuantileMethod)[trial // 3 % 2])
+            expected = [repr(r) for results in spec_grid(samples, grid, config) for r in results]
+            for workers in (1, 3):
+                cells = run_grid(samples, grid, config, workers).cells
+                assert [repr(cell.result) for cell in cells] == expected
+        assert set(taken) == {True, False}
+        assert min(lengths) <= 2 and max(lengths) > 8192
+
     def test_more_workers_than_samples(self):
         config = BootstrapConfig(resamples=150, master_seed=5)
         samples = self.samples()[:1]
@@ -775,9 +821,11 @@ class TestRunGrid:
     def test_results_do_not_depend_on_the_chunk_budget(self, monkeypatch, rows):
         """The draws do not depend on how the rows are chunked, and every
         estimator reduces a row in one fixed order, so every cell of both
-        positions matches bit for bit. At n = 8193 a row is longer than
-        numpy's 8192-element buffer, past which einsum sums a one-row chunk
-        in another order unless the estimator guards against it."""
+        positions matches bit for bit. A budget of one row still makes
+        chunks of two. At n = 8193 a row is longer than numpy's 8192-element
+        buffer, past which einsum sums a one-row chunk in another order
+        unless the estimator guards against it: chunks of three rows leave
+        one row at the end of the 100-row block."""
         config = BootstrapConfig(resamples=100, master_seed=10)
         tails = {Measure.VAR: [0.5, 0.9, 0.99], Measure.ES: [0.95]}
         srm = {Measure.SRM: [5.0, 20.0]}
@@ -808,10 +856,10 @@ class TestRunGrid:
     def test_tail_memory_stays_within_the_budget(self, monkeypatch, workers):
         """At the cut-off depth, a block of 209 rows of 20 000 losses holds
         5000 tail indices a row, 4 MiB, where the rows' whole draws take
-        50 MB. Each worker holds one block's indices at a time, and an
-        eighth of the chunk size at most for the draw or the gather: 4.6 MiB
-        a worker here. Drawing or gathering a whole block at once would take
-        8 MiB more."""
+        50 MB. Each worker holds one block's indices at a time, and half
+        the chunk size at most for the draw or the gather: 4.9 MiB at one
+        worker and 9.4 MiB at two. Drawing or gathering a whole block at
+        once would take 8 MiB more."""
         n = 20_000
         alpha = 1.0 - bootstrap._TAIL_SHARE
         taken = self.paths(monkeypatch)
@@ -836,8 +884,10 @@ class TestRunGrid:
         bit for bit at any worker count and chunk size, on the path that
         draws the rows' tail ends and on the one that sorts them whole, and
         with rows both shorter and longer than numpy's 8192-element buffer.
-        On the tail path the chunk size sets the levels drawn at a time and
-        the rows gathered at a time, down to one of each."""
+        A whole-row chunk holds at least two rows, so a budget of one row
+        splits each 23-row block into eleven chunks of two and a last one of
+        one row. On the tail path the chunk size sets the levels drawn at a
+        time and the rows gathered at a time, down to one of each."""
         taken = self.paths(monkeypatch)
         config = BootstrapConfig(resamples=100, master_seed=10)
         chunk_bytes = bootstrap._CHUNK_BYTES
@@ -968,9 +1018,10 @@ class TestRunGrid:
         assert peak < 8 * config.resamples * len(result.cells)
 
     def test_paper_size_grid_holds_a_default_chunk_per_worker(self):
-        """At the default chunk size, two workers on two n = 3392 contracts
-        each hold chunks of 103 rows, about 4 MiB. The bound rules out
-        chunks of 16 MiB per worker, which take about 33 MiB here."""
+        """At the default chunk size of 1 MiB, two workers on two n = 3392
+        contracts each hold chunks of 25 rows: the tracemalloc peak is 2.5
+        MiB. With chunks of 4 MiB per worker (103 rows) it is 8.5 MiB, and
+        with 2 MiB it is 4.5 MiB; the bound lies between."""
         samples = [*mirrored_pair(3392, 34, "A"), *mirrored_pair(3392, 35, "B")]
         grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
                 Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
@@ -982,7 +1033,27 @@ class TestRunGrid:
         finally:
             tracemalloc.stop()
         assert not result.failed
-        assert peak < 12 * 2 ** 20
+        assert peak < 4 * 2 ** 20
+
+    def test_whole_row_chunks_hold_two_rows_where_the_budget_fits_fewer(self, monkeypatch):
+        """At n = 50 000 a row of int32 indices and float64 losses takes 12 *
+        n bytes, more than half the chunk budget, so each whole-row chunk
+        holds the floor of two rows: a one-row chunk would make the spectral
+        einsum read its row twice (see _evaluate_sorted). Six resamples make
+        three chunks of two rows, and both ends of the pair read each."""
+        n = 50_000
+        assert 12 * n > bootstrap._CHUNK_BYTES // 2
+        shapes, evaluate = [], bootstrap._evaluate_sorted
+
+        def spy(rows, *args):
+            shapes.append(rows.shape)
+            return evaluate(rows, *args)
+
+        monkeypatch.setattr(bootstrap, "_evaluate_sorted", spy)
+        grid = run_grid(mirrored_pair(n, 36, "A"), {Measure.VAR: [0.5], Measure.SRM: [5.0]},
+                        BootstrapConfig(resamples=6, master_seed=13))
+        assert not grid.failed
+        assert [shape for shape in shapes if shape[1] == n] == [(2, n)] * 12  # 3 chunks, 2 ends
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_block_fails_only_its_contract(self, monkeypatch, workers):

@@ -170,7 +170,8 @@ class TestTailBlock:
     def test_the_tail_from_the_first_column_gives_the_full_row_value(self):
         """The bootstrap sorts and gathers only the columns from _first_column
         on; fed that tail and the full row length, the estimator must return
-        the full-row value bit for bit."""
+        the full-row value bit for bit. Each level of a batch gives the
+        column that it gives alone, in the batch's order."""
         rng = np.random.default_rng(8)
         alphas = (0.001, 0.01, 0.5, 0.95, 0.999, float(np.nextafter(1.0, 0.0)))
         cases = [(Measure.VAR, method) for method in QuantileMethod]
@@ -178,15 +179,18 @@ class TestTailBlock:
         for n in (1, 2, 5, 257, 300):
             rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
             assert _first_column(Measure.SRM, spectral_weights(n, 5.0), n) == 0
-            for alpha in alphas:
-                for measure, method in cases:
-                    full = _evaluate_sorted(rows, measure, alpha, method)
-                    first = _first_column(measure, alpha, n, method)
-                    assert 0 <= first < n
-                    for k in range(first + 1):
-                        tail = rows[:, k:].copy()
-                        assert np.array_equal(
-                            _evaluate_sorted(tail, measure, alpha, method, n=n), full)
+            for measure, method in cases:
+                for batch in (alphas, alphas[::-1]):
+                    full = _evaluate_sorted(rows, measure, batch, method)
+                    assert full.shape == (3, len(batch))
+                    for j, alpha in enumerate(batch):
+                        first = _first_column(measure, alpha, n, method)
+                        assert 0 <= first < n
+                        for k in range(first + 1):
+                            tail = rows[:, k:].copy()
+                            assert np.array_equal(
+                                _evaluate_sorted(tail, measure, [alpha], method, n=n),
+                                full[:, j:j + 1])
 
     def test_the_mirrored_head_gives_the_opposite_position_s_value(self):
         """A short cell reads the long rows through the mirror, from their
@@ -201,19 +205,19 @@ class TestTailBlock:
         for n in (1, 2, 5, 257, 300):
             rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
             short = -rows[:, ::-1]
-            for alpha in alphas:
-                for measure, method in cases:
-                    full = _evaluate_sorted(rows, measure, alpha, method, mirrored=True)
-                    own = _evaluate_sorted(short, measure, alpha, method)
-                    if measure is Measure.VAR:
-                        assert np.array_equal(full, own)
-                    else:
-                        assert full == pytest.approx(own, rel=1e-12, abs=1e-12)
+            for measure, method in cases:
+                full = _evaluate_sorted(rows, measure, alphas, method, mirrored=True)
+                own = _evaluate_sorted(short, measure, alphas, method)
+                if measure is Measure.VAR:
+                    assert np.array_equal(full, own)
+                else:
+                    assert full == pytest.approx(own, rel=1e-12, abs=1e-12)
+                for j, alpha in enumerate(alphas):
                     first = _first_column(measure, alpha, n, method)
                     for k in range(n - first, n + 1):
                         head = rows[:, :k].copy()
                         assert np.array_equal(_evaluate_sorted(
-                            head, measure, alpha, method, n=n, mirrored=True), full)
+                            head, measure, [alpha], method, n=n, mirrored=True), full[:, j:j + 1])
             for k in (5.0, 80.0):
                 w = spectral_weights(n, k)[None, :]  # a one-row stack
                 full = _evaluate_sorted(rows, Measure.SRM, np.ascontiguousarray(w[:, ::-1]),
