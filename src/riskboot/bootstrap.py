@@ -34,15 +34,15 @@ block holds _BLOCK_ELEMS // n rows, and each chunk of its rows is drawn
 and sorted once; every contract of the group gathers its long-oriented
 losses at those sorted indices, and every cell of both positions reads
 that one sorted chunk, a short cell its low end through the mirror of
-_evaluate_sorted, the one estimator, for VaR, ES and SRM alike. The
-spectral weights depend on n and the risk aversion alone, so the group
-builds them once, as one plan per end: every SRM spec's weights for the
-high end, and the same weights reversed for the low end. An end's SRM
-cells read its plan in one reduction. On either path a contract's long
-and short cells read one draw, and the contracts of one length read
-common random numbers: their cells are not independent of one another,
-but each cell's own bootstrap distribution is that of a plain resample
-of its sample.
+the one estimator (measures._plan and _apply), for VaR, ES and SRM
+alike. The estimator's plans depend on n, the specs and the ends alone,
+so the group builds them once: per measure, one plan that reads a
+contract's two ends side by side, the spectral weights for the high end
+and the same weights reversed for the low end. On either path a
+contract's long and short cells read one draw, and the contracts of one
+length read common random numbers: their cells are not independent of
+one another, but each cell's own bootstrap distribution is that of a
+plain resample of its sample.
 
 So results are bit-identical for a given seed no matter how many workers
 share the grid, in what order blocks run, how rows are chunked, in what
@@ -60,11 +60,12 @@ along its rows; on the tail path a block's are one row-major (rows,
 depth) int32 array whose rows ascend (_tail_indices), and a chunk is a
 slice of its rows. A contract gathers its losses at a chunk's indices
 into rows of ascending losses, so each row reduces as a lone row would,
-whatever the chunk or group. A block gives each contract one (cells,
-rows) array of estimates, cells sample by sample and spec by spec within
-a sample, or the exception that failed that contract. Once its blocks
-are in, a group joins each cell's rows in block order, one cell at a
-time, and summarizes it; the results go on as one list per sample, one
+whatever the chunk or group, and writes each measure's estimates with
+one estimator call into its own columns of the contract's estimates,
+one row per cell, cells sample by sample and spec by spec within a
+sample. A block returns, per contract, the exception that failed it or
+None. Once its blocks are in, a group summarizes each contract in one
+pass over all its rows; the results go on as one list per sample, one
 entry per spec, in sample order.
 
 The blocks of all length groups are the unit of work. The calling thread
@@ -73,24 +74,27 @@ threading.Thread objects, run one loop: each takes the next block in
 group-major order under a lock, so a grid of one contract uses as many
 workers as it has blocks, and one worker starts no thread. The threads
 change no state but that count of blocks taken, each group's count of
-blocks not yet in and their blocks' result slots. The thread whose block
-is the last of its group to come in summarizes the group's contracts from
-the slots, in block order, and frees them, at any worker count. A
-run-time failure in one contract's gather or reduction fails only that
-contract's cells; a failure in a block's shared draw fails every
-contract of its length.
+blocks not yet in, their blocks' result slots and their blocks' columns
+of the estimates, which the thread that takes a group's first block
+allocates under that lock. The thread whose block is the last of its
+group to come in summarizes the group's contracts and frees their
+estimates, at any worker count. A run-time failure in one contract's
+gather or reduction fails only that contract's cells; a failure in a
+block's shared draw fails every contract of its length.
 
-Memory: a block's estimates take 8 bytes per row and cell, and are held
-until their group is summarized. On the whole-row path each thread draws
-its rows in chunks of at most _CHUNK_BYTES, or of two rows of 12 * n
-bytes each once a row exceeds half of it: a chunk's int32 indices and
-one buffer that its contracts gather their losses into in turn, so the
-chunks of a grid take about _CHUNK_BYTES per thread, and 24 * n bytes
-past n = 43 690. Two rows, not one, because the spectral estimator reads
-a lone row as two (_evaluate_sorted); only a block's last chunk can hold
-one row. The rows per chunk depend on n alone, never on the worker
-count. Even so, a block's draws do not depend on how its rows are
-chunked, as each bounded int32 draw takes the next 32 bits of its
+Memory: each contract of a group holds one (cells, B) array of
+estimates, 8 bytes per resample and cell. It is allocated as the group's
+first block is taken, written by the blocks at their own columns, and
+dropped once the group has summarized it. On the whole-row path each
+thread draws its rows in chunks of at most _CHUNK_BYTES, or of two rows
+of 12 * n bytes each once a row exceeds half of it: a chunk's int32
+indices and one buffer that its contracts gather their losses into in
+turn, so the chunks of a grid take about _CHUNK_BYTES per thread, and
+24 * n bytes past n = 43 690. Two rows, not one, because the spectral
+estimator reads a lone row as two (measures._apply); only a block's last
+chunk can hold one row. The rows per chunk depend on n alone, never on
+the worker count. Even so, a block's draws do not depend on how its rows
+are chunked, as each bounded int32 draw takes the next 32 bits of its
 stream, and every estimator reduces each row in a fixed order whatever
 the number of rows, so neither do the estimates. On the tail path a
 thread holds one block's int32 indices, at most _TAIL_BLOCK_ELEMS bytes
@@ -111,11 +115,12 @@ from .measures import (
     Measure,
     Position,
     QuantileMethod,
+    _apply,
     _check_alpha,
     _check_aversion,
     _check_integer,
-    _evaluate_sorted,
     _first_column,
+    _plan,
     spectral_weights,
 )
 
@@ -138,12 +143,12 @@ from .measures import (
 #
 # At 1 MiB a paper thread's chunks are 25 rows where they were 103, and a
 # golden thread's 218, where at 4 MiB a cap of 512 rows held them (peak RSS
-# 42.6 MB). The time goes to fixed costs per chunk, chiefly the six
-# estimator calls that each contract makes on it. The tail path's memory
-# is its block's indices, up to 4 MiB, so its slabs and chunks take half
-# the budget, 512 KiB, as they did at an eighth of 4 MiB: at an eighth of
-# 1 MiB the long_history command ran 4.6 % slower (wall_s, median of 10
-# alternating bench/run.py pairs).
+# 42.6 MB). The time goes to fixed costs per chunk, chiefly the estimator
+# calls that each contract makes on it: six at the time of this table, three
+# since. The tail path's memory is its block's indices, up to 4 MiB, so its
+# slabs and chunks take half the budget, 512 KiB, as they did at an eighth
+# of 4 MiB: at an eighth of 1 MiB the long_history command ran 4.6 % slower
+# (wall_s, median of 10 alternating bench/run.py pairs).
 _CHUNK_BYTES = 2 ** 20
 
 # A contract gathers its losses at a chunk's int32 indices with take, which
@@ -209,6 +214,9 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """The resample count, master seed, quantile method and interval
+    coverage of a bootstrap, each checked at construction."""
+
     resamples: int = 5000
     master_seed: int = 0
     quantile_method: QuantileMethod = QuantileMethod.ORDER_STATISTIC
@@ -285,37 +293,45 @@ def _mirrors(sample: LossSample, other: LossSample) -> bool:
             and np.array_equal(other.values, -sample.values[::-1]))
 
 
-def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> BootstrapResult:
+def _summarize(estimates: np.ndarray, config: BootstrapConfig) -> list:
+    """One BootstrapResult per row of a C-contiguous (cells, B) array of
+    resample estimates, in row order, from row-wise reductions over the
+    whole array, which give each row the bits that it gives alone. Sorts
+    the rows in place to read both interval ends of every row in one
+    estimator call."""
     # numpy's mean and std of equal floats can miss: 5000 copies of
     # 0.026978671376387032 have mean 0.026978671376387042 and std 1.04e-17
-    if estimates.min() == estimates.max():
-        point, std_error = float(estimates[0]), 0.0
-    else:
-        point = float(estimates.mean())
-        std_error = float(estimates.std(ddof=1))
-
-    if std_error > 0.0 and point != 0.0:
-        coeff_variation = point / std_error
-    else:
-        coeff_variation = None
-
-    if std_error == 0.0:
-        ci = (1.0, 1.0)
-    else:
-        tail = (1.0 - config.ci_coverage) / 2.0
-        lo, hi = _evaluate_sorted(np.sort(estimates)[None, :], Measure.VAR, (tail, 1.0 - tail),
-                                  config.quantile_method)[0].tolist()
-        if point == 0.0:
+    flats = (estimates.min(axis=1) == estimates.max(axis=1)).tolist()
+    firsts, points = estimates[:, 0].tolist(), estimates.mean(axis=1).tolist()
+    # std takes a temporary of its input's size, so it goes in slabs of rows
+    step, errors = max(_CHUNK_BYTES // (16 * estimates.shape[1]), 1), []
+    for r in range(0, len(estimates), step):
+        errors += estimates[r:r + step].std(axis=1, ddof=1).tolist()
+    estimates.sort(axis=1)
+    tail = (1.0 - config.ci_coverage) / 2.0
+    bounds = _apply(estimates, _plan(Measure.VAR, (tail, 1.0 - tail), estimates.shape[1],
+                                     config.quantile_method)).tolist()
+    results = []
+    for flat, first, point, std_error, (lo, hi) in zip(flats, firsts, points, errors, bounds):
+        if flat:
+            point, std_error = first, 0.0
+        if std_error > 0.0 and point != 0.0:
+            coeff_variation = point / std_error
+        else:
+            coeff_variation = None
+        if std_error == 0.0:
+            ci = (1.0, 1.0)
+        elif point == 0.0:
             ci = (math.nan, math.nan)  # standardization undefined
         else:
             lo, hi = lo / point, hi / point
             ci = (min(lo, hi), max(lo, hi))
-
-    return BootstrapResult(
-        point_estimate=point,
-        std_error=std_error,
-        coeff_variation=coeff_variation,
-        ci_standardized=ci)
+        results.append(BootstrapResult(
+            point_estimate=point,
+            std_error=std_error,
+            coeff_variation=coeff_variation,
+            ci_standardized=ci))
+    return results
 
 
 def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) -> np.ndarray:
@@ -364,32 +380,33 @@ def _gather(values, idx, buffer) -> np.ndarray:
 
 class _LengthGroup:
     """Every contract of one series length n, run as blocks that any thread
-    may take, each in one chunk loop on either path, and their reduction
-    plans, one per end.
+    may take, each in one chunk loop on either path, with the estimator
+    plans that its chunks read and the estimates that its blocks write.
 
     groups holds each contract's samples: a lone sample or a pair of
     mirrored samples of opposite positions. The constructor picks the
     group's path, tail ends of _depth columns or whole rows when _depth is
     None, and splits the config.resamples rows into blocks of block_rows,
     the last one partial; block k draws from _contract_stream(seed, n, k).
-    Nothing changes after the constructor, so the threads only read a
-    group.
 
-    _reads holds, per contract, the losses it gathers at each chunk and the
-    ends that each gather serves, in sample order: False for the high end,
-    True for the low end mirrored. On the whole-row path that is one
-    gather of the contract's long-oriented losses for all its samples; on
-    the tail path each sample gathers its own losses for the high end.
+    _reads holds, per contract, the losses it gathers at each chunk, the
+    first of its samples that the gather serves, and the plans that reduce
+    the gathered rows, one per measure of the specs: on the whole-row path
+    one gather of the contract's long-oriented losses serves all its
+    samples, each through its own end, the high end for a long sample and
+    the low end mirrored for a short one; on the tail path each sample
+    gathers its own losses for the high end. A plan covers the gather's
+    ends side by side, so a chunk costs a contract one estimator call per
+    measure and gather. The constructor builds the plans once for the
+    group's row width and each tuple of ends its contracts read, with
+    every SRM spec's weights built once as one stack; the specs come in
+    Measure order, as run_grid makes them, so each measure's cells are one
+    slice of a sample's.
 
-    The reduction plans, _plans, hold one (K, n) stack per end, indexed by
-    mirrored: every SRM spec's weights as a row, in spec order, for the
-    high end, and the same rows reversed, in the block's column order, for
-    the low end. Each is contiguous, as einsum runs about twice as fast on
-    contiguous weights as on a reversed view. _batches holds each measure
-    of the specs with its parameters, in spec order; the specs come in
-    Measure order, as run_grid makes them. Per chunk and end, the cells of
-    one measure take one _evaluate_sorted call: VaR and ES on their levels,
-    SRM on the end's plan, and the low end through the mirror.
+    start allocates each contract's estimates, one row of B per cell, the
+    blocks write them at their own columns, and finish summarizes and
+    drops them. Nothing else changes after the constructor, so the threads
+    share a group freely.
     """
 
     def __init__(self, groups, specs, config: BootstrapConfig):
@@ -404,32 +421,49 @@ class _LengthGroup:
         elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
         self.blocks = -(-config.resamples // self.block_rows)
-        high = np.array([spectral_weights(n, spec.parameter)
-                         for spec in specs if spec.measure is Measure.SRM]).reshape(-1, n)
-        self._plans = (high, np.ascontiguousarray(high[:, ::-1]))
-        self._batches = [(m, [spec.parameter for spec in specs if spec.measure is m])
-                         for m in Measure if any(spec.measure is m for spec in specs)]
-        if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
-            self._reads = [[(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
-                             [sample.position is Position.SHORT for sample in g])] for g in groups]
-        else:
-            self._reads = [[(sample.values, [False]) for sample in g] for g in groups]
+        self._estimates = None
+        batches, at = [], 0  # per measure of the specs: its parameters and its cells' slice
+        for m in Measure:
+            args = [spec.parameter for spec in specs if spec.measure is m]
+            if m is Measure.SRM:
+                args = np.array([spectral_weights(n, k) for k in args]).reshape(-1, n)
+            if len(args):
+                batches.append((m, args, slice(at, at + len(args))))
+                at += len(args)
+        plans, width = {}, n if self._depth is None else depth  # per tuple of ends
 
-    def _reduce(self, rows, ends):
-        """The estimates of the cells that read rows, losses gathered at a
-        chunk of shared indices, from one _evaluate_sorted call per measure
-        and end: for each of ends in turn, one (k, rows) array per measure
-        of the specs, k cells in spec order. Whole rows serve every cell;
-        tail rows hold only the columns the cells read."""
-        return [_evaluate_sorted(rows, measure, self._plans[mirrored] if measure is Measure.SRM
-                                 else args, self.config.quantile_method, self.n, mirrored).T
-                for mirrored in ends for measure, args in self._batches]
+        def read(values, first, ends):  # one entry of _reads: a gather and what reduces it
+            if ends not in plans:
+                plans[ends] = [(_plan(m, args, n, config.quantile_method, width, ends), cells)
+                               for m, args, cells in batches]
+            return values, slice(first, first + len(ends)), plans[ends]
+
+        if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
+            self._reads = [[read(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
+                                 0, tuple(sample.position is Position.SHORT for sample in g))]
+                           for g in groups]
+        else:
+            self._reads = [[read(sample.values, i, (False,)) for i, sample in enumerate(g)]
+                           for g in groups]
+
+    def start(self):
+        """Allocate each contract's estimates, a (samples, specs, B) array
+        whose rows are its cells in order, or record the exception that
+        failed it; the group's first block to be taken calls this before
+        any of its blocks runs."""
+        self._estimates = []
+        for group in self.groups:
+            try:
+                self._estimates.append(np.empty((len(group), len(self.specs),
+                                                 self.config.resamples)))
+            except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                self._estimates.append(exc)
 
     def _run_block(self, block: int) -> list:
-        """Return, per contract, the (cells, rows) array of the estimates of
-        the block's rows, or the exception that failed that contract's
-        gather or reduction. An exception in the shared draw propagates: it
-        fails every contract of the group.
+        """Write the estimates of the block's rows into each contract's
+        columns of them, and return, per contract, None or the exception
+        that failed its gather or reduction. An exception in the shared
+        draw propagates: it fails every contract of the group.
 
         The block's rows go in chunks, and each contract that has not failed
         yet gathers its losses at a chunk's indices into one buffer in turn
@@ -442,8 +476,9 @@ class _LengthGroup:
         the buffer it is gathered into, at most _CHUNK_BYTES // 2 bytes (12
         bytes an element)."""
         n, depth = self.n, self._depth
-        rows = min(self.block_rows, self.config.resamples - block * self.block_rows)
-        estimates = [np.empty((len(group) * len(self.specs), rows)) for group in self.groups]
+        first = block * self.block_rows
+        rows = min(self.block_rows, self.config.resamples - first)
+        failed = [out if isinstance(out, Exception) else None for out in self._estimates]
         stream = _contract_stream(self.config.master_seed, n, block)
         if depth is None:
             width, chunk_rows = n, max(_CHUNK_BYTES // (12 * n), 2)
@@ -460,32 +495,36 @@ class _LengthGroup:
                 idx.sort(axis=1)
             else:
                 idx = tail[done:done + chunk_rows]
-            for i, reads in enumerate(self._reads):
-                if not isinstance(estimates[i], Exception):
+            at = slice(first + done, first + done + idx.shape[0])
+            for i, (reads, out) in enumerate(zip(self._reads, self._estimates)):
+                if failed[i] is None:
                     try:
-                        np.concatenate([cells for values, ends in reads  # in cell order
-                                        for cells in self._reduce(_gather(values, idx, buffer), ends)],
-                                       out=estimates[i][:, done:done + idx.shape[0]])
+                        for values, samples, plans in reads:
+                            gathered = _gather(values, idx, buffer)
+                            for plan, cells in plans:  # each end's cells of one measure in turn
+                                out[samples, cells, at] = _apply(gathered, plan).T.reshape(
+                                    samples.stop - samples.start, -1, idx.shape[0])
                     except Exception as exc:  # e.g. out of memory: fail this contract's cells
-                        estimates[i] = exc
+                        failed[i] = exc
             del idx  # so the next chunk's draw holds only its indices and the buffer
-        return estimates
+        return failed
 
     def finish(self, blocks) -> list:
-        """Summarize the estimates that the group's blocks returned, in
-        block order, one cell at a time. Returns, per sample of the group's
-        contracts in turn, one entry per spec: its BootstrapResult, or the
-        exception that failed its contract, as any block's did."""
+        """Summarize each contract's estimates in one pass and drop them.
+        blocks holds what the group's blocks returned, in block order.
+        Returns, per sample of the group's contracts in turn, one entry per
+        spec: its BootstrapResult, or the exception that failed its
+        contract, as the first block in block order to fail it had."""
         k, results = len(self.specs), []
         for i, group in enumerate(self.groups):
-            mine, cells = [b[i] for b in blocks], len(group) * k
-            out = next(([b] * cells for b in mine if isinstance(b, Exception)), None)
+            cells = len(group) * k
+            out = next(([b[i]] * cells for b in blocks if b[i] is not None), None)
             if out is None:
                 try:
-                    out = [_summarize(np.concatenate([b[c] for b in mine]), self.config)
-                           for c in range(cells)]
+                    out = _summarize(self._estimates[i].reshape(cells, -1), self.config)
                 except Exception as exc:  # e.g. out of memory: fail this contract's cells
                     out = [exc] * cells
+            self._estimates[i] = None
             results += (out[j:j + k] for j in range(0, cells, k))
         return results
 
@@ -509,7 +548,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     lengths = [_LengthGroup(contracts, specs, config) for contracts in by_length.values()]
     blocks = [(g, length, block) for g, length in enumerate(lengths)
               for block in range(length.blocks)]
-    slots = [[None] * length.blocks for length in lengths]  # each block's estimates
+    slots = [[None] * length.blocks for length in lengths]  # each block's failures
     left = [length.blocks for length in lengths]  # blocks not yet in; guarded by lock
     finished, escaped = {}, []  # per length, its samples' results in turn
     lock = threading.Lock()
@@ -521,6 +560,8 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
             while True:
                 with lock:
                     i, taken = taken, taken + 1
+                    if i < len(blocks) and blocks[i][2] == 0:  # before any block of its group runs
+                        blocks[i][1].start()
                 if i >= len(blocks):
                     return
                 g, length, block = blocks[i]
@@ -533,7 +574,6 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
                     last = left[g] == 0
                 if last:
                     finished[length.n] = iter(length.finish(slots[g]))
-                    slots[g] = None
         except BaseException as exc:  # re-raised on the calling thread
             with lock:
                 taken = len(blocks)

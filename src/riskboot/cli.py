@@ -16,14 +16,19 @@ the run metadata.
 
 riskboot calls no BLAS, so importing this module asks numpy's bundled
 OpenBLAS for one thread (OPENBLAS_NUM_THREADS=1) unless the caller has set
-the variable or numpy is already loaded. `import riskboot` alone loads no
-numpy and sets nothing.
+the variable or numpy is already loaded. main starts with gc.freeze(): the
+objects that numpy's and riskboot's imports created live until the process
+ends, and frozen, neither the collections during a run nor those at exit
+walk them again; the collector stays enabled. `import riskboot` alone
+loads no numpy, sets nothing and leaves the collector alone, as run_grid
+does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from pathlib import Path
@@ -482,6 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The modules, classes and functions that exist by now, numpy's and
+    # riskboot's, live until the process ends: freezing them keeps the
+    # collections during the run and at exit from walking them again.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.command:

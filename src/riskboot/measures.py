@@ -33,16 +33,22 @@ _MIN_RISK_AVERSION = 1e-8
 
 
 class Position(Enum):
+    """The side of a holding, which sets the sign of its losses."""
+
     LONG = "long"
     SHORT = "short"
 
 
 class QuantileMethod(Enum):
+    """How value at risk reads its quantile from the sorted losses."""
+
     ORDER_STATISTIC = "order"
     LINEAR_INTERPOLATION = "interp"
 
 
 class Measure(Enum):
+    """The three tail risk measures: VaR, ES and the spectral measure."""
+
     VAR = "var"
     ES = "es"
     SRM = "srm"
@@ -152,8 +158,9 @@ def _tail_count(alpha: float, n: int) -> int:
 
 def _first_column(measure: Measure, arg, n: int,
                   method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> int:
-    """Lowest 0-based column of an ascending n-long row that _evaluate_sorted
-    reads for measure at arg: the columns below it never matter."""
+    """Lowest 0-based column of an ascending n-long row that the estimator
+    (_plan, _apply) reads for measure at arg: the columns below it never
+    matter."""
     if measure is Measure.ES:
         return n - _tail_count(arg, n)
     if measure is Measure.SRM:
@@ -165,34 +172,63 @@ def _first_column(measure: Measure, arg, n: int,
     raise ValueError(f"unknown quantile method {method!r}")
 
 
-def _evaluate_sorted(rows: np.ndarray, measure: Measure, args,
-                     method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
-                     n: int | None = None, mirrored: bool = False) -> np.ndarray:
-    """The one estimator: evaluate a measure at each of k parameters on each
-    row of a (rows, width) array of ascending losses, as a (rows, k) array,
-    one column per parameter in the order of args. args holds confidence
-    levels for VAR and ES, and for SRM always a (k, n) stack of k length-n
-    weight vectors in the order of the full rows' columns; method applies
-    to VAR only. VAR reads all its columns with one index, ES sums each
-    level's tail in turn and SRM reduces the stack in one einsum, and each
-    column equals the one its parameter gives alone, bit for bit.
+def _plan(measure: Measure, args, n: int,
+          method: QuantileMethod = QuantileMethod.ORDER_STATISTIC,
+          width: int | None = None, ends=(False,)) -> tuple:
+    """The plan step of the one estimator: what _apply reads to evaluate a
+    measure at each of k parameters on rows of ascending losses, for each
+    of ends in turn. args holds confidence levels for VAR and ES, and for
+    SRM always a (k, n) stack of k length-n weight vectors; method applies
+    to VAR only. The public measures are apply(plan(...)) on one row, one
+    parameter and one end, and a bootstrap length group builds its plans
+    once, for its row width and its contracts' ends.
 
-    n is the length of the full sorted rows and defaults to width. A
-    narrower array holds only their last width columns, which must cover
-    _first_column of every parameter. The public measures are its one-row,
-    one-parameter case.
+    n is the length of the full sorted rows and width that of the rows
+    _apply gets, n by default. Narrower rows hold only the last width
+    columns of the full rows, which must cover _first_column of every
+    parameter.
 
-    mirrored evaluates any of the measures on the mirror image of the
-    rows, the losses of the opposite position: column j of the mirrored
-    full rows is -rows[:, n - 1 - j], and the value is negated here, so a
-    caller never negates one. A narrower array then holds the first width
-    columns of the full rows, and an SRM stack holds the mirrored sample's
-    weights reversed, so that it still follows the columns of rows. The
-    bootstrap passes mirrored rows only whole: its tail path gathers each
-    sample's own losses and reads them unmirrored. Narrow mirrored rows
-    remain supported all the same."""
-    n = rows.shape[1] if n is None else n
-    sign = -1.0 if mirrored else 1.0
+    ends holds one flag per end, False for the rows' own losses and True
+    for their mirror image, the losses of the opposite position: column j
+    of the mirrored full rows is -rows[:, n - 1 - j], and the value is
+    negated by the plan, so a caller never negates one. A mirrored end of
+    narrower rows reads their first width columns instead, and its SRM
+    weights are the stack's reversed, so that they follow the columns of
+    the rows. The plan holds, per end and parameter in turn: for VAR the
+    column that it reads, its sign and, when interpolating, the next
+    column and the fraction between them; for ES the tail slice that it
+    sums and the signed count that divides the sum; for SRM the stack,
+    and for a mirrored end the stack reversed, with their signs."""
+    width = n if width is None else width
+    signs = np.repeat([-1.0 if mirrored else 1.0 for mirrored in ends], len(args))
+    if measure is Measure.SRM:
+        stack = np.concatenate([args[:, ::-1] if mirrored else args for mirrored in ends])
+        return measure, stack, signs, None
+    first = np.array([_first_column(measure, a, n, method) for a in args], dtype=np.intp)
+    # per end and parameter, the column of rows that holds column first of the full rows
+    cols = np.concatenate([n - 1 - first if mirrored else first - n + width for mirrored in ends])
+    first = np.tile(first, len(ends))
+    if measure is Measure.ES:  # a level's tail sum over its count: mean's own steps and bits
+        tails = [slice(None, c + 1) if s < 0 else slice(c, None)
+                 for c, s in zip(cols.tolist(), signs)]
+        return measure, tails, signs * (n - first), None
+    interpolate = None
+    if method is QuantileMethod.LINEAR_INTERPOLATION:
+        # a level whose first column is the last reads that column alone
+        i = np.flatnonzero(first < n - 1)
+        h = 1.0 + np.tile(np.asarray(args, dtype=float), len(ends))[i] * (n - 1)  # 1-indexed rank
+        interpolate = i, cols[i] + signs[i].astype(np.intp), h - (first[i] + 1)  # floor(h) = first + 1
+    return measure, cols, signs, interpolate
+
+
+def _apply(rows: np.ndarray, plan: tuple) -> np.ndarray:
+    """The apply step of the one estimator: the measure of plan on each row
+    of a (rows, width) array of ascending losses, as a (rows, ends * k)
+    array, the k parameters of each end in turn. VAR reads all its columns
+    with one index, ES sums each tail in turn and SRM reduces its stack in
+    one einsum, and each column equals the one its parameter and end give
+    alone, bit for bit."""
+    measure, reads, signs, interpolate = plan
     if measure is Measure.SRM:
         # einsum sums each row of a multi-row array in one fixed order, whatever
         # the row count; a BLAS matrix product does not. A lone row longer than
@@ -200,25 +236,20 @@ def _evaluate_sorted(rows: np.ndarray, measure: Measure, args,
         # one as two stacked copies of itself and keeps the first sum. Each
         # vector of a stack gets the same sums as a one-row stack of it.
         both = np.broadcast_to(rows, (2, rows.shape[1])) if rows.shape[0] == 1 else rows
-        return sign * np.einsum("ij,kj->ik", both, args)[:rows.shape[0]]
-    first = np.array([_first_column(measure, a, n, method) for a in args], dtype=np.intp)
-    # per parameter, c is the column of rows that holds column first of the full rows
-    c, step = (n - 1 - first, -1) if mirrored else (first - n + rows.shape[1], 1)
-    if measure is Measure.ES:  # a level's tail sum over its count: mean's own steps and bits
-        sums = np.array([np.add.reduce(rows[:, :j + 1] if mirrored else rows[:, j:], axis=1)
-                         for j in c])
-        return (sums / (sign * (n - first))[:, None]).T
-    lo = sign * rows[:, c]
-    if method is QuantileMethod.LINEAR_INTERPOLATION:
-        i = first < n - 1  # a level whose first column is the last reads that column alone
-        h = 1.0 + np.asarray(args)[i] * (n - 1)  # fractional rank, 1-indexed; its floor is first + 1
-        lo[:, i] += (h - (first[i] + 1)) * (sign * rows[:, c[i] + step] - lo[:, i])
+        return np.einsum("ij,kj->ik", both, reads)[:rows.shape[0]] * signs
+    if measure is Measure.ES:
+        sums = np.array([np.add.reduce(rows[:, tail], axis=1) for tail in reads])
+        return (sums / signs[:, None]).T
+    lo = rows[:, reads] * signs
+    if interpolate is not None:
+        i, following, fraction = interpolate
+        lo[:, i] += fraction * (rows[:, following] * signs[i] - lo[:, i])
     return lo
 
 
 def _evaluate(sample: LossSample, measure: Measure, args,
               method: QuantileMethod = QuantileMethod.ORDER_STATISTIC) -> float:
-    return _evaluate_sorted(sample.values[None, :], measure, args, method).item()
+    return _apply(sample.values[None, :], _plan(measure, args, sample.n, method)).item()
 
 
 def value_at_risk(sample: LossSample, alpha: float,

@@ -36,6 +36,8 @@ _POSITION_HEADING = {Position.LONG: "Long position", Position.SHORT: "Short posi
 
 @dataclass(frozen=True)
 class Row:
+    """One labelled row of a table: a cell per contract and their mean."""
+
     label: str
     cells: tuple  # one entry per contract: float, int, (lo, hi) pair or None
     mean: float | None
@@ -43,12 +45,16 @@ class Row:
 
 @dataclass(frozen=True)
 class RowGroup:
+    """The rows of one section for one position, in parameter order."""
+
     position: str  # "Long position", "Short position" or "" for unpositioned tables
     rows: tuple[Row, ...]
 
 
 @dataclass(frozen=True)
 class Section:
+    """One block of a table, such as the point estimates, by position."""
+
     label: str
     kind: str  # "estimate" | "stderr" | "cv" | "ci" | "summary"
     groups: tuple[RowGroup, ...]
@@ -57,6 +63,8 @@ class Section:
 
 @dataclass(frozen=True)
 class ReportTable:
+    """One output table: its contracts as columns, its sections and notes."""
+
     name: str  # short machine name: "summary", "var", "es", "srm"
     title: str
     contracts: tuple[str, ...]

@@ -60,6 +60,8 @@ class _Family:
 
 @dataclass(frozen=True)
 class Normal(_Family):
+    """Normal with mean mu and standard deviation sigma."""
+
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -112,6 +114,8 @@ class SkewedMix(_Family):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """One synthetic return series: its family, length, seed and label."""
+
     family: Normal | StudentT | SkewedMix
     n: int
     seed: int

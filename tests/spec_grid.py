@@ -5,7 +5,9 @@ spec_grid(samples, grid, config) gives, per sample, one BootstrapResult
 per spec, in run_grid's order, and a test requires each to equal the
 run_grid cell bit for bit. It uses only the leaf functions, each of which
 has oracles of its own: _contract_stream, _tail_indices, _first_column,
-_evaluate_sorted, spectral_weights and _summarize. It reads the block
+the estimator's _plan and _apply, spectral_weights and _summarize. Each
+cell is one _apply call per whole block at one end, and each sample one
+_summarize call over its cells. It reads the block
 sizes from the bootstrap module when called, so a test that patches them
 patches the specification too.
 """
@@ -14,7 +16,7 @@ import numpy as np
 
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream, _summarize, _tail_indices
-from riskboot.measures import Measure, Position, _evaluate_sorted, _first_column, spectral_weights
+from riskboot.measures import Measure, Position, _apply, _first_column, _plan, spectral_weights
 
 
 def spec_grid(samples, grid, config):
@@ -42,12 +44,11 @@ def spec_grid(samples, grid, config):
             long = lead.values if lead.position is Position.LONG else -lead.values[::-1]
             for i in contract:
                 # whole rows: the contract's long-oriented losses, a short cell through the
-                # mirror, which reads its weights reversed; tail rows: the sample's own losses
+                # mirror; tail rows: the sample's own losses
                 mirrored = samples[i].position is Position.SHORT and not tail
                 losses = samples[i].values if tail else long
-                args = [np.ascontiguousarray(spectral_weights(n, p)[None, ::-1 if mirrored else 1])
-                        if m is Measure.SRM else [p] for m, p in specs]
-                cells = [[_evaluate_sorted(losses[idx], m, a, method, n, mirrored)[:, 0]
-                          for idx in blocks] for (m, _), a in zip(specs, args)]
-                results[i] = [_summarize(np.concatenate(cell), config) for cell in cells]
+                cells = [np.concatenate([_apply(losses[idx], _plan(
+                    m, spectral_weights(n, p)[None, :] if m is Measure.SRM else [p], n, method,
+                    idx.shape[1], (mirrored,)))[:, 0] for idx in blocks]) for m, p in specs]
+                results[i] = _summarize(np.array(cells), config)
     return [results[i] for i in range(len(samples))]

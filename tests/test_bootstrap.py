@@ -1,5 +1,6 @@
 """Bootstrap precision: streams, resampling, cell estimates and the grid."""
 
+import collections
 import itertools
 import math
 import os
@@ -28,7 +29,7 @@ from riskboot import (
 )
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
-from riskboot.measures import _evaluate_sorted
+from riskboot.measures import _apply, _plan
 
 from exact_bootstrap import exact_order_law, exact_order_means
 from spec_grid import spec_grid
@@ -189,15 +190,15 @@ class TestTailDraw:
 
 class TestReductionPlan:
     def test_stacked_srm_columns_equal_each_spec_s_own_reduction(self):
-        """A length group builds one reduction plan per end: every SRM
-        spec's weights as a row for the high end, and the same rows
-        reversed for the low end, each a contiguous stack. A whole-row chunk
-        reduces each end's SRM cells in one _evaluate_sorted call on that
-        end's plan: a lone long sample, a lone short sample, and a pair led
-        by either position. Each cell equals its spec's one-vector
-        reduction, a one-row stack, bit for bit: for one-row chunks, past
-        numpy's 8192-element buffer, and for short cells, whose rows are
-        their weights reversed."""
+        """A length group builds one SRM plan per tuple of ends that its
+        contracts read, the ends side by side in one contiguous stack: every
+        SRM spec's weights as a row for a high end, and the same rows
+        reversed for a low end. A whole-row chunk reduces a contract's SRM
+        cells in one _apply call on its plan: a lone long sample, a lone
+        short sample, and a pair led by either position. Each cell equals
+        its spec's one-vector reduction at its own end, bit for bit: for
+        one-row chunks, past numpy's 8192-element buffer, and for short
+        cells, whose rows are their weights reversed."""
         rng = np.random.default_rng(31)
         for n in (1, 400, 3392, 8193, 20_000):
             for vectors in (1, 3, 10):
@@ -206,21 +207,85 @@ class TestReductionPlan:
                 groups = [[long], [short], [long, short], [short, long]]
                 length = bootstrap._LengthGroup(groups, specs, BootstrapConfig())
                 high = np.array([spectral_weights(n, spec.parameter) for spec in specs])
-                for mirrored, plan in enumerate(length._plans):
-                    assert plan.shape == (vectors, n) and plan.flags.c_contiguous
-                    assert np.array_equal(plan, high[:, ::-1] if mirrored else high)
-                for rows in (1, 2, 5, 103):
-                    chunk = np.sort(rng.standard_normal((rows, n)), axis=1)
-                    for group, [(_, ends)] in zip(groups, length._reads):
-                        parts = length._reduce(chunk, ends)
-                        assert len(parts) == len(ends)  # one SRM call an end
-                        cells = iter(np.concatenate(parts))
-                        for sample in group:
-                            mirrored = sample.position is Position.SHORT
+                chunks = [np.sort(rng.standard_normal((rows, n)), axis=1) for rows in (1, 2, 5, 103)]
+                for group, [(_, samples, [(plan, cells)])] in zip(groups, length._reads):
+                    ends = [sample.position is Position.SHORT for sample in group]
+                    assert (samples, cells) == (slice(0, len(group)), slice(0, vectors))
+                    stack = plan[1]
+                    assert stack.flags.c_contiguous
+                    assert np.array_equal(stack, np.vstack([high[:, ::-1] if m else high for m in ends]))
+                    for chunk in chunks:
+                        columns = iter(_apply(chunk, plan).T)  # one SRM call a contract
+                        for mirrored in ends:
                             for w in high:
-                                one = np.ascontiguousarray((w[::-1] if mirrored else w)[None, :])
-                                own = _evaluate_sorted(chunk, Measure.SRM, one, mirrored=mirrored)
-                                assert np.array_equal(next(cells), own[:, 0])
+                                own = _apply(chunk, _plan(Measure.SRM, w[None, :], n, ends=(mirrored,)))
+                                assert np.array_equal(next(columns), own[:, 0])
+                        assert next(columns, None) is None
+
+
+class TestWorkCounts:
+    def test_a_golden_shaped_grid_s_calls_per_chunk_contract_and_group(self, monkeypatch):
+        """Counts of calls, which no host's noise moves, pin what a grid of
+        the golden command's shape costs: five mirrored pairs, here of two
+        lengths, each with 11 parameters in two positions. At any chunk
+        size a chunk costs each contract one gather and one estimator call
+        per measure, which reads both ends side by side; each length group
+        builds one plan per measure, once, for the one tuple of ends that
+        its long-led pairs read; and each contract is summarized in one
+        call over its (22, B) estimates, whose interval ends take one plan
+        and one estimator call. B = 300 keeps every group in one block."""
+        counts = collections.Counter()
+
+        def spy(name, key):
+            real = getattr(bootstrap, name)
+
+            def counted(*args):
+                counts[key(*args)] += 1
+                return real(*args)
+
+            monkeypatch.setattr(bootstrap, name, counted)
+
+        spy("_plan", lambda measure, args, n, *rest: ("plan", n))
+        spy("_apply", lambda rows, plan: ("apply", rows.shape[1]))
+        spy("_gather", lambda values, idx, buffer: ("gather", values.size))
+        spy("_summarize", lambda estimates, config: ("summarize", estimates.shape))
+        samples = [sample for i, n in enumerate((400, 400, 400, 401, 401))
+                   for sample in mirrored_pair(n, 60 + i, str(i))]
+        grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
+                Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        b = 300
+        config = BootstrapConfig(resamples=b, master_seed=11)
+        for chunk_rows in (218, 7, 2):  # rows of a chunk at either length
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 401 * chunk_rows)
+            counts.clear()
+            assert not run_grid(samples, grid, config).failed
+            chunks = -(-b // chunk_rows)
+            assert counts == {("gather", 400): 3 * chunks, ("apply", 400): 3 * 3 * chunks,
+                              ("gather", 401): 2 * chunks, ("apply", 401): 3 * 2 * chunks,
+                              ("plan", 400): 3, ("plan", 401): 3,
+                              ("summarize", (22, b)): 5, ("plan", b): 5, ("apply", b): 5}
+
+
+def cell_summary(estimates, config):
+    """One cell's summary from its own 1-D estimates, the reference for the
+    one-pass summary: numpy's mean and std(ddof=1) of the row, or its first
+    value and 0.0 when every estimate is equal, and the interval ends read
+    by value_at_risk from the row's sorted estimates."""
+    if estimates.min() == estimates.max():
+        point, std_error = float(estimates[0]), 0.0
+    else:
+        point, std_error = float(estimates.mean()), float(estimates.std(ddof=1))
+    coeff_variation = point / std_error if std_error > 0.0 and point != 0.0 else None
+    if std_error == 0.0:
+        ci = (1.0, 1.0)
+    elif point == 0.0:
+        ci = (math.nan, math.nan)
+    else:
+        tail = (1.0 - config.ci_coverage) / 2.0
+        ends = [value_at_risk(LossSample(estimates), alpha, config.quantile_method) / point
+                for alpha in (tail, 1.0 - tail)]
+        ci = (min(ends), max(ends))
+    return bootstrap.BootstrapResult(point, std_error, coeff_variation, ci)
 
 
 def exact_test_samples(n):
@@ -474,6 +539,30 @@ class TestBootstrapEstimate:
         hi = ordered[math.ceil(0.95 * b - 1e-9) - 1] / result.point_estimate
         assert result.ci_standardized == (lo, hi)
 
+    @pytest.mark.parametrize("method", list(QuantileMethod))
+    def test_one_pass_summary_equals_the_cell_by_cell_summary(self, monkeypatch, method):
+        """_summarize reduces a contract's (cells, B) estimates row-wise in
+        one pass, its standard errors in slabs of rows, and sorts them in
+        place for the interval. Each row gives the BootstrapResult that the
+        cell-by-cell summary below gives that row alone, bit for bit: rows
+        that spread, a constant row, equal rows that mix 0.0 and -0.0, a
+        spread row of mean zero and rows of tiny values, with slabs of
+        three rows and of all of them."""
+        rng = np.random.default_rng(37)
+        b = 301
+        rows = [rng.standard_t(3, b), rng.normal(2.0, 0.1, b), np.full(b, 0.7),
+                np.append(-0.0, np.where(rng.random(b - 1) < 0.5, 0.0, -0.0)),
+                np.tile([-1.5, 1.5], b)[:b - 1],
+                1e-300 * rng.standard_normal(b), -rng.exponential(1.0, b)]
+        rows[4] = np.append(rows[4], 0.0)  # mean exactly zero
+        estimates = np.array(rows * 3)
+        for coverage in (0.9, 0.5):
+            config = BootstrapConfig(resamples=b, quantile_method=method, ci_coverage=coverage)
+            want = [cell_summary(row, config) for row in estimates]
+            for chunk_bytes in (16 * b * 3, bootstrap._CHUNK_BYTES):
+                monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", chunk_bytes)
+                assert bootstrap._summarize(estimates.copy(), config) == want
+
     def test_blocks_draw_from_their_own_streams(self, monkeypatch):
         """Blocks of 150 rows of 400 losses split 500 resamples into blocks
         of 150, 150, 150 and 50 rows, block k drawn from stream k, and the
@@ -482,7 +571,7 @@ class TestBootstrapEstimate:
         summarize, summarized = bootstrap._summarize, []
 
         def spy(estimates, *args):
-            summarized.append(estimates.copy())
+            summarized.extend(estimates.copy())  # one row a cell
             return summarize(estimates, *args)
 
         monkeypatch.setattr(bootstrap, "_summarize", spy)
@@ -502,7 +591,7 @@ class TestBootstrapEstimate:
         summarize, summarized = bootstrap._summarize, []
 
         def spy(estimates, *args):
-            summarized.append(estimates.copy())
+            summarized.extend(estimates.copy())  # one row a cell
             return summarize(estimates, *args)
 
         monkeypatch.setattr(bootstrap, "_summarize", spy)
@@ -1039,21 +1128,22 @@ class TestRunGrid:
         """At n = 50 000 a row of int32 indices and float64 losses takes 12 *
         n bytes, more than half the chunk budget, so each whole-row chunk
         holds the floor of two rows: a one-row chunk would make the spectral
-        einsum read its row twice (see _evaluate_sorted). Six resamples make
-        three chunks of two rows, and both ends of the pair read each."""
+        einsum read its row twice (see _apply). Six resamples make three
+        chunks of two rows, and one call per measure reads both ends of the
+        pair on each."""
         n = 50_000
         assert 12 * n > bootstrap._CHUNK_BYTES // 2
-        shapes, evaluate = [], bootstrap._evaluate_sorted
+        shapes, apply = [], bootstrap._apply
 
         def spy(rows, *args):
             shapes.append(rows.shape)
-            return evaluate(rows, *args)
+            return apply(rows, *args)
 
-        monkeypatch.setattr(bootstrap, "_evaluate_sorted", spy)
+        monkeypatch.setattr(bootstrap, "_apply", spy)
         grid = run_grid(mirrored_pair(n, 36, "A"), {Measure.VAR: [0.5], Measure.SRM: [5.0]},
                         BootstrapConfig(resamples=6, master_seed=13))
         assert not grid.failed
-        assert [shape for shape in shapes if shape[1] == n] == [(2, n)] * 12  # 3 chunks, 2 ends
+        assert [shape for shape in shapes if shape[1] == n] == [(2, n)] * 6  # 3 chunks, 2 measures
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_block_fails_only_its_contract(self, monkeypatch, workers):
@@ -1361,6 +1451,36 @@ class TestStartUp:
             assert not hasattr(riskboot, "no_such_name")
             """)
         assert fresh_python(code) == [" ".join(self.EXPORTS)]
+
+    def test_the_command_line_freezes_its_import_heap(self):
+        """The objects that exist when the command line starts, numpy's and
+        riskboot's modules, classes and functions among them, live until
+        the process ends, so main freezes them out of the collector's
+        walks and leaves the collector on: after --version, which exits
+        from the parser, and after an estimate in the same process. The
+        library never touches the collector: `import riskboot` and a
+        run_grid call freeze nothing."""
+        returns = Path(__file__).resolve().parent / "data" / "inputs" / "c1.csv"
+        code = textwrap.dedent(f"""\
+            import contextlib, gc, io, tempfile
+            from riskboot.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    main(["--version"])
+                except SystemExit:
+                    pass
+            print(gc.isenabled(), gc.get_freeze_count() > 10_000)
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+                code = main(["estimate", "--input", {str(returns)!r}, "--return-col", "return",
+                             "--resamples", "20", "--seed", "1", "--out", out])
+            print(code, gc.isenabled(), gc.get_freeze_count() > 10_000)
+            """)
+        assert fresh_python(code) == ["True True", "0 True True"]
+        code = ("import gc; import numpy as np; import riskboot; "
+                "grid = riskboot.run_grid([riskboot.LossSample(np.arange(10.0))], "
+                "{riskboot.Measure.ES: [0.9]}, riskboot.BootstrapConfig(resamples=10)); "
+                "print(not grid.failed, gc.isenabled(), gc.get_freeze_count())")
+        assert fresh_python(code) == ["True True 0"]
 
     def test_version_still_loads_numpy_and_every_module(self):
         """`riskboot --version` stands in for an estimate's start-up when

@@ -22,7 +22,7 @@ from riskboot import (
     to_losses,
     value_at_risk,
 )
-from riskboot.measures import _evaluate_sorted, _first_column, _weight_density
+from riskboot.measures import _apply, _first_column, _plan, _weight_density
 
 from weight_checks import validate_weighting
 
@@ -34,6 +34,12 @@ def interval_mass(k, lo, hi):
     aversion k over [lo, hi], a second route to the masses spectral_weights
     gives."""
     return np.exp(-k * (1.0 - hi)) * -np.expm1(-k * (hi - lo)) / -np.expm1(-k)
+
+
+def evaluate(rows, measure, args, method=QuantileMethod.ORDER_STATISTIC, n=None, mirrored=False):
+    """The one estimator on rows of width columns of full rows of n, at one
+    end: apply(plan(...))."""
+    return _apply(rows, _plan(measure, args, n or rows.shape[1], method, rows.shape[1], (mirrored,)))
 
 
 def random_sample(rng, n=None):
@@ -181,7 +187,7 @@ class TestTailBlock:
             assert _first_column(Measure.SRM, spectral_weights(n, 5.0), n) == 0
             for measure, method in cases:
                 for batch in (alphas, alphas[::-1]):
-                    full = _evaluate_sorted(rows, measure, batch, method)
+                    full = evaluate(rows, measure, batch, method)
                     assert full.shape == (3, len(batch))
                     for j, alpha in enumerate(batch):
                         first = _first_column(measure, alpha, n, method)
@@ -189,7 +195,7 @@ class TestTailBlock:
                         for k in range(first + 1):
                             tail = rows[:, k:].copy()
                             assert np.array_equal(
-                                _evaluate_sorted(tail, measure, [alpha], method, n=n),
+                                evaluate(tail, measure, [alpha], method, n=n),
                                 full[:, j:j + 1])
 
     def test_the_mirrored_head_gives_the_opposite_position_s_value(self):
@@ -206,8 +212,8 @@ class TestTailBlock:
             rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
             short = -rows[:, ::-1]
             for measure, method in cases:
-                full = _evaluate_sorted(rows, measure, alphas, method, mirrored=True)
-                own = _evaluate_sorted(short, measure, alphas, method)
+                full = evaluate(rows, measure, alphas, method, mirrored=True)
+                own = evaluate(short, measure, alphas, method)
                 if measure is Measure.VAR:
                     assert np.array_equal(full, own)
                 else:
@@ -216,15 +222,34 @@ class TestTailBlock:
                     first = _first_column(measure, alpha, n, method)
                     for k in range(n - first, n + 1):
                         head = rows[:, :k].copy()
-                        assert np.array_equal(_evaluate_sorted(
+                        assert np.array_equal(evaluate(
                             head, measure, [alpha], method, n=n, mirrored=True), full[:, j:j + 1])
             for k in (5.0, 80.0):
                 w = spectral_weights(n, k)[None, :]  # a one-row stack
-                full = _evaluate_sorted(rows, Measure.SRM, np.ascontiguousarray(w[:, ::-1]),
-                                        mirrored=True)
+                full = evaluate(rows, Measure.SRM, w, mirrored=True)  # the plan reverses w
                 assert full.shape == (3, 1)
-                assert full == pytest.approx(_evaluate_sorted(short, Measure.SRM, w),
+                assert full == pytest.approx(evaluate(short, Measure.SRM, w),
                                              rel=1e-12, abs=1e-12)
+
+
+    def test_both_ends_side_by_side_keep_each_end_s_bits(self):
+        """A plan for a mirrored pair's two ends, in either order, reads
+        both in one call: its columns are each end's own, the k parameters
+        of the first end and then those of the second, bit for bit, for
+        VaR by either method, ES and SRM, on whole rows and, but for SRM,
+        on narrow rows."""
+        rng = np.random.default_rng(10)
+        alphas = (0.01, 0.5, 0.95, 0.999, float(np.nextafter(1.0, 0.0)))
+        cases = [(Measure.VAR, alphas, method) for method in QuantileMethod]
+        cases.append((Measure.ES, alphas, QuantileMethod.ORDER_STATISTIC))
+        for n in (1, 5, 300, 8193):
+            rows = np.sort(rng.standard_t(4, size=(3, n)), axis=1)
+            weights = np.array([spectral_weights(n, k) for k in (5.0, 80.0)])
+            for measure, args, method in [*cases, (Measure.SRM, weights, None)]:
+                for ends in ((False, True), (True, False)):
+                    both = _apply(rows, _plan(measure, args, n, method, n, ends))
+                    each = [evaluate(rows, measure, args, method, mirrored=end) for end in ends]
+                    assert np.array_equal(both, np.hstack(each))
 
 
 class TestExponentialWeighting:
