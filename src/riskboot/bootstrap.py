@@ -58,37 +58,41 @@ either path, and the path decides only where a chunk's indices come
 from. On the whole-row path they are a fresh (rows, n) int32 draw sorted
 along its rows; on the tail path a block's are one row-major (rows,
 depth) int32 array whose rows ascend (_tail_indices), and a chunk is a
-slice of its rows. A contract gathers its losses at a chunk's indices
-into rows of ascending losses, so each row reduces as a lone row would,
-whatever the chunk or group, and writes each measure's estimates with
-one estimator call into its own columns of the contract's estimates,
-one row per cell, cells sample by sample and spec by spec within a
-sample. A block returns, per contract, the exception that failed it or
-None. Once its blocks are in, a group summarizes each contract in one
-pass over all its rows; the results go on as one list per sample, one
-entry per spec, in sample order.
+slice of its rows. A length group's one unit of work and of failure is
+the gather: on whole rows a contract, which takes its long-oriented
+losses once for both its samples, and on the tail path a sample, which
+takes its own. A gather takes its losses at a chunk's indices into rows
+of ascending losses, so each row reduces as a lone row would, whatever
+the chunk or group, and writes each run of one measure's estimates with
+one estimator call into its own columns of the gather's estimates, one
+row per cell, cells sample by sample and spec by spec within a sample.
+A block returns, per gather, the exception that failed it or None. Once
+its blocks are in, a group summarizes each gather in one pass over all
+its rows; the results go on as one list per sample, one entry per spec,
+in sample order.
 
 The blocks of all length groups are the unit of work. The calling thread
 prepares every group, then it and up to workers - 1 more threads, plain
 threading.Thread objects, run one loop: each takes the next block in
 group-major order under a lock, so a grid of one contract uses as many
 workers as it has blocks, and one worker starts no thread. The threads
-change no state but that count of blocks taken, each group's count of
-blocks not yet in, their blocks' result slots and their blocks' columns
-of the estimates, which the thread that takes a group's first block
-allocates under that lock. The thread whose block is the last of its
-group to come in summarizes the group's contracts and frees their
-estimates, at any worker count. A run-time failure in one contract's
-gather or reduction fails only that contract's cells; a failure in a
-block's shared draw fails every contract of its length.
+change no state but that count of blocks taken, their blocks' columns of
+the estimates, which the thread that takes a group's first block
+allocates under that lock, and, under the same lock, each group's count
+of blocks not yet in and each gather's failure. The thread whose block is
+the last of its group to come in summarizes the group's gathers and
+frees their estimates, at any worker count. A run-time failure in one
+gather's take or reduction fails only that gather's cells, with the
+exception of the first block, in block order, to fail it; a failure in a
+block's shared draw fails every gather of its length.
 
-Memory: each contract of a group holds one (cells, B) array of
+Memory: each gather of a group holds one (samples, specs, B) array of
 estimates, 8 bytes per resample and cell. It is allocated as the group's
 first block is taken, written by the blocks at their own columns, and
 dropped once the group has summarized it. On the whole-row path each
 thread draws its rows in chunks of at most _CHUNK_BYTES, or of two rows
 of 12 * n bytes each once a row exceeds half of it: a chunk's int32
-indices and one buffer that its contracts gather their losses into in
+indices and one buffer that its gathers take their losses into in
 turn, so the chunks of a grid take about _CHUNK_BYTES per thread, and
 24 * n bytes past n = 43 690. Two rows, not one, because the spectral
 estimator reads a lone row as two (measures._apply); only a block's last
@@ -104,6 +108,7 @@ of rows of at most _CHUNK_BYTES // 2 bytes each.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -144,26 +149,31 @@ from .measures import (
 # At 1 MiB a paper thread's chunks are 25 rows where they were 103, and a
 # golden thread's 218, where at 4 MiB a cap of 512 rows held them (peak RSS
 # 42.6 MB). The time goes to fixed costs per chunk, chiefly the estimator
-# calls that each contract makes on it: six at the time of this table, three
-# since. The tail path's memory is its block's indices, up to 4 MiB, so its
-# slabs and chunks take half the budget, 512 KiB, as they did at an eighth
-# of 4 MiB: at an eighth of 1 MiB the long_history command ran 4.6 % slower
-# (wall_s, median of 10 alternating bench/run.py pairs).
+# calls that each contract makes on it. The tail path's memory is its
+# block's indices, up to 4 MiB, so its slabs and chunks take half the
+# budget, 512 KiB, as they did at an eighth of 4 MiB: at an eighth of 1 MiB
+# the long_history command ran 4.6 % slower (wall_s, median of 10
+# alternating bench/run.py pairs).
 _CHUNK_BYTES = 2 ** 20
 
-# A contract gathers its losses at a chunk's int32 indices with take, which
+# A gather takes its losses at a chunk's int32 indices with take, which
 # casts them to intp first, in slabs of rows of at most _TAKE_ELEMS elements
 # (at least one row), so the cast takes at most max(_TAKE_ELEMS, width) * 8
-# bytes, no more than values[idx] buffers, and stays in cache. Per gather
-# of a sorted chunk, minimum of 7 runs of 30, in microseconds (values[idx] |
-# take of the whole chunk | slabs of 2**13 | 2**15 | 2**17 elements):
+# bytes and stays in cache. At 1 MiB chunks the slabs and one take of the
+# whole chunk tie on time; the slabs are kept for memory. Per gather of a
+# sorted chunk, in microseconds, the range over three runs of the minimum
+# of 7 runs of 30 on a 2-CPU x86-64 host (values[idx] | take of the whole
+# chunk | slabs of 2**13 elements):
 #
-#     n = 400,    512 rows    685 | 448 | 514 | 436 | 438
-#     n = 3392,   103 rows   1202 | 686 | 526 | 587 | 762
-#     n = 20 000,  20 rows   1393 | 867 | 520 | 775 | 732
+#     n = 400,    218 rows    211-250 |  80-142 |  89-155
+#     n = 3392,    25 rows    210-245 |  79-123 |  84-146
+#     n = 20 000,   4 rows    197-227 |  75-130 |  71-76
 #
-# take with mode="clip" (the indices are in range) writes straight into its
-# out array; by default it buffers.
+# The whole chunk's intp copy raised the tracemalloc peak of run_grid on the
+# golden grid (B = 5000) from 5.55 to 6.19 MB at 1 worker and from 6.67 to
+# 7.94 MB at 2, and on the paper grid from 3.11 to 3.74 and from 4.19 to
+# 5.44 MB. take with mode="clip" (the indices are in range) writes straight
+# into its out array; by default it buffers.
 _TAKE_ELEMS = 2 ** 13
 
 # A block holds _BLOCK_ELEMS // n resamples of n losses on the whole-row
@@ -386,31 +396,33 @@ class _LengthGroup:
     groups holds each contract's samples: a lone sample or a pair of
     mirrored samples of opposite positions. The constructor picks the
     group's path, tail ends of _depth columns or whole rows when _depth is
-    None, and splits the config.resamples rows into blocks of block_rows,
-    the last one partial; block k draws from _contract_stream(seed, n, k).
+    None, and with it the rows of a block, of a chunk and their width: the
+    config.resamples rows go in blocks of block_rows, the last one
+    partial, and block k draws from _contract_stream(seed, n, k).
 
-    _reads holds, per contract, the losses it gathers at each chunk, the
-    first of its samples that the gather serves, and the plans that reduce
-    the gathered rows, one per measure of the specs: on the whole-row path
-    one gather of the contract's long-oriented losses serves all its
-    samples, each through its own end, the high end for a long sample and
-    the low end mirrored for a short one; on the tail path each sample
-    gathers its own losses for the high end. A plan covers the gather's
-    ends side by side, so a chunk costs a contract one estimator call per
-    measure and gather. The constructor builds the plans once for the
-    group's row width and each tuple of ends its contracts read, with
-    every SRM spec's weights built once as one stack; the specs come in
-    Measure order, as run_grid makes them, so each measure's cells are one
-    slice of a sample's.
+    A gather is the group's one unit: _reads holds, per gather, the losses
+    it takes at each chunk's indices, the number of samples it serves and
+    the plans that reduce the gathered rows, one per run of one measure in
+    the specs. On the whole-row path a gather is a contract: its
+    long-oriented losses serve all its samples, each through its own end,
+    the high end for a long sample and the low end mirrored for a short
+    one. On the tail path a gather is a sample, which takes its own losses
+    for the high end. A plan covers the gather's ends side by side, so a
+    chunk costs a gather one estimator call per measure. The constructor
+    builds the plans once for the group's row width and each tuple of ends
+    its gathers read, every SRM spec's weights once as one stack.
 
-    start allocates each contract's estimates, one row of B per cell, the
-    blocks write them at their own columns, and finish summarizes and
-    drops them. Nothing else changes after the constructor, so the threads
-    share a group freely.
+    Each gather owns a (samples, specs, B) array of estimates, its cells in
+    order, which start allocates, the blocks write at their own columns and
+    the summary drops, and its failure: the exception of the first block in
+    block order to fail it. run counts the blocks in, and the last one
+    summarizes every gather into results. A thread writes only its own
+    block's columns of the estimates; it allocates them, keeps a failure
+    and counts its block in under the lock that hands out the blocks.
     """
 
     def __init__(self, groups, specs, config: BootstrapConfig):
-        self.groups, self.specs, self.config = groups, specs, config
+        self.specs, self.config = specs, config
         self.n = n = groups[0][0].n
         # The depth of an end is how many of a sorted row's top (long) or
         # bottom (short) columns the cells read, n for an SRM cell; both
@@ -418,140 +430,137 @@ class _LengthGroup:
         depth = max(n - _first_column(spec.measure, spec.parameter, n, config.quantile_method)
                     for spec in specs)
         self._depth = None if depth > _TAIL_SHARE * n else depth
-        elems = _BLOCK_ELEMS if self._depth is None else _TAIL_BLOCK_ELEMS
+        if self._depth is None:  # chunks of at most _CHUNK_BYTES, or of two rows
+            self._width, self._chunk_rows, elems = n, max(_CHUNK_BYTES // (12 * n), 2), _BLOCK_ELEMS
+        else:  # a chunk and the buffer it is gathered into take 12 bytes an element
+            self._width, self._chunk_rows = depth, max(_CHUNK_BYTES // (24 * depth), 1)
+            elems = _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
-        self.blocks = -(-config.resamples // self.block_rows)
-        self._estimates = None
-        batches, at = [], 0  # per measure of the specs: its parameters and its cells' slice
-        for m in Measure:
-            args = [spec.parameter for spec in specs if spec.measure is m]
+        self.blocks = self._left = -(-config.resamples // self.block_rows)  # _left: not yet in
+        batches, at = [], 0  # per run of one measure in the specs: its parameters and cells
+        for m, run in itertools.groupby(specs, lambda spec: spec.measure):
+            args = [spec.parameter for spec in run]
             if m is Measure.SRM:
-                args = np.array([spectral_weights(n, k) for k in args]).reshape(-1, n)
-            if len(args):
-                batches.append((m, args, slice(at, at + len(args))))
-                at += len(args)
-        plans, width = {}, n if self._depth is None else depth  # per tuple of ends
+                args = np.array([spectral_weights(n, k) for k in args])
+            batches.append((m, args, slice(at, at + len(args))))
+            at += len(args)
+        plans = {}  # per tuple of ends
 
-        def read(values, first, ends):  # one entry of _reads: a gather and what reduces it
+        def read(values, ends):  # one entry of _reads: a gather and what reduces it
             if ends not in plans:
-                plans[ends] = [(_plan(m, args, n, config.quantile_method, width, ends), cells)
+                plans[ends] = [(_plan(m, args, n, config.quantile_method, self._width, ends), cells)
                                for m, args, cells in batches]
-            return values, slice(first, first + len(ends)), plans[ends]
+            return values, len(ends), plans[ends]
 
         if self._depth is None:  # the long-oriented losses are the lead's, or its mirror's
-            self._reads = [[read(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
-                                 0, tuple(sample.position is Position.SHORT for sample in g))]
+            self._reads = [read(g[0].values if g[0].position is Position.LONG else -g[0].values[::-1],
+                                tuple(sample.position is Position.SHORT for sample in g))
                            for g in groups]
         else:
-            self._reads = [[read(sample.values, i, (False,)) for i, sample in enumerate(g)]
-                           for g in groups]
+            self._reads = [read(sample.values, (False,)) for g in groups for sample in g]
+        # per gather: the first block to fail it and its exception, none past the last block
+        self._failed = [(self.blocks, None)] * len(self._reads)
 
     def start(self):
-        """Allocate each contract's estimates, a (samples, specs, B) array
-        whose rows are its cells in order, or record the exception that
+        """Allocate each gather's estimates, or keep the exception that
         failed it; the group's first block to be taken calls this before
         any of its blocks runs."""
         self._estimates = []
-        for group in self.groups:
+        for _, samples, _ in self._reads:
             try:
-                self._estimates.append(np.empty((len(group), len(self.specs),
-                                                 self.config.resamples)))
-            except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                self._estimates.append(np.empty((samples, len(self.specs), self.config.resamples)))
+            except Exception as exc:  # e.g. out of memory: fail this gather's cells
                 self._estimates.append(exc)
 
     def _run_block(self, block: int) -> list:
-        """Write the estimates of the block's rows into each contract's
-        columns of them, and return, per contract, None or the exception
-        that failed its gather or reduction. An exception in the shared
-        draw propagates: it fails every contract of the group.
+        """Write the estimates of the block's rows into each gather's
+        columns of them, and return, per gather, None or the exception that
+        failed it. An exception in the shared draw propagates: it fails
+        every gather of the group.
 
-        The block's rows go in chunks, and each contract that has not failed
-        yet gathers its losses at a chunk's indices into one buffer in turn
-        and reduces them; an exception fails that contract alone. The path
-        only decides where a chunk's indices come from. On whole rows each
-        chunk of at most _CHUNK_BYTES, or of two rows, is drawn and sorted
-        along its rows.
-        On the tail path the block's top self._depth order statistics are
-        drawn once, and a chunk is a group of their rows that takes, with
-        the buffer it is gathered into, at most _CHUNK_BYTES // 2 bytes (12
-        bytes an element)."""
-        n, depth = self.n, self._depth
-        first = block * self.block_rows
+        The block's rows go in chunks, and each gather that has not failed
+        yet takes its losses at a chunk's indices into one buffer in turn
+        and reduces them; an exception fails that gather alone. On whole
+        rows each chunk is drawn and sorted along its rows. On the tail
+        path the block's top self._depth order statistics are drawn once,
+        and a chunk is a slice of their rows."""
+        n, step, first = self.n, self._chunk_rows, block * self.block_rows
         rows = min(self.block_rows, self.config.resamples - first)
         failed = [out if isinstance(out, Exception) else None for out in self._estimates]
         stream = _contract_stream(self.config.master_seed, n, block)
-        if depth is None:
-            width, chunk_rows = n, max(_CHUNK_BYTES // (12 * n), 2)
-        else:
-            width, chunk_rows = depth, max(_CHUNK_BYTES // (24 * depth), 1)
-            tail = _tail_indices(stream, n, depth, rows)
-        buffer = np.empty((min(chunk_rows, rows), width))
-        for done in range(0, rows, chunk_rows):
-            if depth is None:
+        tail = None if self._depth is None else _tail_indices(stream, n, self._depth, rows)
+        buffer = np.empty((min(step, rows), self._width))
+        for done in range(0, rows, step):
+            if tail is None:
                 # int32 indices draw the same stream as the int64 default at half the
                 # memory. The values are sorted, so gathering them at sorted indices
                 # sorts each row, and 4-byte indices sort faster than 8-byte values.
-                idx = stream.integers(0, n, size=(min(chunk_rows, rows - done), n), dtype=np.int32)
+                idx = stream.integers(0, n, size=(min(step, rows - done), n), dtype=np.int32)
                 idx.sort(axis=1)
             else:
-                idx = tail[done:done + chunk_rows]
+                idx = tail[done:done + step]
             at = slice(first + done, first + done + idx.shape[0])
-            for i, (reads, out) in enumerate(zip(self._reads, self._estimates)):
+            for i, ((values, samples, plans), out) in enumerate(zip(self._reads, self._estimates)):
                 if failed[i] is None:
                     try:
-                        for values, samples, plans in reads:
-                            gathered = _gather(values, idx, buffer)
-                            for plan, cells in plans:  # each end's cells of one measure in turn
-                                out[samples, cells, at] = _apply(gathered, plan).T.reshape(
-                                    samples.stop - samples.start, -1, idx.shape[0])
-                    except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                        gathered = _gather(values, idx, buffer)
+                        for plan, cells in plans:  # each end's cells of one measure in turn
+                            out[:, cells, at] = _apply(gathered, plan).T.reshape(samples, -1, len(idx))
+                    except Exception as exc:  # e.g. out of memory: fail this gather's cells
                         failed[i] = exc
             del idx  # so the next chunk's draw holds only its indices and the buffer
         return failed
 
-    def finish(self, blocks) -> list:
-        """Summarize each contract's estimates in one pass and drop them.
-        blocks holds what the group's blocks returned, in block order.
-        Returns, per sample of the group's contracts in turn, one entry per
-        spec: its BootstrapResult, or the exception that failed its
-        contract, as the first block in block order to fail it had."""
-        k, results = len(self.specs), []
-        for i, group in enumerate(self.groups):
-            cells = len(group) * k
-            out = next(([b[i]] * cells for b in blocks if b[i] is not None), None)
-            if out is None:
+    def run(self, block: int, lock) -> None:
+        """Run the block, keep each gather's failure from the first block in
+        block order, and count the block in under lock. The thread whose
+        block is the group's last to come in summarizes each gather's
+        estimates in one pass and drops them: results holds, per sample of
+        the group's contracts in turn, one entry per spec, its
+        BootstrapResult or the exception that failed its gather."""
+        try:
+            failed = self._run_block(block)
+        except Exception as exc:  # e.g. out of memory in the shared draw: fail every gather
+            failed = [exc] * len(self._reads)
+        with lock:
+            for i, exc in enumerate(failed):
+                if exc is not None and block < self._failed[i][0]:
+                    self._failed[i] = block, exc
+            self._left -= 1
+            if self._left:
+                return
+        k, self.results = len(self.specs), []
+        for i, ((_, samples, _), (_, failure)) in enumerate(zip(self._reads, self._failed)):
+            cells = samples * k
+            out = [failure] * cells
+            if failure is None:
                 try:
                     out = _summarize(self._estimates[i].reshape(cells, -1), self.config)
-                except Exception as exc:  # e.g. out of memory: fail this contract's cells
+                except Exception as exc:  # e.g. out of memory: fail this gather's cells
                     out = [exc] * cells
             self._estimates[i] = None
-            results += (out[j:j + k] for j in range(0, cells, k))
-        return results
+            self.results += (out[j:j + k] for j in range(0, cells, k))
 
 
 def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
     """Bootstrap every spec on every contract's samples in groups, and
     return, per sample in the order of groups, one entry per spec: its
-    BootstrapResult, or the exception that failed its contract. specs
-    holds at least one spec.
+    BootstrapResult, or the exception that failed its gather. specs holds
+    at least one spec.
 
     The contracts of each length form one _LengthGroup, in the order of
     their lengths' first appearance, and the calling thread and up to
-    workers - 1 more run their blocks. An exception in a block's shared
-    draw fails every contract of its length. A BaseException that is no
-    Exception stops every thread from taking further blocks, and
-    propagates from here once all are joined.
+    workers - 1 more take their blocks in that order. An exception in a
+    block's shared draw fails every gather of its length. A BaseException
+    that is no Exception stops every thread from taking further blocks,
+    and propagates from here once all are joined.
     """
     by_length = {}  # the contracts of each length
     for group in groups:
         by_length.setdefault(group[0].n, []).append(group)
     lengths = [_LengthGroup(contracts, specs, config) for contracts in by_length.values()]
-    blocks = [(g, length, block) for g, length in enumerate(lengths)
-              for block in range(length.blocks)]
-    slots = [[None] * length.blocks for length in lengths]  # each block's failures
-    left = [length.blocks for length in lengths]  # blocks not yet in; guarded by lock
-    finished, escaped = {}, []  # per length, its samples' results in turn
-    lock = threading.Lock()
+    blocks = [(length, block) for length in lengths for block in range(length.blocks)]
+    escaped, lock = [], threading.Lock()
     taken = 0  # blocks handed out; guarded by lock
 
     def work():
@@ -560,20 +569,11 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
             while True:
                 with lock:
                     i, taken = taken, taken + 1
-                    if i < len(blocks) and blocks[i][2] == 0:  # before any block of its group runs
-                        blocks[i][1].start()
+                    if i < len(blocks) and blocks[i][1] == 0:  # before any block of its group runs
+                        blocks[i][0].start()
                 if i >= len(blocks):
                     return
-                g, length, block = blocks[i]
-                try:
-                    slots[g][block] = length._run_block(block)
-                except Exception as exc:  # e.g. out of memory: fail every contract of this length
-                    slots[g][block] = [exc] * len(length.groups)
-                with lock:
-                    left[g] -= 1
-                    last = left[g] == 0
-                if last:
-                    finished[length.n] = iter(length.finish(slots[g]))
+                blocks[i][0].run(blocks[i][1], lock)
         except BaseException as exc:  # re-raised on the calling thread
             with lock:
                 taken = len(blocks)
@@ -592,6 +592,7 @@ def _bootstrap(groups, specs, config: BootstrapConfig, workers: int) -> list:
                 thread.join()
     if escaped:
         raise escaped[0]
+    finished = {length.n: iter(length.results) for length in lengths}
     return [next(finished[group[0].n]) for group in groups for _ in group]
 
 
@@ -670,10 +671,13 @@ def run_grid(samples, grid, config: BootstrapConfig, workers: int = 1) -> Result
     Cells come out sample by sample, measures in Measure order, parameters
     in grid order. A grid key that is not a Measure, or a parameter out of
     its measure's range, raises the ValueError of EstimatorSpec before any
-    contract is prepared. Every cell of a contract whose gather or
-    reduction fails at run time (out of memory, say) is recorded with the
-    error message, as is every cell of every contract of its length when a
-    block's shared draw fails, and the rest of the grid still runs.
+    contract is prepared. A failure at run time (out of memory, say) is
+    recorded with its error message in every cell it reaches, and the rest
+    of the grid still runs. A gather's failure reaches its own cells: a
+    contract's on the whole-row path, where one gather serves both its
+    samples, and a single sample's on the tail path, where each sample
+    gathers its own losses. A failed shared draw reaches every cell of its
+    length.
     """
     samples = list(samples)
     _check_workers(workers)

@@ -16,7 +16,7 @@ when the control fails, a mutant survives or a mutant's old text no longer
 occurs exactly once in its file. The script itself needs the standard
 library alone; the tests it runs need pytest and numpy. A mutant names
 test files, or single tests as pytest ids, under tests/.
-The whole list of 42 took 159 s on a 2-vCPU x86-64 host, 21 s of it the
+The whole list of 46 took 225 s on a 2-vCPU x86-64 host, 28 s of it the
 control run.
 """
 
@@ -70,9 +70,9 @@ MUTANTS = [
     ("tail columns stored unreversed", "bootstrap.py",
      "idx[:, depth - stop:depth - top] = s[::-1].T", "idx[:, depth - stop:depth - top] = s.T",
      ["test_bootstrap.py"]),
-    ("finish hands a group's samples back reversed", "bootstrap.py",
-     "results += (out[j:j + k] for j in range(0, cells, k))",
-     "results += [out[j:j + k] for j in range(0, cells, k)][::-1]",
+    ("the summary hands a gather's samples back reversed", "bootstrap.py",
+     "self.results += (out[j:j + k] for j in range(0, cells, k))",
+     "self.results += [out[j:j + k] for j in range(0, cells, k)][::-1]",
      ["test_bootstrap.py"]),
     ("results returned in length order", "bootstrap.py",
      "return [next(finished[group[0].n]) for group in groups for _ in group]",
@@ -81,8 +81,9 @@ MUTANTS = [
     ("tail path taken at the cut-off itself", "bootstrap.py",
      "None if depth > _TAIL_SHARE * n else depth", "None if depth >= _TAIL_SHARE * n else depth",
      ["test_bootstrap.py"]),
-    ("a group's estimates kept after it is summarized", "bootstrap.py",
-     "            self._estimates[i] = None\n", "",
+    ("a gather's estimates kept after it is summarized", "bootstrap.py",
+     "                    out = [exc] * cells\n            self._estimates[i] = None\n",
+     "                    out = [exc] * cells\n",
      ["test_bootstrap.py"]),
     ("one worker starts a thread", "bootstrap.py",
      "range(min(workers, len(blocks)) - 1)", "range(min(workers, len(blocks)))",
@@ -158,8 +159,8 @@ MUTANTS = [
      "r = np.log(ratios)",
      ["test_ingest.py::TestLogReturns::test_returns_are_libm_log_whatever_numpy_log_gives"]),
     ("the low end's plan built unmirrored", "bootstrap.py",
-     "_plan(m, args, n, config.quantile_method, width, ends)",
-     "_plan(m, args, n, config.quantile_method, width, (False,) * len(ends))",
+     "_plan(m, args, n, config.quantile_method, self._width, ends)",
+     "_plan(m, args, n, config.quantile_method, self._width, (False,) * len(ends))",
      ["test_bootstrap.py"]),
     ("both SRM signs set to +1", "measures.py",
      "        return measure, stack, signs, None", "        return measure, stack, abs(signs), None",
@@ -172,6 +173,21 @@ MUTANTS = [
      ["test_bootstrap.py"]),
     ("the interval read from unsorted rows", "bootstrap.py",
      "    estimates.sort(axis=1)\n", "",
+     ["test_bootstrap.py"]),
+    ("a tail pair's gathers sharing one failure", "bootstrap.py",
+     "                    self._failed[i] = block, exc",
+     "                    self._failed[i] = self._failed[i ^ 1] = block, exc",
+     ["test_bootstrap.py"]),
+    ("batches that assume Measure order", "bootstrap.py",
+     "for m, run in itertools.groupby(specs, lambda spec: spec.measure):",
+     "for m, run in ((m, [s for s in specs if s.measure is m]) for m in Measure\n"
+     "                       if any(s.measure is m for s in specs)):",
+     ["test_bootstrap.py"]),
+    ("a gather's error taken from the last block to fail it", "bootstrap.py",
+     "if exc is not None and block < self._failed[i][0]:", "if exc is not None:",
+     ["test_bootstrap.py"]),
+    ("a countdown that is off by one", "bootstrap.py",
+     "            if self._left:\n", "            if self._left > 1:\n",
      ["test_bootstrap.py"]),
     ("the freeze dropped", "cli.py",
      "    gc.freeze()\n", "",

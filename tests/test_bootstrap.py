@@ -29,7 +29,7 @@ from riskboot import (
 )
 from riskboot import bootstrap
 from riskboot.bootstrap import _contract_stream
-from riskboot.measures import _apply, _plan
+from riskboot.measures import _apply, _first_column, _plan
 
 from exact_bootstrap import exact_order_law, exact_order_means
 from spec_grid import spec_grid
@@ -208,9 +208,9 @@ class TestReductionPlan:
                 length = bootstrap._LengthGroup(groups, specs, BootstrapConfig())
                 high = np.array([spectral_weights(n, spec.parameter) for spec in specs])
                 chunks = [np.sort(rng.standard_normal((rows, n)), axis=1) for rows in (1, 2, 5, 103)]
-                for group, [(_, samples, [(plan, cells)])] in zip(groups, length._reads):
+                for group, (_, samples, [(plan, cells)]) in zip(groups, length._reads):
                     ends = [sample.position is Position.SHORT for sample in group]
-                    assert (samples, cells) == (slice(0, len(group)), slice(0, vectors))
+                    assert (samples, cells) == (len(group), slice(0, vectors))
                     stack = plan[1]
                     assert stack.flags.c_contiguous
                     assert np.array_equal(stack, np.vstack([high[:, ::-1] if m else high for m in ends]))
@@ -264,6 +264,89 @@ class TestWorkCounts:
                               ("gather", 401): 2 * chunks, ("apply", 401): 3 * 2 * chunks,
                               ("plan", 400): 3, ("plan", 401): 3,
                               ("summarize", (22, b)): 5, ("plan", b): 5, ("apply", b): 5}
+
+
+    def counted_streams(self, monkeypatch, counts):
+        """Count each whole-row draw and each sort of its indices, keyed on
+        the series length, through every stream that run_grid opens."""
+
+        class Indices(np.ndarray):
+            def sort(self, *args, **kwargs):
+                counts["sort", self.shape[1]] += 1
+                return super().sort(*args, **kwargs)
+
+        class Stream:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def __getattr__(self, name):
+                return getattr(self.stream, name)
+
+            def integers(self, low, high, size, dtype):
+                counts["draw", high] += 1
+                return self.stream.integers(low, high, size=size, dtype=dtype).view(Indices)
+
+        stream = bootstrap._contract_stream
+        monkeypatch.setattr(bootstrap, "_contract_stream", lambda *args: Stream(stream(*args)))
+
+    def test_a_whole_row_chunk_is_drawn_once_and_sorted_once(self, monkeypatch):
+        """Each whole-row chunk of a length group is one int32 draw and one
+        sort, however many contracts of that length read it: here three
+        pairs of 400 losses and two of 401, B = 300 in one block, at three
+        chunk sizes. No tail is drawn."""
+        counts = collections.Counter()
+        self.counted_streams(monkeypatch, counts)
+        tail = bootstrap._tail_indices
+        monkeypatch.setattr(bootstrap, "_tail_indices",
+                            lambda *args: counts.update(["tail"]) or tail(*args))
+        samples = [sample for i, n in enumerate((400, 400, 400, 401, 401))
+                   for sample in mirrored_pair(n, 60 + i, str(i))]
+        grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
+                Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
+        b = 300
+        for chunk_rows in (218, 7, 2):
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 401 * chunk_rows)
+            counts.clear()
+            assert not run_grid(samples, grid, BootstrapConfig(resamples=b, master_seed=11)).failed
+            chunks = -(-b // chunk_rows)
+            assert counts == {("draw", 400): chunks, ("sort", 400): chunks,
+                              ("draw", 401): chunks, ("sort", 401): chunks}
+
+    def test_a_tail_grid_s_calls_per_block_chunk_and_gather(self, monkeypatch):
+        """On the tail path a block draws its top order statistics once, in
+        one _tail_indices call, and neither draws whole rows nor sorts. A
+        gather is one sample there: a chunk costs each sample one gather and
+        one estimator call per measure, and each sample is summarized in one
+        call over its (3, B) estimates. A mirrored pair and a lone short
+        sample of 301 losses, B = 100 in blocks of 23 rows (the last of 8)
+        and chunks of 7 rows: 4 + 4 + 4 + 4 + 2 = 18 chunks."""
+        n, b = 301, 100
+        grid = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}
+        depth = max(n - _first_column(m, p, n) for m in grid for p in grid[m])
+        assert depth <= bootstrap._TAIL_SHARE * n
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 23 * n)
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 24 * depth * 7)
+        counts = collections.Counter()
+        self.counted_streams(monkeypatch, counts)
+
+        def spy(name, key):
+            real = getattr(bootstrap, name)
+
+            def counted(*args):
+                counts[key(*args)] += 1
+                return real(*args)
+
+            monkeypatch.setattr(bootstrap, name, counted)
+
+        spy("_tail_indices", lambda stream, n, depth, rows: ("tail", n, depth))
+        spy("_plan", lambda measure, args, n, *rest: ("plan", n))
+        spy("_apply", lambda rows, plan: ("apply", rows.shape[1]))
+        spy("_gather", lambda values, idx, buffer: ("gather", values.size))
+        spy("_summarize", lambda estimates, config: ("summarize", estimates.shape))
+        samples = [*mirrored_pair(n, 62, "A"), normal_sample(n, 63, "B", Position.SHORT)]
+        assert not run_grid(samples, grid, BootstrapConfig(resamples=b, master_seed=11)).failed
+        assert counts == {("tail", n, depth): 5, ("gather", n): 3 * 18, ("apply", depth): 3 * 2 * 18,
+                          ("plan", n): 2, ("summarize", (3, b)): 3, ("plan", b): 3, ("apply", b): 3}
 
 
 def cell_summary(estimates, config):
@@ -518,6 +601,17 @@ class TestBootstrapEstimate:
         assert np.all((lo <= estimates) & (estimates <= hi)) and np.any(lo < estimates)
         assert result.point_estimate == estimates.mean()
         assert result.std_error == estimates.std(ddof=1)
+
+    def test_a_failed_resampling_raises_its_exception(self, monkeypatch):
+        """A cell of its own has no grid to record a failure in, so
+        bootstrap_estimate raises the exception that failed it."""
+        def fail(group, block):
+            raise MemoryError("no room for the block")
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", fail)
+        with pytest.raises(MemoryError, match="no room for the block"):
+            bootstrap_estimate(normal_sample(), EstimatorSpec(Measure.ES, 0.95),
+                               BootstrapConfig(resamples=100))
 
     def test_summary_arithmetic(self):
         """Point, standard error, CV and the standardized interval are all
@@ -1064,6 +1158,47 @@ class TestRunGrid:
         assert not runner.is_alive()
         assert out == [baseline]
 
+    def test_a_gather_s_error_is_its_first_failing_block_s_at_any_worker_count(self, monkeypatch):
+        """Blocks 7, 12 and 20 of 30 one-row blocks fail B's gather, each
+        with its own message. Whatever order the blocks finish in, here on
+        eight workers switching every microsecond, B's cells carry block
+        7's error, as on one worker, and A's cells come out as in a clean
+        run."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 1)
+        samples = [*mirrored_pair(60, 31, "A"), normal_sample(n=60, seed=32, label="B")]
+        config = BootstrapConfig(resamples=30, master_seed=14)
+        clean = run_grid(samples, self.GRID, config)
+        current = threading.local()
+        run_block, gather = bootstrap._LengthGroup._run_block, bootstrap._gather
+
+        def mark(group, block):
+            current.block = block
+            return run_block(group, block)
+
+        def fail_b(values, *args):
+            if np.array_equal(values, samples[2].values) and current.block in (7, 12, 20):
+                raise MemoryError(f"block {current.block}")
+            return gather(values, *args)
+
+        monkeypatch.setattr(bootstrap._LengthGroup, "_run_block", mark)
+        monkeypatch.setattr(bootstrap, "_gather", fail_b)
+        out = [run_grid(samples, self.GRID, config)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: out.append(run_grid(samples, self.GRID, config, 8)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        for grid in out:
+            for cell, clean_cell in zip(grid.cells, clean.cells, strict=True):
+                if cell.sample_label == "B":
+                    assert (cell.result, cell.error) == (None, "MemoryError: block 7")
+                else:
+                    assert cell == clean_cell
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_worker_holds_its_own_chunk(self, monkeypatch, workers):
         """Sorted whole, a chunk holds 12 bytes per element, so 1 MiB takes
@@ -1224,6 +1359,112 @@ class TestRunGrid:
                     assert cell.error == failed[cell.sample_label]
                 else:
                     assert cell == clean_cell
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_tail_pair_s_samples_fail_apart(self, monkeypatch, workers):
+        """On the tail path each sample of a pair gathers its own losses, so
+        a gather of the short sample that runs out of memory fails the short
+        cells alone: the long cells, and those of C, come out as in a clean
+        run."""
+        monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 23 * 301)
+        grid = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}
+        samples = [*mirrored_pair(301, 26, "A"), normal_sample(n=250, seed=23, label="C")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        taken = self.paths(monkeypatch)
+        clean = run_grid(samples, grid, config, workers)
+        gather = bootstrap._gather
+
+        def fail_short(values, *args):
+            if np.array_equal(values, samples[1].values):
+                raise MemoryError("no room for the short gather")
+            return gather(values, *args)
+
+        monkeypatch.setattr(bootstrap, "_gather", fail_short)
+        out = run_grid(samples, grid, config, workers)
+        assert set(taken) == {True}
+        assert len(out.cells) == len(clean.cells)
+        for cell, clean_cell in zip(out.cells, clean.cells):
+            if cell.position is Position.SHORT:
+                assert (cell.result, cell.error) == (None, "MemoryError: no room for the short gather")
+            else:
+                assert cell == clean_cell
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_estimates_fail_only_their_gather(self, monkeypatch, workers):
+        """When the estimates of A's pair cannot be allocated, A's cells fail
+        with that error and A is never gathered, while B, a lone sample of
+        the same length, and C come out as in a clean run."""
+        monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 23 * 301)
+        samples = [*mirrored_pair(301, 26, "A"), normal_sample(n=301, seed=29, label="B"),
+                   normal_sample(n=250, seed=23, label="C")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        clean = run_grid(samples, self.GRID, config, workers)
+
+        class Numpy:  # numpy as the bootstrap module sees it, but for pairs' estimates
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, *args, **kwargs):
+                if len(shape) == 3 and shape[0] == 2:
+                    raise MemoryError("no room for the estimates")
+                return np.empty(shape, *args, **kwargs)
+
+        gathered, gather = [], bootstrap._gather
+        monkeypatch.setattr(bootstrap, "np", Numpy())
+        monkeypatch.setattr(bootstrap, "_gather", lambda values, *args: (
+            gathered.append(gathers_losses_of(values, samples[0])) or gather(values, *args)))
+        out = run_grid(samples, self.GRID, config, workers)
+        assert gathered and not any(gathered)
+        for cell, clean_cell in zip(out.cells, clean.cells, strict=True):
+            if cell.sample_label == "A":
+                assert (cell.result, cell.error) == (None, "MemoryError: no room for the estimates")
+            else:
+                assert cell == clean_cell
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_summary_fails_only_its_gather(self, monkeypatch, workers):
+        """A summary that runs out of memory fails the cells of its gather
+        alone, here A's pair, whose estimates are the only ones with two
+        samples' cells; B of the same length and C come out clean."""
+        samples = [*mirrored_pair(301, 26, "A"), normal_sample(n=301, seed=29, label="B"),
+                   normal_sample(n=250, seed=23, label="C")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        clean = run_grid(samples, self.GRID, config, workers)
+        summarize, cells = bootstrap._summarize, 2 * sum(map(len, self.GRID.values()))
+
+        def fail_pairs(estimates, config):
+            if estimates.shape[0] == cells:
+                raise MemoryError("no room for the summary")
+            return summarize(estimates, config)
+
+        monkeypatch.setattr(bootstrap, "_summarize", fail_pairs)
+        out = run_grid(samples, self.GRID, config, workers)
+        for cell, clean_cell in zip(out.cells, clean.cells, strict=True):
+            if cell.sample_label == "A":
+                assert (cell.result, cell.error) == (None, "MemoryError: no room for the summary")
+            else:
+                assert cell == clean_cell
+
+    @pytest.mark.parametrize("order", [
+        [(Measure.SRM, 20.0), (Measure.VAR, 0.99), (Measure.ES, 0.95), (Measure.SRM, 5.0),
+         (Measure.VAR, 0.9)],
+        [(Measure.VAR, 0.99), (Measure.ES, 0.95), (Measure.VAR, 0.9)]], ids=["whole-sort", "tail"])
+    def test_specs_in_any_order_give_their_own_cells(self, order):
+        """A length group reduces its specs in the order they come, one
+        estimator call for each run of one measure, so specs out of Measure
+        order, with one measure in two runs, still give each spec the cell
+        that run_grid gives it, on either path."""
+        samples = [*mirrored_pair(301, 26, "A"), normal_sample(n=301, seed=29, label="B")]
+        config = BootstrapConfig(resamples=100, master_seed=10)
+        grid = {}
+        for measure, parameter in order:
+            grid.setdefault(measure, []).append(parameter)
+        cells = by_coordinates(run_grid(samples, grid, config))
+        specs = [EstimatorSpec(*spec) for spec in order]
+        results = bootstrap._bootstrap([samples[:2], samples[2:]], specs, config, 1)
+        for i, sample_results in enumerate(results):
+            assert sample_results == [cells[i, s.measure, s.parameter].result for s in specs]
 
     def test_equal_lengths_share_their_sorted_indices(self):
         """Whole-row block k of every contract of n losses draws from

@@ -370,6 +370,17 @@ class TestEstimate:
             assert out == ""
             assert err.startswith(f"config error: {fragment}") and err.count("\n") == 1
 
+    def test_missing_input_is_a_config_error(self, capsys):
+        code, out, err = run(["estimate", "--return-col", "return"], capsys)
+        assert (code, out, err) == (2, "", "config error: at least one --input file is required\n")
+
+    def test_label_count_must_match_the_input_count(self, tmp_path, capsys):
+        path = synth_file(tmp_path, "c1.csv", seed=101)
+        capsys.readouterr()
+        code, out, err = run(["estimate", "--input", str(path), "--label", "A", "--label", "B",
+                              "--return-col", "return"], capsys)
+        assert (code, out, err) == (2, "", "config error: got 2 --label values for 1 --input files\n")
+
     def test_failed_cells_exit_one(self, tmp_path, capsys, monkeypatch):
         """A contract whose resampling fails blanks its cells and the run
         exits 1 after writing every table; the other contract's cells equal a

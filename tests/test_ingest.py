@@ -1,6 +1,7 @@
 """Loading, return transforms and moment summaries."""
 
 import csv
+import io
 import itertools
 import math
 import re
@@ -450,6 +451,27 @@ class TestColumnWiseRead:
                     assert either == load_outcome(load, path, date_format), (date_format, padded)
                 column_wise.add(read_columns(path, "date", "price", regex) is not None)
         assert column_wise == {True, False}  # float skips some padding itself
+
+    def test_a_last_line_longer_than_a_slice_ends_the_slices(self, monkeypatch):
+        """A last line without a newline comes whole when it fits in a
+        slice; one that outgrows a slice gives None, and the slices end."""
+        monkeypatch.setattr(ingest, "_SLICE_BYTES", 8)
+        assert list(ingest._slices(io.BytesIO(b"ab\ncd"))) == [b"ab\n", b"cd"]
+        assert list(ingest._slices(io.BytesIO(b"ab\ncdefghijkl"))) == [b"ab\n", None]
+
+    def test_a_header_longer_than_csv_s_field_limit_is_read_row_by_row(self, tmp_path):
+        """The column-wise read leaves a header line longer than
+        csv.field_size_limit() to the per-row path, which loads the file
+        as it loads the same file with short column names."""
+        names = ["y" * (csv.field_size_limit() // 2), "z" * (csv.field_size_limit() // 2)]
+        lines = [f"{date(2001, 1, 1 + i).isoformat()},{100 + i / 8!r},1,2\n" for i in range(4)]
+        wide = write(tmp_path / "wide.csv", ",".join(["date", "price", *names]) + "\n" + "".join(lines))
+        short = write(tmp_path / "short.csv", "date,price,y,z\n" + "".join(lines))
+        regex = ingest._date_regex("%Y-%m-%d")
+        assert ingest._read_columns(wide, "date", "price", regex) is None
+        assert ingest._read_columns(short, "date", "price", regex) is not None
+        for load in (load_prices, load_returns):
+            assert load_outcome(load, wide, "%Y-%m-%d") == load_outcome(load, short, "%Y-%m-%d")
 
     def test_crlf_file_is_read_column_wise(self, tmp_path, monkeypatch):
         """A clean file whose lines end in CRLF is read column-wise, never

@@ -144,6 +144,11 @@ class TestEmpiricalQuantile:
             with pytest.raises(ValueError, match="between 0 and 1"):
                 value_at_risk(ONE_TO_HUNDRED, alpha)
 
+    def test_a_method_that_is_no_quantile_method_is_rejected(self):
+        """The method is a QuantileMethod; its value as a string is not."""
+        with pytest.raises(ValueError, match="unknown quantile method 'interp'"):
+            value_at_risk(ONE_TO_HUNDRED, 0.95, "interp")
+
     def test_extreme_levels_clamp_to_end_points(self):
         assert value_at_risk(ONE_TO_HUNDRED, 1e-12) == 1.0
         assert value_at_risk(ONE_TO_HUNDRED, 1 - 1e-12) == 100.0
