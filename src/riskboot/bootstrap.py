@@ -58,14 +58,16 @@ either path, and the path decides only where a chunk's indices come
 from. On the whole-row path they are a fresh (rows, n) int32 draw sorted
 along its rows; on the tail path a block's are one row-major (rows,
 depth) int32 array whose rows ascend (_tail_indices), and a chunk is a
-slice of its rows. A length group's one unit of work and of failure is
-the gather: on whole rows a contract, which takes its long-oriented
-losses once for both its samples, and on the tail path a sample, which
-takes its own. A gather takes its losses at a chunk's indices into rows
-of ascending losses, so each row reduces as a lone row would, whatever
-the chunk or group, and writes each run of one measure's estimates with
-one estimator call into its own columns of the gather's estimates, one
-row per cell, cells sample by sample and spec by spec within a sample.
+slice of its rows. Either is cast once to intp, the index type that take
+reads, so a chunk's gathers do not each cast it. A length group's one
+unit of work and of failure is the gather: on whole rows a contract,
+which takes its long-oriented losses once for both its samples, and on
+the tail path a sample, which takes its own. A gather takes its losses
+at a chunk's indices, in one take, into rows of ascending losses, so
+each row reduces as a lone row would, whatever the chunk or group, and
+writes each run of one measure's estimates with one estimator call into
+its own columns of the gather's estimates, one row per cell, cells
+sample by sample and spec by spec within a sample.
 A block returns, per gather, the exception that failed it or None. Once
 its blocks are in, a group summarizes each gather in one pass over all
 its rows; the results go on as one list per sample, one entry per spec,
@@ -91,19 +93,20 @@ estimates, 8 bytes per resample and cell. It is allocated as the group's
 first block is taken, written by the blocks at their own columns, and
 dropped once the group has summarized it. On the whole-row path each
 thread draws its rows in chunks of at most _CHUNK_BYTES, or of two rows
-of 12 * n bytes each once a row exceeds half of it: a chunk's int32
-indices and one buffer that its gathers take their losses into in
-turn, so the chunks of a grid take about _CHUNK_BYTES per thread, and
-24 * n bytes past n = 43 690. Two rows, not one, because the spectral
-estimator reads a lone row as two (measures._apply); only a block's last
-chunk can hold one row. The rows per chunk depend on n alone, never on
-the worker count. Even so, a block's draws do not depend on how its rows
-are chunked, as each bounded int32 draw takes the next 32 bits of its
-stream, and every estimator reduces each row in a fixed order whatever
-the number of rows, so neither do the estimates. On the tail path a
+of 20 * n bytes each once a row exceeds half of it: a chunk's int32
+indices, their intp copy and one buffer that its gathers take their
+losses into in turn, so the chunks of a grid take about _CHUNK_BYTES per
+thread, and 40 * n bytes past n = 26 214. Two rows, not one, because the
+spectral estimator reads a lone row as two (measures._apply); only a
+block's last chunk can hold one row. The rows per chunk depend on n
+alone, never on the worker count. Even so, a block's draws do not depend
+on how its rows are chunked, as each bounded int32 draw takes the next
+32 bits of its stream, and every estimator reduces each row in a fixed
+order whatever the number of rows, so neither do the estimates. On the tail path a
 thread holds one block's int32 indices, at most _TAIL_BLOCK_ELEMS bytes
-(4 MiB) at the cut-off, and works on them in slabs of levels and groups
-of rows of at most _CHUNK_BYTES // 2 bytes each.
+(4 MiB) at the cut-off, and works on them in slabs of levels of at most
+_CHUNK_BYTES // 2 bytes, and in chunks of rows whose intp copy and buffer
+take at most _CHUNK_BYTES // 2 bytes together.
 """
 
 from __future__ import annotations
@@ -129,13 +132,17 @@ from .measures import (
     spectral_weights,
 )
 
-# A chunk holds 12 bytes per element (int32 index and float64 value), and
-# each thread draws its own chunks: as many rows as fit in _CHUNK_BYTES, at
-# least 2, so the budget alone bounds a chunk below n = 43 691. run_grid's
-# wall time (median of 10 alternating rounds of the minimum of 3 calls) and
-# the peak RSS of the riskboot estimate process (VmHWM, median of 4 to 6
-# runs), on a 2-CPU x86-64 host; the long_history row has the tail path's
-# slabs and chunks at an eighth of the budget:
+# A whole-row chunk holds 20 bytes per element (int32 index, its intp copy
+# and float64 value), and each thread draws its own chunks: as many rows as
+# fit in _CHUNK_BYTES, at least 2, so the budget alone bounds a chunk up to
+# n = 26 214. At 1 MiB a golden chunk (n = 400) holds 131 rows, a paper one
+# (n = 3392) 15 and one of n = 20 000 2. The table below was measured when
+# a chunk held 12 bytes per element, its gathers casting the int32 indices
+# in slabs, so that 1 MiB made golden and paper chunks of 218 and 25 rows:
+# run_grid's wall time (median of 10 alternating rounds of the minimum of 3
+# calls) and the peak RSS of the riskboot estimate process (VmHWM, median of
+# 4 to 6 runs), on a 2-CPU x86-64 host; the long_history row has the tail
+# path's slabs and chunks at an eighth of the budget:
 #
 #                                               4 MiB    2 MiB    1 MiB
 #     golden grid (n = 400), 1 worker  (ms)      116      109      113
@@ -146,35 +153,14 @@ from .measures import (
 #     paper command, peak RSS          (MB)     47.7     42.8     40.6
 #     golden command, peak RSS         (MB)     44.4     42.4     41.4
 #
-# At 1 MiB a paper thread's chunks are 25 rows where they were 103, and a
-# golden thread's 218, where at 4 MiB a cap of 512 rows held them (peak RSS
-# 42.6 MB). The time goes to fixed costs per chunk, chiefly the estimator
-# calls that each contract makes on it. The tail path's memory is its
-# block's indices, up to 4 MiB, so its slabs and chunks take half the
-# budget, 512 KiB, as they did at an eighth of 4 MiB: at an eighth of 1 MiB
-# the long_history command ran 4.6 % slower (wall_s, median of 10
-# alternating bench/run.py pairs).
+# At 4 MiB a paper thread's chunks were 103 rows, and a golden thread's were
+# held by a cap of 512 rows (peak RSS 42.6 MB). The time goes to fixed costs
+# per chunk, chiefly the estimator calls that each contract makes on it.
+# The tail path's memory is its block's indices, up to 4 MiB, so its slabs
+# and chunks take half the budget, 512 KiB, as they did at an eighth of
+# 4 MiB: at an eighth of 1 MiB the long_history command ran 4.6 % slower
+# (wall_s, median of 10 alternating bench/run.py pairs).
 _CHUNK_BYTES = 2 ** 20
-
-# A gather takes its losses at a chunk's int32 indices with take, which
-# casts them to intp first, in slabs of rows of at most _TAKE_ELEMS elements
-# (at least one row), so the cast takes at most max(_TAKE_ELEMS, width) * 8
-# bytes and stays in cache. At 1 MiB chunks the slabs and one take of the
-# whole chunk tie on time; the slabs are kept for memory. Per gather of a
-# sorted chunk, in microseconds, the range over three runs of the minimum
-# of 7 runs of 30 on a 2-CPU x86-64 host (values[idx] | take of the whole
-# chunk | slabs of 2**13 elements):
-#
-#     n = 400,    218 rows    211-250 |  80-142 |  89-155
-#     n = 3392,    25 rows    210-245 |  79-123 |  84-146
-#     n = 20 000,   4 rows    197-227 |  75-130 |  71-76
-#
-# The whole chunk's intp copy raised the tracemalloc peak of run_grid on the
-# golden grid (B = 5000) from 5.55 to 6.19 MB at 1 worker and from 6.67 to
-# 7.94 MB at 2, and on the paper grid from 3.11 to 3.74 and from 4.19 to
-# 5.44 MB. take with mode="clip" (the indices are in range) writes straight
-# into its out array; by default it buffers.
-_TAKE_ELEMS = 2 ** 13
 
 # A block holds _BLOCK_ELEMS // n resamples of n losses on the whole-row
 # path and _TAIL_BLOCK_ELEMS // n on the tail path, at least 1, and each of
@@ -379,13 +365,11 @@ def _tail_indices(stream: np.random.Generator, n: int, depth: int, rows: int) ->
 
 
 def _gather(values, idx, buffer) -> np.ndarray:
-    """Gather values at a chunk of shared indices whose rows ascend into the
-    first rows of buffer, and return those rows."""
-    rows = buffer[:idx.shape[0]]
-    step = max(_TAKE_ELEMS // idx.shape[1], 1)
-    for r in range(0, idx.shape[0], step):
-        values.take(idx[r:r + step], mode="clip", out=rows[r:r + step])
-    return rows
+    """Gather values at a chunk of shared intp indices whose rows ascend
+    into the first rows of buffer, and return those rows, in one take.
+    With mode="clip" (the indices are in range) take writes straight into
+    its out array; by default it buffers."""
+    return values.take(idx, mode="clip", out=buffer[:len(idx)])
 
 
 class _LengthGroup:
@@ -431,9 +415,9 @@ class _LengthGroup:
                     for spec in specs)
         self._depth = None if depth > _TAIL_SHARE * n else depth
         if self._depth is None:  # chunks of at most _CHUNK_BYTES, or of two rows
-            self._width, self._chunk_rows, elems = n, max(_CHUNK_BYTES // (12 * n), 2), _BLOCK_ELEMS
-        else:  # a chunk and the buffer it is gathered into take 12 bytes an element
-            self._width, self._chunk_rows = depth, max(_CHUNK_BYTES // (24 * depth), 1)
+            self._width, self._chunk_rows, elems = n, max(_CHUNK_BYTES // (20 * n), 2), _BLOCK_ELEMS
+        else:  # a chunk's intp copy and the buffer it is gathered into: 16 bytes an element
+            self._width, self._chunk_rows = depth, max(_CHUNK_BYTES // (32 * depth), 1)
             elems = _TAIL_BLOCK_ELEMS
         self.block_rows = max(elems // n, 1)
         self.blocks = self._left = -(-config.resamples // self.block_rows)  # _left: not yet in
@@ -483,7 +467,8 @@ class _LengthGroup:
         and reduces them; an exception fails that gather alone. On whole
         rows each chunk is drawn and sorted along its rows. On the tail
         path the block's top self._depth order statistics are drawn once,
-        and a chunk is a slice of their rows."""
+        and a chunk is a slice of their rows. Either way the chunk's
+        indices are cast to intp once, and each gather takes them whole."""
         n, step, first = self.n, self._chunk_rows, block * self.block_rows
         rows = min(self.block_rows, self.config.resamples - first)
         failed = [out if isinstance(out, Exception) else None for out in self._estimates]
@@ -499,6 +484,7 @@ class _LengthGroup:
                 idx.sort(axis=1)
             else:
                 idx = tail[done:done + step]
+            idx = idx.astype(np.intp)  # take would cast the indices again for every gather
             at = slice(first + done, first + done + idx.shape[0])
             for i, ((values, samples, plans), out) in enumerate(zip(self._reads, self._estimates)):
                 if failed[i] is None:

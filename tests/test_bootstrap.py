@@ -223,17 +223,25 @@ class TestReductionPlan:
                         assert next(columns, None) is None
 
 
+def chunk_shapes(rows, chunk_rows, width):
+    """How many chunks of each (rows, width) shape a block of rows makes in
+    chunks of chunk_rows, the last one partial."""
+    return collections.Counter((min(chunk_rows, rows - done), width)
+                               for done in range(0, rows, chunk_rows))
+
+
 class TestWorkCounts:
     def test_a_golden_shaped_grid_s_calls_per_chunk_contract_and_group(self, monkeypatch):
         """Counts of calls, which no host's noise moves, pin what a grid of
         the golden command's shape costs: five mirrored pairs, here of two
         lengths, each with 11 parameters in two positions. At any chunk
-        size a chunk costs each contract one gather and one estimator call
-        per measure, which reads both ends side by side; each length group
-        builds one plan per measure, once, for the one tuple of ends that
-        its long-led pairs read; and each contract is summarized in one
-        call over its (22, B) estimates, whose interval ends take one plan
-        and one estimator call. B = 300 keeps every group in one block."""
+        size a chunk costs each contract one gather, which takes the whole
+        chunk at its intp indices, and one estimator call per measure,
+        which reads both ends side by side; each length group builds one
+        plan per measure, once, for the one tuple of ends that its long-led
+        pairs read; and each contract is summarized in one call over its
+        (22, B) estimates, whose interval ends take one plan and one
+        estimator call. B = 300 keeps every group in one block."""
         counts = collections.Counter()
 
         def spy(name, key):
@@ -247,7 +255,7 @@ class TestWorkCounts:
 
         spy("_plan", lambda measure, args, n, *rest: ("plan", n))
         spy("_apply", lambda rows, plan: ("apply", rows.shape[1]))
-        spy("_gather", lambda values, idx, buffer: ("gather", values.size))
+        spy("_gather", lambda values, idx, buffer: ("gather", values.size, idx.dtype, idx.shape))
         spy("_summarize", lambda estimates, config: ("summarize", estimates.shape))
         samples = [sample for i, n in enumerate((400, 400, 400, 401, 401))
                    for sample in mirrored_pair(n, 60 + i, str(i))]
@@ -256,14 +264,18 @@ class TestWorkCounts:
         b = 300
         config = BootstrapConfig(resamples=b, master_seed=11)
         for chunk_rows in (218, 7, 2):  # rows of a chunk at either length
-            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 401 * chunk_rows)
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 20 * 401 * chunk_rows)
             counts.clear()
             assert not run_grid(samples, grid, config).failed
             chunks = -(-b // chunk_rows)
-            assert counts == {("gather", 400): 3 * chunks, ("apply", 400): 3 * 3 * chunks,
-                              ("gather", 401): 2 * chunks, ("apply", 401): 3 * 2 * chunks,
-                              ("plan", 400): 3, ("plan", 401): 3,
-                              ("summarize", (22, b)): 5, ("plan", b): 5, ("apply", b): 5}
+            want = collections.Counter({
+                ("apply", 400): 3 * 3 * chunks, ("apply", 401): 3 * 2 * chunks,
+                ("plan", 400): 3, ("plan", 401): 3,
+                ("summarize", (22, b)): 5, ("plan", b): 5, ("apply", b): 5})
+            for n, contracts in ((400, 3), (401, 2)):
+                for shape, k in chunk_shapes(b, chunk_rows, n).items():
+                    want["gather", n, np.dtype(np.intp), shape] = contracts * k
+            assert counts == want
 
 
     def counted_streams(self, monkeypatch, counts):
@@ -305,7 +317,7 @@ class TestWorkCounts:
                 Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
         b = 300
         for chunk_rows in (218, 7, 2):
-            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * 401 * chunk_rows)
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 20 * 401 * chunk_rows)
             counts.clear()
             assert not run_grid(samples, grid, BootstrapConfig(resamples=b, master_seed=11)).failed
             chunks = -(-b // chunk_rows)
@@ -315,17 +327,18 @@ class TestWorkCounts:
     def test_a_tail_grid_s_calls_per_block_chunk_and_gather(self, monkeypatch):
         """On the tail path a block draws its top order statistics once, in
         one _tail_indices call, and neither draws whole rows nor sorts. A
-        gather is one sample there: a chunk costs each sample one gather and
-        one estimator call per measure, and each sample is summarized in one
-        call over its (3, B) estimates. A mirrored pair and a lone short
-        sample of 301 losses, B = 100 in blocks of 23 rows (the last of 8)
-        and chunks of 7 rows: 4 + 4 + 4 + 4 + 2 = 18 chunks."""
+        gather is one sample there: a chunk costs each sample one gather,
+        which takes the whole chunk at its intp indices, and one estimator
+        call per measure, and each sample is summarized in one call over
+        its (3, B) estimates. A mirrored pair and a lone short sample of 301
+        losses, B = 100 in blocks of 23 rows (the last of 8) and chunks of 7
+        rows: 4 + 4 + 4 + 4 + 2 = 18 chunks."""
         n, b = 301, 100
         grid = {Measure.VAR: [0.9, 0.99], Measure.ES: [0.95]}
         depth = max(n - _first_column(m, p, n) for m in grid for p in grid[m])
         assert depth <= bootstrap._TAIL_SHARE * n
         monkeypatch.setattr(bootstrap, "_TAIL_BLOCK_ELEMS", 23 * n)
-        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 24 * depth * 7)
+        monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 32 * depth * 7)
         counts = collections.Counter()
         self.counted_streams(monkeypatch, counts)
 
@@ -341,12 +354,19 @@ class TestWorkCounts:
         spy("_tail_indices", lambda stream, n, depth, rows: ("tail", n, depth))
         spy("_plan", lambda measure, args, n, *rest: ("plan", n))
         spy("_apply", lambda rows, plan: ("apply", rows.shape[1]))
-        spy("_gather", lambda values, idx, buffer: ("gather", values.size))
+        spy("_gather", lambda values, idx, buffer: ("gather", values.size, idx.dtype, idx.shape))
         spy("_summarize", lambda estimates, config: ("summarize", estimates.shape))
         samples = [*mirrored_pair(n, 62, "A"), normal_sample(n, 63, "B", Position.SHORT)]
         assert not run_grid(samples, grid, BootstrapConfig(resamples=b, master_seed=11)).failed
-        assert counts == {("tail", n, depth): 5, ("gather", n): 3 * 18, ("apply", depth): 3 * 2 * 18,
-                          ("plan", n): 2, ("summarize", (3, b)): 3, ("plan", b): 3, ("apply", b): 3}
+        want = collections.Counter({
+            ("tail", n, depth): 5, ("apply", depth): 3 * 2 * 18,
+            ("plan", n): 2, ("summarize", (3, b)): 3, ("plan", b): 3, ("apply", b): 3})
+        shapes = sum((chunk_shapes(rows, 7, depth) for rows in (23, 23, 23, 23, 8)),
+                     collections.Counter())
+        assert sum(shapes.values()) == 18
+        for shape, k in shapes.items():
+            want["gather", n, np.dtype(np.intp), shape] = 3 * k
+        assert counts == want
 
 
 def cell_summary(estimates, config):
@@ -1016,13 +1036,13 @@ class TestRunGrid:
         baseline = {n: (run_grid(samples, tails, config), run_grid(samples, srm, config))
                     for n, samples in pairs.items()}
         for n, samples in pairs.items():
-            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
+            monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 20 * n * rows)
             assert run_grid(samples, tails, config) == baseline[n][0]
             assert run_grid(samples, srm, config) == baseline[n][1]
 
     def test_chunk_memory_stays_within_the_budget(self, monkeypatch):
-        """Sorted whole, at n = 20 000 a 64-row chunk of indices and values
-        takes 15 MB; the budget caps it at 4 rows."""
+        """Sorted whole, at n = 20 000 a 64-row chunk of indices, their intp
+        copy and values takes 26 MB; the budget caps it at 2 rows."""
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
         samples = [normal_sample(n=20_000, seed=27)]
         config = BootstrapConfig(resamples=64, master_seed=11)
@@ -1082,7 +1102,7 @@ class TestRunGrid:
             baseline = run_grid(samples, grid, config)
             assert not baseline.failed
             for rows in (1, 3, 7):
-                monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 12 * n * rows)
+                monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 20 * n * rows)
                 for workers in (1, 2, 3):
                     assert run_grid(samples, grid, config, workers) == baseline
             # the smallest slabs and groups there are: one level, one row
@@ -1201,8 +1221,8 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_worker_holds_its_own_chunk(self, monkeypatch, workers):
-        """Sorted whole, a chunk holds 12 bytes per element, so 1 MiB takes
-        4 rows of 20 000 losses. Each worker draws its own chunks of that
+        """Sorted whole, a chunk holds 20 bytes per element, so 1 MiB takes
+        2 rows of 20 000 losses. Each worker draws its own chunks of that
         size, so the bound grows by 1 MiB per worker."""
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
         monkeypatch.setattr(bootstrap, "_BLOCK_ELEMS", 16 * 20_000)  # 4 blocks
@@ -1224,7 +1244,7 @@ class TestRunGrid:
         group's at once takes 8 * 5000 * 110 bytes, 4.4 MB, the bound here.
         One group's take 8 * 5000 * 22 bytes, 0.88 MB, and the thread whose
         block completes a group summarizes it and frees them, so one worker
-        holds them next to a 1 MiB chunk: about 2.2 MB. Summarizing every
+        holds them next to a 1 MiB chunk: about 2.1 MB. Summarizing every
         group only after the last block takes about 5.7 MB."""
         monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2 ** 20)
         samples = [sample for n in range(400, 405) for sample in mirrored_pair(n, n, str(n))]
@@ -1243,9 +1263,9 @@ class TestRunGrid:
 
     def test_paper_size_grid_holds_a_default_chunk_per_worker(self):
         """At the default chunk size of 1 MiB, two workers on two n = 3392
-        contracts each hold chunks of 25 rows: the tracemalloc peak is 2.5
-        MiB. With chunks of 4 MiB per worker (103 rows) it is 8.5 MiB, and
-        with 2 MiB it is 4.5 MiB; the bound lies between."""
+        contracts each hold chunks of 15 rows: the tracemalloc peak is 2.2
+        MiB. With chunks of 4 MiB per worker (61 rows) it is 7.5 MiB, and
+        with 2 MiB (30 rows) it is 3.9 MiB, just under the bound."""
         samples = [*mirrored_pair(3392, 34, "A"), *mirrored_pair(3392, 35, "B")]
         grid = {Measure.VAR: [0.9, 0.95, 0.99], Measure.ES: [0.9, 0.95, 0.99],
                 Measure.SRM: [5.0, 10.0, 20.0, 40.0, 80.0]}
@@ -1260,14 +1280,14 @@ class TestRunGrid:
         assert peak < 4 * 2 ** 20
 
     def test_whole_row_chunks_hold_two_rows_where_the_budget_fits_fewer(self, monkeypatch):
-        """At n = 50 000 a row of int32 indices and float64 losses takes 12 *
-        n bytes, more than half the chunk budget, so each whole-row chunk
-        holds the floor of two rows: a one-row chunk would make the spectral
-        einsum read its row twice (see _apply). Six resamples make three
-        chunks of two rows, and one call per measure reads both ends of the
-        pair on each."""
+        """At n = 50 000 a row of int32 indices, their intp copy and float64
+        losses takes 20 * n bytes, more than half the chunk budget, so each
+        whole-row chunk holds the floor of two rows: a one-row chunk would
+        make the spectral einsum read its row twice (see _apply). Six
+        resamples make three chunks of two rows, and one call per measure
+        reads both ends of the pair on each."""
         n = 50_000
-        assert 12 * n > bootstrap._CHUNK_BYTES // 2
+        assert 20 * n > bootstrap._CHUNK_BYTES // 2
         shapes, apply = [], bootstrap._apply
 
         def spy(rows, *args):
