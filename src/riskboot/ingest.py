@@ -17,12 +17,16 @@ that date's layout and converted, and its values parsed by float. Lines
 may end in LF or CRLF. No cell is stripped: float skips the whitespace
 that strip would remove (bar U+001C to U+001F, which it rejects), and a
 padded date cell is either the slice's first, which is refused, or laid
-out unlike that one. Any file in doubt (a quote, a lone CR or a NUL, a
-header or field-count problem, a date or value the slice cannot take, a
-duplicate date, a non-positive price, too few rows) is read row by row
-through the csv module instead, which parses each date with strptime
-and alone reports problems. Both reads accept the same files and give
-the same series, whose dates are one datetime64[D] array throughout.
+out unlike that one. The column-wise read only parses; its columns
+become the series when the series type accepts them, and the type alone
+checks its rules: distinct dates, finite values, at least two prices or
+one return, positive prices. Any file in doubt (a quote, a lone CR or a
+NUL, a header or field-count problem, a date or value the slice cannot
+take, or values the series type rejects) is read row by row through the
+csv module instead, which parses each date with strptime and alone words
+problems, every rule of the series types among them. Both reads accept
+the same files and give the same series, whose dates are one
+datetime64[D] array throughout.
 """
 
 from __future__ import annotations
@@ -281,15 +285,17 @@ def _days(texts, regex):
 def _read_columns(path, date_col, value_col, regex):
     """Read a clean file column-wise, a slice of lines at a time.
 
-    Returns (dates, values) in date order, or None for any file that is
+    Returns (dates, values) sorted by date, or None for any file that is
     not clean, which _read_rows then reads row by row, so every problem
     message comes from one place. A clean file is UTF-8 holding no quote,
     NUL or CR outside a CRLF line end, with a header naming each column
-    once. Every other line is blank or has the header's field count, and
-    no field is longer than csv.field_size_limit(). regex, from
-    _date_regex, has groups for %Y, %m and %d alone, and each slice's
-    dates are valid, distinct and laid out as its first, which regex
-    matches (see _days). Every value is a finite float.
+    once and at least one other line that is not blank. Every other line
+    is blank or has the header's field count, and no field is longer than
+    csv.field_size_limit(). regex, from _date_regex, has groups for %Y, %m
+    and %d alone, and each slice's dates are valid and laid out as its
+    first, which regex matches (see _days). Every value is a float. The
+    values are not checked against any rule of a series, such as distinct
+    dates or finite values: the series type checks those.
     """
     if regex.groupindex.keys() != {"Y", "m", "d"}:
         return None
@@ -346,44 +352,45 @@ def _read_columns(path, date_col, value_col, regex):
     if not days:
         return None
     days, values = np.concatenate(days), np.concatenate(values)
-    if not np.all(days[1:] > days[:-1]):  # else already in order, each date once
+    if not np.all(days[1:] > days[:-1]):  # else already in order
         order = np.argsort(days, kind="stable")
         days, values = days[order], values[order]
-        if np.any(days[1:] == days[:-1]):
-            return None
-    if not np.all(np.isfinite(values)):
-        return None
     return days, values
 
 
-def _load(path, date_col, value_col, date_format, prices):
-    """The dates and values of a file's two columns, in date order: read
-    column-wise if the file is clean, else row by row. Values are prices
-    when prices is true, and then must be positive and at least two.
+def _load(path, date_col, value_col, date_format, kind, label):
+    """A file's two columns as a series of kind, PriceSeries or
+    ReturnSeries, labelled label or else the file's stem. A clean file's
+    columns are read column-wise and taken when kind accepts them; any
+    other file, or columns kind refuses, are read row by row, which words
+    every rule of kind as a problem: a duplicate date, a value that is not
+    finite, too few rows, and for prices a price that is not positive.
 
     Raises ValueError for a date_format strptime cannot use, before the
     file is opened, and IngestError listing every problem found.
     """
     regex = _date_regex(date_format)
-    least = 2 if prices else 1
+    label = label or Path(path).stem
     columns = _read_columns(path, date_col, value_col, regex)
-    if columns is not None and columns[1].size >= least and not (
-            prices and np.any(columns[1] <= 0.0)):
-        return columns
+    if columns is not None:
+        try:
+            return kind(label, *columns)
+        except ValueError:
+            pass  # the per-row read words what kind refuses
     rows, problems = _read_rows(path, date_col, value_col, date_format)
+    prices = kind is PriceSeries
     if prices:
         problems += [f"line {line}: price {value!r} is not positive"
                      for _, value, line in rows if value <= 0.0]
     rows.sort(key=lambda r: r[0])  # files may be unordered
     problems += [f"duplicate date {d1.isoformat()} (lines {l1} and {l2})"
                  for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]) if d1 == d2]
-    if not problems and len(rows) < least:
+    if not problems and len(rows) < (2 if prices else 1):
         problems.append(f"need at least 2 usable price rows, got {len(rows)}" if prices
                         else "no usable return rows")
     if problems:
         raise IngestError(path, problems)
-    return (np.array([r[0] for r in rows], "datetime64[D]"),
-            np.array([r[1] for r in rows], dtype=float))
+    return kind(label, [r[0] for r in rows], [r[1] for r in rows])
 
 
 def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d",
@@ -401,15 +408,13 @@ def load_prices(path, date_col="date", price_col="price", date_format="%Y-%m-%d"
     non-positive price and duplicate date found. Rows are sorted by date if
     the file is unordered.
     """
-    dates, prices = _load(path, date_col, price_col, date_format, prices=True)
-    return PriceSeries(label=label or Path(path).stem, dates=dates, prices=prices)
+    return _load(path, date_col, price_col, date_format, PriceSeries, label)
 
 
 def load_returns(path, date_col="date", return_col="return", date_format="%Y-%m-%d",
                  label="") -> ReturnSeries:
     """Load a file of pre-computed returns; same CSV rules as load_prices."""
-    dates, returns = _load(path, date_col, return_col, date_format, prices=False)
-    return ReturnSeries(label=label or Path(path).stem, dates=dates, returns=returns)
+    return _load(path, date_col, return_col, date_format, ReturnSeries, label)
 
 
 # ----------------------------------------------------------------------

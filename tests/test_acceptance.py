@@ -38,6 +38,7 @@ from riskboot import (
     to_losses,
     value_at_risk,
 )
+from riskboot import ingest
 from riskboot.cli import main
 from riskboot.synthetic import (
     Normal,
@@ -353,6 +354,32 @@ def test_contract_rows_do_not_depend_on_the_other_inputs(tmp_path, monkeypatch, 
         out_dir = tmp_path / key
         assert main(golden_args(inputs, out_dir, "--workers", workers)) == 0
         assert contract_rows(out_dir, labels) == golden, key
+
+
+def test_golden_command_on_quoted_inputs_read_row_by_row(tmp_path, monkeypatch):
+    """Copies of c1-c5 whose return cells are all quoted, under the same
+    file names, are each read row by row, since the column-wise read
+    leaves any file holding a quote to the per-row read. The golden
+    command on them writes all five golden files byte for byte, run.kv
+    included."""
+    quoted = tmp_path / "quoted"
+    quoted.mkdir()
+    for name in GOLDEN_INPUTS:
+        header, *lines = (DATA_DIR / "inputs" / name).read_text().splitlines()
+        rows = [f'{day},"{value}"' for day, value in (line.split(",") for line in lines)]
+        (quoted / name).write_text("\n".join([header, *rows]) + "\n")
+    read_rows, calls = ingest._read_rows, []
+
+    def spy(path, *args):
+        calls.append(str(path))
+        return read_rows(path, *args)
+
+    monkeypatch.setattr(ingest, "_read_rows", spy)
+    monkeypatch.chdir(quoted)
+    assert main(golden_args(GOLDEN_INPUTS, tmp_path / "out")) == 0
+    assert calls == GOLDEN_INPUTS
+    for name in (*GOLDEN_TABLES, "run.kv"):
+        assert (tmp_path / "out" / name).read_bytes() == (DATA_DIR / "golden" / name).read_bytes(), name
 
 
 def dispatch_environments():

@@ -452,6 +452,37 @@ class TestColumnWiseRead:
                 column_wise.add(read_columns(path, "date", "price", regex) is not None)
         assert column_wise == {True, False}  # float skips some padding itself
 
+    def test_the_series_type_sends_the_columns_it_refuses_row_by_row(self, tmp_path,
+                                                                      monkeypatch):
+        """The column-wise read checks no rule of a series; the series type
+        does. With a price series that also refuses prices above 150, a
+        clean file holding a price of 200 is read column-wise, refused by
+        the type, read row by row once, and loading it raises the type's
+        own error. A clean file within that rule never reaches the per-row
+        read and loads as the patched type."""
+        class CappedPrices(PriceSeries):
+            def __post_init__(self):
+                super().__post_init__()
+                if np.any(self.prices > 150.0):
+                    raise ValueError("prices must not exceed 150")
+
+        read_rows, calls = ingest._read_rows, []
+
+        def spy(*args):
+            calls.append(args)
+            return read_rows(*args)
+
+        monkeypatch.setattr(ingest, "PriceSeries", CappedPrices)
+        monkeypatch.setattr(ingest, "_read_rows", spy)
+        within = write(tmp_path / "within.csv", "date,price\n2001-01-02,100.0\n2001-01-03,150.0\n")
+        assert type(load_prices(within)) is CappedPrices and calls == []
+        above = write(tmp_path / "above.csv", "date,price\n2001-01-02,100.0\n2001-01-03,200.0\n")
+        regex = ingest._date_regex("%Y-%m-%d")
+        assert ingest._read_columns(above, "date", "price", regex) is not None
+        with pytest.raises(ValueError, match="^prices must not exceed 150$"):
+            load_prices(above)
+        assert calls == [(above, "date", "price", "%Y-%m-%d")]
+
     def test_a_last_line_longer_than_a_slice_ends_the_slices(self, monkeypatch):
         """A last line without a newline comes whole when it fits in a
         slice; one that outgrows a slice gives None, and the slices end."""
